@@ -8,6 +8,7 @@
 #   make bench-trend- bench-check plus per-family delta roll-up
 #   make serve-smoke- end-to-end smoke test of the kronbip serve service
 #   make distgen-smoke - distributed generation smoke: 3-replica fleet + dist-gen
+#   make fuzz       - bounded fuzzing of the edge-range walkers (30 s)
 #   make check      - everything (what CI should run)
 
 GO ?= go
@@ -21,7 +22,7 @@ BENCH_DATE := $(shell date +%Y-%m-%dT%H%M%S)
 # instrumented paths hammer concurrently, and the serve job manager.
 RACE_PKGS = ./internal/exec ./internal/core ./internal/count ./internal/grb ./internal/dist ./internal/obs ./internal/obs/timeline ./internal/audit ./internal/serve ./internal/distgen
 
-.PHONY: all vet build test race bench bench-json bench-check bench-trend serve-smoke distgen-smoke check
+.PHONY: all vet build test race fuzz bench bench-json bench-check bench-trend serve-smoke distgen-smoke check
 
 all: vet build test
 
@@ -37,8 +38,13 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
+# fuzz runs FuzzEdgeRange — every range and block-range walker against
+# the definition-order oracle — for a bounded time.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzEdgeRange$$' -fuzztime 30s ./internal/core
+
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkStream_' -benchtime 10x .
+	$(GO) test -run XXX -bench 'BenchmarkStream_' -benchtime 10x -benchmem .
 	$(GO) test -bench . -benchtime 100x ./internal/exec
 	$(GO) test -run XXX -bench 'BenchmarkServe' ./internal/serve
 	$(GO) test -run XXX -bench 'BenchmarkStreamWire' -benchtime 10x ./internal/serve
@@ -48,7 +54,7 @@ bench:
 # bench-json records the same runs in `go test -json` form, one dated
 # file per day, for diffing throughput across PRs.
 bench-json:
-	{ $(GO) test -json -run XXX -bench 'BenchmarkStream_' -benchtime 10x . ; \
+	{ $(GO) test -json -run XXX -bench 'BenchmarkStream_' -benchtime 10x -benchmem . ; \
 	  $(GO) test -json -run XXX -bench . -benchtime 100x ./internal/exec ; \
 	  $(GO) test -json -run XXX -bench 'BenchmarkServe' ./internal/serve ; \
 	  $(GO) test -json -run XXX -bench 'BenchmarkStreamWire' -benchtime 10x ./internal/serve ; \

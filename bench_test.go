@@ -26,6 +26,7 @@ import (
 	"kronbip/internal/grb"
 	"kronbip/internal/obs"
 	"kronbip/internal/rmat"
+	"kronbip/internal/serve"
 	"kronbip/internal/wing"
 )
 
@@ -496,6 +497,7 @@ func BenchmarkAblation_BFSCounter(b *testing.B) {
 // BenchmarkStream_EachEdgeSerial is the seed-equivalent baseline: one
 // goroutine walking the whole edge set.
 func BenchmarkStream_EachEdgeSerial(b *testing.B) {
+	b.ReportAllocs()
 	p := unicodeProduct(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -511,6 +513,7 @@ func BenchmarkStream_EachEdgeSerial(b *testing.B) {
 // BenchmarkStream_EachEdgeContext is the same walk through the cancellable
 // context path with a background context — the plumbing overhead bench.
 func BenchmarkStream_EachEdgeContext(b *testing.B) {
+	b.ReportAllocs()
 	p := unicodeProduct(b)
 	ctx := context.Background()
 	b.ResetTimer()
@@ -599,6 +602,7 @@ func seedStreamEdgesParallel(p *core.Product, nshards int, sinkFor func(shard in
 // BenchmarkStream_SeedHandRolled runs the reconstructed seed
 // implementation with plain per-shard counter sinks.
 func BenchmarkStream_SeedHandRolled(b *testing.B) {
+	b.ReportAllocs()
 	p := unicodeProduct(b)
 	nshards := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
@@ -625,6 +629,7 @@ func BenchmarkStream_SeedHandRolled(b *testing.B) {
 // exec engine, each shard counting into its own plain local counter —
 // the same sink shape the seed's StreamEdgesParallel callers used.
 func BenchmarkStream_ShardedEngine(b *testing.B) {
+	b.ReportAllocs()
 	p := unicodeProduct(b)
 	ctx := context.Background()
 	nshards := runtime.GOMAXPROCS(0)
@@ -668,6 +673,7 @@ func (c *batchCounter) EdgeBatch(batch []exec.Edge) error {
 // 2 shards even on one core: the win under measure is batch dispatch
 // amortization, which does not need OS parallelism to show.
 func BenchmarkStream_ShardedBatch(b *testing.B) {
+	b.ReportAllocs()
 	p := unicodeProduct(b)
 	ctx := context.Background()
 	nshards := max(2, runtime.GOMAXPROCS(0))
@@ -696,6 +702,7 @@ func BenchmarkStream_ShardedBatch(b *testing.B) {
 // cache — shard counters are resolved once per stream from a lock-free
 // table, so enabling obs must cost atomics, not registry lookups.
 func BenchmarkStream_ShardedInstrumented(b *testing.B) {
+	b.ReportAllocs()
 	p := unicodeProduct(b)
 	ctx := context.Background()
 	nshards := max(2, runtime.GOMAXPROCS(0))
@@ -726,6 +733,7 @@ func BenchmarkStream_ShardedInstrumented(b *testing.B) {
 // channel to a single consumer goroutine, replacing the lock-per-drain
 // BufferedSink+LockedSink stack benchmarked below.
 func BenchmarkStream_BatchFanIn(b *testing.B) {
+	b.ReportAllocs()
 	p := unicodeProduct(b)
 	ctx := context.Background()
 	nshards := max(2, runtime.GOMAXPROCS(0))
@@ -751,13 +759,15 @@ func BenchmarkStream_BatchFanIn(b *testing.B) {
 
 // --- Chained products: streaming a k = 2 chain (3 factors) ---
 //
-// The chain hot loop walks the mixed-radix decomposition instead of the
-// two-factor fast path; these benches hold it to the same bar — the
-// sharded batched walk must not regress against the serial one, and
-// neither may sit far off the two-factor per-edge cost.
+// A chain walk adds an odometer over the inner levels to the two-factor
+// row loop; these benches hold it to the same bar — the sharded batched
+// walk must not regress against the serial one, neither may sit far off
+// the two-factor per-edge cost, and range spans and block sweeps must
+// cost what the full stream costs.
 
 // chainProduct builds a 3-factor chain at roughly Table I edge scale:
-// ((sf48x96+I)⊗sf48x96 + I) ⊗ crown4, ~3.6M edges.
+// ((sf48x96+I)⊗sf48x96 + I) ⊗ crown4, 4,949,424 edges — the chain the
+// perfbench chain-bin workload streams.
 func chainProduct(b *testing.B) *core.Product {
 	b.Helper()
 	a := gen.ConnectedBipartiteScaleFree(48, 96, 240, 2020)
@@ -769,8 +779,10 @@ func chainProduct(b *testing.B) *core.Product {
 }
 
 // BenchmarkStream_Chain_Serial walks the whole chain edge set on one
-// goroutine through the batched radix loop.
+// goroutine through the per-edge EachEdge vocabulary — the chain twin of
+// BenchmarkStream_EachEdgeSerial.
 func BenchmarkStream_Chain_Serial(b *testing.B) {
+	b.ReportAllocs()
 	p := chainProduct(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -787,6 +799,7 @@ func BenchmarkStream_Chain_Serial(b *testing.B) {
 // BenchmarkStream_ShardedBatch: all shards concurrently, batch-capable
 // per-shard counters, closed-form shard ranges over the term expansion.
 func BenchmarkStream_Chain_ShardedBatch(b *testing.B) {
+	b.ReportAllocs()
 	p := chainProduct(b)
 	ctx := context.Background()
 	nshards := max(2, runtime.GOMAXPROCS(0))
@@ -810,10 +823,78 @@ func BenchmarkStream_Chain_ShardedBatch(b *testing.B) {
 	b.ReportMetric(float64(p.NumEdges()), "edges/op")
 }
 
+// chainSpanEdges is the span size of serve's parallel bin encoder
+// (wireSpanEdges, 64 frames): every span is one range walk.
+const chainSpanEdges = 64 * serve.WireFrameEdges
+
+// BenchmarkStream_Chain_Range walks the chain as consecutive
+// chainSpanEdges ranges, the way the parallel bin encoder's span
+// workers do: each span pays its own seek, a mid-row start and the
+// per-walk factor setup.
+func BenchmarkStream_Chain_Range(b *testing.B) {
+	b.ReportAllocs()
+	p := chainProduct(b)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var c batchCounter
+		for lo := int64(0); lo < p.NumEdges(); lo += chainSpanEdges {
+			hi := min(lo+chainSpanEdges, p.NumEdges())
+			if err := p.EachEdgeRangeBatchContext(ctx, lo, hi, func(batch []exec.Edge) bool {
+				return c.EdgeBatch(batch) == nil
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if c.n != p.NumEdges() {
+			b.Fatalf("streamed %d edges, want %d", c.n, p.NumEdges())
+		}
+	}
+	b.ReportMetric(float64(p.NumEdges()), "edges/op")
+}
+
+// benchBlockSweep walks every block of a rows×cols grid in turn through
+// the batched block walker — one dist-gen lease per block.
+func benchBlockSweep(b *testing.B, p *core.Product, rows, cols int) {
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var c batchCounter
+		for r := 0; r < rows; r++ {
+			for col := 0; col < cols; col++ {
+				if err := p.EachEdgeBlockBatchContext(ctx, r, rows, col, cols, func(batch []exec.Edge) bool {
+					return c.EdgeBatch(batch) == nil
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if c.n != p.NumEdges() {
+			b.Fatalf("streamed %d edges, want %d", c.n, p.NumEdges())
+		}
+	}
+	b.ReportMetric(float64(p.NumEdges()), "edges/op")
+}
+
+// BenchmarkStream_Block2x3 sweeps the Table I product as a 2×3 block
+// grid, the lease shape of the perfbench distgen-audit workload.
+func BenchmarkStream_Block2x3(b *testing.B) {
+	b.ReportAllocs()
+	benchBlockSweep(b, unicodeProduct(b), 2, 3)
+}
+
+// BenchmarkStream_Chain_Block2x3 is the same 2×3 sweep over the chain,
+// where each column stripe slices crown4's 12 edges.
+func BenchmarkStream_Chain_Block2x3(b *testing.B) {
+	b.ReportAllocs()
+	benchBlockSweep(b, chainProduct(b), 2, 3)
+}
+
 // BenchmarkStream_ShardedBufferedFanIn streams all shards through pooled
 // per-shard buffers into one shared locked sink — the multi-writer shape
 // cmd/kronbip uses when several shards feed one consumer.
 func BenchmarkStream_ShardedBufferedFanIn(b *testing.B) {
+	b.ReportAllocs()
 	p := unicodeProduct(b)
 	ctx := context.Background()
 	nshards := runtime.GOMAXPROCS(0)

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"kronbip/internal/core"
 	"kronbip/internal/dist"
@@ -150,9 +151,10 @@ func (o Options) withDefaults() Options {
 // Auditor audits one product's generation run: attach Stream() as an
 // edge sink (optional), then call Finalize for the full check suite.
 type Auditor struct {
-	p      *core.Product
-	opt    Options
-	stream *StreamAuditor
+	p          *core.Product
+	opt        Options
+	streamOnce sync.Once
+	stream     *StreamAuditor
 }
 
 // New builds an auditor for p.
@@ -162,11 +164,11 @@ func New(p *core.Product, opt Options) *Auditor {
 
 // Stream returns the auditor's shared edge sink, creating it on first
 // call.  Feed it every generated edge (compose with exec.MultiSink);
-// for sharded streams give each shard its own ForShard child.
+// for sharded streams give each shard its own ForShard child.  Safe to
+// call from concurrent shard goroutines, as a StreamEdgesParallelContext
+// sinkFor does.
 func (a *Auditor) Stream() *StreamAuditor {
-	if a.stream == nil {
-		a.stream = NewStream(a.p, a.opt.SampleEvery)
-	}
+	a.streamOnce.Do(func() { a.stream = NewStream(a.p, a.opt.SampleEvery) })
 	return a.stream
 }
 

@@ -31,11 +31,10 @@ func products(t *testing.T) map[string]*core.Product {
 // sinks, exactly as the generator would.
 func streamInto(t *testing.T, p *core.Product, a *Auditor, nshards int) {
 	t.Helper()
-	sinks := make([]exec.Sink, 0, nshards)
+	sinks := make([]exec.Sink, nshards)
 	err := p.StreamEdgesParallelContext(context.Background(), nshards, func(shard int) exec.Sink {
-		s := a.Stream().ForShard()
-		sinks = append(sinks, s)
-		return s
+		sinks[shard] = a.Stream().ForShard()
+		return sinks[shard]
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -124,11 +124,10 @@ func TestAuditCleanRunBatchSinks(t *testing.T) {
 	for name, p := range products(t) {
 		t.Run(name, func(t *testing.T) {
 			a := New(p, Options{SampleEvery: 3})
-			sinks := make([]exec.Sink, 0, 4)
+			sinks := make([]exec.Sink, 4)
 			err := p.StreamEdgesParallelContext(context.Background(), 4, func(shard int) exec.Sink {
-				s := a.Stream().ForShard()
-				sinks = append(sinks, s)
-				return s
+				sinks[shard] = a.Stream().ForShard()
+				return sinks[shard]
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -33,28 +33,24 @@ import (
 // deterministic permutation of the canonical stream, reproduced
 // identically by every replica.
 
-// blockRanges validates (row, nrows, col, ncols) and resolves the
-// block's half-open row range and last-factor edge-index range.  Column
-// stripes come from exec.Stripe over |E_{B_K}|, so ncols may exceed the
-// edge count — the surplus stripes are empty, never an error.
-func (p *Product) blockRanges(row, nrows, col, ncols int) (rlo, rhi, clo, chi int, err error) {
-	rlo, rhi, err = p.shardRange(row, nrows)
+// blockWindow validates (row, nrows, col, ncols) and returns the
+// block's window: the row stripe of shard (row, nrows) × the col-th
+// stripe of the last factor's edge list.  Column stripes come from
+// exec.Stripe over |E_{B_K}|, so ncols may exceed the edge count — the
+// surplus stripes are empty, never an error.
+func (p *Product) blockWindow(row, nrows, col, ncols int) (window, error) {
+	rlo, rhi, err := p.shardRange(row, nrows)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return window{}, err
 	}
 	if ncols <= 0 {
-		return 0, 0, 0, 0, fmt.Errorf("core: ncols must be positive, got %d", ncols)
+		return window{}, fmt.Errorf("core: ncols must be positive, got %d", ncols)
 	}
 	if col < 0 || col >= ncols {
-		return 0, 0, 0, 0, fmt.Errorf("core: col %d out of range [0,%d)", col, ncols)
+		return window{}, fmt.Errorf("core: col %d out of range [0,%d)", col, ncols)
 	}
-	clo, chi = exec.Stripe(col, ncols, p.lastFactorEdges())
-	return rlo, rhi, clo, chi, nil
-}
-
-// lastFactorEdges is |E_{B_K}|, the column dimension's extent.
-func (p *Product) lastFactorEdges() int {
-	return p.bs[len(p.bs)-1].G.NumEdges()
+	clo, chi := exec.Stripe(col, ncols, p.lastEdges())
+	return p.region(rlo, rhi, clo, chi), nil
 }
 
 // BlockEdgeCount returns the number of edges block (row, col) of an
@@ -64,22 +60,8 @@ func (p *Product) lastFactorEdges() int {
 // and the arithmetic cannot wrap because termPer was overflow-checked
 // against |E_C| at construction.
 func (p *Product) BlockEdgeCount(row, nrows, col, ncols int) (int64, error) {
-	rlo, rhi, clo, chi, err := p.blockRanges(row, nrows, col, ncols)
-	if err != nil {
-		return 0, err
-	}
-	mLast := int64(p.lastFactorEdges())
-	if mLast == 0 || chi <= clo {
-		return 0, nil
-	}
-	var total int64
-	for t := 0; t < len(p.termOff)-1; t++ {
-		o := min(rhi, p.termOff[t+1]) - max(rlo, p.termOff[t])
-		if o > 0 {
-			total += int64(o) * (p.termPer[t] / mLast) * int64(chi-clo)
-		}
-	}
-	return total, nil
+	win, err := p.blockWindow(row, nrows, col, ncols)
+	return win.hi, err
 }
 
 // EachEdgeBlock streams block (row, col) of an nrows×ncols blocking in
@@ -87,12 +69,7 @@ func (p *Product) BlockEdgeCount(row, nrows, col, ncols int) (int64, error) {
 // the EachEdge stream; no edge repeats across blocks.  Iteration stops
 // early if yield returns false.
 func (p *Product) EachEdgeBlock(row, nrows, col, ncols int, yield func(v, w int) bool) error {
-	rlo, rhi, clo, chi, err := p.blockRanges(row, nrows, col, ncols)
-	if err != nil {
-		return err
-	}
-	p.streamBlockRows(rlo, rhi, clo, chi, yield)
-	return nil
+	return p.EachEdgeBlockContext(context.Background(), row, nrows, col, ncols, yield)
 }
 
 // EachEdgeBlockContext is EachEdgeBlock under a context, with the same
@@ -100,124 +77,9 @@ func (p *Product) EachEdgeBlock(row, nrows, col, ncols int, yield func(v, w int)
 // streamPollStride emitted edges, the stream stops without invoking
 // yield again and returns ctx.Err(), and no edge is ever emitted twice.
 func (p *Product) EachEdgeBlockContext(ctx context.Context, row, nrows, col, ncols int, yield func(v, w int) bool) error {
-	rlo, rhi, clo, chi, err := p.blockRanges(row, nrows, col, ncols)
+	win, err := p.blockWindow(row, nrows, col, ncols)
 	if err != nil {
 		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if ctx.Done() == nil {
-		p.streamBlockRows(rlo, rhi, clo, chi, yield)
-		return nil
-	}
-	poll := exec.NewPoller(ctx, streamPollStride)
-	cancelled := false
-	p.streamBlockRows(rlo, rhi, clo, chi, func(v, w int) bool {
-		if poll.Cancelled() {
-			cancelled = true
-			return false
-		}
-		return yield(v, w)
-	})
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// streamBlockRows walks rows [rlo, rhi) restricted to last-factor edges
-// [clo, chi).  The full-width case falls through to the unrestricted
-// walkers, so a 1-column blocking pays nothing over the shard path.
-func (p *Product) streamBlockRows(rlo, rhi, clo, chi int, yield func(v, w int) bool) {
-	if chi <= clo {
-		return
-	}
-	if clo == 0 && chi == p.lastFactorEdges() {
-		p.streamRows(rlo, rhi, yield)
-		return
-	}
-	if len(p.bs) == 1 {
-		p.streamBlockTwoFactor(rlo, rhi, clo, chi, yield)
-		return
-	}
-	p.streamBlockChain(rlo, rhi, clo, chi, yield)
-}
-
-// streamBlockTwoFactor is the K = 1 blocked walker: the historical
-// two-factor row loop over the [clo, chi) slice of the B edge list.
-func (p *Product) streamBlockTwoFactor(rlo, rhi, clo, chi int, yield func(v, w int) bool) {
-	ea := p.a.G.Edges()
-	eb := p.bs[0].G.Edges()[clo:chi]
-	nb := p.bs[0].N()
-	for r := rlo; r < rhi; r++ {
-		if r < len(ea) {
-			au, av := ea[r].U*nb, ea[r].V*nb
-			for _, be := range eb {
-				if !yield(au+be.U, av+be.V) {
-					return
-				}
-				if !yield(au+be.V, av+be.U) {
-					return
-				}
-			}
-			continue
-		}
-		i := (r - len(ea)) * nb // self-loop row (mode (ii) only)
-		for _, be := range eb {
-			if !yield(i+be.U, i+be.V) {
-				return
-			}
-		}
-	}
-}
-
-// streamBlockChain is the K >= 2 blocked walker: identical term/row
-// structure to streamRowsChain, with the base level restricted to the
-// column stripe.
-func (p *Product) streamBlockChain(rlo, rhi, clo, chi int, yield func(v, w int) bool) {
-	ea := p.a.G.Edges()
-	for t := 0; t < len(p.termOff)-1; t++ {
-		tlo, thi := max(rlo, p.termOff[t]), min(rhi, p.termOff[t+1])
-		for r := tlo; r < thi; r++ {
-			idx := r - p.termOff[t]
-			if t == 0 {
-				if !p.emitChainBlock(1, ea[idx].U, ea[idx].V, true, clo, chi, yield) {
-					return
-				}
-			} else if !p.emitChainBlock(t, idx, idx, false, clo, chi, yield) {
-				return
-			}
-		}
-	}
-}
-
-// emitChainBlock is emitChain with the base (last) level iterating only
-// last-factor edges [clo, chi); the inner levels expand in full — the
-// column dimension slices the base level alone.
-func (p *Product) emitChainBlock(u, pv, pw int, both bool, clo, chi int, yield func(v, w int) bool) bool {
-	f := p.bs[u-1]
-	eb := f.G.Edges()
-	n := f.N()
-	av, aw := pv*n, pw*n
-	if u == len(p.bs) {
-		for _, be := range eb[clo:chi] {
-			if !yield(av+be.U, aw+be.V) {
-				return false
-			}
-			if both && !yield(av+be.V, aw+be.U) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, be := range eb {
-		if !p.emitChainBlock(u+1, av+be.U, aw+be.V, true, clo, chi, yield) {
-			return false
-		}
-		if both && !p.emitChainBlock(u+1, av+be.V, aw+be.U, true, clo, chi, yield) {
-			return false
-		}
-	}
-	return true
+	return p.walkEdges(ctx, win, yield)
 }

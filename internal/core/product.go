@@ -56,6 +56,10 @@ type Product struct {
 	a    *Factor
 	bs   []*Factor // B₁ … B_K, K >= 1
 	rad  Radix     // digit sizes (n_A, n_B1, …, n_BK)
+	// mEdges holds the factor edge counts (|E_A|, |E_B1|, …, |E_BK|),
+	// the only walk state kept between walks: edge lists are rebuilt
+	// per walk (see walk.go).
+	mEdges []int
 
 	colorB []graph.Side // bipartition of the last factor (fixes C's bipartition)
 	nuB    int          // |U_{B_K}|
@@ -235,11 +239,17 @@ func newChain(a *graph.Graph, mode Mode, bs []*graph.Graph, strict bool) (*Produ
 	if err != nil {
 		return nil, err
 	}
+	mEdges := make([]int, 0, k+1)
+	mEdges = append(mEdges, a.NumEdges())
+	for _, b := range bs {
+		mEdges = append(mEdges, b.NumEdges())
+	}
 	p := &Product{
 		mode:   mode,
 		a:      fa,
 		bs:     fbs,
 		rad:    rad,
+		mEdges: mEdges,
 		colorB: lastPart.Color,
 		nuB:    len(lastPart.U),
 		nwB:    len(lastPart.W),
@@ -274,7 +284,7 @@ func (p *Product) computeLayout() error {
 	suffix := make([]int64, k+2)
 	suffix[k+1] = 1
 	for t := k; t >= 1; t-- {
-		s, ok := mulInt64(2*int64(p.bs[t-1].G.NumEdges()), suffix[t+1])
+		s, ok := mulInt64(2*int64(p.mEdges[t]), suffix[t+1])
 		if !ok {
 			return overflow("edge count")
 		}
@@ -282,11 +292,11 @@ func (p *Product) computeLayout() error {
 	}
 	rows := make([]int64, k+1)
 	per := make([]int64, k+1)
-	rows[0] = int64(p.a.G.NumEdges())
+	rows[0] = int64(p.mEdges[0])
 	per[0] = suffix[1]
 	prefixN := int64(p.a.N()) // N_{t-1} while processing level t
 	for t := 1; t <= k; t++ {
-		v, ok := mulInt64(int64(p.bs[t-1].G.NumEdges()), suffix[t+1])
+		v, ok := mulInt64(int64(p.mEdges[t]), suffix[t+1])
 		if !ok {
 			return overflow("edge count")
 		}
@@ -642,7 +652,7 @@ func (p *Product) MaterializeContext(ctx context.Context, workers int) (*graph.G
 // (i,l)–(j,k) per level; self-loop rows contribute one orientation at
 // their anchor level.  Iteration stops early if yield returns false.
 func (p *Product) EachEdge(yield func(v, w int) bool) {
-	p.streamRows(0, p.numRows(), yield)
+	p.walkEdges(context.Background(), p.whole(), yield)
 }
 
 // String summarizes the product.

@@ -22,9 +22,9 @@ import (
 // stride and surfaces ctx.Err(), leaving whatever edges were already
 // delivered as discardable partial work.
 //
-// Work layout: "rows" are the |E_A| factor edges followed (mode (ii)) by
-// the n_A self loops; each row crosses all |E_B| factor edges, a factor
-// edge row emitting two product edges per pair and a self-loop row one.
+// Work layout: "rows" are the term rows of computeLayout (for K = 1, the
+// |E_A| factor edges followed in mode (ii) by the n_A self loops); a
+// shard is a stripe of rows, walked by the kernel in walk.go.
 
 // streamPollStride bounds how many product edges may be emitted after a
 // cancellation before the stream notices it.
@@ -108,90 +108,35 @@ func (p *Product) shardRange(shard, nshards int) (lo, hi int, err error) {
 	return lo, hi, nil
 }
 
+// shardWindow validates (shard, nshards) and returns the shard's
+// window: its row stripe, every last-factor edge.
+func (p *Product) shardWindow(shard, nshards int) (window, error) {
+	lo, hi, err := p.shardRange(shard, nshards)
+	if err != nil {
+		return window{}, err
+	}
+	return p.region(lo, hi, 0, p.lastEdges()), nil
+}
+
 // EachEdgeShard streams shard `shard` of `nshards` disjoint slices of the
 // product's undirected edge set.  The union over all shards is exactly the
 // EachEdge stream; edges never repeat across shards.  Iteration stops
 // early if yield returns false.
 func (p *Product) EachEdgeShard(shard, nshards int, yield func(v, w int) bool) error {
-	lo, hi, err := p.shardRange(shard, nshards)
-	if err != nil {
-		return err
-	}
-	p.streamRows(lo, hi, yield)
-	return nil
+	return p.EachEdgeShardContext(context.Background(), shard, nshards, yield)
 }
 
 // EachEdgeShardContext is EachEdgeShard under a context.  Cancellation is
-// checked at every row boundary and every streamPollStride emitted edges;
-// on cancellation the stream stops without invoking yield again and
-// returns ctx.Err().  An edge is never emitted twice, cancelled or not.
-// A non-cancellable context (context.Background) takes the zero-overhead
-// EachEdgeShard loop.
+// checked every streamPollStride emitted edges; on cancellation the
+// stream stops without invoking yield again and returns ctx.Err().  An
+// edge is never emitted twice, cancelled or not.  A non-cancellable
+// context (context.Background) skips the polling.
 func (p *Product) EachEdgeShardContext(ctx context.Context, shard, nshards int, yield func(v, w int) bool) error {
-	lo, hi, err := p.shardRange(shard, nshards)
+	win, err := p.shardWindow(shard, nshards)
 	if err != nil {
 		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if ctx.Done() == nil {
-		p.streamRows(lo, hi, yield)
-		return nil
-	}
-	poll := exec.NewPoller(ctx, streamPollStride)
-	cancelled := false
-	p.streamRows(lo, hi, func(v, w int) bool {
-		if poll.Cancelled() {
-			cancelled = true
-			return false
-		}
-		return yield(v, w)
-	})
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// streamRows walks rows [lo, hi) of the shard layout, yielding each product
-// edge; this is the allocation-free hot loop every streaming path shares.
-// Two-factor products (K = 1) take the historical specialized loop —
-// vertex arithmetic is IndexOf with n_B hoisted out — and chains walk the
-// mixed-radix decomposition recursively.  Both produce the same order for
-// K = 1.
-func (p *Product) streamRows(lo, hi int, yield func(v, w int) bool) {
-	if len(p.bs) == 1 {
-		p.streamRowsTwoFactor(lo, hi, yield)
-		return
-	}
-	p.streamRowsChain(lo, hi, yield)
-}
-
-func (p *Product) streamRowsTwoFactor(lo, hi int, yield func(v, w int) bool) {
-	ea := p.a.G.Edges()
-	eb := p.bs[0].G.Edges()
-	nb := p.bs[0].N()
-	for r := lo; r < hi; r++ {
-		if r < len(ea) {
-			au, av := ea[r].U*nb, ea[r].V*nb
-			for _, be := range eb {
-				if !yield(au+be.U, av+be.V) {
-					return
-				}
-				if !yield(au+be.V, av+be.U) {
-					return
-				}
-			}
-			continue
-		}
-		i := (r - len(ea)) * nb // self-loop row (mode (ii) only)
-		for _, be := range eb {
-			if !yield(i+be.U, i+be.V) {
-				return
-			}
-		}
-	}
+	return p.walkEdges(ctx, win, yield)
 }
 
 // EachEdgeContext streams the whole edge set (the EachEdge order) under a
@@ -209,18 +154,8 @@ func (p *Product) EachEdgeContext(ctx context.Context, yield func(v, w int) bool
 // multiplicities were overflow-checked against |E_C| at construction, so
 // the arithmetic here cannot wrap.
 func (p *Product) ShardEdgeCount(shard, nshards int) (int64, error) {
-	lo, hi, err := p.shardRange(shard, nshards)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for t := 0; t < len(p.termOff)-1; t++ {
-		o := min(hi, p.termOff[t+1]) - max(lo, p.termOff[t])
-		if o > 0 {
-			total += int64(o) * p.termPer[t]
-		}
-	}
-	return total, nil
+	win, err := p.shardWindow(shard, nshards)
+	return win.hi, err
 }
 
 // StreamEdgesParallel streams all shards concurrently, delivering each
@@ -271,13 +206,7 @@ func (p *Product) StreamEdgesParallelContext(ctx context.Context, nshards int, s
 			c = counters[s]
 		}
 		if bs, ok := sink.(exec.BatchSink); ok {
-			var err error
-			if instr {
-				err = p.streamShardBatchInstrumented(ctx, s, nshards, c, bs)
-			} else {
-				err = p.streamShardBatch(ctx, s, nshards, bs)
-			}
-			if err != nil {
+			if err := p.streamShardBatch(ctx, s, nshards, c, bs); err != nil {
 				return err
 			}
 			return exec.Finish(sink)
@@ -319,18 +248,12 @@ func (p *Product) streamShardPerEdge(ctx context.Context, s, nshards int, instr 
 }
 
 // streamShardInstrumented streams one shard with per-shard metrics:
-// edges flush to the shared counter every streamObsBatch, and shard
-// completion records a labeled per-shard total (through the
-// pre-resolved counter handle — no registry lookup here), the done
-// count, and the shard's wall time.  Partial counts from aborted
-// shards still flush, so the progress reporter and final snapshot
-// agree with what sinks saw.
+// edges flush to the shared counter every streamObsBatch, and shardObs
+// records the shard's completion.  Partial counts from aborted shards
+// still flush, so the progress reporter and final snapshot agree with
+// what sinks saw.
 func (p *Product) streamShardInstrumented(ctx context.Context, s, nshards int, shardEdges *obs.Counter, yield func(v, w int) bool) error {
-	start := time.Now()
-	var end timeline.Done
-	if timeline.Enabled() {
-		end = timeline.Begin(timeline.CatShard, "core.stream", s)
-	}
+	done := shardObs(s, shardEdges)
 	var batch, total int64
 	err := p.EachEdgeShardContext(ctx, s, nshards, func(v, w int) bool {
 		ok := yield(v, w)
@@ -345,14 +268,28 @@ func (p *Product) streamShardInstrumented(ctx context.Context, s, nshards int, s
 		return ok
 	})
 	mStreamEdges.Add(batch)
-	total += batch
-	shardEdges.Add(total)
-	hShardSecs.Observe(time.Since(start).Seconds())
-	if err == nil {
-		mShardsDone.Inc()
-	}
-	if end != nil {
-		end(err)
-	}
+	done(total+batch, err)
 	return err
+}
+
+// shardObs opens one instrumented shard's timeline span and returns its
+// epilogue, which records a labeled per-shard total (through the
+// pre-resolved counter handle — no registry lookup here), the done
+// count, and the shard's wall time.
+func shardObs(s int, shardEdges *obs.Counter) func(total int64, err error) {
+	start := time.Now()
+	var end timeline.Done
+	if timeline.Enabled() {
+		end = timeline.Begin(timeline.CatShard, "core.stream", s)
+	}
+	return func(total int64, err error) {
+		shardEdges.Add(total)
+		hShardSecs.Observe(time.Since(start).Seconds())
+		if err == nil {
+			mShardsDone.Inc()
+		}
+		if end != nil {
+			end(err)
+		}
+	}
 }

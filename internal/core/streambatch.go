@@ -2,20 +2,18 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"kronbip/internal/exec"
 	"kronbip/internal/obs"
-	"kronbip/internal/obs/timeline"
 )
 
 // Batched edge streaming.  The per-edge paths in stream.go pay one
 // indirect call per product edge; at millions of edges per shard that
 // dispatch, not the index arithmetic, is the cost.  The batch paths
-// below fill a pooled []exec.Edge buffer (capacity exec.BatchLen) in a
-// closure-free hot loop and yield whole batches, so downstream work —
-// sink dispatch, fan-in channel sends, obs counter flushes — happens
-// once per batch.  StreamEdgesParallelContext picks this path
+// fill a pooled []exec.Edge buffer (capacity exec.BatchLen) in the
+// kernel's closure-free hot loop and yield whole batches, so downstream
+// work — sink dispatch, fan-in channel sends, obs counter flushes —
+// happens once per batch.  StreamEdgesParallelContext picks this path
 // automatically for any sink that implements exec.BatchSink.
 //
 // Cancellation contract: the context is checked before every batch is
@@ -24,169 +22,26 @@ import (
 // generated-and-discarded past the cancellation point.  An edge is
 // never delivered twice, cancelled or not.
 
-// streamRowsBatch walks rows [lo, hi) of the shard layout, filling buf
-// and flushing full batches to emit; buf must be empty with capacity
-// >= 2.  The final partial batch is emitted too.  Emitted slices are
-// reused between calls — consumers must not retain them.  Two-factor
-// products take the historical closure-free loop; chains walk the
-// mixed-radix decomposition (streamRowsBatchChain) with the same batch
-// discipline.
-func (p *Product) streamRowsBatch(lo, hi int, buf []exec.Edge, emit func(batch []exec.Edge) bool) {
-	if len(p.bs) > 1 {
-		p.streamRowsBatchChain(lo, hi, buf, emit)
-		return
-	}
-	ea := p.a.G.Edges()
-	eb := p.bs[0].G.Edges()
-	nb := p.bs[0].N()
-	for r := lo; r < hi; r++ {
-		if r < len(ea) {
-			au, av := ea[r].U*nb, ea[r].V*nb
-			for _, be := range eb {
-				buf = append(buf, exec.Edge{V: au + be.U, W: av + be.V}, exec.Edge{V: au + be.V, W: av + be.U})
-				if cap(buf)-len(buf) < 2 {
-					if !emit(buf) {
-						return
-					}
-					buf = buf[:0]
-				}
-			}
-			continue
-		}
-		i := (r - len(ea)) * nb // self-loop row (mode (ii) only)
-		for _, be := range eb {
-			buf = append(buf, exec.Edge{V: i + be.U, W: i + be.V})
-			if cap(buf)-len(buf) < 2 {
-				if !emit(buf) {
-					return
-				}
-				buf = buf[:0]
-			}
-		}
-	}
-	if len(buf) > 0 {
-		emit(buf)
-	}
-}
-
-// chainBatcher carries the pooled buffer through the recursive chain
-// walk so the hot loop appends edges directly — one emit call per full
-// batch, never per edge.
-type chainBatcher struct {
-	p    *Product
-	buf  []exec.Edge
-	emit func(batch []exec.Edge) bool
-}
-
-// walk is the batch twin of Product.emitChain: expand levels u..K onto
-// the prefix pair (pv, pw), appending each complete edge and flushing
-// full batches.  Returns false once emit stops the stream.
-func (cb *chainBatcher) walk(u, pv, pw int, both bool) bool {
-	p := cb.p
-	f := p.bs[u-1]
-	eb := f.G.Edges()
-	n := f.N()
-	av, aw := pv*n, pw*n
-	if u == len(p.bs) {
-		for _, be := range eb {
-			cb.buf = append(cb.buf, exec.Edge{V: av + be.U, W: aw + be.V})
-			if both {
-				cb.buf = append(cb.buf, exec.Edge{V: av + be.V, W: aw + be.U})
-			}
-			if cap(cb.buf)-len(cb.buf) < 2 {
-				if !cb.emit(cb.buf) {
-					return false
-				}
-				cb.buf = cb.buf[:0]
-			}
-		}
-		return true
-	}
-	for _, be := range eb {
-		if !cb.walk(u+1, av+be.U, aw+be.V, true) {
-			return false
-		}
-		if both && !cb.walk(u+1, av+be.V, aw+be.U, true) {
-			return false
-		}
-	}
-	return true
-}
-
-// streamRowsBatchChain is the K >= 2 batch walker: the same term/row
-// layout as streamRowsChain, with edges accumulated into the pooled
-// buffer by chainBatcher.
-func (p *Product) streamRowsBatchChain(lo, hi int, buf []exec.Edge, emit func(batch []exec.Edge) bool) {
-	cb := &chainBatcher{p: p, buf: buf, emit: emit}
-	ea := p.a.G.Edges()
-	for t := 0; t < len(p.termOff)-1; t++ {
-		tlo, thi := max(lo, p.termOff[t]), min(hi, p.termOff[t+1])
-		for r := tlo; r < thi; r++ {
-			idx := r - p.termOff[t]
-			if t == 0 {
-				if !cb.walk(1, ea[idx].U, ea[idx].V, true) {
-					return
-				}
-			} else if !cb.walk(t, idx, idx, false) {
-				return
-			}
-		}
-	}
-	if len(cb.buf) > 0 {
-		cb.emit(cb.buf)
-	}
-}
-
 // EachEdgeShardBatch streams shard `shard` of `nshards` as batches of
 // up to exec.BatchLen edges.  The union over all shards is exactly the
 // EachEdge stream; edges never repeat across shards.  The yielded
 // slice is reused between calls.  Iteration stops early if yield
 // returns false.
 func (p *Product) EachEdgeShardBatch(shard, nshards int, yield func(batch []exec.Edge) bool) error {
-	lo, hi, err := p.shardRange(shard, nshards)
-	if err != nil {
-		return err
-	}
-	buf := exec.GetEdgeBuf()
-	defer exec.PutEdgeBuf(buf)
-	p.streamRowsBatch(lo, hi, (*buf)[:0], yield)
-	return nil
+	return p.EachEdgeShardBatchContext(context.Background(), shard, nshards, yield)
 }
 
 // EachEdgeShardBatchContext is EachEdgeShardBatch under a context.
 // The context is checked before each batch is delivered; on
 // cancellation the stream stops without yielding again and returns
 // ctx.Err() (see the package contract above).  A non-cancellable
-// context takes the zero-overhead EachEdgeShardBatch loop.
+// context skips the check.
 func (p *Product) EachEdgeShardBatchContext(ctx context.Context, shard, nshards int, yield func(batch []exec.Edge) bool) error {
-	lo, hi, err := p.shardRange(shard, nshards)
+	win, err := p.shardWindow(shard, nshards)
 	if err != nil {
 		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	buf := exec.GetEdgeBuf()
-	defer exec.PutEdgeBuf(buf)
-	done := ctx.Done()
-	if done == nil {
-		p.streamRowsBatch(lo, hi, (*buf)[:0], yield)
-		return nil
-	}
-	cancelled := false
-	p.streamRowsBatch(lo, hi, (*buf)[:0], func(batch []exec.Edge) bool {
-		select {
-		case <-done:
-			cancelled = true
-			return false
-		default:
-		}
-		return yield(batch)
-	})
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
+	return p.walkBatch(ctx, win, yield)
 }
 
 // EachEdgeBatchContext streams the whole edge set (the EachEdge order)
@@ -197,33 +52,16 @@ func (p *Product) EachEdgeBatchContext(ctx context.Context, yield func(batch []e
 }
 
 // streamShardBatch streams one shard wholesale into bs, capturing the
-// first sink error; the uninstrumented half of the parallel batch path.
-func (p *Product) streamShardBatch(ctx context.Context, s, nshards int, bs exec.BatchSink) error {
-	var sinkErr error
-	err := p.EachEdgeShardBatchContext(ctx, s, nshards, func(batch []exec.Edge) bool {
-		if e := bs.EdgeBatch(batch); e != nil {
-			sinkErr = e
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	return sinkErr
-}
-
-// streamShardBatchInstrumented is streamShardBatch with per-shard
-// metrics.  Batching makes the obs contract free: the shared edge
-// counter takes exactly one Add per batch (>= the streamObsBatch
-// granularity the per-edge path had to engineer), and the labeled
-// per-shard counter — pre-resolved once per process by
-// shardEdgeCounter, never looked up in the epilogue — takes one.
-func (p *Product) streamShardBatchInstrumented(ctx context.Context, s, nshards int, shardEdges *obs.Counter, bs exec.BatchSink) error {
-	start := time.Now()
-	var end timeline.Done
-	if timeline.Enabled() {
-		end = timeline.Begin(timeline.CatShard, "core.stream", s)
+// first sink error.  With a non-nil shardEdges (obs enabled) it keeps
+// per-shard metrics, which batching makes free: the shared edge counter
+// takes exactly one Add per batch (>= the streamObsBatch granularity
+// the per-edge path had to engineer), and the labeled per-shard counter
+// — pre-resolved once per process by shardEdgeCounters, never looked
+// up in the epilogue — takes one.
+func (p *Product) streamShardBatch(ctx context.Context, s, nshards int, shardEdges *obs.Counter, bs exec.BatchSink) error {
+	var done func(total int64, err error)
+	if shardEdges != nil {
+		done = shardObs(s, shardEdges)
 	}
 	var total int64
 	var sinkErr error
@@ -232,21 +70,18 @@ func (p *Product) streamShardBatchInstrumented(ctx context.Context, s, nshards i
 			sinkErr = e
 			return false
 		}
-		n := int64(len(batch))
-		mStreamEdges.Add(n)
-		total += n
+		if done != nil {
+			n := int64(len(batch))
+			mStreamEdges.Add(n)
+			total += n
+		}
 		return true
 	})
 	if err == nil {
 		err = sinkErr
 	}
-	shardEdges.Add(total)
-	hShardSecs.Observe(time.Since(start).Seconds())
-	if err == nil {
-		mShardsDone.Inc()
-	}
-	if end != nil {
-		end(err)
+	if done != nil {
+		done(total, err)
 	}
 	return err
 }

@@ -1,8 +1,7 @@
 // Batched 2D-blocked streaming: the batch twin of block.go's per-edge
 // walkers, so block leases (internal/serve's POST /v1/leases) ride the
 // same whole-batch hot loop the sharded stream does — one sink dispatch
-// per pooled buffer instead of one per edge.  In its own file, like
-// streamchain.go, to leave the per-edge hot-loop code layout alone.
+// per pooled buffer instead of one per edge.
 package core
 
 import (
@@ -11,94 +10,12 @@ import (
 	"kronbip/internal/exec"
 )
 
-// blockBatcher is chainBatcher with the base level restricted to
-// last-factor edges [clo, chi) — the column stripe of a 2D block.
-type blockBatcher struct {
-	p        *Product
-	buf      []exec.Edge
-	emit     func(batch []exec.Edge) bool
-	clo, chi int
-}
-
-// walk expands levels u..K onto the prefix pair (pv, pw), appending
-// each complete edge of the column stripe and flushing full batches.
-func (bb *blockBatcher) walk(u, pv, pw int, both bool) bool {
-	p := bb.p
-	f := p.bs[u-1]
-	eb := f.G.Edges()
-	n := f.N()
-	av, aw := pv*n, pw*n
-	if u == len(p.bs) {
-		for _, be := range eb[bb.clo:bb.chi] {
-			bb.buf = append(bb.buf, exec.Edge{V: av + be.U, W: aw + be.V})
-			if both {
-				bb.buf = append(bb.buf, exec.Edge{V: av + be.V, W: aw + be.U})
-			}
-			if cap(bb.buf)-len(bb.buf) < 2 {
-				if !bb.emit(bb.buf) {
-					return false
-				}
-				bb.buf = bb.buf[:0]
-			}
-		}
-		return true
-	}
-	for _, be := range eb {
-		if !bb.walk(u+1, av+be.U, aw+be.V, true) {
-			return false
-		}
-		if both && !bb.walk(u+1, av+be.V, aw+be.U, true) {
-			return false
-		}
-	}
-	return true
-}
-
-// streamBlockRowsBatch walks rows [rlo, rhi) restricted to last-factor
-// edges [clo, chi) in batches; buf must be empty with capacity >= 2.
-// Full-width blockings fall through to the unrestricted batch walker,
-// so a 1-column grid pays nothing over the shard path.
-func (p *Product) streamBlockRowsBatch(rlo, rhi, clo, chi int, buf []exec.Edge, emit func(batch []exec.Edge) bool) {
-	if chi <= clo {
-		return
-	}
-	if clo == 0 && chi == p.lastFactorEdges() {
-		p.streamRowsBatch(rlo, rhi, buf, emit)
-		return
-	}
-	bb := &blockBatcher{p: p, buf: buf, emit: emit, clo: clo, chi: chi}
-	ea := p.a.G.Edges()
-	for t := 0; t < len(p.termOff)-1; t++ {
-		tlo, thi := max(rlo, p.termOff[t]), min(rhi, p.termOff[t+1])
-		for r := tlo; r < thi; r++ {
-			idx := r - p.termOff[t]
-			if t == 0 {
-				if !bb.walk(1, ea[idx].U, ea[idx].V, true) {
-					return
-				}
-			} else if !bb.walk(t, idx, idx, false) {
-				return
-			}
-		}
-	}
-	if len(bb.buf) > 0 {
-		bb.emit(bb.buf)
-	}
-}
-
 // EachEdgeBlockBatch streams block (row, col) of an nrows×ncols
 // blocking as batches of up to exec.BatchLen edges, in the same
 // canonical-restricted order as EachEdgeBlock.  The yielded slice is
 // reused between calls.  Iteration stops early if yield returns false.
 func (p *Product) EachEdgeBlockBatch(row, nrows, col, ncols int, yield func(batch []exec.Edge) bool) error {
-	rlo, rhi, clo, chi, err := p.blockRanges(row, nrows, col, ncols)
-	if err != nil {
-		return err
-	}
-	buf := exec.GetEdgeBuf()
-	defer exec.PutEdgeBuf(buf)
-	p.streamBlockRowsBatch(rlo, rhi, clo, chi, (*buf)[:0], yield)
-	return nil
+	return p.EachEdgeBlockBatchContext(context.Background(), row, nrows, col, ncols, yield)
 }
 
 // EachEdgeBlockBatchContext is EachEdgeBlockBatch under a context,
@@ -106,32 +23,9 @@ func (p *Product) EachEdgeBlockBatch(row, nrows, col, ncols int, yield func(batc
 // checked before each batch is delivered, no batch is yielded after a
 // cancellation is observed, and no edge is ever delivered twice.
 func (p *Product) EachEdgeBlockBatchContext(ctx context.Context, row, nrows, col, ncols int, yield func(batch []exec.Edge) bool) error {
-	rlo, rhi, clo, chi, err := p.blockRanges(row, nrows, col, ncols)
+	win, err := p.blockWindow(row, nrows, col, ncols)
 	if err != nil {
 		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	buf := exec.GetEdgeBuf()
-	defer exec.PutEdgeBuf(buf)
-	done := ctx.Done()
-	if done == nil {
-		p.streamBlockRowsBatch(rlo, rhi, clo, chi, (*buf)[:0], yield)
-		return nil
-	}
-	cancelled := false
-	p.streamBlockRowsBatch(rlo, rhi, clo, chi, (*buf)[:0], func(batch []exec.Edge) bool {
-		select {
-		case <-done:
-			cancelled = true
-			return false
-		default:
-		}
-		return yield(batch)
-	})
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
+	return p.walkBatch(ctx, win, yield)
 }

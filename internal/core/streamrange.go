@@ -10,165 +10,24 @@
 // therefore seeks to [lo, hi) in O(K) and re-generates exactly hi-lo
 // edges: a dropped consumer resumes mid-stream with zero re-generation
 // of the prefix (serve's ?offset=/?limit= and distgen's lease resume).
-//
-// Kept in its own file for the same reason as streamchain.go: the
-// per-edge hot loops are code-layout sensitive, and the resume walkers
-// must not perturb them.
+// The seek and the walk are the kernel's (walk.go); a range is just a
+// narrowed window.
 package core
 
 import (
 	"context"
-	"fmt"
 
 	"kronbip/internal/exec"
 )
 
-// rangeDigit is one level's coordinate inside a row's chain expansion:
-// the factor-edge index at that level and the orientation (0 canonical,
-// 1 flipped; always 0 at a self-loop term's anchor level).
-type rangeDigit struct {
-	e, o int
-}
-
-// checkRange validates a half-open edge range against a total.
-func checkRange(lo, hi, total int64) error {
-	if lo < 0 || hi < lo || hi > total {
-		return fmt.Errorf("core: edge range [%d,%d) out of bounds [0,%d)", lo, hi, total)
+// blockRangeWindow is blockWindow narrowed to block-local offsets
+// [lo, hi).
+func (p *Product) blockRangeWindow(row, nrows, col, ncols int, lo, hi int64) (window, error) {
+	win, err := p.blockWindow(row, nrows, col, ncols)
+	if err != nil {
+		return window{}, err
 	}
-	return nil
-}
-
-// seekEdge locates global edge offset k: the term and row containing it
-// and the remaining within-row offset.  O(K): every row of term t emits
-// exactly termPer[t] edges.  k must be in [0, NumEdges()).
-func (p *Product) seekEdge(k int64) (t, row int, off int64) {
-	for t := 0; t < len(p.termOff)-1; t++ {
-		rows := int64(p.termOff[t+1] - p.termOff[t])
-		termEdges := rows * p.termPer[t]
-		if k < termEdges {
-			return t, p.termOff[t] + int(k/p.termPer[t]), k % p.termPer[t]
-		}
-		k -= termEdges
-	}
-	// Unreachable for k < NumEdges(); return one-past-the-end defensively.
-	return len(p.termOff) - 2, p.numRows(), 0
-}
-
-// seekBlockEdge is seekEdge in block-local coordinates: offset k of the
-// canonical-restricted order of rows [rlo, rhi) × last-factor edges
-// [clo, chi).  Every row of term t contributes termPer[t]/|E_{B_K}| ·
-// (chi-clo) block edges (the BlockEdgeCount closed form, per row).
-func (p *Product) seekBlockEdge(rlo, rhi, clo, chi int, k int64) (t, row int, off int64) {
-	mLast := int64(p.lastFactorEdges())
-	span := int64(chi - clo)
-	for t := 0; t < len(p.termOff)-1; t++ {
-		rows := int64(min(rhi, p.termOff[t+1]) - max(rlo, p.termOff[t]))
-		if rows <= 0 {
-			continue
-		}
-		per := (p.termPer[t] / mLast) * span
-		if k < rows*per {
-			return t, max(rlo, p.termOff[t]) + int(k/per), k % per
-		}
-		k -= rows * per
-	}
-	return len(p.termOff) - 2, rhi, 0
-}
-
-// rowDigits decomposes a within-row offset of a term-t row into the
-// per-level (edge, orientation) coordinates of the chain expansion.
-// span is the base level's edge extent: |E_{B_K}| for full-width walks,
-// chi-clo when the base level is restricted to a column stripe.  The
-// returned slice is indexed by level (1-based); levels above the
-// term's anchor are unused.
-func (p *Product) rowDigits(t int, off int64, span int) []rangeDigit {
-	k := len(p.bs)
-	anchor := t
-	if t == 0 {
-		anchor = 1
-	}
-	digits := make([]rangeDigit, k+1)
-	for u := k; u >= anchor; u-- {
-		m := int64(p.bs[u-1].G.NumEdges())
-		if u == k {
-			m = int64(span)
-		}
-		both := t == 0 || u > t
-		r := m
-		if both {
-			r *= 2
-		}
-		d := off % r
-		off /= r
-		if both {
-			digits[u] = rangeDigit{e: int(d / 2), o: int(d % 2)}
-		} else {
-			digits[u] = rangeDigit{e: int(d), o: 0}
-		}
-	}
-	return digits
-}
-
-// emitChainFrom resumes the expansion of levels u..K at the digit tuple
-// a seek produced, then continues in canonical order to the end of the
-// subtree.  The base level iterates last-factor edges [clo, chi) (the
-// block column stripe; 0..|E_{B_K}| for full-width walks), and the base
-// digit indexes into that slice.  Returns false when yield stopped it.
-func (p *Product) emitChainFrom(u, pv, pw int, both bool, digits []rangeDigit, clo, chi int, yield func(v, w int) bool) bool {
-	f := p.bs[u-1]
-	eb := f.G.Edges()
-	n := f.N()
-	av, aw := pv*n, pw*n
-	d := digits[u]
-	if u == len(p.bs) {
-		sl := eb[clo:chi]
-		for i := d.e; i < len(sl); i++ {
-			be := sl[i]
-			if i > d.e || d.o == 0 {
-				if !yield(av+be.U, aw+be.V) {
-					return false
-				}
-			}
-			if both && !yield(av+be.V, aw+be.U) {
-				return false
-			}
-		}
-		return true
-	}
-	// Resume inside the d.e-th subtree at the recorded orientation, then
-	// walk the remaining subtrees of this level in full.
-	be := eb[d.e]
-	if d.o == 0 {
-		if !p.emitChainFrom(u+1, av+be.U, aw+be.V, true, digits, clo, chi, yield) {
-			return false
-		}
-		if both && !p.emitChainBlock(u+1, av+be.V, aw+be.U, true, clo, chi, yield) {
-			return false
-		}
-	} else if !p.emitChainFrom(u+1, av+be.V, aw+be.U, true, digits, clo, chi, yield) {
-		return false
-	}
-	for i := d.e + 1; i < len(eb); i++ {
-		be := eb[i]
-		if !p.emitChainBlock(u+1, av+be.U, aw+be.V, true, clo, chi, yield) {
-			return false
-		}
-		if both && !p.emitChainBlock(u+1, av+be.V, aw+be.U, true, clo, chi, yield) {
-			return false
-		}
-	}
-	return true
-}
-
-// streamRowFrom walks the tail of one row: term-t row `row`, starting
-// at the digit tuple, base level restricted to [clo, chi).
-func (p *Product) streamRowFrom(t, row int, digits []rangeDigit, clo, chi int, yield func(v, w int) bool) bool {
-	idx := row - p.termOff[t]
-	if t == 0 {
-		ea := p.a.G.Edges()
-		return p.emitChainFrom(1, ea[idx].U, ea[idx].V, true, digits, clo, chi, yield)
-	}
-	return p.emitChainFrom(t, idx, idx, false, digits, clo, chi, yield)
+	return win.sub(lo, hi)
 }
 
 // EachEdgeRange streams edges [lo, hi) of the canonical EachEdge order:
@@ -176,30 +35,7 @@ func (p *Product) streamRowFrom(t, row int, digits []rangeDigit, clo, chi int, y
 // — no prefix work, no spooling.  Iteration stops early if yield
 // returns false.
 func (p *Product) EachEdgeRange(lo, hi int64, yield func(v, w int) bool) error {
-	if err := checkRange(lo, hi, p.NumEdges()); err != nil {
-		return err
-	}
-	if lo == hi {
-		return nil
-	}
-	remaining := hi - lo
-	bounded := func(v, w int) bool {
-		if !yield(v, w) {
-			return false
-		}
-		remaining--
-		return remaining > 0
-	}
-	t, row, off := p.seekEdge(lo)
-	if off == 0 {
-		p.streamRows(row, p.numRows(), bounded)
-		return nil
-	}
-	digits := p.rowDigits(t, off, p.lastFactorEdges())
-	if p.streamRowFrom(t, row, digits, 0, p.lastFactorEdges(), bounded) {
-		p.streamRows(row+1, p.numRows(), bounded)
-	}
-	return nil
+	return p.EachEdgeRangeContext(context.Background(), lo, hi, yield)
 }
 
 // EachEdgeRangeContext is EachEdgeRange under a context, with the same
@@ -207,105 +43,26 @@ func (p *Product) EachEdgeRange(lo, hi int64, yield func(v, w int) bool) error {
 // streamPollStride emitted edges, the stream stops without invoking
 // yield again and returns ctx.Err().
 func (p *Product) EachEdgeRangeContext(ctx context.Context, lo, hi int64, yield func(v, w int) bool) error {
-	if err := checkRange(lo, hi, p.NumEdges()); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if ctx.Done() == nil {
-		return p.EachEdgeRange(lo, hi, yield)
-	}
-	poll := exec.NewPoller(ctx, streamPollStride)
-	cancelled := false
-	err := p.EachEdgeRange(lo, hi, func(v, w int) bool {
-		if poll.Cancelled() {
-			cancelled = true
-			return false
-		}
-		return yield(v, w)
-	})
+	win, err := p.whole().sub(lo, hi)
 	if err != nil {
 		return err
 	}
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
+	return p.walkEdges(ctx, win, yield)
 }
 
 // EachEdgeRangeBatchContext is EachEdgeRangeContext with batch
 // delivery: edges arrive in pooled slices of up to exec.BatchLen, the
-// final one partial.  The yielded slice is reused between calls.
-//
-// Only the partial first and last rows walk the per-edge resume
-// machinery; every whole row in between takes the same closure-free
-// batch loops the parallel engine runs, so a range walk costs what a
-// full stream costs per edge.  The cancellation contract is the batch
-// one (EachEdgeShardBatchContext): checked before each batch, no batch
-// yielded after a cancellation is observed.
+// final one partial.  The yielded slice is reused between calls.  A
+// range walk costs what a full stream costs per edge: only its first
+// and last prefix pair are partial.  The cancellation contract is the
+// batch one (EachEdgeShardBatchContext): checked before each batch, no
+// batch yielded after a cancellation is observed.
 func (p *Product) EachEdgeRangeBatchContext(ctx context.Context, lo, hi int64, yield func(batch []exec.Edge) bool) error {
-	if err := checkRange(lo, hi, p.NumEdges()); err != nil {
+	win, err := p.whole().sub(lo, hi)
+	if err != nil {
 		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if lo == hi {
-		return nil
-	}
-	bufp := exec.GetEdgeBuf()
-	defer exec.PutEdgeBuf(bufp)
-	rb := &rangeBatcher{buf: (*bufp)[:0], yield: yield, done: ctx.Done()}
-
-	t, row, off := p.seekEdge(lo)
-	first := row
-	if off != 0 {
-		head := p.termPer[t] - off
-		if rem := hi - lo; head > rem {
-			head = rem
-		}
-		var n int64
-		digits := p.rowDigits(t, off, p.lastFactorEdges())
-		p.streamRowFrom(t, row, digits, 0, p.lastFactorEdges(), func(v, w int) bool {
-			if !rb.edge(v, w) {
-				return false
-			}
-			n++
-			return n < head
-		})
-		if rb.halted() {
-			return rb.err(ctx)
-		}
-		first = row + 1
-		// Hand whole rows to the batch walker with an empty buffer.
-		if !rb.flushPartial() {
-			return rb.err(ctx)
-		}
-	}
-	_, last, tailOff := p.seekEdge(hi)
-	if first < last {
-		p.streamRowsBatch(first, last, rb.buf, rb.emit)
-		if rb.halted() {
-			return rb.err(ctx)
-		}
-		rb.buf = rb.buf[:0] // the batch walker flushed everything it buffered
-	}
-	if tailOff != 0 && last >= first {
-		var n int64
-		p.streamRows(last, last+1, func(v, w int) bool {
-			if !rb.edge(v, w) {
-				return false
-			}
-			n++
-			return n < tailOff
-		})
-		if rb.halted() {
-			return rb.err(ctx)
-		}
-	}
-	rb.flushPartial()
-	return rb.err(ctx)
+	return p.walkBatch(ctx, win, yield)
 }
 
 // EachEdgeBlockRange streams edges [lo, hi) of block (row, col)'s
@@ -313,205 +70,28 @@ func (p *Product) EachEdgeRangeBatchContext(ctx context.Context, lo, hi int64, y
 // BlockEdgeCount).  The same O(K) seek as EachEdgeRange, restricted to
 // the block's rows and column stripe.
 func (p *Product) EachEdgeBlockRange(row, nrows, col, ncols int, lo, hi int64, yield func(v, w int) bool) error {
-	rlo, rhi, clo, chi, err := p.blockRanges(row, nrows, col, ncols)
-	if err != nil {
-		return err
-	}
-	total, err := p.BlockEdgeCount(row, nrows, col, ncols)
-	if err != nil {
-		return err
-	}
-	if err := checkRange(lo, hi, total); err != nil {
-		return err
-	}
-	if lo == hi {
-		return nil
-	}
-	remaining := hi - lo
-	bounded := func(v, w int) bool {
-		if !yield(v, w) {
-			return false
-		}
-		remaining--
-		return remaining > 0
-	}
-	t, prow, off := p.seekBlockEdge(rlo, rhi, clo, chi, lo)
-	if off == 0 {
-		p.streamBlockRows(prow, rhi, clo, chi, bounded)
-		return nil
-	}
-	digits := p.rowDigits(t, off, chi-clo)
-	if p.streamRowFrom(t, prow, digits, clo, chi, bounded) {
-		p.streamBlockRows(prow+1, rhi, clo, chi, bounded)
-	}
-	return nil
+	return p.EachEdgeBlockRangeContext(context.Background(), row, nrows, col, ncols, lo, hi, yield)
 }
 
 // EachEdgeBlockRangeContext is EachEdgeBlockRange under a context; see
 // EachEdgeRangeContext for the cancellation contract.
 func (p *Product) EachEdgeBlockRangeContext(ctx context.Context, row, nrows, col, ncols int, lo, hi int64, yield func(v, w int) bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if ctx.Done() == nil {
-		return p.EachEdgeBlockRange(row, nrows, col, ncols, lo, hi, yield)
-	}
-	poll := exec.NewPoller(ctx, streamPollStride)
-	cancelled := false
-	err := p.EachEdgeBlockRange(row, nrows, col, ncols, lo, hi, func(v, w int) bool {
-		if poll.Cancelled() {
-			cancelled = true
-			return false
-		}
-		return yield(v, w)
-	})
+	win, err := p.blockRangeWindow(row, nrows, col, ncols, lo, hi)
 	if err != nil {
 		return err
 	}
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
+	return p.walkEdges(ctx, win, yield)
 }
 
 // EachEdgeBlockRangeBatchContext is EachEdgeBlockRangeContext with
 // batch delivery (pooled slices of up to exec.BatchLen, reused between
-// calls).  Structured exactly like EachEdgeRangeBatchContext: per-edge
-// resume walks for the partial boundary rows, the closure-free block
-// batch walker for every whole row between them, context checked once
-// per batch.
+// calls) under the batch cancellation contract.
 func (p *Product) EachEdgeBlockRangeBatchContext(ctx context.Context, row, nrows, col, ncols int, lo, hi int64, yield func(batch []exec.Edge) bool) error {
-	rlo, rhi, clo, chi, err := p.blockRanges(row, nrows, col, ncols)
+	win, err := p.blockRangeWindow(row, nrows, col, ncols, lo, hi)
 	if err != nil {
 		return err
 	}
-	total, err := p.BlockEdgeCount(row, nrows, col, ncols)
-	if err != nil {
-		return err
-	}
-	if err := checkRange(lo, hi, total); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if lo == hi {
-		return nil
-	}
-	bufp := exec.GetEdgeBuf()
-	defer exec.PutEdgeBuf(bufp)
-	rb := &rangeBatcher{buf: (*bufp)[:0], yield: yield, done: ctx.Done()}
-	mLast := int64(p.lastFactorEdges())
-	span := int64(chi - clo)
-
-	t, prow, off := p.seekBlockEdge(rlo, rhi, clo, chi, lo)
-	first := prow
-	if off != 0 {
-		head := (p.termPer[t]/mLast)*span - off
-		if rem := hi - lo; head > rem {
-			head = rem
-		}
-		var n int64
-		digits := p.rowDigits(t, off, chi-clo)
-		p.streamRowFrom(t, prow, digits, clo, chi, func(v, w int) bool {
-			if !rb.edge(v, w) {
-				return false
-			}
-			n++
-			return n < head
-		})
-		if rb.halted() {
-			return rb.err(ctx)
-		}
-		first = prow + 1
-		if !rb.flushPartial() {
-			return rb.err(ctx)
-		}
-	}
-	_, last, tailOff := p.seekBlockEdge(rlo, rhi, clo, chi, hi)
-	if first < last {
-		p.streamBlockRowsBatch(first, last, clo, chi, rb.buf, rb.emit)
-		if rb.halted() {
-			return rb.err(ctx)
-		}
-		rb.buf = rb.buf[:0]
-	}
-	if tailOff != 0 && last >= first {
-		var n int64
-		p.streamBlockRows(last, last+1, clo, chi, func(v, w int) bool {
-			if !rb.edge(v, w) {
-				return false
-			}
-			n++
-			return n < tailOff
-		})
-		if rb.halted() {
-			return rb.err(ctx)
-		}
-	}
-	rb.flushPartial()
-	return rb.err(ctx)
-}
-
-// rangeBatcher carries the pooled batch buffer across the three stages
-// of a range walk (partial head row, whole middle rows, partial tail
-// row), checking the context once per delivered batch.
-type rangeBatcher struct {
-	buf       []exec.Edge
-	yield     func(batch []exec.Edge) bool
-	done      <-chan struct{}
-	cancelled bool
-	stopped   bool
-}
-
-// emit delivers one batch, honoring the batch cancellation contract.
-func (rb *rangeBatcher) emit(batch []exec.Edge) bool {
-	if rb.done != nil {
-		select {
-		case <-rb.done:
-			rb.cancelled = true
-			return false
-		default:
-		}
-	}
-	if !rb.yield(batch) {
-		rb.stopped = true
-		return false
-	}
-	return true
-}
-
-// edge appends one boundary-row edge, flushing full batches.
-func (rb *rangeBatcher) edge(v, w int) bool {
-	rb.buf = append(rb.buf, exec.Edge{V: v, W: w})
-	if len(rb.buf) == cap(rb.buf) {
-		if !rb.emit(rb.buf) {
-			return false
-		}
-		rb.buf = rb.buf[:0]
-	}
-	return true
-}
-
-// flushPartial drains a partial batch so the next stage starts empty.
-func (rb *rangeBatcher) flushPartial() bool {
-	if len(rb.buf) == 0 {
-		return true
-	}
-	ok := rb.emit(rb.buf)
-	rb.buf = rb.buf[:0]
-	return ok
-}
-
-func (rb *rangeBatcher) halted() bool { return rb.cancelled || rb.stopped }
-
-// err maps the walk's end state to the contract's return: ctx.Err() on
-// cancellation, nil for a completed or yield-stopped stream.
-func (rb *rangeBatcher) err(ctx context.Context) error {
-	if rb.cancelled {
-		return ctx.Err()
-	}
-	return nil
+	return p.walkBatch(ctx, win, yield)
 }
 
 // TermEdgeStarts returns the ascending global edge offsets at which
@@ -521,41 +101,16 @@ func (rb *rangeBatcher) err(ctx context.Context) error {
 // any aligned frame boundary within a term) reproduces the canonical
 // framing byte for byte.
 func (p *Product) TermEdgeStarts() []int64 {
-	cuts := make([]int64, 0, len(p.termOff))
-	var acc int64
-	for t := 0; t < len(p.termOff)-1; t++ {
-		rows := int64(p.termOff[t+1] - p.termOff[t])
-		if n := rows * p.termPer[t]; n > 0 {
-			cuts = append(cuts, acc)
-			acc += n
-		}
-	}
-	return append(cuts, acc)
+	return p.termStarts(p.whole())
 }
 
 // BlockTermEdgeStarts is TermEdgeStarts in block-local offsets: the
 // term-start offsets of block (row, col)'s canonical-restricted order,
 // with the block's BlockEdgeCount appended.
 func (p *Product) BlockTermEdgeStarts(row, nrows, col, ncols int) ([]int64, error) {
-	rlo, rhi, clo, chi, err := p.blockRanges(row, nrows, col, ncols)
+	win, err := p.blockWindow(row, nrows, col, ncols)
 	if err != nil {
 		return nil, err
 	}
-	mLast := int64(p.lastFactorEdges())
-	cuts := make([]int64, 0, len(p.termOff))
-	var acc int64
-	if mLast == 0 || chi <= clo {
-		return append(cuts, 0), nil
-	}
-	for t := 0; t < len(p.termOff)-1; t++ {
-		rows := int64(min(rhi, p.termOff[t+1]) - max(rlo, p.termOff[t]))
-		if rows <= 0 {
-			continue
-		}
-		if n := rows * (p.termPer[t] / mLast) * int64(chi-clo); n > 0 {
-			cuts = append(cuts, acc)
-			acc += n
-		}
-	}
-	return append(cuts, acc), nil
+	return p.termStarts(win), nil
 }

@@ -143,8 +143,10 @@ func (g *Graph) TwoWalks() []int64 {
 }
 
 // Edges returns all undirected edges with U <= V, sorted lexicographically.
+// It builds a new, exactly sized slice on every call — O(nnz) time and
+// one allocation — so callers must hoist it out of loops.
 func (g *Graph) Edges() []Edge {
-	var out []Edge
+	out := make([]Edge, 0, g.NumEdges())
 	g.adj.Iterate(func(i, j int, _ int64) bool {
 		if i <= j {
 			out = append(out, Edge{i, j})

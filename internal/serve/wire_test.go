@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"kronbip/internal/core"
 	"kronbip/internal/exec"
@@ -640,6 +642,61 @@ func parseFrame(t *testing.T, b []byte) (count int64, length int) {
 		length += n
 	}
 	return int64(cnt), length
+}
+
+// TestStreamBinParallelStalledWorker stalls the worker holding span 0
+// right after its claim while the other worker runs ahead.  The ordered
+// writer needs span 0 first, so the run must neither deadlock on the
+// span window nor change a byte of the serial encoding.
+func TestStreamBinParallelStalledWorker(t *testing.T) {
+	const workers = 2
+	old := wireSpanEdges
+	wireSpanEdges = int64(WireFrameEdges)
+	t.Cleanup(func() { wireSpanEdges, spanClaimed = old, nil })
+	p := wireTestProduct(t)
+	n := p.NumEdges()
+	nspans := len(wireSpans(p.TermEdgeStarts(), 0, n)) - 1
+	if nspans < 2*workers+2 {
+		t.Fatalf("only %d spans; the stall needs more than the window", nspans)
+	}
+	claimed := make(chan int, nspans)
+	spanClaimed = func(i int) {
+		claimed <- i
+		if i != 0 {
+			return
+		}
+		// Hold span 0 until the other worker has claimed a window's worth
+		// of later spans, or cannot claim more.
+		timeout := time.After(500 * time.Millisecond)
+		for {
+			select {
+			case j := <-claimed:
+				if j >= 2*workers {
+					return
+				}
+			case <-timeout:
+				return
+			}
+		}
+	}
+
+	done := make(chan error, 1)
+	rec := httptest.NewRecorder()
+	go func() {
+		_, err := streamBinParallel(context.Background(), rec, p, 0, n, workers)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("parallel span encoder deadlocked behind a stalled worker")
+	}
+	if want := encodeWire(t, p, productEdges(p), 0, n); !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatal("stalled-worker stream differs from serial encoding")
+	}
 }
 
 // TestEdgesBinParallelSpans forces the multi-span parallel encoder

@@ -28,6 +28,10 @@ import (
 // least WireFrameEdges.
 var wireSpanEdges = int64(64 * WireFrameEdges)
 
+// spanClaimed, when non-nil, runs on a span worker right after it
+// claims span i: a test seam for stalling one worker mid-stream.
+var spanClaimed func(i int)
+
 // alignFrameDown returns the largest frame-grid boundary ≤ x: a hard
 // cut, or a WireFrameEdges multiple past the preceding hard cut.
 func alignFrameDown(cuts []int64, x int64) int64 {
@@ -107,7 +111,10 @@ func streamBinParallel(ctx context.Context, w http.ResponseWriter, p *core.Produ
 	// The window caps completed-but-unwritten spans at 2 per worker, so
 	// a slow consumer bounds buffered memory instead of inflating it.  A
 	// token travels with each encoded span; the writer releases it after
-	// the span drains to the socket.
+	// the span drains to the socket.  A worker takes its token before it
+	// claims a span: claimed spans then always hold tokens, so the span
+	// the writer waits for can never be left waiting for a token while
+	// later spans fill the window.
 	window := make(chan struct{}, 2*workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -116,13 +123,23 @@ func streamBinParallel(ctx context.Context, w http.ResponseWriter, p *core.Produ
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= nspans {
-					return
-				}
+				tok := true
 				select {
 				case window <- struct{}{}:
 				case <-ctx.Done():
+					tok = false
+				}
+				i := int(next.Add(1)) - 1
+				if i >= nspans {
+					if tok {
+						<-window
+					}
+					return
+				}
+				if spanClaimed != nil {
+					spanClaimed(i)
+				}
+				if !tok {
 					// Still answer for the claimed span (without a token) so
 					// the ordered reader never blocks on an abandoned slot.
 					ready[i] <- binSpanResult{err: ctx.Err()}

@@ -9,7 +9,10 @@
 #   3. the merged line count equals the closed-form |E_C| reported by
 #      /v1/truth for the same spec, with no duplicate edges
 #   4. a second dist-gen run produces a byte-identical merged file —
-#      distribution is a deterministic permutation, not a race outcome
+#      distribution is a deterministic permutation, not a race outcome;
+#      then the same two checks for a k=2 chain (repeated -factor)
+#      leased as binary wire frames over a grid with several column
+#      stripes, audit on: the chain block walker behind real leases
 #   5. SIGINT drains every replica to a clean exit 0
 #   6. every block was leased under the run's request id (the replicas'
 #      access logs — flushed by the drain — carry route=leases lines
@@ -112,6 +115,30 @@ echo "distgen-smoke: $got merged edges match closed-form |E_C|=$want, no duplica
 cmp -s "$tmp/merged.tsv" "$tmp/merged2.tsv" \
   || fail "two dist-gen runs produced different merged bytes"
 echo "distgen-smoke: re-run is byte-identical (deterministic merge order)"
+
+# 4b. A k=2 chain through the chain block walker: three factors,
+# binary wire frames, and a 3x3 grid whose column stripes slice the
+# last factor's (crown4's) edge list.  The merge summary's edge count
+# must equal the chain's closed form, and a re-run must be
+# byte-identical.
+chain_args=(-factor sf16x32x80 -factor crown4 -mode selfloop -seed "$spec_seed"
+  -rows 3 -cols 3 -format bin)
+for run in 1 2; do
+  "$tmp/kronbip" dist-gen \
+    -worker "${workers[0]}" -worker "${workers[1]}" -worker "${workers[2]}" \
+    "${chain_args[@]}" -audit -edges-out "$tmp/chain$run.bin" 2>"$tmp/distgen-chain$run.log" \
+    || { cat "$tmp/distgen-chain$run.log" >>"$tmp/distgen.log"; fail "chain dist-gen run $run exited non-zero"; }
+  cat "$tmp/distgen-chain$run.log" >>"$tmp/distgen.log"
+  grep -q 'violations=0' "$tmp/distgen-chain$run.log" || fail "chain run $run: audit reported violations"
+done
+curl -fsS "${workers[0]}/v1/truth?factor=sf16x32x80&factor=crown4&mode=selfloop&seed=$spec_seed" >"$tmp/chain-truth.json"
+want=$(jfield num_edges <"$tmp/chain-truth.json")
+[ -n "$want" ] || fail "/v1/truth returned no num_edges for the chain"
+got=$(sed -n 's/.*dist-gen: merged \([0-9]*\) edges from 9 blocks.*/\1/p' "$tmp/distgen-chain1.log")
+[ "$got" = "$want" ] || fail "chain merge summary says ${got:-nothing} edges over 9 blocks, /v1/truth says $want"
+cmp -s "$tmp/chain1.bin" "$tmp/chain2.bin" \
+  || fail "two chain dist-gen runs produced different merged bytes"
+echo "distgen-smoke: k=2 chain merged $got bin edges over a 3x3 grid = closed form, re-run byte-identical"
 
 # 5. Clean drain: every replica exits 0 on SIGINT (which also flushes
 # the buffered access logs for the checks below).
