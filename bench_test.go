@@ -510,25 +510,6 @@ func BenchmarkStream_EachEdgeSerial(b *testing.B) {
 	b.ReportMetric(float64(p.NumEdges()), "edges/op")
 }
 
-// BenchmarkStream_EachEdgeContext is the same walk through the cancellable
-// context path with a background context — the plumbing overhead bench.
-func BenchmarkStream_EachEdgeContext(b *testing.B) {
-	b.ReportAllocs()
-	p := unicodeProduct(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var n int64
-		if err := p.EachEdgeContext(ctx, func(v, w int) bool { n++; return true }); err != nil {
-			b.Fatal(err)
-		}
-		if n != p.NumEdges() {
-			b.Fatalf("streamed %d edges, want %d", n, p.NumEdges())
-		}
-	}
-	b.ReportMetric(float64(p.NumEdges()), "edges/op")
-}
-
 // seedEachEdgeShard reproduces the seed's EachEdgeShard loop exactly:
 // `shard*rows/nshards` ranges and per-edge IndexOf arithmetic, with the
 // yield called indirectly.  noinline keeps the machine-code structure of

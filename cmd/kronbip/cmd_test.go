@@ -104,6 +104,26 @@ func TestCmdGenerate(t *testing.T) {
 	if lines != 108 {
 		t.Fatalf("wrote %d edges, want 108", lines)
 	}
+	// -offset/-limit write exactly that slice of the canonical stream; a
+	// limit past the end (where offset+limit would wrap) runs to the end.
+	canon := strings.SplitAfter(string(data), "\n")
+	for _, c := range []struct {
+		limit  string
+		lo, hi int
+	}{{"10", 3, 13}, {"9223372036854775807", 3, 108}} {
+		rangeOut := filepath.Join(dir, "range.tsv")
+		if err := cmdGenerate(ctx, []string{"-factor", "crown3", "-edges-out", rangeOut, "-offset", "3", "-limit", c.limit}); err != nil {
+			t.Fatalf("-offset 3 -limit %s: %v", c.limit, err)
+		}
+		got, err := os.ReadFile(rangeOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := strings.Join(canon[c.lo:c.hi], ""); string(got) != want {
+			t.Fatalf("-offset 3 -limit %s: wrote %d edges, want edges [%d,%d) of the canonical stream",
+				c.limit, strings.Count(string(got), "\n"), c.lo, c.hi)
+		}
+	}
 	// Sharded output.
 	prefix := filepath.Join(dir, "sharded")
 	if err := cmdGenerate(ctx, []string{"-factor", "crown3", "-edges-out", prefix, "-shards", "4"}); err != nil {

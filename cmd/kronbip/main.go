@@ -202,7 +202,7 @@ func cmdGenerate(ctx context.Context, args []string) error {
 	// audit invariants are whole-stream properties).
 	total := p.NumEdges()
 	lo, hi := *offset, total
-	if *limit >= 0 && lo+*limit < hi {
+	if *limit >= 0 && *limit < hi-lo {
 		hi = lo + *limit
 	}
 	ranged := lo != 0 || hi != total
@@ -325,9 +325,9 @@ func generateSingle(ctx context.Context, p *core.Product, out string, auditor *a
 }
 
 // generateRange streams the [lo, hi) slice of the canonical edge order
-// through the closed-form seek (core.EachEdgeRange): no prefix is
-// generated, so resuming a multi-hour run at edge k costs O(K) to find
-// k, not O(k) to replay it.
+// through the closed-form seek (core.EachEdgeRangeBatchContext): no
+// prefix is generated, so resuming a multi-hour run at edge k costs O(K)
+// to find k, not O(k) to replay it.
 func generateRange(ctx context.Context, p *core.Product, out string, lo, hi int64, verb *cli.Verbosity) error {
 	w := os.Stdout
 	if out != "-" {

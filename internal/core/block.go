@@ -7,25 +7,26 @@ import (
 	"kronbip/internal/exec"
 )
 
-// 2D-blocked edge streaming — the distributed-generation partition.
+// 2D-blocked edge streaming — the one partition of the canonical order.
 //
-// The 1D shard vocabulary (EachEdgeShard*, ShardEdgeCount) stripes the
-// stream's row space; blocks refine it with a second, orthogonal
-// dimension: the edge list of the LAST chain factor B_K.  Every product
-// edge terminates in exactly one B_K edge (the base case of the chain
-// expansion walks E_{B_K} in order, emitting one or two product edges
-// per B_K edge), so
+// Blocks cut the stream's row space into stripes and refine them with a
+// second, orthogonal dimension: the edge list of the LAST chain factor
+// B_K.  Every product edge terminates in exactly one B_K edge (the base
+// case of the chain expansion walks E_{B_K} in order, emitting one or
+// two product edges per B_K edge), so
 //
 //	block (r, c) of R×C  =  { edges whose stream row ∈ rowStripe(r, R)
 //	                          and whose B_K edge index ∈ colStripe(c, C) }
 //
 // partitions the edge set into R·C deterministic, disjoint blocks whose
-// union is exactly the EachEdge stream.  Each block's edge count has the
-// same O(K) closed form as ShardEdgeCount: every row of term t emits
-// termPer[t]/|E_{B_K}| product edges per B_K edge — an exact integer by
-// construction, since every term's multiplicity carries a trailing
-// |E_{B_K}| factor — so a coordinator can size, balance, and verify
-// block leases without generating anything (internal/distgen).
+// union is exactly the EachEdge stream.  A shard of the parallel stream
+// (stream.go) is a one-column block: shard s of n is block (s, 0) of
+// n×1.  Each block's edge count has an O(K) closed form: every row of
+// term t emits termPer[t]/|E_{B_K}| product edges per B_K edge — an
+// exact integer by construction, since every term's multiplicity
+// carries a trailing |E_{B_K}| factor — so a coordinator can size,
+// balance, and verify block leases without generating anything
+// (internal/distgen).
 //
 // Block (0, 0) of 1×1 is the whole product in canonical order.  For
 // C > 1 the within-block order is the canonical order restricted to the
@@ -34,14 +35,17 @@ import (
 // identically by every replica.
 
 // blockWindow validates (row, nrows, col, ncols) and returns the
-// block's window: the row stripe of shard (row, nrows) × the col-th
-// stripe of the last factor's edge list.  Column stripes come from
-// exec.Stripe over |E_{B_K}|, so ncols may exceed the edge count — the
-// surplus stripes are empty, never an error.
+// block's window: the row-th stripe of the stream rows × the col-th
+// stripe of the last factor's edge list.  Stripes come from exec.Stripe,
+// which never forms row·numRows, so huge factor edge counts with many
+// blocks cannot overflow, and nrows or ncols may exceed the extent —
+// the surplus stripes are empty, never an error.
 func (p *Product) blockWindow(row, nrows, col, ncols int) (window, error) {
-	rlo, rhi, err := p.shardRange(row, nrows)
-	if err != nil {
-		return window{}, err
+	if nrows <= 0 {
+		return window{}, fmt.Errorf("core: nrows must be positive, got %d", nrows)
+	}
+	if row < 0 || row >= nrows {
+		return window{}, fmt.Errorf("core: row %d out of range [0,%d)", row, nrows)
 	}
 	if ncols <= 0 {
 		return window{}, fmt.Errorf("core: ncols must be positive, got %d", ncols)
@@ -49,6 +53,7 @@ func (p *Product) blockWindow(row, nrows, col, ncols int) (window, error) {
 	if col < 0 || col >= ncols {
 		return window{}, fmt.Errorf("core: col %d out of range [0,%d)", col, ncols)
 	}
+	rlo, rhi := exec.Stripe(row, nrows, p.numRows())
 	clo, chi := exec.Stripe(col, ncols, p.lastEdges())
 	return p.region(rlo, rhi, clo, chi), nil
 }
@@ -64,22 +69,16 @@ func (p *Product) BlockEdgeCount(row, nrows, col, ncols int) (int64, error) {
 	return win.hi, err
 }
 
-// EachEdgeBlock streams block (row, col) of an nrows×ncols blocking in
-// canonical-restricted order.  The union over all R·C blocks is exactly
-// the EachEdge stream; no edge repeats across blocks.  Iteration stops
-// early if yield returns false.
-func (p *Product) EachEdgeBlock(row, nrows, col, ncols int, yield func(v, w int) bool) error {
-	return p.EachEdgeBlockContext(context.Background(), row, nrows, col, ncols, yield)
-}
-
-// EachEdgeBlockContext is EachEdgeBlock under a context, with the same
-// cancellation contract as EachEdgeShardContext: checked every
-// streamPollStride emitted edges, the stream stops without invoking
-// yield again and returns ctx.Err(), and no edge is ever emitted twice.
-func (p *Product) EachEdgeBlockContext(ctx context.Context, row, nrows, col, ncols int, yield func(v, w int) bool) error {
+// EachEdgeBlockBatchContext streams block (row, col) of an nrows×ncols
+// blocking in canonical-restricted order, as batches of up to
+// exec.BatchLen edges.  The union over all R·C blocks is exactly the
+// EachEdge stream; no edge repeats across blocks.  It is
+// EachEdgeBlockRangeBatchContext over the whole block, under the same
+// batch cancellation contract.
+func (p *Product) EachEdgeBlockBatchContext(ctx context.Context, row, nrows, col, ncols int, yield func(batch []exec.Edge) bool) error {
 	win, err := p.blockWindow(row, nrows, col, ncols)
 	if err != nil {
 		return err
 	}
-	return p.walkEdges(ctx, win, yield)
+	return p.walkBatch(ctx, win, yield)
 }

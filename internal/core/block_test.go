@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"kronbip/internal/exec"
 	"kronbip/internal/gen"
 	"kronbip/internal/graph"
 )
@@ -48,7 +49,7 @@ func TestEachEdgeBlockPartition(t *testing.T) {
 						t.Fatal(err)
 					}
 					var n int64
-					if err := p.EachEdgeBlock(r, rows, c, cols, func(v, w int) bool {
+					if err := blockEdges(p, r, rows, c, cols, func(v, w int) bool {
 						n++
 						if v > w {
 							v, w = w, v
@@ -83,14 +84,14 @@ func TestEachEdgeBlockPartition(t *testing.T) {
 }
 
 // TestBlockEdgeCountFoldsToShard: summing a row band's blocks over every
-// column reproduces the 1D ShardEdgeCount closed form, and a 1×1
-// blocking is the whole product.
+// column reproduces the closed form of the full-width block (the band's
+// shard), and a 1×1 blocking is the whole product.
 func TestBlockEdgeCountFoldsToShard(t *testing.T) {
 	for name, p := range blockTestProducts(t) {
 		for _, rows := range []int{1, 2, 5} {
 			for _, cols := range []int{1, 2, 4} {
 				for r := 0; r < rows; r++ {
-					shardWant, err := p.ShardEdgeCount(r, rows)
+					shardWant, err := p.BlockEdgeCount(r, rows, 0, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -117,13 +118,13 @@ func TestBlockEdgeCountFoldsToShard(t *testing.T) {
 
 // TestEachEdgeBlockCanonicalOrder: block (0,0) of 1×1 reproduces the
 // canonical EachEdge sequence edge for edge, and a full-width block
-// equals the corresponding 1D shard sequence.
+// equals the sequence the parallel stream delivers for that shard.
 func TestEachEdgeBlockCanonicalOrder(t *testing.T) {
 	for name, p := range blockTestProducts(t) {
 		var canon [][2]int
 		p.EachEdge(func(v, w int) bool { canon = append(canon, [2]int{v, w}); return true })
 		var blocked [][2]int
-		if err := p.EachEdgeBlock(0, 1, 0, 1, func(v, w int) bool {
+		if err := blockEdges(p, 0, 1, 0, 1, func(v, w int) bool {
 			blocked = append(blocked, [2]int{v, w})
 			return true
 		}); err != nil {
@@ -138,16 +139,20 @@ func TestEachEdgeBlockCanonicalOrder(t *testing.T) {
 					name, i, blocked[i], canon[i])
 			}
 		}
-		// Full-width column == the 1D shard stream, for every row band.
+		// Full-width column == the parallel stream's shard, for every row band.
+		shards := make([][][2]int, 3)
+		if err := p.StreamEdgesParallelContext(context.Background(), 3, func(s int) exec.Sink {
+			return exec.SinkFunc(func(v, w int) error {
+				shards[s] = append(shards[s], [2]int{v, w})
+				return nil
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for r := 0; r < 3; r++ {
-			var shard, block [][2]int
-			if err := p.EachEdgeShard(r, 3, func(v, w int) bool {
-				shard = append(shard, [2]int{v, w})
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.EachEdgeBlock(r, 3, 0, 1, func(v, w int) bool {
+			var block [][2]int
+			shard := shards[r]
+			if err := blockEdges(p, r, 3, 0, 1, func(v, w int) bool {
 				block = append(block, [2]int{v, w})
 				return true
 			}); err != nil {
@@ -178,8 +183,8 @@ func TestEachEdgeBlockValidation(t *testing.T) {
 		if _, err := p.BlockEdgeCount(c.row, c.rows, c.col, c.cols); err == nil {
 			t.Errorf("BlockEdgeCount accepted (%d,%d,%d,%d)", c.row, c.rows, c.col, c.cols)
 		}
-		if err := p.EachEdgeBlock(c.row, c.rows, c.col, c.cols, func(_, _ int) bool { return true }); err == nil {
-			t.Errorf("EachEdgeBlock accepted (%d,%d,%d,%d)", c.row, c.rows, c.col, c.cols)
+		if err := blockEdges(p, c.row, c.rows, c.col, c.cols, func(_, _ int) bool { return true }); err == nil {
+			t.Errorf("EachEdgeBlockBatchContext accepted (%d,%d,%d,%d)", c.row, c.rows, c.col, c.cols)
 		}
 	}
 }
@@ -187,7 +192,7 @@ func TestEachEdgeBlockValidation(t *testing.T) {
 func TestEachEdgeBlockEarlyStop(t *testing.T) {
 	p := blockTestProducts(t)["chain"]
 	n := 0
-	if err := p.EachEdgeBlock(0, 1, 0, 2, func(_, _ int) bool {
+	if err := blockEdges(p, 0, 1, 0, 2, func(_, _ int) bool {
 		n++
 		return n < 5
 	}); err != nil {
@@ -198,24 +203,29 @@ func TestEachEdgeBlockEarlyStop(t *testing.T) {
 	}
 }
 
+// TestEachEdgeBlockContextCancel: a pre-cancelled block walk delivers
+// nothing, a cancellation inside the first batch stops the walk after
+// that batch with ctx.Err(), and a background context completes.
 func TestEachEdgeBlockContextCancel(t *testing.T) {
 	p := blockTestProducts(t)["mode2"]
 	// Pre-cancelled: no edges, ctx.Err back.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	n := 0
-	err := p.EachEdgeBlockContext(ctx, 0, 1, 0, 2, func(_, _ int) bool { n++; return true })
+	err := p.EachEdgeBlockBatchContext(ctx, 0, 1, 0, 2, func(batch []exec.Edge) bool { n += len(batch); return true })
 	if !errors.Is(err, context.Canceled) || n != 0 {
 		t.Fatalf("pre-cancelled block streamed %d edges, err=%v", n, err)
 	}
-	// Mid-stream: cancel from inside yield; the walker must stop within a
-	// poll stride and surface ctx.Err.  Needs a product big enough that the
-	// poller fires before the block runs dry.
+	// Mid-stream: cancel from inside yield; the walker must stop after the
+	// batch in flight and surface ctx.Err.  Needs a block of several
+	// batches, so the cancellation is observed before it runs dry.
 	big := bigStreamProduct(t)
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	n = 0
-	err = big.EachEdgeBlockContext(ctx2, 0, 1, 0, 2, func(_, _ int) bool {
+	err = batched(func(y func([]exec.Edge) bool) error {
+		return big.EachEdgeBlockBatchContext(ctx2, 0, 1, 0, 2, y)
+	})(func(_, _ int) bool {
 		n++
 		if n == 10 {
 			cancel2()
@@ -228,13 +238,12 @@ func TestEachEdgeBlockContextCancel(t *testing.T) {
 	if int64(n) >= big.NumEdges() {
 		t.Fatalf("cancelled block streamed the whole product (%d edges)", n)
 	}
-	if n > 10+2*streamPollStride {
-		t.Fatalf("block emitted %d edges after cancellation at 10 (stride %d): not prompt",
-			n-10, streamPollStride)
+	if n > exec.BatchLen {
+		t.Fatalf("cancelled block delivered %d edges, more than the batch in flight (%d)", n, exec.BatchLen)
 	}
 	// Background context takes the zero-overhead path and completes.
 	var total int64
-	if err := p.EachEdgeBlockContext(context.Background(), 0, 2, 1, 3, func(_, _ int) bool {
+	if err := blockEdges(p, 0, 2, 1, 3, func(_, _ int) bool {
 		total++
 		return true
 	}); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -142,7 +143,7 @@ func TestChainOracleBatchAndShards(t *testing.T) {
 				var streamed int64
 				for s := 0; s < nshards; s++ {
 					var inShard int64
-					err := p.EachEdgeShardBatch(s, nshards, func(batch []exec.Edge) bool {
+					err := p.EachEdgeBlockBatchContext(context.Background(), s, nshards, 0, 1, func(batch []exec.Edge) bool {
 						for _, e := range batch {
 							got[edgeKey(e.V, e.W)] = true
 						}
@@ -152,12 +153,12 @@ func TestChainOracleBatchAndShards(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cnt, err := p.ShardEdgeCount(s, nshards)
+					cnt, err := p.BlockEdgeCount(s, nshards, 0, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if cnt != inShard {
-						t.Fatalf("nshards=%d shard %d: ShardEdgeCount %d, streamed %d", nshards, s, cnt, inShard)
+						t.Fatalf("nshards=%d shard %d: BlockEdgeCount %d, streamed %d", nshards, s, cnt, inShard)
 					}
 					streamed += inShard
 				}
@@ -384,12 +385,12 @@ func TestShardEdgeCountEmptyShards(t *testing.T) {
 		var total int64
 		empties := 0
 		for s := 0; s < nshards; s++ {
-			cnt, err := p.ShardEdgeCount(s, nshards)
+			cnt, err := p.BlockEdgeCount(s, nshards, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var streamed int64
-			if err := p.EachEdgeShard(s, nshards, func(v, w int) bool {
+			if err := blockEdges(p, s, nshards, 0, 1, func(v, w int) bool {
 				streamed++
 				return true
 			}); err != nil {

@@ -652,7 +652,7 @@ func (p *Product) MaterializeContext(ctx context.Context, workers int) (*graph.G
 // (i,l)–(j,k) per level; self-loop rows contribute one orientation at
 // their anchor level.  Iteration stops early if yield returns false.
 func (p *Product) EachEdge(yield func(v, w int) bool) {
-	p.walkEdges(context.Background(), p.whole(), yield)
+	p.run(p.whole(), nil, nil, yield)
 }
 
 // String summarizes the product.

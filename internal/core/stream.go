@@ -18,23 +18,14 @@ import (
 // nshards deterministic, disjoint slices that can be produced concurrently
 // and written to independent sinks.  All scheduling runs on the shared
 // engine in internal/exec, so streams are cancellable: cancelling the
-// context (deadline, Ctrl-C) aborts mid-generation within one polling
-// stride and surfaces ctx.Err(), leaving whatever edges were already
-// delivered as discardable partial work.
+// context (deadline, Ctrl-C) aborts mid-generation within one batch and
+// surfaces ctx.Err(), leaving whatever edges were already delivered as
+// discardable partial work.
 //
 // Work layout: "rows" are the term rows of computeLayout (for K = 1, the
-// |E_A| factor edges followed in mode (ii) by the n_A self loops); a
-// shard is a stripe of rows, walked by the kernel in walk.go.
-
-// streamPollStride bounds how many product edges may be emitted after a
-// cancellation before the stream notices it.
-const streamPollStride = 1024
-
-// streamObsBatch is how many edges a shard accumulates locally before
-// flushing them to the shared edge counter — the "counters batched per
-// shard" half of the obs overhead contract: one atomic add per 1024
-// edges while enabled, zero per-edge work while disabled.
-const streamObsBatch = 1024
+// |E_A| factor edges followed in mode (ii) by the n_A self loops).  Shard
+// s of n is block (s, 0) of an n×1 blocking (block.go): a stripe of rows
+// with every last-factor edge, walked in batches by the kernel in walk.go.
 
 // Metric names produced by the streaming generator, exported so the CLI
 // can wire its progress reporter to them.  Per-shard totals additionally
@@ -94,182 +85,85 @@ func (p *Product) numRows() int {
 	return p.termOff[len(p.termOff)-1]
 }
 
-// shardRange validates (shard, nshards) and returns the shard's half-open
-// row range.  Bounds come from exec.Stripe, which never forms shard*rows,
-// so huge factor edge counts with many shards cannot overflow.
-func (p *Product) shardRange(shard, nshards int) (lo, hi int, err error) {
-	if nshards <= 0 {
-		return 0, 0, fmt.Errorf("core: nshards must be positive, got %d", nshards)
-	}
-	if shard < 0 || shard >= nshards {
-		return 0, 0, fmt.Errorf("core: shard %d out of range [0,%d)", shard, nshards)
-	}
-	lo, hi = exec.Stripe(shard, nshards, p.numRows())
-	return lo, hi, nil
-}
-
-// shardWindow validates (shard, nshards) and returns the shard's
-// window: its row stripe, every last-factor edge.
-func (p *Product) shardWindow(shard, nshards int) (window, error) {
-	lo, hi, err := p.shardRange(shard, nshards)
-	if err != nil {
-		return window{}, err
-	}
-	return p.region(lo, hi, 0, p.lastEdges()), nil
-}
-
-// EachEdgeShard streams shard `shard` of `nshards` disjoint slices of the
-// product's undirected edge set.  The union over all shards is exactly the
-// EachEdge stream; edges never repeat across shards.  Iteration stops
-// early if yield returns false.
-func (p *Product) EachEdgeShard(shard, nshards int, yield func(v, w int) bool) error {
-	return p.EachEdgeShardContext(context.Background(), shard, nshards, yield)
-}
-
-// EachEdgeShardContext is EachEdgeShard under a context.  Cancellation is
-// checked every streamPollStride emitted edges; on cancellation the
-// stream stops without invoking yield again and returns ctx.Err().  An
-// edge is never emitted twice, cancelled or not.  A non-cancellable
-// context (context.Background) skips the polling.
-func (p *Product) EachEdgeShardContext(ctx context.Context, shard, nshards int, yield func(v, w int) bool) error {
-	win, err := p.shardWindow(shard, nshards)
-	if err != nil {
-		return err
-	}
-	return p.walkEdges(ctx, win, yield)
-}
-
-// EachEdgeContext streams the whole edge set (the EachEdge order) under a
-// context; see EachEdgeShardContext for the cancellation contract.
-func (p *Product) EachEdgeContext(ctx context.Context, yield func(v, w int) bool) error {
-	return p.EachEdgeShardContext(ctx, 0, 1, yield)
-}
-
-// ShardEdgeCount returns the number of undirected edges shard `shard` of
-// `nshards` will emit, without streaming.  Closed form on the row range:
-// every row of term t emits exactly termPer[t] product edges, so the
-// count is Σ_t overlap(shard, term t)·termPer[t] — O(K) terms and no
-// per-edge or per-row work at any chain length.  For K = 1 this is the
-// historical (2·edgeRows + selfRows)·|E_B|.  Row counts and per-row
-// multiplicities were overflow-checked against |E_C| at construction, so
-// the arithmetic here cannot wrap.
-func (p *Product) ShardEdgeCount(shard, nshards int) (int64, error) {
-	win, err := p.shardWindow(shard, nshards)
-	return win.hi, err
-}
-
-// StreamEdgesParallel streams all shards concurrently, delivering each
-// shard to the sink returned by sinkFor(shard).  Sinks are used from
-// exactly one goroutine each; a non-nil error from any sink aborts the
-// remaining shards and is returned (first error wins).
-//
-// Deprecated-style compatibility wrapper: new callers should use
-// StreamEdgesParallelContext, which adds cancellation and the exec.Sink
-// vocabulary.
-func (p *Product) StreamEdgesParallel(nshards int, sinkFor func(shard int) func(v, w int) error) error {
-	return p.StreamEdgesParallelContext(context.Background(), nshards, func(shard int) exec.Sink {
-		return exec.SinkFunc(sinkFor(shard))
-	})
-}
-
 // StreamEdgesParallelContext streams all shards on the exec engine's
 // bounded worker pool.  Each shard's edges go to the sink returned by
 // sinkFor(shard); a sink is used from one goroutine at a time and is
-// flushed (exec.Finish) when its shard completes.  A sink that also
-// implements exec.BatchSink is fed through the batched hot loop —
-// whole pooled buffers per call instead of one dynamic dispatch per
-// edge; prefer that for any throughput-sensitive consumer.  The first
-// sink or generation error cancels the remaining shards and is
-// returned; if ctx is cancelled mid-generation the stream aborts
-// promptly with ctx.Err() and already-written sink output is partial
-// work for the caller to discard.
+// flushed (exec.Finish) when its shard completes.  The union over all
+// shards is exactly the EachEdge stream; edges never repeat across
+// shards.  Every shard is walked in pooled batches of up to
+// exec.BatchLen edges: a sink that implements exec.BatchSink takes each
+// batch in one call, any other sink edge by edge (exec.DeliverBatch).
+// The first sink or generation error cancels the remaining shards and
+// is returned; if ctx is cancelled mid-generation the stream aborts
+// after at most the batch in flight with ctx.Err(), and already-written
+// sink output is partial work for the caller to discard.
 func (p *Product) StreamEdgesParallelContext(ctx context.Context, nshards int, sinkFor func(shard int) exec.Sink) error {
 	if nshards <= 0 {
 		return fmt.Errorf("core: nshards must be positive, got %d", nshards)
 	}
-	// One Enabled read decides the whole stream's code path: disabled
-	// runs take the exact pre-instrumentation per-edge loop.  The
+	// One Enabled read decides the whole stream's instrumentation.  The
 	// labeled per-shard counters are resolved here, once per stream
 	// from a process-wide cache, never in the shard epilogue.
-	instr := obs.Enabled()
-	var spanDone func()
 	var counters []*obs.Counter
-	if instr {
+	if obs.Enabled() {
+		var spanDone func()
 		ctx, spanDone = obs.Span(ctx, "core.stream")
 		defer spanDone()
 		counters = shardEdgeCounters(nshards)
 	}
 	return exec.Sharded(ctx, nshards, func(ctx context.Context, s int) error {
-		sink := sinkFor(s)
 		var c *obs.Counter
-		if instr {
+		if counters != nil {
 			c = counters[s]
 		}
-		if bs, ok := sink.(exec.BatchSink); ok {
-			if err := p.streamShardBatch(ctx, s, nshards, c, bs); err != nil {
-				return err
-			}
-			return exec.Finish(sink)
-		}
-		return p.streamShardPerEdge(ctx, s, nshards, instr, c, sink)
+		return p.streamShard(ctx, s, nshards, c, sinkFor(s))
 	})
 }
 
-// streamShardPerEdge runs one shard through the per-edge vocabulary.
-// Kept as its own function — not inlined into the dispatch closure
-// above — so the yield closure's enclosing frame stays small; folding
-// it next to the batch branch measurably slows the per-edge loop.
-func (p *Product) streamShardPerEdge(ctx context.Context, s, nshards int, instr bool, shardEdges *obs.Counter, sink exec.Sink) error {
-	edge := sink.Edge
-	if f, ok := sink.(exec.SinkFunc); ok {
-		edge = f // skip the interface dispatch in the per-edge hot path
+// streamShard walks shard s — block (s, 0) of nshards×1 — into sink in
+// batches, capturing the first sink error, and flushes the sink on
+// success.  The BatchSink check is made once per shard.  With a non-nil
+// shardEdges (obs enabled) it keeps per-shard metrics, which batching
+// makes free: the shared edge counter takes one Add per batch, and the
+// labeled per-shard counter — pre-resolved once per process by
+// shardEdgeCounters, never looked up in the epilogue — takes one.
+func (p *Product) streamShard(ctx context.Context, s, nshards int, shardEdges *obs.Counter, sink exec.Sink) error {
+	win, err := p.blockWindow(s, nshards, 0, 1)
+	if err != nil {
+		return err
 	}
+	deliver := func(batch []exec.Edge) error { return exec.DeliverBatch(sink, batch) }
+	if bs, ok := sink.(exec.BatchSink); ok {
+		deliver = bs.EdgeBatch
+	}
+	var done func(total int64, err error)
+	if shardEdges != nil {
+		done = shardObs(s, shardEdges)
+	}
+	var total int64
 	var sinkErr error
-	yield := func(v, w int) bool {
-		if e := edge(v, w); e != nil {
+	err = p.walkBatch(ctx, win, func(batch []exec.Edge) bool {
+		if e := deliver(batch); e != nil {
 			sinkErr = e
 			return false
 		}
+		if done != nil {
+			n := int64(len(batch))
+			mStreamEdges.Add(n)
+			total += n
+		}
 		return true
+	})
+	if err == nil {
+		err = sinkErr
 	}
-	var err error
-	if instr {
-		err = p.streamShardInstrumented(ctx, s, nshards, shardEdges, yield)
-	} else {
-		err = p.EachEdgeShardContext(ctx, s, nshards, yield)
+	if done != nil {
+		done(total, err)
 	}
-	switch {
-	case err != nil:
+	if err != nil {
 		return err
-	case sinkErr != nil:
-		return sinkErr
 	}
 	return exec.Finish(sink)
-}
-
-// streamShardInstrumented streams one shard with per-shard metrics:
-// edges flush to the shared counter every streamObsBatch, and shardObs
-// records the shard's completion.  Partial counts from aborted shards
-// still flush, so the progress reporter and final snapshot agree with
-// what sinks saw.
-func (p *Product) streamShardInstrumented(ctx context.Context, s, nshards int, shardEdges *obs.Counter, yield func(v, w int) bool) error {
-	done := shardObs(s, shardEdges)
-	var batch, total int64
-	err := p.EachEdgeShardContext(ctx, s, nshards, func(v, w int) bool {
-		ok := yield(v, w)
-		if ok {
-			batch++
-			if batch == streamObsBatch {
-				mStreamEdges.Add(batch)
-				total += batch
-				batch = 0
-			}
-		}
-		return ok
-	})
-	mStreamEdges.Add(batch)
-	done(total+batch, err)
-	return err
 }
 
 // shardObs opens one instrumented shard's timeline span and returns its

@@ -58,7 +58,7 @@ func TestEachEdgeShardPartition(t *testing.T) {
 			var got []graph.Edge
 			seen := map[graph.Edge]bool{}
 			for s := 0; s < nshards; s++ {
-				if err := p.EachEdgeShard(s, nshards, func(v, w int) bool {
+				if err := blockEdges(p, s, nshards, 0, 1, func(v, w int) bool {
 					if v > w {
 						v, w = w, v
 					}
@@ -91,16 +91,16 @@ func TestShardEdgeCount(t *testing.T) {
 		for _, nshards := range []int{1, 2, 5} {
 			var total int64
 			for s := 0; s < nshards; s++ {
-				want, err := p.ShardEdgeCount(s, nshards)
+				want, err := p.BlockEdgeCount(s, nshards, 0, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var n int64
-				if err := p.EachEdgeShard(s, nshards, func(_, _ int) bool { n++; return true }); err != nil {
+				if err := blockEdges(p, s, nshards, 0, 1, func(_, _ int) bool { n++; return true }); err != nil {
 					t.Fatal(err)
 				}
 				if n != want {
-					t.Fatalf("%s shard %d/%d: counted %d, ShardEdgeCount says %d", name, s, nshards, n, want)
+					t.Fatalf("%s shard %d/%d: counted %d, BlockEdgeCount says %d", name, s, nshards, n, want)
 				}
 				total += n
 			}
@@ -113,24 +113,24 @@ func TestShardEdgeCount(t *testing.T) {
 
 func TestEachEdgeShardValidation(t *testing.T) {
 	p := testProducts(t)["mode1"]
-	if err := p.EachEdgeShard(0, 0, func(_, _ int) bool { return true }); err == nil {
+	if err := blockEdges(p, 0, 0, 0, 1, func(_, _ int) bool { return true }); err == nil {
 		t.Fatal("accepted nshards=0")
 	}
-	if err := p.EachEdgeShard(3, 3, func(_, _ int) bool { return true }); err == nil {
+	if err := blockEdges(p, 3, 3, 0, 1, func(_, _ int) bool { return true }); err == nil {
 		t.Fatal("accepted shard out of range")
 	}
-	if _, err := p.ShardEdgeCount(-1, 2); err == nil {
-		t.Fatal("ShardEdgeCount accepted negative shard")
+	if _, err := p.BlockEdgeCount(-1, 2, 0, 1); err == nil {
+		t.Fatal("BlockEdgeCount accepted negative shard")
 	}
-	if _, err := p.ShardEdgeCount(0, 0); err == nil {
-		t.Fatal("ShardEdgeCount accepted nshards=0")
+	if _, err := p.BlockEdgeCount(0, 0, 0, 1); err == nil {
+		t.Fatal("BlockEdgeCount accepted nshards=0")
 	}
 }
 
 func TestEachEdgeShardEarlyStop(t *testing.T) {
 	p := testProducts(t)["mode2"]
 	n := 0
-	if err := p.EachEdgeShard(0, 1, func(_, _ int) bool {
+	if err := blockEdges(p, 0, 1, 0, 1, func(_, _ int) bool {
 		n++
 		return n < 3
 	}); err != nil {
@@ -146,8 +146,8 @@ func TestStreamEdgesParallel(t *testing.T) {
 		const nshards = 4
 		var mu sync.Mutex
 		perShard := make([][]graph.Edge, nshards)
-		err := p.StreamEdgesParallel(nshards, func(s int) func(v, w int) error {
-			return func(v, w int) error {
+		err := p.StreamEdgesParallelContext(context.Background(), nshards, func(s int) exec.Sink {
+			return exec.SinkFunc(func(v, w int) error {
 				if v > w {
 					v, w = w, v
 				}
@@ -155,7 +155,7 @@ func TestStreamEdgesParallel(t *testing.T) {
 				perShard[s] = append(perShard[s], graph.Edge{U: v, V: w})
 				mu.Unlock()
 				return nil
-			}
+			})
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -187,11 +187,10 @@ func TestEachEdgeShardContextPartitionProperty(t *testing.T) {
 		want := collectEdges(p)
 		for trial := 0; trial < 20; trial++ {
 			nshards := 1 + rng.Intn(2*p.numRows())
-			ctx := context.Background()
 			var got []graph.Edge
 			seen := map[graph.Edge]bool{}
 			for s := 0; s < nshards; s++ {
-				if err := p.EachEdgeShardContext(ctx, s, nshards, func(v, w int) bool {
+				if err := blockEdges(p, s, nshards, 0, 1, func(v, w int) bool {
 					if v > w {
 						v, w = w, v
 					}
@@ -219,9 +218,8 @@ func TestEachEdgeShardContextPartitionProperty(t *testing.T) {
 	}
 }
 
-// bigStreamProduct builds a product whose rows are long enough that the
-// in-row cancellation poller (stride streamPollStride) must fire before a
-// row completes.
+// bigStreamProduct builds a product whose stream spans several batches,
+// so a cancellation inside the first batch is observed mid-stream.
 func bigStreamProduct(t *testing.T) *Product {
 	t.Helper()
 	p, err := New(gen.Star(4), gen.CompleteBipartite(40, 40).Graph, ModeSelfLoopFactor)
@@ -231,9 +229,9 @@ func bigStreamProduct(t *testing.T) *Product {
 	return p
 }
 
-// TestEachEdgeShardContextCancelMidStream cancels from inside the yield
-// and checks the contract: the stream stops within one polling stride,
-// returns ctx.Err(), and never emits an edge twice.
+// TestEachEdgeShardContextCancelMidStream cancels from inside a per-edge
+// shard sink and checks the contract: the shard stops after the batch in
+// flight, returns ctx.Err(), and never emits an edge twice.
 func TestEachEdgeShardContextCancelMidStream(t *testing.T) {
 	p := bigStreamProduct(t)
 	const cancelAt = 10
@@ -241,20 +239,22 @@ func TestEachEdgeShardContextCancelMidStream(t *testing.T) {
 	defer cancel()
 	emitted := 0
 	seen := map[graph.Edge]bool{}
-	err := p.EachEdgeShardContext(ctx, 0, 1, func(v, w int) bool {
-		if v > w {
-			v, w = w, v
-		}
-		e := graph.Edge{U: v, V: w}
-		if seen[e] {
-			t.Fatalf("edge %v emitted twice", e)
-		}
-		seen[e] = true
-		emitted++
-		if emitted == cancelAt {
-			cancel()
-		}
-		return true
+	err := p.StreamEdgesParallelContext(ctx, 1, func(int) exec.Sink {
+		return exec.SinkFunc(func(v, w int) error {
+			if v > w {
+				v, w = w, v
+			}
+			e := graph.Edge{U: v, V: w}
+			if seen[e] {
+				return fmt.Errorf("edge %v emitted twice", e)
+			}
+			seen[e] = true
+			emitted++
+			if emitted == cancelAt {
+				cancel()
+			}
+			return nil
+		})
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -262,9 +262,9 @@ func TestEachEdgeShardContextCancelMidStream(t *testing.T) {
 	if int64(emitted) >= p.NumEdges() {
 		t.Fatal("cancellation did not stop the stream early")
 	}
-	if emitted > cancelAt+2*streamPollStride {
-		t.Fatalf("stream emitted %d edges after cancellation at %d (stride %d): not prompt",
-			emitted-cancelAt, cancelAt, streamPollStride)
+	if emitted > cancelAt+exec.BatchLen {
+		t.Fatalf("stream emitted %d edges after cancellation at %d (batch %d): not prompt",
+			emitted-cancelAt, cancelAt, exec.BatchLen)
 	}
 }
 
@@ -274,7 +274,7 @@ func TestEachEdgeShardContextPreCancelled(t *testing.T) {
 	p := testProducts(t)["mode1"]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := p.EachEdgeShardContext(ctx, 0, 2, func(v, w int) bool {
+	err := p.EachEdgeBlockBatchContext(ctx, 0, 2, 0, 1, func([]exec.Edge) bool {
 		t.Fatal("yield ran under a pre-cancelled context")
 		return true
 	})
@@ -352,20 +352,20 @@ func TestStreamEdgesParallelContextFlushes(t *testing.T) {
 func TestStreamEdgesParallelSinkError(t *testing.T) {
 	p := testProducts(t)["mode1"]
 	boom := fmt.Errorf("sink exploded")
-	err := p.StreamEdgesParallel(3, func(s int) func(v, w int) error {
+	err := p.StreamEdgesParallelContext(context.Background(), 3, func(s int) exec.Sink {
 		n := 0
-		return func(_, _ int) error {
+		return exec.SinkFunc(func(_, _ int) error {
 			n++
 			if s == 1 && n == 5 {
 				return boom
 			}
 			return nil
-		}
+		})
 	})
 	if err != boom {
 		t.Fatalf("error = %v, want %v", err, boom)
 	}
-	if err := p.StreamEdgesParallel(0, nil); err == nil {
+	if err := p.StreamEdgesParallelContext(context.Background(), 0, nil); err == nil {
 		t.Fatal("accepted nshards=0")
 	}
 }

@@ -13,12 +13,13 @@ import (
 	"kronbip/internal/obs"
 )
 
-// collectBatchEdges drains one shard's batch stream into a normalized
-// edge list, copying out of the reused batch slice.
+// collectBatchEdges drains one shard's batch stream — block (shard, 0)
+// of nshards×1 — into a normalized edge list, copying out of the reused
+// batch slice.
 func collectBatchEdges(t *testing.T, p *Product, shard, nshards int) []graph.Edge {
 	t.Helper()
 	var out []graph.Edge
-	if err := p.EachEdgeShardBatch(shard, nshards, func(batch []exec.Edge) bool {
+	if err := p.EachEdgeBlockBatchContext(context.Background(), shard, nshards, 0, 1, func(batch []exec.Edge) bool {
 		for _, e := range batch {
 			v, w := e.V, e.W
 			if v > w {
@@ -63,7 +64,7 @@ func TestEachEdgeShardBatchPartition(t *testing.T) {
 func TestEachEdgeShardBatchSizes(t *testing.T) {
 	p := bigStreamProduct(t)
 	var sizes []int
-	if err := p.EachEdgeShardBatch(0, 1, func(batch []exec.Edge) bool {
+	if err := p.EachEdgeBlockBatchContext(context.Background(), 0, 1, 0, 1, func(batch []exec.Edge) bool {
 		sizes = append(sizes, len(batch))
 		return true
 	}); err != nil {
@@ -88,14 +89,15 @@ func TestEachEdgeShardBatchSizes(t *testing.T) {
 
 func TestEachEdgeShardBatchValidationAndEarlyStop(t *testing.T) {
 	p := testProducts(t)["mode1"]
-	if err := p.EachEdgeShardBatch(0, 0, func([]exec.Edge) bool { return true }); err == nil {
+	ctx := context.Background()
+	if err := p.EachEdgeBlockBatchContext(ctx, 0, 0, 0, 1, func([]exec.Edge) bool { return true }); err == nil {
 		t.Fatal("accepted nshards=0")
 	}
-	if err := p.EachEdgeShardBatch(3, 3, func([]exec.Edge) bool { return true }); err == nil {
+	if err := p.EachEdgeBlockBatchContext(ctx, 3, 3, 0, 1, func([]exec.Edge) bool { return true }); err == nil {
 		t.Fatal("accepted shard out of range")
 	}
 	calls := 0
-	if err := p.EachEdgeShardBatch(0, 1, func([]exec.Edge) bool {
+	if err := p.EachEdgeBlockBatchContext(ctx, 0, 1, 0, 1, func([]exec.Edge) bool {
 		calls++
 		return false
 	}); err != nil {
@@ -114,7 +116,7 @@ func TestEachEdgeShardBatchContextCancelAtBoundary(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	batches := 0
-	err := p.EachEdgeShardBatchContext(ctx, 0, 1, func(batch []exec.Edge) bool {
+	err := p.EachEdgeBlockBatchContext(ctx, 0, 1, 0, 1, func(batch []exec.Edge) bool {
 		batches++
 		cancel()
 		return true
@@ -131,7 +133,7 @@ func TestEachEdgeShardBatchContextPreCancelled(t *testing.T) {
 	p := testProducts(t)["mode2"]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := p.EachEdgeShardBatchContext(ctx, 0, 2, func([]exec.Edge) bool {
+	err := p.EachEdgeBlockBatchContext(ctx, 0, 2, 0, 1, func([]exec.Edge) bool {
 		t.Fatal("batch yielded under a pre-cancelled context")
 		return true
 	})
@@ -140,12 +142,12 @@ func TestEachEdgeShardBatchContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestEachEdgeBatchContextWholeStream: the single-shard convenience
-// wrapper covers the full edge set in EachEdge order.
+// TestEachEdgeBatchContextWholeStream: the whole-stream batch walk (the
+// range [0, NumEdges)) covers the full edge set.
 func TestEachEdgeBatchContextWholeStream(t *testing.T) {
 	for name, p := range testProducts(t) {
 		var got []graph.Edge
-		if err := p.EachEdgeBatchContext(context.Background(), func(batch []exec.Edge) bool {
+		if err := p.EachEdgeRangeBatchContext(context.Background(), 0, p.NumEdges(), func(batch []exec.Edge) bool {
 			for _, e := range batch {
 				v, w := e.V, e.W
 				if v > w {
@@ -277,45 +279,37 @@ func TestStreamEdgesParallelContextBatchSinkError(t *testing.T) {
 }
 
 // TestEmptyShards: with more shards than rows, the trailing shards are
-// empty ranges.  Every path — per-edge, batch, their context variants,
-// and the parallel stream — must treat them as clean no-ops for both
-// modes.
+// empty ranges.  Every path — the shard walk under a background and a
+// cancellable context, and the parallel stream with per-edge and batch
+// sinks — must treat them as clean no-ops for both modes.
 func TestEmptyShards(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for name, p := range testProducts(t) {
 		nshards := p.numRows() + 3 // guarantees at least 3 empty shards
 		perShard := make([]int, nshards)
 		for s := 0; s < nshards; s++ {
-			if err := p.EachEdgeShard(s, nshards, func(_, _ int) bool {
+			if err := blockEdges(p, s, nshards, 0, 1, func(_, _ int) bool {
 				perShard[s]++
 				return true
 			}); err != nil {
 				t.Fatalf("%s shard %d: %v", name, s, err)
 			}
-			if err := p.EachEdgeShardContext(context.Background(), s, nshards, func(_, _ int) bool {
-				return true
-			}); err != nil {
-				t.Fatalf("%s shard %d (context): %v", name, s, err)
-			}
-			if err := p.EachEdgeShardBatch(s, nshards, func(batch []exec.Edge) bool {
+			if err := p.EachEdgeBlockBatchContext(ctx, s, nshards, 0, 1, func(batch []exec.Edge) bool {
 				if len(batch) == 0 {
 					t.Fatalf("%s shard %d: empty batch yielded", name, s)
 				}
 				return true
 			}); err != nil {
-				t.Fatalf("%s shard %d (batch): %v", name, s, err)
-			}
-			if err := p.EachEdgeShardBatchContext(context.Background(), s, nshards, func(batch []exec.Edge) bool {
-				return true
-			}); err != nil {
 				t.Fatalf("%s shard %d (batch context): %v", name, s, err)
 			}
 			// The closed form must agree that the shard is empty/non-empty.
-			want, err := p.ShardEdgeCount(s, nshards)
+			want, err := p.BlockEdgeCount(s, nshards, 0, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if (want == 0) != (perShard[s] == 0) {
-				t.Fatalf("%s shard %d: streamed %d edges, ShardEdgeCount says %d", name, s, perShard[s], want)
+				t.Fatalf("%s shard %d: streamed %d edges, BlockEdgeCount says %d", name, s, perShard[s], want)
 			}
 		}
 		empty := 0
@@ -362,10 +356,9 @@ func TestEmptyShards(t *testing.T) {
 	}
 }
 
-// TestShardEdgeCountProperty: the closed-form ShardEdgeCount equals the
-// streamed count for arbitrary shard splits, including splits wider
-// than the row count, on both modes.  (Satellite check for the O(1)
-// rewrite: the old implementation walked eb-sized chunks per row.)
+// TestShardEdgeCountProperty: the closed-form shard count (BlockEdgeCount
+// of a one-column block) equals the streamed count for arbitrary shard
+// splits, including splits wider than the row count, on both modes.
 func TestShardEdgeCountProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for name, p := range testProducts(t) {
@@ -373,12 +366,12 @@ func TestShardEdgeCountProperty(t *testing.T) {
 			nshards := 1 + rng.Intn(3*p.numRows())
 			var total int64
 			for s := 0; s < nshards; s++ {
-				want, err := p.ShardEdgeCount(s, nshards)
+				want, err := p.BlockEdgeCount(s, nshards, 0, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var n int64
-				if err := p.EachEdgeShard(s, nshards, func(_, _ int) bool { n++; return true }); err != nil {
+				if err := blockEdges(p, s, nshards, 0, 1, func(_, _ int) bool { n++; return true }); err != nil {
 					t.Fatal(err)
 				}
 				if n != want {

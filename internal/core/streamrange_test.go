@@ -46,8 +46,8 @@ func rangeBoundaries(p *Product, rng *rand.Rand) []int64 {
 	return out
 }
 
-// TestEachEdgeRangeEquivalence: EachEdgeRange(lo, hi) reproduces the
-// exact [lo, hi) slice of the canonical order for boundaries at terms,
+// TestEachEdgeRangeEquivalence: the range walk over [lo, hi) reproduces
+// the exact [lo, hi) slice of the canonical order for boundaries at terms,
 // rows, mid-row offsets and random positions — the closed-form seek
 // agrees with actually streaming the prefix.
 func TestEachEdgeRangeEquivalence(t *testing.T) {
@@ -61,7 +61,7 @@ func TestEachEdgeRangeEquivalence(t *testing.T) {
 					continue
 				}
 				got := make([]graph.Edge, 0, hi-lo)
-				if err := p.EachEdgeRange(lo, hi, func(v, w int) bool {
+				if err := rangeEdges(p, lo, hi, func(v, w int) bool {
 					got = append(got, graph.Edge{U: v, V: w})
 					return true
 				}); err != nil {
@@ -91,7 +91,7 @@ func TestEachEdgeRangeSplitConcat(t *testing.T) {
 		for _, k := range rangeBoundaries(p, rng) {
 			var got []graph.Edge
 			for _, r := range [][2]int64{{0, k}, {k, n}} {
-				if err := p.EachEdgeRange(r[0], r[1], func(v, w int) bool {
+				if err := rangeEdges(p, r[0], r[1], func(v, w int) bool {
 					got = append(got, graph.Edge{U: v, V: w})
 					return true
 				}); err != nil {
@@ -114,13 +114,13 @@ func TestEachEdgeRangeErrors(t *testing.T) {
 	for _, p := range testProducts(t) {
 		n := p.NumEdges()
 		for _, r := range [][2]int64{{-1, 0}, {0, n + 1}, {5, 4}, {n + 1, n + 1}} {
-			if err := p.EachEdgeRange(r[0], r[1], func(_, _ int) bool { return true }); err == nil {
+			if err := rangeEdges(p, r[0], r[1], func(_, _ int) bool { return true }); err == nil {
 				t.Fatalf("range [%d,%d): expected error", r[0], r[1])
 			}
 		}
 		// Early stop: yield returning false ends the walk without error.
 		var seen int
-		if err := p.EachEdgeRange(1, n, func(_, _ int) bool { seen++; return seen < 3 }); err != nil {
+		if err := rangeEdges(p, 1, n, func(_, _ int) bool { seen++; return seen < 3 }); err != nil {
 			t.Fatal(err)
 		}
 		if seen != 3 {
@@ -130,19 +130,21 @@ func TestEachEdgeRangeErrors(t *testing.T) {
 }
 
 func TestEachEdgeRangeContextCancel(t *testing.T) {
-	// Needs more edges than a poll stride so the cancellation is
-	// observed mid-walk rather than the stream finishing first.
-	p, err := New(gen.Complete(8), gen.Cycle(48), ModeNonBipartiteFactor)
+	// Needs more edges than a batch so the cancellation is observed
+	// mid-walk rather than the stream finishing first.
+	p, err := New(gen.Complete(8), gen.Cycle(160), ModeNonBipartiteFactor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumEdges() < 2*streamPollStride {
+	if p.NumEdges() < 2*exec.BatchLen {
 		t.Fatalf("test product too small: %d edges", p.NumEdges())
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var seen int64
-	err = p.EachEdgeRangeContext(ctx, 1, p.NumEdges(), func(_, _ int) bool {
+	err = batched(func(y func([]exec.Edge) bool) error {
+		return p.EachEdgeRangeBatchContext(ctx, 1, p.NumEdges(), y)
+	})(func(_, _ int) bool {
 		seen++
 		if seen == 10 {
 			cancel()
@@ -152,7 +154,7 @@ func TestEachEdgeRangeContextCancel(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("cancelled range walk returned %v", err)
 	}
-	if seen < 10 || seen > 10+streamPollStride {
+	if seen < 10 || seen > exec.BatchLen {
 		t.Fatalf("cancelled after %d edges", seen)
 	}
 }
@@ -168,7 +170,7 @@ func TestEachEdgeBlockRangeEquivalence(t *testing.T) {
 			for r := 0; r < rows; r++ {
 				for c := 0; c < cols; c++ {
 					var full []graph.Edge
-					if err := p.EachEdgeBlock(r, rows, c, cols, func(v, w int) bool {
+					if err := blockEdges(p, r, rows, c, cols, func(v, w int) bool {
 						full = append(full, graph.Edge{U: v, V: w})
 						return true
 					}); err != nil {
@@ -184,7 +186,7 @@ func TestEachEdgeBlockRangeEquivalence(t *testing.T) {
 							continue
 						}
 						got := make([]graph.Edge, 0, n-lo)
-						if err := p.EachEdgeBlockRange(r, rows, c, cols, lo, n, func(v, w int) bool {
+						if err := blockRangeEdges(p, r, rows, c, cols, lo, n, func(v, w int) bool {
 							got = append(got, graph.Edge{U: v, V: w})
 							return true
 						}); err != nil {
@@ -199,7 +201,7 @@ func TestEachEdgeBlockRangeEquivalence(t *testing.T) {
 							}
 						}
 					}
-					if err := p.EachEdgeBlockRange(r, rows, c, cols, 0, n+1, func(_, _ int) bool { return true }); err == nil {
+					if err := blockRangeEdges(p, r, rows, c, cols, 0, n+1, func(_, _ int) bool { return true }); err == nil {
 						t.Fatalf("%s block (%d,%d): hi beyond count accepted", name, r, c)
 					}
 				}
@@ -209,20 +211,18 @@ func TestEachEdgeBlockRangeEquivalence(t *testing.T) {
 }
 
 // TestEachEdgeBlockBatchEquivalence: the batched block walker delivers
-// the same edges in the same order as the per-edge block walker, in
-// batches of at most exec.BatchLen.
+// the same edges in the same order as the definition-order oracle's
+// restriction to the block, in batches of at most exec.BatchLen.
 func TestEachEdgeBlockBatchEquivalence(t *testing.T) {
 	for name, p := range blockTestProducts(t) {
+		order := canonicalOrder(p)
 		for _, rc := range [][2]int{{1, 1}, {2, 3}, {3, 1000}} {
 			rows, cols := rc[0], rc[1]
 			for r := 0; r < rows; r++ {
 				for c := 0; c < cols; c++ {
 					var want []graph.Edge
-					if err := p.EachEdgeBlock(r, rows, c, cols, func(v, w int) bool {
-						want = append(want, graph.Edge{U: v, V: w})
-						return true
-					}); err != nil {
-						t.Fatal(err)
+					for _, e := range blockOf(order, p.numRows(), p.lastEdges(), r, rows, c, cols) {
+						want = append(want, graph.Edge{U: e.v, V: e.w})
 					}
 					var got []graph.Edge
 					err := p.EachEdgeBlockBatchContext(context.Background(), r, rows, c, cols, func(batch []exec.Edge) bool {
@@ -238,7 +238,7 @@ func TestEachEdgeBlockBatchEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					if len(got) != len(want) {
-						t.Fatalf("%s block (%d,%d)/%dx%d: batch walker %d edges, per-edge %d",
+						t.Fatalf("%s block (%d,%d)/%dx%d: batch walker %d edges, oracle %d",
 							name, r, c, rows, cols, len(got), len(want))
 					}
 					for i := range want {

@@ -296,7 +296,8 @@ func (w *walker) yieldRun(av, aw int, both bool) bool {
 }
 
 // partial emits last-level digits [s, e) of prefix pair (av, aw): the
-// part of a prefix pair a walk's seek or limit cuts.
+// part of a prefix pair a walk's seek or limit cuts.  Only batch walks
+// are cut: the per-edge walk (EachEdge) always covers whole prefix pairs.
 func (w *walker) partial(buf []exec.Edge, av, aw int, s, e int64, both bool) ([]exec.Edge, bool) {
 	last := w.eb[len(w.eb)-1]
 	for d := s; d < e; d++ {
@@ -307,12 +308,6 @@ func (w *walker) partial(buf []exec.Edge, av, aw int, s, e int64, both bool) ([]
 		x, y := last[i].U, last[i].V
 		if flip {
 			x, y = y, x
-		}
-		if w.yield != nil {
-			if !w.yield(av+x, aw+y) {
-				return nil, false
-			}
-			continue
 		}
 		buf = append(buf, exec.Edge{V: av + x, W: aw + y})
 		if cap(buf)-len(buf) < 2 {
@@ -351,34 +346,6 @@ func (p *Product) walkBatch(ctx context.Context, win window, yield func(batch []
 		}
 		return yield(batch)
 	}, nil)
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// walkEdges is the per-edge adapter over the kernel.  A cancellable
-// context is polled every streamPollStride edges: at most that many
-// edges are yielded after a cancellation, then the walk stops without
-// invoking yield again and returns ctx.Err().  An edge is never yielded
-// twice.  A non-cancellable context skips the polling.
-func (p *Product) walkEdges(ctx context.Context, win window, yield func(v, w int) bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if ctx.Done() == nil {
-		p.run(win, nil, nil, yield)
-		return nil
-	}
-	poll := exec.NewPoller(ctx, streamPollStride)
-	cancelled := false
-	p.run(win, nil, nil, func(v, w int) bool {
-		if poll.Cancelled() {
-			cancelled = true
-			return false
-		}
-		return yield(v, w)
-	})
 	if cancelled {
 		return ctx.Err()
 	}

@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/crc64"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -122,6 +125,32 @@ func TestEachEdgeMatchesCanonicalOrder(t *testing.T) {
 	}
 }
 
+// TestWalkerSurface pins the public walk API: among *Product's exported
+// methods, the EachEdge*/StreamEdges* walkers are exactly these six.
+// Every stream shape is a window of the one kernel, so a new shape is a
+// new window behind the block × range walk, not a new entry point;
+// adding a walker means editing this list.
+func TestWalkerSurface(t *testing.T) {
+	want := []string{ // reflect lists methods in lexical order
+		"EachEdge",
+		"EachEdgeBlockBatchContext",
+		"EachEdgeBlockRangeBatchContext",
+		"EachEdgeFourCycle",
+		"EachEdgeRangeBatchContext",
+		"StreamEdgesParallelContext",
+	}
+	var got []string
+	typ := reflect.TypeOf(&Product{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; strings.HasPrefix(name, "EachEdge") || strings.HasPrefix(name, "StreamEdges") {
+			got = append(got, name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("walker methods %v,\nwant exactly %v", got, want)
+	}
+}
+
 // streamDigest is an order-sensitive CRC-64 (ECMA) of the full stream,
 // each edge hashed as two little-endian uint64s.
 func streamDigest(p *Product) (sum uint64, n int64) {
@@ -205,8 +234,8 @@ type fuzzCase struct {
 	order []oracleEdge
 }
 
-// checkWalks runs each walk of one window — per-edge and batch, plain
-// and cancellable — and fails unless every one yields exactly want.
+// checkWalks runs each walk of one window — under a cancellable and a
+// background context — and fails unless every one yields exactly want.
 func checkWalks(t *testing.T, what string, want []oracleEdge, walks map[string]func(yield func(v, w int) bool) error) {
 	t.Helper()
 	for name, walk := range walks {
@@ -244,13 +273,39 @@ func batched(walk func(yield func(batch []exec.Edge) bool) error) func(yield fun
 	}
 }
 
-// FuzzEdgeRange differentially tests every range walker against the
-// definition-order oracle: the input picks a product from the
-// small-factor pool, an offset, a limit and a block grid.  The per-edge
-// and batch range walks must equal the matching slice of the canonical
-// order, the block-range walks the matching slice of the block's
-// restriction, and the closed-form counts (NumEdges, BlockEdgeCount)
-// the oracle's lengths.
+// blockEdges walks block (r, c) of an R×C grid edge by edge through the
+// batch block walk under a background context.  Shard s of n is block
+// (s, 0) of n×1.
+func blockEdges(p *Product, r, R, c, C int, yield func(v, w int) bool) error {
+	return batched(func(y func([]exec.Edge) bool) error {
+		return p.EachEdgeBlockBatchContext(context.Background(), r, R, c, C, y)
+	})(yield)
+}
+
+// rangeEdges walks edges [lo, hi) of the canonical order edge by edge
+// through the batch range walk under a background context.
+func rangeEdges(p *Product, lo, hi int64, yield func(v, w int) bool) error {
+	return batched(func(y func([]exec.Edge) bool) error {
+		return p.EachEdgeRangeBatchContext(context.Background(), lo, hi, y)
+	})(yield)
+}
+
+// blockRangeEdges walks edges [lo, hi) of block (r, c)'s order edge by
+// edge through the batch block-range walk under a background context.
+func blockRangeEdges(p *Product, r, R, c, C int, lo, hi int64, yield func(v, w int) bool) error {
+	return batched(func(y func([]exec.Edge) bool) error {
+		return p.EachEdgeBlockRangeBatchContext(context.Background(), r, R, c, C, lo, hi, y)
+	})(yield)
+}
+
+// FuzzEdgeRange differentially tests every range and block walk against
+// the definition-order oracle: the input picks a product from the
+// small-factor pool, an offset, a limit and a block grid.  The range
+// walk must equal the matching slice of the canonical order, the
+// block-range walk the matching slice of the block's restriction and
+// the block walk the whole restriction, each under a cancellable and a
+// background context; the closed-form counts (NumEdges, BlockEdgeCount)
+// must equal the oracle's lengths.
 func FuzzEdgeRange(f *testing.F) {
 	f.Add(uint8(0), uint32(0), uint32(1<<31), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(uint8(3), uint32(17), uint32(40), uint8(1), uint8(2), uint8(1), uint8(1))
@@ -260,8 +315,17 @@ func FuzzEdgeRange(f *testing.F) {
 		pool := fuzzPool()
 		fc := pool[int(pick)%len(pool)]
 		p, order := fc.p, fc.order
-		ctx, cancel := context.WithCancel(context.Background())
+		live, cancel := context.WithCancel(context.Background())
 		defer cancel()
+		// Each walk runs under a cancellable and a background context;
+		// walkBatch takes a different branch for each.
+		both := func(walk func(ctx context.Context, y func([]exec.Edge) bool) error) map[string]func(yield func(v, w int) bool) error {
+			walks := map[string]func(yield func(v, w int) bool) error{}
+			for name, ctx := range map[string]context.Context{"cancellable": live, "background": context.Background()} {
+				walks[name] = batched(func(y func([]exec.Edge) bool) error { return walk(ctx, y) })
+			}
+			return walks
+		}
 
 		n := int64(len(order))
 		if p.NumEdges() != n {
@@ -269,15 +333,9 @@ func FuzzEdgeRange(f *testing.F) {
 		}
 		lo := int64(offset) % (n + 1)
 		hi := lo + int64(limit)%(n-lo+1)
-		checkWalks(t, "range", order[lo:hi], map[string]func(yield func(v, w int) bool) error{
-			"EachEdgeRange": func(y func(v, w int) bool) error { return p.EachEdgeRange(lo, hi, y) },
-			"EachEdgeRangeContext": func(y func(v, w int) bool) error {
-				return p.EachEdgeRangeContext(ctx, lo, hi, y)
-			},
-			"EachEdgeRangeBatchContext": batched(func(y func([]exec.Edge) bool) error {
-				return p.EachEdgeRangeBatchContext(ctx, lo, hi, y)
-			}),
-		})
+		checkWalks(t, "EachEdgeRangeBatchContext", order[lo:hi], both(func(ctx context.Context, y func([]exec.Edge) bool) error {
+			return p.EachEdgeRangeBatchContext(ctx, lo, hi, y)
+		}))
 
 		R, C := 1+int(rows)%5, 1+int(cols)%7
 		r, c := int(brow)%R, int(bcol)%C
@@ -289,23 +347,12 @@ func FuzzEdgeRange(f *testing.F) {
 		}
 		blo := int64(offset) % (bn + 1)
 		bhi := blo + int64(limit)%(bn-blo+1)
-		checkWalks(t, "block range", block[blo:bhi], map[string]func(yield func(v, w int) bool) error{
-			"EachEdgeBlockRange": func(y func(v, w int) bool) error {
-				return p.EachEdgeBlockRange(r, R, c, C, blo, bhi, y)
-			},
-			"EachEdgeBlockRangeContext": func(y func(v, w int) bool) error {
-				return p.EachEdgeBlockRangeContext(ctx, r, R, c, C, blo, bhi, y)
-			},
-			"EachEdgeBlockRangeBatchContext": batched(func(y func([]exec.Edge) bool) error {
-				return p.EachEdgeBlockRangeBatchContext(ctx, r, R, c, C, blo, bhi, y)
-			}),
-		})
-		checkWalks(t, "block", block, map[string]func(yield func(v, w int) bool) error{
-			"EachEdgeBlock": func(y func(v, w int) bool) error { return p.EachEdgeBlock(r, R, c, C, y) },
-			"EachEdgeBlockBatchContext": batched(func(y func([]exec.Edge) bool) error {
-				return p.EachEdgeBlockBatchContext(ctx, r, R, c, C, y)
-			}),
-		})
+		checkWalks(t, "EachEdgeBlockRangeBatchContext", block[blo:bhi], both(func(ctx context.Context, y func([]exec.Edge) bool) error {
+			return p.EachEdgeBlockRangeBatchContext(ctx, r, R, c, C, blo, bhi, y)
+		}))
+		checkWalks(t, "EachEdgeBlockBatchContext", block, both(func(ctx context.Context, y func([]exec.Edge) bool) error {
+			return p.EachEdgeBlockBatchContext(ctx, r, R, c, C, y)
+		}))
 	})
 }
 

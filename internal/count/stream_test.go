@@ -78,7 +78,7 @@ func TestDegreeSinkBatchMatchesPerEdge(t *testing.T) {
 		return true
 	})
 	batched := count.NewDegreeSink(p.N())
-	if err := p.EachEdgeBatchContext(context.Background(), func(batch []exec.Edge) bool {
+	if err := p.EachEdgeRangeBatchContext(context.Background(), 0, p.NumEdges(), func(batch []exec.Edge) bool {
 		if err := batched.EdgeBatch(batch); err != nil {
 			t.Fatal(err)
 		}

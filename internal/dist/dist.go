@@ -161,7 +161,7 @@ func generateRank(ctx context.Context, p *core.Product, rank, ranks int) (Shard,
 	// cost model (each rank scans the factor pair space) matches the
 	// paper's O(|E_C|^{1/2})-memory workers.
 	var streamErr error
-	err := p.EachEdgeBatchContext(ctx, func(batch []exec.Edge) bool {
+	err := p.EachEdgeRangeBatchContext(ctx, 0, p.NumEdges(), func(batch []exec.Edge) bool {
 		for _, e := range batch {
 			low := e.V
 			if e.W < low {

@@ -3,11 +3,11 @@
 // scale-out story made concrete by its closed forms.
 //
 // The coordinator partitions a factor-chain spec's canonical edge order
-// into a rows×cols grid of blocks (core.EachEdgeBlock: rows stripe the
-// stream's row space, cols stripe the last factor's edge list) and
-// leases each block to a replica over POST /v1/leases.  Three properties
-// of the paper's construction make the distribution trivial to verify
-// and safe to retry:
+// into a rows×cols grid of blocks (core.EachEdgeBlockBatchContext: rows
+// stripe the stream's row space, cols stripe the last factor's edge
+// list) and leases each block to a replica over POST /v1/leases.  Three
+// properties of the paper's construction make the distribution trivial
+// to verify and safe to retry:
 //
 //   - determinism: any replica produces byte-identical output for a
 //     given block, so a lease lost to a crash or deadline is simply

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"kronbip/internal/exec"
 	"kronbip/internal/serve"
 	"kronbip/internal/spec"
 )
@@ -492,11 +493,13 @@ func BenchmarkDistGenMerge(b *testing.B) {
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			var buf bytes.Buffer
-			if err := p.EachEdgeBlock(r, rows, c, cols, func(v, w int) bool {
-				buf.WriteString(strconv.Itoa(v))
-				buf.WriteByte('\t')
-				buf.WriteString(strconv.Itoa(w))
-				buf.WriteByte('\n')
+			if err := p.EachEdgeBlockBatchContext(context.Background(), r, rows, c, cols, func(batch []exec.Edge) bool {
+				for _, e := range batch {
+					buf.WriteString(strconv.Itoa(e.V))
+					buf.WriteByte('\t')
+					buf.WriteString(strconv.Itoa(e.W))
+					buf.WriteByte('\n')
+				}
 				return true
 			}); err != nil {
 				b.Fatal(err)

@@ -43,8 +43,8 @@ var (
 
 // leaseRequest is the POST /v1/leases body.  The spec fields follow the
 // submitRequest vocabulary; the block coordinates follow
-// core.EachEdgeBlock: (row, col) of a rows×cols blocking of the
-// canonical edge order.
+// core.EachEdgeBlockBatchContext: (row, col) of a rows×cols blocking of
+// the canonical edge order.
 type leaseRequest struct {
 	Factor  string   `json:"factor"`
 	Factors []string `json:"factors"`
@@ -159,10 +159,9 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	} else {
 		out = newStreamSink(w, format == "ndjson")
 	}
-	// The whole-block lease rides the closure-free batch walker (the
-	// same ~20% hot-loop win the sharded stream got in the batch-native
-	// rework); a resumed lease seeks to the offset in closed form and
-	// batches the tail.
+	// The lease rides the closure-free batch walk: a fresh lease covers
+	// the whole block, a resumed one seeks to its offset in closed form
+	// and batches the tail.
 	var sinkErr error
 	deliver := func(batch []exec.Edge) bool {
 		if e := out.EdgeBatch(batch); e != nil {
@@ -171,11 +170,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	}
-	if req.Offset == 0 {
-		err = p.EachEdgeBlockBatchContext(r.Context(), req.Row, req.Rows, req.Col, req.Cols, deliver)
-	} else {
-		err = p.EachEdgeBlockRangeBatchContext(r.Context(), req.Row, req.Rows, req.Col, req.Cols, req.Offset, want, deliver)
-	}
+	err = p.EachEdgeBlockRangeBatchContext(r.Context(), req.Row, req.Rows, req.Col, req.Cols, req.Offset, want, deliver)
 	if err == nil {
 		err = sinkErr
 	}

@@ -235,7 +235,7 @@ func parseEdgeRange(w http.ResponseWriter, q url.Values, total int64) (lo, hi in
 			writeError(w, http.StatusBadRequest, "bad limit %q (want a non-negative edge count)", v)
 			return 0, 0, false
 		}
-		if lo+n < hi {
+		if n < hi-lo {
 			hi = lo + n
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -456,6 +457,22 @@ func TestEdgesRangeRequests(t *testing.T) {
 	}
 	if got := res.Trailer.Get(TrailerEdges); got != "0" {
 		t.Fatalf("offset=total trailer edges %q", got)
+	}
+
+	// A limit past the stream end clamps to the end (offset+limit must
+	// not wrap): the same edges [5, total) as an unlimited request.
+	for _, format := range []string{"tsv", "bin"} {
+		want, _ := fetchBody(t, base+"?format="+format+"&offset=5")
+		got, tr := fetchBody(t, base+fmt.Sprintf("?format=%s&offset=5&limit=%d", format, int64(math.MaxInt64)))
+		if st := tr.Get(TrailerStatus); st != "complete" {
+			t.Fatalf("%s huge limit: trailer status %q, want complete", format, st)
+		}
+		if n := tr.Get(TrailerEdges); n != strconv.FormatInt(final.NumEdges-5, 10) {
+			t.Fatalf("%s huge limit: trailer edges %s, want %d", format, n, final.NumEdges-5)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s huge limit: %d body bytes differ from the unlimited tail's %d", format, len(got), len(want))
+		}
 	}
 }
 
