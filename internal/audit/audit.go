@@ -9,7 +9,9 @@
 //     degree-product identity behind Thm. 3;
 //   - dual-route 4-cycle counts: Σ s_v / 4 (Thm. 3/4 route) must equal
 //     Σ ◊_e / 4 (Thm. 5 route) — two different formula families over
-//     different index sets agreeing on one number;
+//     different index sets agreeing on one number.  The edge route is
+//     one ◊ walk of the whole product on one core: every edge's ◊ is
+//     folded into the walk, a few nanoseconds per edge;
 //   - streamed edges: the stream must carry exactly NumEdges() edges,
 //     each a real product edge crossing the bipartition (sampled
 //     membership checks against HasEdge);

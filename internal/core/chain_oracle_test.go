@@ -485,3 +485,38 @@ func TestChainEdgeOverflow(t *testing.T) {
 		t.Fatal("overflow error must render a message")
 	}
 }
+
+// TestChainFourCycleOverflow: crown4 chains keep every size small (a
+// crown4 root with eight crown4 levels has 8⁹ = 2^27 vertices), but
+// their 4-cycle count grows faster than the edge count.  Eight levels
+// give 27,954,947,335,076,708,352 4-cycles (math/big), past 2^63; the
+// global sums must reject it with the typed error rather than wrap.
+// Seven levels still fit, and their count is exact.
+func TestChainFourCycleOverflow(t *testing.T) {
+	crown := gen.Crown(4).Graph
+	chain := func(k int) (*Product, error) {
+		bs := make([]*graph.Graph, k)
+		for i := range bs {
+			bs[i] = crown
+		}
+		return NewChain(crown, ModeSelfLoopFactor, bs...)
+	}
+	_, err := chain(8)
+	if err == nil {
+		t.Fatal("accepted a chain with > 2^63 4-cycles")
+	}
+	var oe *OverflowError
+	if !errors.As(err, &oe) {
+		t.Fatalf("error is %T (%v), want *OverflowError", err, err)
+	}
+	if oe.Quantity != "4-cycle count" {
+		t.Fatalf("overflow quantity %q, want \"4-cycle count\"", oe.Quantity)
+	}
+	p, err := chain(7)
+	if err != nil {
+		t.Fatalf("seven crown4 levels: %v", err)
+	}
+	if got, want := p.GlobalFourCycles(), int64(166166359003103232); got != want {
+		t.Fatalf("GlobalFourCycles = %d, math/big says %d", got, want)
+	}
+}

@@ -258,7 +258,9 @@ func newChain(a *graph.Graph, mode Mode, bs []*graph.Graph, strict bool) (*Produ
 	if err := p.computeLayout(); err != nil {
 		return nil, err
 	}
-	p.computeGlobalSums()
+	if err := p.computeGlobalSums(); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -331,43 +333,61 @@ func (p *Product) computeLayout() error {
 // GlobalFourCycles sublinear: for each level the +I lift shifts the sums
 // (Σd ↦ Σd + N, Σd² ↦ Σd² + 2Σd + N, Σw⁽²⁾ ↦ Σw⁽²⁾ + 2Σd + N,
 // Σdiag⁴ ↦ Σdiag⁴ + 6Σd + N) and the ⊗B_t step multiplies them by the
-// factor's own sums (Σ(x ⊗ y) = Σx·Σy).
-func (p *Product) computeGlobalSums() {
+// factor's own sums (Σ(x ⊗ y) = Σx·Σy).  Every sum is non-negative and
+// every step is overflow-guarded.  Once the four sums fit, so does every
+// per-vertex count, per-edge ◊ and Σ◊ = 4·□(C), since each is bounded
+// by Σdiag(C⁴).
+func (p *Product) computeGlobalSums() error {
+	fits := true
+	mul := func(a, b int64) int64 {
+		r, ok := mulInt64(a, b)
+		fits = fits && ok
+		return r
+	}
+	add := func(a, b int64) int64 {
+		r, ok := addInt64(a, b)
+		fits = fits && ok
+		return r
+	}
 	var sD, sD2, sW2, sD4 int64
 	for i := 0; i < p.a.N(); i++ {
 		d, w2, d4 := p.a.D[i], p.a.W2[i], p.a.diag4(i)
 		if p.mode == ModeSelfLoopFactor {
-			d4 += 6*d + 1
-			w2 += 2*d + 1
+			d4 = add(d4, 6*d+1)
+			w2 = add(w2, 2*d+1)
 			d++
 		}
-		sD += d
-		sD2 += d * d
-		sW2 += w2
-		sD4 += d4
+		sD = add(sD, d)
+		sD2 = add(sD2, mul(d, d))
+		sW2 = add(sW2, w2)
+		sD4 = add(sD4, d4)
 	}
 	prefixN := int64(p.a.N())
 	for t, f := range p.bs {
 		if t > 0 {
-			sD4 += 6*sD + prefixN
-			sW2 += 2*sD + prefixN
-			sD2 += 2*sD + prefixN
-			sD += prefixN
+			sD4 = add(sD4, add(mul(6, sD), prefixN))
+			sW2 = add(sW2, add(mul(2, sD), prefixN))
+			sD2 = add(sD2, add(mul(2, sD), prefixN))
+			sD = add(sD, prefixN)
 		}
 		var bD, bD2, bW2, bD4 int64
 		for x := 0; x < f.N(); x++ {
-			bD += f.D[x]
-			bD2 += f.D[x] * f.D[x]
-			bW2 += f.W2[x]
-			bD4 += f.diag4(x)
+			bD = add(bD, f.D[x])
+			bD2 = add(bD2, mul(f.D[x], f.D[x]))
+			bW2 = add(bW2, f.W2[x])
+			bD4 = add(bD4, f.diag4(x))
 		}
-		sD *= bD
-		sD2 *= bD2
-		sW2 *= bW2
-		sD4 *= bD4
-		prefixN *= int64(f.N())
+		sD = mul(sD, bD)
+		sD2 = mul(sD2, bD2)
+		sW2 = mul(sW2, bW2)
+		sD4 = mul(sD4, bD4)
+		prefixN *= int64(f.N()) // bounded by rad.N(), cannot overflow
+	}
+	if !fits {
+		return &OverflowError{Quantity: "4-cycle count", Detail: fmt.Sprintf("mode %v, factor sizes %v", p.mode, p.factorSizes())}
 	}
 	p.sumD, p.sumD2, p.sumW2, p.sumDiag4 = sD, sD2, sW2, sD4
+	return nil
 }
 
 func (p *Product) factorSizes() []int {
@@ -519,14 +539,18 @@ func (p *Product) HasEdge(v, w int) bool {
 // leading digit, then per level a +1 lift (the +I) followed by the factor
 // degree product; for K = 1 this is the paper's d_p = d_i·d_k (mode (i))
 // or (d_i+1)·d_k (mode (ii)).
-func (p *Product) DegreeAt(v int) int64 {
+func (p *Product) DegreeAt(v int) int64 { return p.levelDegree(v, len(p.bs)) }
+
+// levelDegree is DegreeAt in chain level C_t (C_0 = A): the degree of
+// the level-t vertex whose digits lead product vertex v.
+func (p *Product) levelDegree(v, t int) int64 {
 	d := p.a.D[p.rad.Digit(v, 0)]
 	lift := p.mode == ModeSelfLoopFactor
-	for u, f := range p.bs {
+	for u := 1; u <= t; u++ {
 		if lift {
 			d++
 		}
-		d *= f.D[p.rad.Digit(v, u+1)]
+		d *= p.bs[u-1].D[p.rad.Digit(v, u)]
 		lift = true
 	}
 	return d
@@ -652,7 +676,7 @@ func (p *Product) MaterializeContext(ctx context.Context, workers int) (*graph.G
 // (i,l)–(j,k) per level; self-loop rows contribute one orientation at
 // their anchor level.  Iteration stops early if yield returns false.
 func (p *Product) EachEdge(yield func(v, w int) bool) {
-	p.run(p.whole(), nil, nil, yield)
+	p.run(p.whole(), nil, walker{yield: yield})
 }
 
 // String summarizes the product.

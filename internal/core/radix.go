@@ -20,14 +20,14 @@ import "fmt"
 const maxInt = int(^uint(0) >> 1)
 
 // OverflowError is the typed error returned when a chain's closed-form
-// sizes (vertex count, edge count, or sharding row count) do not fit in
-// the machine integer types the generator streams with.  Following the
+// sizes (vertex count, edge count, sharding row count, or 4-cycle count)
+// do not fit in the machine integer types the generator streams with.  Following the
 // exec.Stripe idiom, the library never *computes* a wrapped value and
 // then checks it — every multiplication and addition on the way up is
 // guarded, so the error surfaces at construction, long before any
 // generation work.
 type OverflowError struct {
-	Quantity string // what overflowed: "vertex count", "edge count", …
+	Quantity string // what overflowed: "vertex count", "4-cycle count", …
 	Detail   string // the factor sizes that overflowed it
 }
 

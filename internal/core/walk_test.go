@@ -125,6 +125,59 @@ func TestEachEdgeMatchesCanonicalOrder(t *testing.T) {
 	}
 }
 
+// fourWalkOf runs the ◊ walk of win and fails unless it yields exactly
+// want, in order, with every edge's ◊ equal to the EdgeFourCyclesAt
+// point query and every batch of legal size with a ◊ per edge.
+func fourWalkOf(t *testing.T, what string, p *Product, win window, want []oracleEdge) {
+	t.Helper()
+	i := 0
+	p.walkFour(win, func(batch []exec.Edge, sq []int64) bool {
+		if len(batch) == 0 || len(batch) > exec.BatchLen || len(sq) != len(batch) {
+			t.Fatalf("%s: batch of %d edges with %d ◊", what, len(batch), len(sq))
+		}
+		for j, e := range batch {
+			if i >= len(want) || want[i].v != e.V || want[i].w != e.W {
+				t.Fatalf("%s: edge %d is (%d,%d), oracle has %d edges", what, i, e.V, e.W, len(want))
+			}
+			if d, err := p.EdgeFourCyclesAt(e.V, e.W); err != nil || d != sq[j] {
+				t.Fatalf("%s: edge %d (%d,%d) has ◊ %d, EdgeFourCyclesAt %d, %v", what, i, e.V, e.W, sq[j], d, err)
+			}
+			i++
+		}
+		return true
+	})
+	if i != len(want) {
+		t.Fatalf("%s: %d edges, oracle %d", what, i, len(want))
+	}
+}
+
+// TestFourWalkMatchesPointQueries: on every oracle chain, mode (i) and
+// mode (ii), the ◊ walk yields EachEdge's sequence with every ◊ equal
+// to EdgeFourCyclesAt, through the batch walk and through its per-edge
+// replay EachEdgeFourCycle, which also stops when told to.
+func TestFourWalkMatchesPointQueries(t *testing.T) {
+	for _, c := range chainOracleCases() {
+		p := buildChainCase(t, c)
+		var order []oracleEdge
+		p.EachEdge(func(v, w int) bool {
+			order = append(order, oracleEdge{v: v, w: w})
+			return true
+		})
+		fourWalkOf(t, c.name, p, p.whole(), order)
+		i := 0
+		p.EachEdgeFourCycle(func(v, w int, sq int64) bool {
+			if d, err := p.EdgeFourCyclesAt(v, w); order[i].v != v || order[i].w != w || err != nil || d != sq {
+				t.Fatalf("%s: EachEdgeFourCycle edge %d is (%d,%d) ◊ %d; EachEdge %v, EdgeFourCyclesAt %d, %v", c.name, i, v, w, sq, order[i], d, err)
+			}
+			i++
+			return i < len(order)/2
+		})
+		if i != len(order)/2 {
+			t.Fatalf("%s: EachEdgeFourCycle stopped after %d edges, yield said stop at %d", c.name, i, len(order)/2)
+		}
+	}
+}
+
 // TestWalkerSurface pins the public walk API: among *Product's exported
 // methods, the EachEdge*/StreamEdges* walkers are exactly these six.
 // Every stream shape is a window of the one kernel, so a new shape is a
@@ -202,6 +255,24 @@ func TestStreamDigestsPinned(t *testing.T) {
 		if sum != want.sum || n != want.n {
 			t.Errorf("%s: digest %#016x over %d edges, pinned %#016x over %d", name, sum, n, want.sum, want.n)
 		}
+	}
+}
+
+// TestTableIFourCycleRoutes pins the Table I product's 4-cycle count on
+// both routes: the closed form from factor sums and the ◊ walk's sum
+// over all 4,245,280 edges.
+func TestTableIFourCycleRoutes(t *testing.T) {
+	u := gen.UnicodeLike(2020)
+	p, err := NewRelaxedWithParts(u.Graph, u, ModeSelfLoopFactor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 164048481
+	if got := p.GlobalFourCycles(); got != want {
+		t.Errorf("GlobalFourCycles = %d, pinned %d", got, want)
+	}
+	if got := p.GlobalFourCyclesViaEdges(); got != want {
+		t.Errorf("GlobalFourCyclesViaEdges = %d, pinned %d", got, want)
 	}
 }
 
@@ -305,7 +376,9 @@ func blockRangeEdges(p *Product, r, R, c, C int, lo, hi int64, yield func(v, w i
 // block-range walk the matching slice of the block's restriction and
 // the block walk the whole restriction, each under a cancellable and a
 // background context; the closed-form counts (NumEdges, BlockEdgeCount)
-// must equal the oracle's lengths.
+// must equal the oracle's lengths.  The ◊ walk of each of the three
+// windows must yield the same edges, each priced as EdgeFourCyclesAt
+// prices it.
 func FuzzEdgeRange(f *testing.F) {
 	f.Add(uint8(0), uint32(0), uint32(1<<31), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(uint8(3), uint32(17), uint32(40), uint8(1), uint8(2), uint8(1), uint8(1))
@@ -336,6 +409,11 @@ func FuzzEdgeRange(f *testing.F) {
 		checkWalks(t, "EachEdgeRangeBatchContext", order[lo:hi], both(func(ctx context.Context, y func([]exec.Edge) bool) error {
 			return p.EachEdgeRangeBatchContext(ctx, lo, hi, y)
 		}))
+		win, err := p.whole().sub(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fourWalkOf(t, "◊ range", p, win, order[lo:hi])
 
 		R, C := 1+int(rows)%5, 1+int(cols)%7
 		r, c := int(brow)%R, int(bcol)%C
@@ -353,18 +431,30 @@ func FuzzEdgeRange(f *testing.F) {
 		checkWalks(t, "EachEdgeBlockBatchContext", block, both(func(ctx context.Context, y func([]exec.Edge) bool) error {
 			return p.EachEdgeBlockBatchContext(ctx, r, R, c, C, y)
 		}))
+		bwin, err := p.blockWindow(r, R, c, C)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fourWalkOf(t, "◊ block", p, bwin, block)
+		if win, err = bwin.sub(blo, bhi); err != nil {
+			t.Fatal(err)
+		}
+		fourWalkOf(t, "◊ block range", p, win, block[blo:bhi])
 	})
 }
 
 // walkAllocBound caps the allocations of one walk of each shape.  A walk
 // resolves its factor state once, so the count is a small constant:
-// independent of the product's size and of how many rows it walks.
+// independent of the product's size and of how many rows it walks.  The
+// ◊ walk ("four") resolves its stripe and anchor state once too, never
+// per row or per prefix pair.
 var walkAllocBound = map[string]float64{
 	"range":       12,
 	"mid-row":     12,
 	"blocks2x3":   48,
 	"block-range": 12,
 	"parallel":    32,
+	"four":        16,
 }
 
 // walkAllocs measures each walk shape's allocations on p.
@@ -421,6 +511,13 @@ func walkAllocs(t *testing.T, p *Product) map[string]float64 {
 			sinks[0].n, sinks[1].n = 0, 0
 			return n
 		},
+		"four": func() int64 {
+			if sum, want := p.GlobalFourCyclesViaEdges(), p.GlobalFourCycles(); sum != want {
+				t.Fatalf("GlobalFourCyclesViaEdges %d, closed form %d", sum, want)
+			}
+			got = n // the sum covers every edge or it would not match
+			return n
+		},
 	}
 	out := map[string]float64{}
 	for shape, walk := range walks {
@@ -441,9 +538,10 @@ func (c *countBatchSink) EdgeBatch(batch []exec.Edge) error {
 
 // TestWalkAllocsBounded: every walk shape — a full range, a span that
 // starts mid-row (as the parallel encoder's spans do), a 2×3 block
-// sweep, a block range from a mid-row offset and the parallel batch
-// stream — allocates a fixed, small number of times, on a K = 1 product
-// and a K = 2 chain, and the same bound holds for products 4× larger.
+// sweep, a block range from a mid-row offset, the parallel batch stream
+// and the ◊ sum — allocates a fixed, small number of times, on a K = 1
+// product and a K = 2 chain, and the same bound holds for products 4×
+// larger.
 // Rebuilding a factor's edge list per row or per prefix pair instead of
 // per walk scales the count with the product and fails here.
 func TestWalkAllocsBounded(t *testing.T) {

@@ -559,6 +559,8 @@ func TestBadRequests(t *testing.T) {
 		{"GET", "/v1/truth?factor=wat", "", http.StatusBadRequest},
 		{"GET", "/v1/truth?factor=crown4&vertex=99999999", "", http.StatusBadRequest},
 		{"GET", "/v1/truth?factor=crown4&edge=zz", "", http.StatusBadRequest},
+		// a crown4 root with eight crown4 levels: 2^27 vertices, but 2.8e19 4-cycles
+		{"GET", "/v1/truth?mode=selfloop" + strings.Repeat("&factor=crown4", 8), "", http.StatusBadRequest},
 		{"GET", "/v1/stats?seed=abc", "", http.StatusBadRequest},
 		{"GET", "/v1/jobs/nope", "", http.StatusNotFound},
 		{"DELETE", "/v1/jobs/nope", "", http.StatusNotFound},
