@@ -1,6 +1,6 @@
 # Development workflow for kronbip.  Pure Go 1.22+, no dependencies.
 #
-#   make            - vet + build + full test suite
+#   make            - vet (incl. a gofmt gate) + build + full test suite
 #   make race       - race-detector pass over the concurrent packages
 #   make bench      - streaming + engine benchmarks
 #   make bench-json - same benchmarks as a dated BENCH_<date>.json record
@@ -20,14 +20,16 @@ BENCH_DATE := $(shell date +%Y-%m-%dT%H%M%S)
 # Packages with nontrivial concurrency: everything scheduled on the
 # internal/exec engine plus the engine itself, the obs registry the
 # instrumented paths hammer concurrently, and the serve job manager.
-RACE_PKGS = ./internal/exec ./internal/core ./internal/count ./internal/grb ./internal/dist ./internal/obs ./internal/obs/timeline ./internal/audit ./internal/serve ./internal/distgen
+RACE_PKGS = ./internal/exec ./internal/core ./internal/count ./internal/grb ./internal/obs ./internal/obs/timeline ./internal/audit ./internal/serve ./internal/distgen
 
 .PHONY: all vet build test race fuzz bench bench-json bench-check bench-trend serve-smoke distgen-smoke check
 
 all: vet build test
 
+# vet also fails on any tracked Go file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 build:
 	$(GO) build ./...

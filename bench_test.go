@@ -19,7 +19,6 @@ import (
 	"kronbip/internal/bter"
 	"kronbip/internal/core"
 	"kronbip/internal/count"
-	"kronbip/internal/dist"
 	"kronbip/internal/exec"
 	"kronbip/internal/experiments"
 	"kronbip/internal/gen"
@@ -354,25 +353,6 @@ func BenchmarkApprox_WedgeSample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := approx.WedgeSample(g, 10000, int64(i)); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// --- EXP-DIST: distributed-generation simulation ---
-
-// BenchmarkDist_Generate8Ranks times the simulated 8-rank generation with
-// inline ground truth.
-func BenchmarkDist_Generate8Ranks(b *testing.B) {
-	a := gen.ConnectedBipartiteScaleFree(48, 96, 240, 4)
-	p, err := core.NewRelaxedWithParts(a.Graph, a, core.ModeSelfLoopFactor)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := dist.Generate(p, 8)
-		if err != nil || res.GlobalFour != p.GlobalFourCycles() {
-			b.Fatal("distributed reduction wrong")
 		}
 	}
 }

@@ -21,8 +21,8 @@ import (
 // spec's canonical edge order into a rows×cols block grid, lease each
 // block to a replica over POST /v1/leases, and merge the returned
 // streams into one ordered output — verified block by block and in
-// total against the closed forms, with the optional online auditor
-// running over the merged stream.
+// total against the closed forms, with the fleet's Σ◊ checked against
+// 4·□ and the optional online auditor running over the merged stream.
 func cmdDistGen(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("dist-gen", flag.ExitOnError)
 	var workers factorChain
@@ -32,8 +32,8 @@ func cmdDistGen(ctx context.Context, args []string) error {
 	seed := fs.Int64("seed", 2020, "factor seed")
 	out := fs.String("edges-out", "-", "merged edge list destination ('-' for stdout)")
 	format := fs.String("format", "tsv", "edge rendering leased from workers and written out: tsv | ndjson | bin (binary wire frames; dropped leases resume from the last complete frame)")
-	rows := fs.Int("rows", 0, "row blocks of the grid (0 = auto-size with -cols from -target-block-edges)")
-	cols := fs.Int("cols", 0, "column blocks of the grid (0 = auto-size)")
+	rows := fs.Int("rows", 0, "row blocks of the grid; set with -cols, or leave both 0 to auto-size from -target-block-edges")
+	cols := fs.Int("cols", 0, "column blocks of the grid; set with -rows, or leave both 0 to auto-size")
 	targetBlock := fs.Int64("target-block-edges", distgen.DefaultTargetBlockEdges, "auto-sizing per-block edge target")
 	leaseTimeout := fs.Duration("lease-timeout", 2*time.Minute, "per-lease deadline; an expired lease is re-issued to another replica")
 	maxAttempts := fs.Int("max-attempts", 0, "failed leases tolerated per block before aborting (0 = 2 + worker count)")
@@ -91,8 +91,8 @@ func cmdDistGen(ctx context.Context, args []string) error {
 		runErr = err
 	}
 	if res != nil {
-		verb.Summaryf("dist-gen: merged %d edges from %d blocks (%dx%d grid, %d retried leases) req_id=%s\n",
-			res.Edges, res.Blocks, res.Rows, res.Cols, res.Retries, res.RequestID)
+		verb.Summaryf("dist-gen: merged %d edges from %d blocks (%dx%d grid, %d retried leases) four_cycles=%d req_id=%s\n",
+			res.Edges, res.Blocks, res.Rows, res.Cols, res.Retries, res.FourCycles, res.RequestID)
 		for _, ws := range res.Workers {
 			verb.Summaryf("dist-gen: worker %s leases=%d failures=%d backoffs=%d ewma=%.3fs\n",
 				ws.URL, ws.Leases, ws.Failures, ws.Backoffs, ws.EWMASeconds)

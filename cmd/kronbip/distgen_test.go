@@ -70,6 +70,13 @@ func TestCmdDistGen(t *testing.T) {
 	if err := cmdDistGen(ctx, []string{"-worker", urls[0], "-factor", "crown3", "-format", "csv"}); err == nil {
 		t.Fatal("cmdDistGen accepted -format csv")
 	}
+	// A half-specified or negative grid is rejected, not auto-sized.
+	for _, grid := range [][]string{{"-rows", "4"}, {"-cols", "3"}, {"-rows", "-1", "-cols", "2"}} {
+		err := cmdDistGen(ctx, append([]string{"-worker", urls[0], "-factor", "crown3"}, grid...))
+		if err == nil || !strings.Contains(err.Error(), "Rows") || !strings.Contains(err.Error(), "Cols") {
+			t.Fatalf("cmdDistGen %v: err = %v, want one naming Rows and Cols", grid, err)
+		}
+	}
 	// A bad factor spec fails when the coordinator builds the product
 	// locally, before any lease is issued.
 	if err := cmdDistGen(ctx, []string{"-worker", urls[0], "-factor", "nope"}); err == nil {

@@ -30,7 +30,8 @@
 //	    block grid, lease blocks to the serve replicas (POST /v1/leases),
 //	    and merge the returned streams into one verified, ordered edge
 //	    list (internal/distgen).  Failed or straggling leases are
-//	    re-issued; -audit runs the ground-truth auditor on the merge.
+//	    re-issued; the leases' Σ◊ trailers must sum to 4·□ (printed as
+//	    four_cycles=); -audit runs the ground-truth auditor on the merge.
 //
 //	kronbip version
 //	    Print the build identity (module version, go version, VCS revision)

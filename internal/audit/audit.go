@@ -7,11 +7,14 @@
 //
 //   - degree sums: 2·|E_C| must equal (Σ d_M)(Σ d_B), the factor
 //     degree-product identity behind Thm. 3;
-//   - dual-route 4-cycle counts: Σ s_v / 4 (Thm. 3/4 route) must equal
-//     Σ ◊_e / 4 (Thm. 5 route) — two different formula families over
-//     different index sets agreeing on one number.  The edge route is
-//     one ◊ walk of the whole product on one core: every edge's ◊ is
-//     folded into the walk, a few nanoseconds per edge;
+//   - dual-route 4-cycle counts: Σ s_v (Thm. 3/4 route) must equal
+//     Σ ◊_e (Thm. 5 route) — two different formula families over
+//     different index sets agreeing on one number.  By default the edge
+//     route is one ◊ walk of the whole product on one core: every
+//     edge's ◊ is folded into the walk, a few nanoseconds per edge.  A
+//     caller whose generators already priced every edge hands the sum
+//     in instead (SetEdgeFourSum): distgen adds up its leases' Σ◊
+//     trailers, each computed by a worker as it walked its block;
 //   - streamed edges: the stream must carry exactly NumEdges() edges,
 //     each a real product edge crossing the bipartition (sampled
 //     membership checks against HasEdge);
@@ -35,7 +38,6 @@ import (
 	"sync"
 
 	"kronbip/internal/core"
-	"kronbip/internal/dist"
 	"kronbip/internal/obs"
 	"kronbip/internal/obs/timeline"
 )
@@ -157,6 +159,7 @@ type Auditor struct {
 	opt        Options
 	streamOnce sync.Once
 	stream     *StreamAuditor
+	edgeFour   *int64 // Σ◊_e supplied by SetEdgeFourSum; nil walks the product
 }
 
 // New builds an auditor for p.
@@ -173,6 +176,12 @@ func (a *Auditor) Stream() *StreamAuditor {
 	a.streamOnce.Do(func() { a.stream = NewStream(a.p, a.opt.SampleEvery) })
 	return a.stream
 }
+
+// SetEdgeFourSum supplies Σ◊_e, the edge route's sum over every edge,
+// computed elsewhere: Finalize's theorem.four_dual check then requires
+// it to equal 4·□, the vertex route's Σ s_v, instead of walking the
+// product.  Call it before Finalize.
+func (a *Auditor) SetEdgeFourSum(sum int64) { a.edgeFour = &sum }
 
 // Finalize runs every applicable check and returns the report.  The
 // stream checks only run when Stream() was attached; the community
@@ -210,10 +219,17 @@ func (a *Auditor) Finalize() *Report {
 		fmt.Sprintf("2|E_C|=%d vs folded Σd_C=%d over %d factors", 2*p.NumEdges(), degSum, p.Arity()))
 
 	// Dual-route global 4-cycles: Σ s_v/4 (vertex route, Thm. 3/4) vs
-	// Σ ◊_e/4 (edge route, Thm. 5).
-	v4, e4 := p.GlobalFourCycles(), p.GlobalFourCyclesViaEdges()
-	r.record("theorem.four_dual", v4 == e4,
-		fmt.Sprintf("Σs_v/4=%d vs Σ◊_e/4=%d", v4, e4))
+	// Σ ◊_e/4 (edge route, Thm. 5).  A supplied sum is compared whole:
+	// dividing it first would accept a sum off by less than 4.
+	v4 := p.GlobalFourCycles()
+	if a.edgeFour != nil {
+		r.record("theorem.four_dual", *a.edgeFour == 4*v4,
+			fmt.Sprintf("Σs_v=%d vs supplied Σ◊_e=%d", 4*v4, *a.edgeFour))
+	} else {
+		e4 := p.GlobalFourCyclesViaEdges()
+		r.record("theorem.four_dual", v4 == e4,
+			fmt.Sprintf("Σs_v/4=%d vs Σ◊_e/4=%d", v4, e4))
+	}
 
 	if a.stream != nil {
 		a.stream.finalize(r)
@@ -228,33 +244,6 @@ func (a *Auditor) Finalize() *Report {
 		checkCommunity(p, a.opt.CommunityTop, r)
 	}
 	return r
-}
-
-// CheckDistResult audits a distributed-generation reduction against the
-// product's ground truth: shard ranges must partition [0, n), the
-// reduced totals must match the closed forms, and both 4-cycle routes
-// must agree with the factor-only global count.
-func CheckDistResult(p *core.Product, res *dist.Result, r *Report) {
-	lo := 0
-	partitionOK := true
-	for _, s := range res.Shards {
-		if s.VertexLo != lo || s.VertexHi < s.VertexLo {
-			partitionOK = false
-			break
-		}
-		lo = s.VertexHi
-	}
-	if lo != p.N() {
-		partitionOK = false
-	}
-	r.record("dist.partition", partitionOK,
-		fmt.Sprintf("shard ranges do not partition [0,%d)", p.N()))
-	r.record("dist.edges", res.TotalEdges == p.NumEdges(),
-		fmt.Sprintf("reduced edges=%d vs closed form %d", res.TotalEdges, p.NumEdges()))
-	r.record("dist.degree_sum", res.TotalDegree == 2*p.NumEdges(),
-		fmt.Sprintf("reduced Σd=%d vs 2|E_C|=%d", res.TotalDegree, 2*p.NumEdges()))
-	r.record("dist.four_dual", res.GlobalFour == res.GlobalFourE && res.GlobalFour == p.GlobalFourCycles(),
-		fmt.Sprintf("Σs_v/4=%d Σ◊_e/4=%d factor-only=%d", res.GlobalFour, res.GlobalFourE, p.GlobalFourCycles()))
 }
 
 // feq compares densities with the same tolerance the Thm. 7 experiment

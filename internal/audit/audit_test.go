@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"kronbip/internal/core"
-	"kronbip/internal/dist"
 	"kronbip/internal/exec"
 	"kronbip/internal/gen"
 	"kronbip/internal/obs/timeline"
@@ -210,33 +209,28 @@ func TestSpotCheckBudget(t *testing.T) {
 	}
 }
 
-func TestCheckDistResult(t *testing.T) {
+// TestAuditSuppliedEdgeFourSum: a supplied Σ◊_e takes the edge walk's
+// place in theorem.four_dual, with the same checks run.  4·□ passes; a
+// sum off by one fails that check alone, though it divides to the same □.
+func TestAuditSuppliedEdgeFourSum(t *testing.T) {
 	p := products(t)["mode2"]
-	res, err := dist.Generate(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Report{}
-	CheckDistResult(p, res, r)
-	if !r.OK() {
-		t.Fatalf("clean dist result flagged: %v", r.Violations)
-	}
-	if r.Checks != 4 {
-		t.Errorf("Checks = %d, want 4", r.Checks)
-	}
-
-	// Corrupt the reduction: the audit must notice each class.
-	bad := *res
-	bad.TotalEdges += 5
-	bad.GlobalFourE += 1
-	r = &Report{}
-	CheckDistResult(p, &bad, r)
-	got := map[string]bool{}
-	for _, v := range r.Violations {
-		got[v.Check] = true
-	}
-	if !got["dist.edges"] || !got["dist.four_dual"] {
-		t.Fatalf("violations = %v, want dist.edges and dist.four_dual", r.Violations)
+	walked := New(p, Options{}).Finalize()
+	for _, delta := range []int64{0, 1} {
+		a := New(p, Options{})
+		a.SetEdgeFourSum(4*p.GlobalFourCycles() + delta)
+		r := a.Finalize()
+		if r.Checks != walked.Checks {
+			t.Fatalf("delta %d: %d checks, the walking auditor runs %d", delta, r.Checks, walked.Checks)
+		}
+		if delta == 0 {
+			if !r.OK() {
+				t.Fatalf("supplied 4·□ flagged: %v", r.Violations)
+			}
+			continue
+		}
+		if len(r.Violations) != 1 || r.Violations[0].Check != "theorem.four_dual" || !errors.Is(r.Err(), ErrViolation) {
+			t.Fatalf("supplied 4·□%+d: violations %v, err %v; want theorem.four_dual alone", delta, r.Violations, r.Err())
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"kronbip/internal/exec"
@@ -195,7 +196,8 @@ func (p *Product) EdgeFourCyclesAt(v, w int) (int64, error) {
 // edge: the walk folds Thm. 5 per prefix pair, so an edge costs three
 // multiplies, not a point query.  Stops early if yield returns false.
 func (p *Product) EachEdgeFourCycle(yield func(v, w int, squares int64) bool) {
-	p.walkFour(p.whole(), func(batch []exec.Edge, sq []int64) bool {
+	// A background walk is never cancelled, so it cannot fail.
+	_ = p.walkFour(context.Background(), p.whole(), func(batch []exec.Edge, sq []int64) bool {
 		for i, e := range batch {
 			if !yield(e.V, e.W, sq[i]) {
 				return false
@@ -247,7 +249,8 @@ func (p *Product) DegreeHistogram() map[int64]int64 {
 // consistency check (must equal GlobalFourCycles).
 func (p *Product) GlobalFourCyclesViaEdges() int64 {
 	var sum int64
-	p.walkFour(p.whole(), func(_ []exec.Edge, sq []int64) bool {
+	// A background walk is never cancelled, so it cannot fail.
+	_ = p.walkFour(context.Background(), p.whole(), func(_ []exec.Edge, sq []int64) bool {
 		for _, s := range sq {
 			sum += s
 		}

@@ -44,6 +44,24 @@ func (p *Product) EachEdgeBlockRangeBatchContext(ctx context.Context, row, nrows
 	return p.walkBatch(ctx, win, yield)
 }
 
+// EachEdgeFourCycleBlockRangeBatchContext is EachEdgeBlockRangeBatchContext
+// with ground truth: each batch comes with a parallel slice of its edges'
+// 4-cycle counts ◊ (EdgeFourCyclesAt), folded into the walk by Thm. 5 at
+// a few nanoseconds per edge.  Both slices are reused between calls;
+// the edges, their order and the cancellation contract are the plain
+// walk's.  A distgen lease walks its block through it to report the
+// block's Σ◊.
+func (p *Product) EachEdgeFourCycleBlockRangeBatchContext(ctx context.Context, row, nrows, col, ncols int, lo, hi int64, yield func(batch []exec.Edge, sq []int64) bool) error {
+	win, err := p.blockWindow(row, nrows, col, ncols)
+	if err == nil {
+		win, err = win.sub(lo, hi)
+	}
+	if err != nil {
+		return err
+	}
+	return p.walkFour(ctx, win, yield)
+}
+
 // EachEdgeRangeBatchContext streams edges [lo, hi) of the canonical
 // EachEdge order: EachEdgeBlockRangeBatchContext on the 1×1 blocking,
 // an O(K) closed-form seek to lo, then exactly hi-lo edges — no prefix

@@ -491,14 +491,33 @@ func (w *walker) partialFour(buf []exec.Edge, av, aw int, s, e int64, both bool)
 	return buf, true
 }
 
-// walkFour is the ◊ walk of win: batches of up to exec.BatchLen edges,
-// each with a parallel slice of its edges' ◊ (EdgeFourCyclesAt).  Both
-// slices are reused between calls; iteration stops early if yield
-// returns false.
-func (p *Product) walkFour(win window, yield func(batch []exec.Edge, sq []int64) bool) {
+// walkFour is walkBatch for a ◊ walk: each batch comes with a parallel
+// slice of its edges' ◊ (EdgeFourCyclesAt), under the same cancellation
+// contract.  Both slices are reused between calls.
+func (p *Product) walkFour(ctx context.Context, win window, yield func(batch []exec.Edge, sq []int64) bool) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	bufp := exec.GetEdgeBuf()
 	defer exec.PutEdgeBuf(bufp)
-	p.run(win, (*bufp)[:0], walker{four: &fourWalk{emit: yield}})
+	f := &fourWalk{emit: yield}
+	cancelled := false
+	if done := ctx.Done(); done != nil {
+		f.emit = func(batch []exec.Edge, sq []int64) bool {
+			select {
+			case <-done:
+				cancelled = true
+				return false
+			default:
+			}
+			return yield(batch, sq)
+		}
+	}
+	p.run(win, (*bufp)[:0], walker{four: f})
+	if cancelled {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // walkBatch delivers win in batches of up to exec.BatchLen edges under

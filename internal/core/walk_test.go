@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/crc64"
 	"reflect"
 	"slices"
@@ -125,29 +126,55 @@ func TestEachEdgeMatchesCanonicalOrder(t *testing.T) {
 	}
 }
 
-// fourWalkOf runs the ◊ walk of win and fails unless it yields exactly
-// want, in order, with every edge's ◊ equal to the EdgeFourCyclesAt
-// point query and every batch of legal size with a ◊ per edge.
-func fourWalkOf(t *testing.T, what string, p *Product, win window, want []oracleEdge) {
+// fourWalkOf runs the public ◊ walk of edges [lo, hi) of block (r, c)
+// of an R×C grid under a cancellable and a background context, and
+// fails unless each yields exactly want, in order, with every edge's ◊
+// equal to the EdgeFourCyclesAt point query and every batch of legal
+// size with a ◊ per edge.  Callers pass the slice of the canonical
+// order the plain walkers of the same window are checked against, so
+// the ◊ walk's edge sequence is the plain walk's.
+func fourWalkOf(t *testing.T, what string, p *Product, r, R, c, C int, lo, hi int64, want []oracleEdge) {
 	t.Helper()
-	i := 0
-	p.walkFour(win, func(batch []exec.Edge, sq []int64) bool {
-		if len(batch) == 0 || len(batch) > exec.BatchLen || len(sq) != len(batch) {
-			t.Fatalf("%s: batch of %d edges with %d ◊", what, len(batch), len(sq))
-		}
-		for j, e := range batch {
-			if i >= len(want) || want[i].v != e.V || want[i].w != e.W {
-				t.Fatalf("%s: edge %d is (%d,%d), oracle has %d edges", what, i, e.V, e.W, len(want))
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, ctx := range map[string]context.Context{"cancellable": live, "background": context.Background()} {
+		i := 0
+		err := p.EachEdgeFourCycleBlockRangeBatchContext(ctx, r, R, c, C, lo, hi, func(batch []exec.Edge, sq []int64) bool {
+			if len(batch) == 0 || len(batch) > exec.BatchLen || len(sq) != len(batch) {
+				t.Fatalf("%s %s: batch of %d edges with %d ◊", what, name, len(batch), len(sq))
 			}
-			if d, err := p.EdgeFourCyclesAt(e.V, e.W); err != nil || d != sq[j] {
-				t.Fatalf("%s: edge %d (%d,%d) has ◊ %d, EdgeFourCyclesAt %d, %v", what, i, e.V, e.W, sq[j], d, err)
+			for j, e := range batch {
+				if i >= len(want) || want[i].v != e.V || want[i].w != e.W {
+					t.Fatalf("%s %s: edge %d is (%d,%d), oracle has %d edges", what, name, i, e.V, e.W, len(want))
+				}
+				if d, err := p.EdgeFourCyclesAt(e.V, e.W); err != nil || d != sq[j] {
+					t.Fatalf("%s %s: edge %d (%d,%d) has ◊ %d, EdgeFourCyclesAt %d, %v", what, name, i, e.V, e.W, sq[j], d, err)
+				}
+				i++
 			}
-			i++
+			return true
+		})
+		if err != nil {
+			t.Fatalf("%s %s: %v", what, name, err)
 		}
+		if i != len(want) {
+			t.Fatalf("%s %s: %d edges, oracle %d", what, name, i, len(want))
+		}
+	}
+}
+
+// TestFourWalkPreCancelled: like the plain walkers, the ◊ walk under a
+// dead context yields nothing and returns ctx.Err().
+func TestFourWalkPreCancelled(t *testing.T) {
+	p := testProducts(t)["mode2"]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := p.EachEdgeFourCycleBlockRangeBatchContext(ctx, 0, 1, 0, 1, 0, p.NumEdges(), func([]exec.Edge, []int64) bool {
+		t.Fatal("◊ batch yielded under a pre-cancelled context")
 		return true
 	})
-	if i != len(want) {
-		t.Fatalf("%s: %d edges, oracle %d", what, i, len(want))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
@@ -163,7 +190,7 @@ func TestFourWalkMatchesPointQueries(t *testing.T) {
 			order = append(order, oracleEdge{v: v, w: w})
 			return true
 		})
-		fourWalkOf(t, c.name, p, p.whole(), order)
+		fourWalkOf(t, c.name, p, 0, 1, 0, 1, 0, p.NumEdges(), order)
 		i := 0
 		p.EachEdgeFourCycle(func(v, w int, sq int64) bool {
 			if d, err := p.EdgeFourCyclesAt(v, w); order[i].v != v || order[i].w != w || err != nil || d != sq {
@@ -189,6 +216,7 @@ func TestWalkerSurface(t *testing.T) {
 		"EachEdgeBlockBatchContext",
 		"EachEdgeBlockRangeBatchContext",
 		"EachEdgeFourCycle",
+		"EachEdgeFourCycleBlockRangeBatchContext",
 		"EachEdgeRangeBatchContext",
 		"StreamEdgesParallelContext",
 	}
@@ -376,9 +404,10 @@ func blockRangeEdges(p *Product, r, R, c, C int, lo, hi int64, yield func(v, w i
 // block-range walk the matching slice of the block's restriction and
 // the block walk the whole restriction, each under a cancellable and a
 // background context; the closed-form counts (NumEdges, BlockEdgeCount)
-// must equal the oracle's lengths.  The ◊ walk of each of the three
-// windows must yield the same edges, each priced as EdgeFourCyclesAt
-// prices it.
+// must equal the oracle's lengths.  The public ◊ walk
+// (EachEdgeFourCycleBlockRangeBatchContext) of each of the three
+// windows, under both contexts, must yield the same edges, each priced
+// as EdgeFourCyclesAt prices it.
 func FuzzEdgeRange(f *testing.F) {
 	f.Add(uint8(0), uint32(0), uint32(1<<31), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(uint8(3), uint32(17), uint32(40), uint8(1), uint8(2), uint8(1), uint8(1))
@@ -409,11 +438,7 @@ func FuzzEdgeRange(f *testing.F) {
 		checkWalks(t, "EachEdgeRangeBatchContext", order[lo:hi], both(func(ctx context.Context, y func([]exec.Edge) bool) error {
 			return p.EachEdgeRangeBatchContext(ctx, lo, hi, y)
 		}))
-		win, err := p.whole().sub(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fourWalkOf(t, "◊ range", p, win, order[lo:hi])
+		fourWalkOf(t, "◊ range", p, 0, 1, 0, 1, lo, hi, order[lo:hi])
 
 		R, C := 1+int(rows)%5, 1+int(cols)%7
 		r, c := int(brow)%R, int(bcol)%C
@@ -431,15 +456,8 @@ func FuzzEdgeRange(f *testing.F) {
 		checkWalks(t, "EachEdgeBlockBatchContext", block, both(func(ctx context.Context, y func([]exec.Edge) bool) error {
 			return p.EachEdgeBlockBatchContext(ctx, r, R, c, C, y)
 		}))
-		bwin, err := p.blockWindow(r, R, c, C)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fourWalkOf(t, "◊ block", p, bwin, block)
-		if win, err = bwin.sub(blo, bhi); err != nil {
-			t.Fatal(err)
-		}
-		fourWalkOf(t, "◊ block range", p, win, block[blo:bhi])
+		fourWalkOf(t, "◊ block", p, r, R, c, C, 0, bn, block)
+		fourWalkOf(t, "◊ block range", p, r, R, c, C, blo, bhi, block[blo:bhi])
 	})
 }
 

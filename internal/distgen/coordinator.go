@@ -83,6 +83,7 @@ type workerState struct {
 type leaseResult struct {
 	buf     []byte
 	edges   int64
+	four    int64 // the block's Σ◊, from the worker's TrailerFourSum
 	dur     time.Duration
 	auditCh exec.Sink // unflushed per-block audit child; flushed only on acceptance
 	// Partial-lease salvage (bin format only): a failed lease may still
@@ -116,6 +117,7 @@ type coordinator struct {
 	doneCount int
 	nextWrite int // next block index the ordered merge will emit
 	merged    int64
+	fourSum   int64 // Σ◊ over accepted blocks; 4·□(C) once every block is in
 	retries   int
 	failed    error // first fatal error; stops the run
 }
@@ -180,13 +182,15 @@ func (c *coordinator) run(ctx context.Context) (*Result, error) {
 	if err == nil {
 		err = ctx.Err()
 	}
+	fourSum := c.fourSum
 	res := &Result{
-		Edges:     c.merged,
-		Blocks:    len(c.blocks),
-		Rows:      c.rows,
-		Cols:      c.cols,
-		Retries:   c.retries,
-		RequestID: c.opts.RequestID,
+		Edges:      c.merged,
+		FourCycles: fourSum / 4,
+		Blocks:     len(c.blocks),
+		Rows:       c.rows,
+		Cols:       c.cols,
+		Retries:    c.retries,
+		RequestID:  c.opts.RequestID,
 	}
 	for _, w := range c.workers {
 		st := w.stats
@@ -206,12 +210,20 @@ func (c *coordinator) run(ctx context.Context) (*Result, error) {
 		return res, fmt.Errorf("distgen: merged %d edges, closed form says %d", res.Edges, c.p.NumEdges())
 	}
 	if c.auditor != nil {
+		// The fleet already priced every edge: the audit's edge route is
+		// the leases' Σ◊, so the coordinator never walks the product.
+		c.auditor.SetEdgeFourSum(fourSum)
 		report := c.auditor.Finalize()
 		res.AuditChecks = report.Checks
 		res.AuditViolations = len(report.Violations)
 		if aerr := report.Err(); aerr != nil {
 			return res, aerr
 		}
+	}
+	// Audited or not, the fleet's 4-cycle count must be the closed form.
+	// The sum is compared whole: Σ/4 would accept a sum off by up to 3.
+	if want := 4 * c.p.GlobalFourCycles(); fourSum != want {
+		return res, fmt.Errorf("%w: leases' Σ◊ = %d, closed form 4·□ = %d", audit.ErrViolation, fourSum, want)
 	}
 	return res, nil
 }
@@ -342,9 +354,11 @@ func parseRetryAfter(h string, now time.Time) time.Duration {
 
 // lease executes one POST /v1/leases round trip for block b against w:
 // issue with the run's correlation identity, read the full payload,
-// verify the trailer and the closed-form count, and parse every edge
-// (feeding the un-merged audit child when auditing).  Any discrepancy is
-// an error — the worker is not trusted, the closed forms are.
+// verify the trailer and the closed-form count, parse every edge
+// (feeding the un-merged audit child when auditing), and read the
+// block's Σ◊ trailer.  Any discrepancy is an error — the worker is not
+// trusted, the closed forms are; a missing or malformed Σ◊ fails the
+// lease, and a wrong one fails the run's final 4·□ check.
 //
 // base/banked are the block's resume snapshot (bin format only, both
 // zero otherwise): the worker is asked for the tail from block-local
@@ -423,6 +437,10 @@ func (c *coordinator) lease(ctx context.Context, w *workerState, b *blockState, 
 	if res.edges != b.want {
 		return nil, fmt.Errorf("distgen: worker %s: lease (%d,%d): streamed %d edges, closed form says %d",
 			w.url, b.row, b.col, res.edges, b.want)
+	}
+	if res.four, err = strconv.ParseInt(resp.Trailer.Get(serve.TrailerFourSum), 10, 64); err != nil {
+		return nil, fmt.Errorf("distgen: worker %s: lease (%d,%d): trailer %s: %w",
+			w.url, b.row, b.col, serve.TrailerFourSum, err)
 	}
 	return res, nil
 }
@@ -541,9 +559,9 @@ func parseNDJSONEdge(line []byte) (int, int, error) {
 }
 
 // complete books one lease outcome: accept the first result for a block
-// (dedup — later duplicates are dropped before output or audit), merge
-// accepted blocks in (row, col)-major order, re-queue failed blocks, and
-// park 429'd workers.
+// (dedup — later duplicates are dropped before output, audit or the Σ◊
+// tally), merge accepted blocks in (row, col)-major order, re-queue
+// failed blocks, and park 429'd workers.
 func (c *coordinator) complete(w *workerState, bi int, speculative bool, res *leaseResult, err error) {
 	c.mu.Lock()
 	b := c.blocks[bi]
@@ -552,6 +570,7 @@ func (c *coordinator) complete(w *workerState, bi int, speculative bool, res *le
 	case err == nil && !b.done:
 		b.done = true
 		b.buf = res.buf
+		c.fourSum += res.four
 		b.part, b.partEdges = nil, 0 // the bank is folded into buf
 		c.doneCount++
 		w.stats.Leases++

@@ -18,10 +18,17 @@
 //     O(K) before any generation, so the coordinator sizes a balanced
 //     grid up front and verifies every returned stream (and the
 //     reassembled total against |E_C|) without trusting any worker;
+//   - ground truth during generation (the paper's §V): every lease
+//     prices its edges with their 4-cycle counts as it walks (Thm. 5)
+//     and reports its block's Σ◊ in a trailer.  The accepted blocks'
+//     sums must add up to exactly 4·□(C), the factor-only closed form,
+//     so every run checks the fleet's 4-cycle count without walking the
+//     product;
 //   - order independence of the audit invariants: degree sums, the dual
-//     4-cycle routes and sampled membership do not care which replica
-//     produced which edge, so the online auditor runs on the merged
-//     stream exactly as it would on a local run.
+//     4-cycle routes (the edge route fed the fleet's Σ◊) and sampled
+//     membership do not care which replica produced which edge, so the
+//     online auditor runs on the merged stream exactly as it would on a
+//     local run.
 //
 // Delivery is at-least-once with first-completion-wins dedup: duplicate
 // results for a block (speculative re-issue, a slow worker finishing
@@ -84,8 +91,9 @@ type Options struct {
 	// Workers lists the serve replicas' base URLs (e.g.
 	// "http://127.0.0.1:8080"); at least one is required.
 	Workers []string
-	// Rows, Cols fix the blocking grid.  Zero auto-sizes from the
-	// closed-form |E_C| and TargetBlockEdges (see plan).
+	// Rows, Cols fix the blocking grid: both positive, or both zero to
+	// auto-size from the closed-form |E_C| and TargetBlockEdges (see
+	// plan).
 	Rows, Cols int
 	// TargetBlockEdges is the auto-sizing per-block edge target
 	// (default DefaultTargetBlockEdges).
@@ -98,7 +106,8 @@ type Options struct {
 	// gets a chance plus slack for transient failures).
 	MaxAttempts int
 	// Audit runs the online ground-truth auditor over the merged stream:
-	// degree sums, dual-route 4-cycles, exact count, sampled membership.
+	// degree sums, dual-route 4-cycles (the edge route from the leases'
+	// Σ◊), exact count, sampled membership.
 	Audit bool
 	// AuditSample is the auditor's membership sampling stride (0 = the
 	// audit package default).
@@ -123,6 +132,9 @@ type Options struct {
 func (o Options) withDefaults() (Options, error) {
 	if len(o.Workers) == 0 {
 		return o, errors.New("distgen: at least one worker URL is required")
+	}
+	if o.Rows < 0 || o.Cols < 0 || (o.Rows == 0) != (o.Cols == 0) {
+		return o, fmt.Errorf("distgen: Rows=%d Cols=%d: set both positive, or both zero to auto-size", o.Rows, o.Cols)
 	}
 	if o.TargetBlockEdges <= 0 {
 		o.TargetBlockEdges = DefaultTargetBlockEdges
@@ -169,27 +181,27 @@ type WorkerStats struct {
 
 // Result summarizes a completed run.
 type Result struct {
-	Edges   int64         `json:"edges"`  // merged total, verified == |E_C|
-	Blocks  int           `json:"blocks"` // rows × cols
-	Rows    int           `json:"rows"`
-	Cols    int           `json:"cols"`
-	Retries int           `json:"retries"` // re-issued + speculative leases
-	Workers []WorkerStats `json:"workers"`
+	Edges      int64         `json:"edges"`       // merged total, verified == |E_C|
+	FourCycles int64         `json:"four_cycles"` // accepted leases' Σ◊ / 4, verified == □(C)
+	Blocks     int           `json:"blocks"`      // rows × cols
+	Rows       int           `json:"rows"`
+	Cols       int           `json:"cols"`
+	Retries    int           `json:"retries"` // re-issued + speculative leases
+	Workers    []WorkerStats `json:"workers"`
 	// Audit is the merged-stream report when Options.Audit was set.
 	AuditChecks     int    `json:"audit_checks,omitempty"`
 	AuditViolations int    `json:"audit_violations,omitempty"`
 	RequestID       string `json:"request_id"`
 }
 
-// plan sizes the blocking grid: honor explicit rows/cols, otherwise
-// split |E_C| into ~TargetBlockEdges blocks, at least two per worker for
-// balance, shaped near-square, with cols capped at the last factor's
-// edge count (the column dimension's extent — wider is all-empty
-// stripes).
+// plan sizes the blocking grid: honor explicit rows/cols (withDefaults
+// admits both set or neither), otherwise split |E_C| into
+// ~TargetBlockEdges blocks, at least two per worker for balance, shaped
+// near-square, with cols capped at the last factor's edge count (the
+// column dimension's extent — wider is all-empty stripes).
 func plan(p *core.Product, o Options) (rows, cols int) {
-	rows, cols = o.Rows, o.Cols
-	if rows > 0 && cols > 0 {
-		return rows, cols
+	if o.Rows > 0 {
+		return o.Rows, o.Cols
 	}
 	nblocks := int64(1)
 	if t := o.TargetBlockEdges; p.NumEdges() > t {

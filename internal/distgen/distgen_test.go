@@ -3,17 +3,22 @@ package distgen
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"kronbip/internal/audit"
+	"kronbip/internal/core"
 	"kronbip/internal/exec"
 	"kronbip/internal/serve"
 	"kronbip/internal/spec"
@@ -43,6 +48,16 @@ func newFleet(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handler
 		urls[i] = ts.URL
 	}
 	return urls
+}
+
+// testProduct builds testSpec's product locally.
+func testProduct(t *testing.T) *core.Product {
+	t.Helper()
+	p, err := testSpec.WithDefaults().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // localEdgeSet streams the spec locally and returns the canonical edge
@@ -94,6 +109,9 @@ func TestRunHappyPath(t *testing.T) {
 	}
 	if res.Edges != total {
 		t.Fatalf("merged %d edges, closed form %d", res.Edges, total)
+	}
+	if want := testProduct(t).GlobalFourCycles(); res.FourCycles != want {
+		t.Fatalf("fleet □ = %d, closed form %d", res.FourCycles, want)
 	}
 	if res.Blocks != 6 || res.Rows != 3 || res.Cols != 2 {
 		t.Fatalf("grid %dx%d (%d blocks), want 3x2", res.Rows, res.Cols, res.Blocks)
@@ -442,6 +460,102 @@ func TestRunCountMismatchRejected(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("unverified payload reached the merged output: %q", out.String())
+	}
+}
+
+// rewriteTrailers wraps a replica so that every lease response is
+// replayed with edit applied to its trailers; edit sees the lease's
+// block.  It models a worker that lies about or omits a trailer.
+func rewriteTrailers(h http.Handler, edit func(row, col int, trailer http.Header)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/leases" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		var blk struct{ Row, Col int }
+		if err := json.Unmarshal(body, &blk); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		res := rec.Result()
+		for k, v := range res.Header {
+			w.Header()[k] = v // includes the Trailer announcement
+		}
+		w.WriteHeader(res.StatusCode)
+		io.Copy(w, res.Body)
+		edit(blk.Row, blk.Col, res.Trailer)
+		for k, v := range res.Trailer {
+			w.Header()[k] = v
+		}
+	})
+}
+
+// TestRunLyingFourSumTrailer: a worker adds 1 to block (0,0)'s Σ◊.
+// Every block still streams the right edges, but the run must fail with
+// an audit violation, audited or not.  On testSpec 4·□ = 11,664 and the
+// lie makes 11,665, which divides by 4 to the same □ = 2,916: only the
+// undivided comparison catches it.
+func TestRunLyingFourSumTrailer(t *testing.T) {
+	urls := newFleet(t, 2, func(i int, h http.Handler) http.Handler {
+		return rewriteTrailers(h, func(row, col int, tr http.Header) {
+			if row != 0 || col != 0 {
+				return
+			}
+			sum, err := strconv.ParseInt(tr.Get(serve.TrailerFourSum), 10, 64)
+			if err != nil {
+				t.Errorf("honest lease (0,0) sent no Σ◊ to lie about: %v", err)
+				return
+			}
+			tr.Set(serve.TrailerFourSum, strconv.FormatInt(sum+1, 10))
+		})
+	})
+	for _, audited := range []bool{false, true} {
+		var out bytes.Buffer
+		res, err := Run(context.Background(), testSpec, &out, Options{
+			Workers: urls, Rows: 2, Cols: 2, Audit: audited, RequestID: "test-lying-trailer",
+		})
+		if !errors.Is(err, audit.ErrViolation) {
+			t.Fatalf("audit=%v: err = %v, want audit.ErrViolation", audited, err)
+		}
+		if audited && res.AuditViolations == 0 {
+			t.Fatalf("audited run failed without an audit violation: %+v", res)
+		}
+	}
+}
+
+// TestRunMissingFourSumTrailer: a lease without the Σ◊ trailer fails, so
+// a fleet whose every worker omits it exhausts the block's attempts.
+func TestRunMissingFourSumTrailer(t *testing.T) {
+	urls := newFleet(t, 2, func(i int, h http.Handler) http.Handler {
+		return rewriteTrailers(h, func(_, _ int, tr http.Header) { tr.Del(serve.TrailerFourSum) })
+	})
+	var out bytes.Buffer
+	_, err := Run(context.Background(), testSpec, &out, Options{
+		Workers: urls, Rows: 1, Cols: 1, MaxAttempts: 2,
+	})
+	if !errors.Is(err, ErrExhausted) || !strings.Contains(err.Error(), serve.TrailerFourSum) {
+		t.Fatalf("err = %v, want ErrExhausted over the missing %s trailer", err, serve.TrailerFourSum)
+	}
+}
+
+// TestRunRejectsHalfGrid: a grid with one dimension set, or a negative
+// one, is rejected with an error naming both fields instead of being
+// silently auto-sized.
+func TestRunRejectsHalfGrid(t *testing.T) {
+	for _, g := range [][2]int{{4, 0}, {0, 3}, {-1, 0}, {0, -2}, {-2, -2}, {2, -1}} {
+		var out bytes.Buffer
+		_, err := Run(context.Background(), testSpec, &out, Options{Workers: []string{"http://127.0.0.1:1"}, Rows: g[0], Cols: g[1]})
+		if err == nil || !strings.Contains(err.Error(), "Rows") || !strings.Contains(err.Error(), "Cols") {
+			t.Errorf("Rows=%d Cols=%d: err = %v, want one naming Rows and Cols", g[0], g[1], err)
+		}
 	}
 }
 

@@ -294,6 +294,9 @@ func TestRunBinResumeAfterTruncation(t *testing.T) {
 	if res.Edges != total {
 		t.Fatalf("merged %d edges, closed form %d", res.Edges, total)
 	}
+	if want := testProduct(t).GlobalFourCycles(); res.FourCycles != want {
+		t.Fatalf("fleet □ = %d, closed form %d", res.FourCycles, want)
+	}
 	if res.AuditChecks == 0 || res.AuditViolations != 0 {
 		t.Fatalf("audit checks=%d violations=%d", res.AuditChecks, res.AuditViolations)
 	}

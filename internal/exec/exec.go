@@ -3,9 +3,9 @@
 // value proposition is streaming massive products C = A ⊗ B without
 // materializing them; at production scale that streaming must be
 // cancellable, deadline-aware and uniform across subsystems, so the
-// core generator, the butterfly counters, the GraphBLAS kernels, the
-// distributed simulator and the CLI all schedule work through this one
-// package instead of hand-rolled worker pools.
+// core generator, the butterfly counters, the GraphBLAS kernels and the
+// CLI all schedule work through this one package instead of hand-rolled
+// worker pools.
 //
 // The engine provides:
 //

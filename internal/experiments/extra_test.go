@@ -109,7 +109,7 @@ func TestRunDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Valid() {
-		t.Fatalf("distributed simulation failed:\n%s", res)
+		t.Fatalf("distributed generation failed:\n%s", res)
 	}
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(res.Rows))

@@ -45,15 +45,13 @@ func WriteChromeTrace(w io.Writer, events []Event, dropped uint64) error {
 
 // laneFor maps an event to a Chrome trace thread id so each category
 // gets its own band of lanes and units within a category do not
-// overlap: shards and ranks spread by ID, kernels/stages/audit share
-// one lane per category (their events nest in time, not in space).
+// overlap: shards spread by ID, kernels/stages/audit share one lane per
+// category (their events nest in time, not in space).
 func laneFor(ev Event) int {
 	const band = 10000
 	switch ev.Cat {
 	case CatShard:
 		return 1*band + ev.ID
-	case CatRank:
-		return 2*band + ev.ID
 	case CatKernel:
 		return 3 * band
 	case CatStage:

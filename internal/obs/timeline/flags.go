@@ -30,7 +30,7 @@ type Flags struct {
 // destination struct (populated after fs.Parse).
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.TimelineOut, "timeline-out", "", "write a Chrome trace_event JSON timeline of shards/ranks/kernels/stages to this file (open in chrome://tracing or Perfetto; distinct from -trace, the Go runtime trace)")
+	fs.StringVar(&f.TimelineOut, "timeline-out", "", "write a Chrome trace_event JSON timeline of shards/kernels/stages to this file (open in chrome://tracing or Perfetto; distinct from -trace, the Go runtime trace)")
 	fs.StringVar(&f.JournalOut, "journal-out", "", "write a logfmt event journal (same events as -timeline-out) to this file")
 	return f
 }

@@ -1,7 +1,7 @@
 // Package timeline is the repository's per-unit event tracer: a
-// fixed-size ring buffer of begin/end events for exec shards, dist
-// ranks, grb kernel calls, experiment stages and audit checks, gated by
-// one process-wide atomic like the metrics layer in internal/obs.
+// fixed-size ring buffer of begin/end events for exec shards, grb
+// kernel calls, experiment stages, audit checks and serve jobs, gated
+// by one process-wide atomic like the metrics layer in internal/obs.
 //
 // Where internal/obs aggregates (counters, histograms, span totals),
 // timeline keeps the individual completions — who ran, when, for how
@@ -15,8 +15,8 @@
 //     the max/mean "straggler ratio", publishable as obs gauges.
 //
 // Overhead contract (DESIGN.md §6a): recording is off by default; each
-// instrumented site reads Enabled once per unit of work (shard, rank,
-// kernel call, stage — never per edge), so the disabled cost is one
+// instrumented site reads Enabled once per unit of work (shard, kernel
+// call, stage — never per edge), so the disabled cost is one
 // atomic load.  While enabled, one mutex-guarded ring append per unit —
 // thousands of events per run, not millions — keeps the enabled cost
 // far below the work each event brackets.
@@ -43,7 +43,6 @@ func Enabled() bool { return enabled.Load() }
 // Event categories recorded by the built-in instrumentation sites.
 const (
 	CatShard  = "shard"  // exec pool tasks and core streaming shards
-	CatRank   = "rank"   // dist simulated-cluster ranks
 	CatKernel = "kernel" // grb kernel calls (mxm, mxv, kron)
 	CatStage  = "stage"  // experiment stages
 	CatAudit  = "audit"  // audit invariant checks
@@ -54,17 +53,17 @@ const (
 // (Start and Dur bracket the work), so an aborted unit still appears —
 // with OK false — while a unit that never ran leaves no event at all.
 type Event struct {
-	Cat   string        // one of the Cat* constants
-	Name  string        // dotted site name ("core.stream", "grb.mxm")
-	ID    int           // shard/rank index; 0 where there is no natural lane
-	Note  string        // free-form correlation annotation ("req_id=… trace_id=…"); usually empty
-	OK    bool          // completed without error (kernel events record call completion)
+	Cat   string // one of the Cat* constants
+	Name  string // dotted site name ("core.stream", "grb.mxm")
+	ID    int    // shard index; 0 where there is no natural lane
+	Note  string // free-form correlation annotation ("req_id=… trace_id=…"); usually empty
+	OK    bool   // completed without error (kernel events record call completion)
 	Start time.Time
 	Dur   time.Duration
 }
 
 // DefaultCapacity is the Default recorder's ring size.  At one event
-// per shard/rank/kernel call it covers runs far beyond any realistic
+// per shard/kernel call it covers runs far beyond any realistic
 // shard count; older events are overwritten (and counted as dropped)
 // beyond it.
 const DefaultCapacity = 1 << 16

@@ -158,9 +158,9 @@ func TestRecorderWraparound(t *testing.T) {
 
 func TestBeginGate(t *testing.T) {
 	r := NewRecorder(8)
-	end := r.Begin(CatRank, "dist.generate", 3)
+	end := r.Begin(CatShard, "core.stream", 3)
 	end(errors.New("boom"))
-	end2 := r.Begin(CatRank, "dist.generate", 4)
+	end2 := r.Begin(CatShard, "core.stream", 4)
 	end2(nil)
 	events, _ := r.Snapshot()
 	if len(events) != 2 {
@@ -169,7 +169,7 @@ func TestBeginGate(t *testing.T) {
 	if events[0].OK || !events[1].OK {
 		t.Errorf("OK flags = %v, %v; want false, true", events[0].OK, events[1].OK)
 	}
-	if events[0].Cat != CatRank || events[0].Name != "dist.generate" || events[0].ID != 3 {
+	if events[0].Cat != CatShard || events[0].Name != "core.stream" || events[0].ID != 3 {
 		t.Errorf("event 0 = %+v", events[0])
 	}
 }

@@ -21,16 +21,25 @@ import (
 // Unlike jobs, a lease is synchronous: the response IS the work.  There
 // is no queue — admission is a concurrency cap (Config.MaxLeases) and a
 // full server answers 429 + Retry-After so the coordinator backs off
-// and routes the block to another replica.  Per-block audit is not
-// offered: degree sums and 4-cycle identities are whole-product
-// invariants, so the coordinator audits the merged stream instead and
-// verifies each block against its closed-form count.
+// and routes the block to another replica.  Every lease prices its
+// edges with their 4-cycle counts as it walks (Thm. 5) and sends the
+// block's Σ◊ in a trailer; summed over the grid that is 4·□(C), which
+// the coordinator checks against the closed form without walking the
+// product.  The other invariants (degree sums, membership) it audits on
+// the merged stream, and it verifies each block against its
+// closed-form count.
 
 // HeaderBlockEdges carries the closed-form edge count of the leased
 // block, sent as a response header before the first edge so the
 // consumer knows the expected total up front (the exact streamed count
 // is repeated in the TrailerEdges trailer at EOF).
 const HeaderBlockEdges = "X-Kronbip-Block-Edges"
+
+// TrailerFourSum carries the leased block's Σ◊: the sum over every edge
+// of the block of its 4-cycle count.  A resumed lease reports the whole
+// block too, so its trailer equals the fresh lease's.  On an aborted
+// lease the value covers only the edges walked before the abort.
+const TrailerFourSum = "X-Kronbip-Four-Sum"
 
 // Lease metrics (request/latency/error series come from the shared RED
 // "leases" route; these cover the lease-specific lifecycle).
@@ -145,7 +154,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", contentTypeFor(format))
 	w.Header().Set(HeaderBlockEdges, strconv.FormatInt(want, 10))
 	w.Header().Set(HeaderStreamOffset, strconv.FormatInt(req.Offset, 10))
-	w.Header().Set("Trailer", streamTrailers(false))
+	w.Header().Set("Trailer", streamTrailers(false)+", "+TrailerFourSum)
 	w.WriteHeader(http.StatusOK)
 
 	var out edgeStreamSink
@@ -159,18 +168,30 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	} else {
 		out = newStreamSink(w, format == "ndjson")
 	}
-	// The lease rides the closure-free batch walk: a fresh lease covers
-	// the whole block, a resumed one seeks to its offset in closed form
-	// and batches the tail.
+	// The lease rides the ◊ batch walk, which prices every edge with its
+	// 4-cycle count.  A fresh lease covers the whole block; a resumed one
+	// first ◊-sums the skipped prefix [0, offset) without emitting it,
+	// then seeks to its offset in closed form and batches the tail.
+	var fourSum int64
 	var sinkErr error
-	deliver := func(batch []exec.Edge) bool {
-		if e := out.EdgeBatch(batch); e != nil {
-			sinkErr = e
-			return false
-		}
-		return true
+	walk := func(lo, hi int64, emit bool) error {
+		return p.EachEdgeFourCycleBlockRangeBatchContext(r.Context(), req.Row, req.Rows, req.Col, req.Cols, lo, hi,
+			func(batch []exec.Edge, sq []int64) bool {
+				for _, s := range sq {
+					fourSum += s
+				}
+				if emit {
+					sinkErr = out.EdgeBatch(batch)
+				}
+				return sinkErr == nil
+			})
 	}
-	err = p.EachEdgeBlockRangeBatchContext(r.Context(), req.Row, req.Rows, req.Col, req.Cols, req.Offset, want, deliver)
+	if req.Offset > 0 {
+		err = walk(0, req.Offset, false)
+	}
+	if err == nil {
+		err = walk(req.Offset, want, true)
+	}
 	if err == nil {
 		err = sinkErr
 	}
@@ -190,6 +211,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(TrailerStatus, status)
 	w.Header().Set(TrailerEdges, strconv.FormatInt(out.count(), 10))
+	w.Header().Set(TrailerFourSum, strconv.FormatInt(fourSum, 10))
 	if ri.id != "" {
 		w.Header().Set(http.TrailerPrefix+HeaderRequestID, ri.id)
 	}

@@ -194,6 +194,72 @@ func TestLeaseTSVFormat(t *testing.T) {
 	}
 }
 
+// leaseFourSum drains a lease body and returns its Σ◊ trailer, failing
+// unless the lease completed.
+func leaseFourSum(t *testing.T, res *http.Response) int64 {
+	t.Helper()
+	defer res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("lease status %d", res.StatusCode)
+	}
+	if _, err := io.Copy(io.Discard, res.Body); err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Trailer.Get(TrailerStatus); st != "complete" {
+		t.Fatalf("lease trailer status %q", st)
+	}
+	sum, err := strconv.ParseInt(res.Trailer.Get(TrailerFourSum), 10, 64)
+	if err != nil {
+		t.Fatalf("lease %s trailer: %v", TrailerFourSum, err)
+	}
+	return sum
+}
+
+// TestLeaseFourSumTrailer: the Σ◊ trailers of the six leases of a 2×3
+// sweep add up to 4·□(C), the closed-form global count.
+func TestLeaseFourSumTrailer(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	sp := spec.Spec{Factors: []string{"crown3", "path3"}, Mode: "selfloop"}
+	p, err := sp.WithDefaults().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for r := 0; r < 2; r++ {
+		for c := 0; c < 3; c++ {
+			sum += leaseFourSum(t, postLease(t, ts.URL, fmt.Sprintf(
+				`{"factors":["crown3","path3"],"mode":"selfloop","row":%d,"rows":2,"col":%d,"cols":3,"format":"bin"}`, r, c)))
+		}
+	}
+	if want := 4 * p.GlobalFourCycles(); sum != want {
+		t.Fatalf("lease Σ◊ trailers sum to %d, 4·□ = %d", sum, want)
+	}
+}
+
+// TestLeaseResumeFourSum: a lease resumed at offset k > 0 sends the Σ◊
+// of its whole block, the same as the block's fresh lease, down to k at
+// the block's end where the tail is empty.
+func TestLeaseResumeFourSum(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	body := func(offset int64) string {
+		return fmt.Sprintf(`{"factors":["crown3","path3"],"mode":"selfloop","row":1,"rows":2,"col":1,"cols":3,"format":"bin","offset":%d}`, offset)
+	}
+	res := postLease(t, ts.URL, body(0))
+	want, err := strconv.ParseInt(res.Header.Get(HeaderBlockEdges), 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := leaseFourSum(t, res)
+	if fresh <= 0 {
+		t.Fatalf("fresh lease Σ◊ = %d; the block needs 4-cycles for this test", fresh)
+	}
+	for _, k := range []int64{1, want / 2, want} {
+		if got := leaseFourSum(t, postLease(t, ts.URL, body(k))); got != fresh {
+			t.Fatalf("lease resumed at %d of %d sent Σ◊ %d, the fresh lease %d", k, want, got, fresh)
+		}
+	}
+}
+
 // TestSubmitIdempotency: resubmitting with the same idempotency key
 // returns the existing job (200, same id); a different key admits a new
 // job; a malformed key is a 400.

@@ -302,7 +302,8 @@ func trailerNames(announce string) []string {
 // streaming endpoints, every format, complete and aborted, audited and
 // not, the Trailer header announces exactly the trailers that arrive —
 // no phantom audit trailers on unaudited streams (the old bug), no
-// announced-but-missing trailers on aborted ones.
+// announced-but-missing trailers on aborted ones, and the block's Σ◊
+// on every lease.
 func TestTrailerContract(t *testing.T) {
 	total := wireTestProduct(t).NumEdges()
 	s, ts := testServer(t, Config{Workers: 1})
@@ -376,6 +377,9 @@ func TestTrailerContract(t *testing.T) {
 			if c.audited {
 				want[http.CanonicalHeaderKey(TrailerAuditChecks)] = true
 				want[http.CanonicalHeaderKey(TrailerAuditViolations)] = true
+			}
+			if c.method == http.MethodPost { // a lease
+				want[http.CanonicalHeaderKey(TrailerFourSum)] = true
 			}
 			if len(announced) != len(want) {
 				t.Fatalf("announced %v, want exactly %v", announced, want)

@@ -7,12 +7,15 @@
 #   2. run `kronbip dist-gen` across them (explicit grid, audit on,
 #      a pinned request id), merging to a file
 #   3. the merged line count equals the closed-form |E_C| reported by
-#      /v1/truth for the same spec, with no duplicate edges
+#      /v1/truth for the same spec, with no duplicate edges, and the
+#      fleet's 4-cycle count (the leases' Σ◊ trailers / 4, printed as
+#      four_cycles=) equals /v1/truth's global_four_cycles
 #   4. a second dist-gen run produces a byte-identical merged file —
 #      distribution is a deterministic permutation, not a race outcome;
 #      then the same two checks for a k=2 chain (repeated -factor)
 #      leased as binary wire frames over a grid with several column
-#      stripes, audit on: the chain block walker behind real leases
+#      stripes, audit on: the chain block walker behind real leases,
+#      with the fleet's four_cycles checked against /v1/truth as well
 #   5. SIGINT drains every replica to a clean exit 0
 #   6. every block was leased under the run's request id (the replicas'
 #      access logs — flushed by the drain — carry route=leases lines
@@ -57,6 +60,10 @@ fail() {
 
 jfield() { # jfield <name> — prints the value of "name": <value>
   sed -n 's/.*"'"$1"'": *"\{0,1\}\([^",]*\)"\{0,1\}.*/\1/p' | head -1
+}
+
+fourcycles() { # fourcycles <log> — the four_cycles= value of a dist-gen merge summary
+  sed -n 's/.*dist-gen: merged .* four_cycles=\([0-9]*\) .*/\1/p' "$1" | head -1
 }
 
 echo "distgen-smoke: building kronbip"
@@ -105,6 +112,11 @@ got=$(wc -l <"$tmp/merged.tsv" | tr -d ' ')
 dups=$(sort "$tmp/merged.tsv" | uniq -d | head -3)
 [ -z "$dups" ] || fail "merged stream carries duplicate edges: $dups"
 echo "distgen-smoke: $got merged edges match closed-form |E_C|=$want, no duplicates"
+want4=$(jfield global_four_cycles <"$tmp/truth.json")
+[ -n "$want4" ] || fail "/v1/truth returned no global_four_cycles"
+got4=$(fourcycles "$tmp/distgen.log")
+[ "$got4" = "$want4" ] || fail "fleet reports four_cycles=${got4:-nothing}, /v1/truth says $want4"
+echo "distgen-smoke: fleet's four_cycles=$got4 (leases' Σ◊ / 4) matches /v1/truth"
 
 # 4. Determinism: a re-run merges to byte-identical output.
 "$tmp/kronbip" dist-gen \
@@ -136,9 +148,13 @@ want=$(jfield num_edges <"$tmp/chain-truth.json")
 [ -n "$want" ] || fail "/v1/truth returned no num_edges for the chain"
 got=$(sed -n 's/.*dist-gen: merged \([0-9]*\) edges from 9 blocks.*/\1/p' "$tmp/distgen-chain1.log")
 [ "$got" = "$want" ] || fail "chain merge summary says ${got:-nothing} edges over 9 blocks, /v1/truth says $want"
+want4=$(jfield global_four_cycles <"$tmp/chain-truth.json")
+got4=$(fourcycles "$tmp/distgen-chain1.log")
+[ -n "$want4" ] && [ "$got4" = "$want4" ] \
+  || fail "chain fleet reports four_cycles=${got4:-nothing}, /v1/truth says ${want4:-nothing}"
 cmp -s "$tmp/chain1.bin" "$tmp/chain2.bin" \
   || fail "two chain dist-gen runs produced different merged bytes"
-echo "distgen-smoke: k=2 chain merged $got bin edges over a 3x3 grid = closed form, re-run byte-identical"
+echo "distgen-smoke: k=2 chain merged $got bin edges over a 3x3 grid = closed form, four_cycles=$got4 = /v1/truth, re-run byte-identical"
 
 # 5. Clean drain: every replica exits 0 on SIGINT (which also flushes
 # the buffered access logs for the checks below).
