@@ -8,7 +8,8 @@
 #   make bench-trend- bench-check plus per-family delta roll-up
 #   make serve-smoke- end-to-end smoke test of the kronbip serve service
 #   make distgen-smoke - distributed generation smoke: 3-replica fleet + dist-gen
-#   make fuzz       - bounded fuzzing of the edge-range walkers (30 s)
+#   make fuzz       - bounded fuzzing of the edge-range walkers and the bin
+#                     decoder (30 s each)
 #   make check      - everything (what CI should run)
 
 GO ?= go
@@ -40,10 +41,16 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# fuzz runs FuzzEdgeRange — every range and block-range walker against
-# the definition-order oracle — for a bounded time.
+# fuzz runs, each for a bounded time, FuzzEdgeRange — every range and
+# block-range walker against the definition-order oracle — and
+# FuzzDecodeWire — the bin decoder against its pre-rewrite reference on
+# arbitrary bytes, plus decode ∘ encode on ranges and lease blocks.
+# Minimizing a new []byte input reruns the fuzz body for every
+# candidate, so FuzzDecodeWire caps it at 100 calls instead of the
+# default minute, which would eat the whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEdgeRange$$' -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/wire
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkStream_' -benchtime 10x -benchmem .

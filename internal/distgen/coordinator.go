@@ -17,8 +17,8 @@ import (
 	"kronbip/internal/core"
 	"kronbip/internal/exec"
 	"kronbip/internal/obs"
-	"kronbip/internal/serve"
 	"kronbip/internal/spec"
+	"kronbip/internal/wire"
 )
 
 // pollInterval paces the scheduler's idle re-checks (backoff expiry,
@@ -380,8 +380,8 @@ func (c *coordinator) lease(ctx context.Context, w *workerState, b *blockState, 
 	req.Header.Set("Content-Type", "application/json")
 	// Satellite contract: one dist-gen run correlates across every
 	// replica — same request id, same trace id, fresh span per lease.
-	req.Header.Set(serve.HeaderRequestID, c.opts.RequestID)
-	req.Header.Set(serve.HeaderTraceparent,
+	req.Header.Set(wire.HeaderRequestID, c.opts.RequestID)
+	req.Header.Set(wire.HeaderTraceparent,
 		fmt.Sprintf("00-%s-%016x-01", c.traceID, c.spanSeq.Add(1)))
 	start := time.Now()
 	resp, err := c.opts.Client.Do(req)
@@ -411,7 +411,7 @@ func (c *coordinator) lease(ctx context.Context, w *workerState, b *blockState, 
 		return c.salvage(base, payload),
 			fmt.Errorf("distgen: worker %s: lease (%d,%d): read: %w", w.url, b.row, b.col, err)
 	}
-	if st := resp.Trailer.Get(serve.TrailerStatus); st != "complete" {
+	if st := resp.Trailer.Get(wire.TrailerStatus); st != "complete" {
 		return c.salvage(base, payload),
 			fmt.Errorf("distgen: worker %s: lease (%d,%d): trailer status %q", w.url, b.row, b.col, st)
 	}
@@ -438,9 +438,9 @@ func (c *coordinator) lease(ctx context.Context, w *workerState, b *blockState, 
 		return nil, fmt.Errorf("distgen: worker %s: lease (%d,%d): streamed %d edges, closed form says %d",
 			w.url, b.row, b.col, res.edges, b.want)
 	}
-	if res.four, err = strconv.ParseInt(resp.Trailer.Get(serve.TrailerFourSum), 10, 64); err != nil {
+	if res.four, err = strconv.ParseInt(resp.Trailer.Get(wire.TrailerFourSum), 10, 64); err != nil {
 		return nil, fmt.Errorf("distgen: worker %s: lease (%d,%d): trailer %s: %w",
-			w.url, b.row, b.col, serve.TrailerFourSum, err)
+			w.url, b.row, b.col, wire.TrailerFourSum, err)
 	}
 	return res, nil
 }
@@ -454,7 +454,7 @@ func (c *coordinator) salvage(base int64, payload []byte) *leaseResult {
 	if c.opts.Format != "bin" || len(payload) == 0 {
 		return nil
 	}
-	edges, _, trailing, err := serve.DecodeWire(payload, base, nil)
+	edges, _, trailing, err := wire.Decode(payload, base, nil)
 	if err != nil || edges == 0 {
 		return nil
 	}
@@ -477,18 +477,20 @@ func factorsJSON(fs []string) string {
 }
 
 // parseEdges walks a lease payload in the given format ("tsv", "ndjson"
-// or "bin"), validating shape, counting edges and feeding each to the
-// audit child when one is supplied.
+// or "bin"), validating shape, counting edges and feeding them to the
+// audit child when one is supplied: a bin payload a frame at a time, a
+// text one an edge at a time.
 func parseEdges(payload []byte, format string, auditCh exec.Sink) (int64, error) {
 	if format == "bin" {
 		// A whole-block payload frames from block-local offset 0; the
 		// decoder enforces contiguity, and a truncated tail — tolerated
 		// on the salvage path — is a hard error here.
-		var yield func(v, w int)
+		var yield func(frame []exec.Edge)
 		if auditCh != nil {
-			yield = func(v, w int) { _ = auditCh.Edge(v, w) }
+			// The audit child samples a batch at the per-edge cadence.
+			yield = func(frame []exec.Edge) { _ = exec.DeliverBatch(auditCh, frame) }
 		}
-		n, _, trailing, err := serve.DecodeWire(payload, 0, yield)
+		n, _, trailing, err := wire.Decode(payload, 0, yield)
 		if err != nil {
 			return n, err
 		}

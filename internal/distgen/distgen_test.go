@@ -22,6 +22,7 @@ import (
 	"kronbip/internal/exec"
 	"kronbip/internal/serve"
 	"kronbip/internal/spec"
+	"kronbip/internal/wire"
 )
 
 // testSpec is the standard fleet-test product: a 2-chain small enough
@@ -348,8 +349,8 @@ func TestRunRequestIDPropagation(t *testing.T) {
 				// Header values are recorded pre-middleware, exactly as the
 				// coordinator sent them.  A malformed traceparent shows up as
 				// a distinct "malformed:" entry and fails the count below.
-				id := r.Header.Get(serve.HeaderRequestID)
-				tp := r.Header.Get(serve.HeaderTraceparent)
+				id := r.Header.Get(wire.HeaderRequestID)
+				tp := r.Header.Get(wire.HeaderTraceparent)
 				tid, ok := cutTraceID(tp)
 				if !ok {
 					tid = "malformed:" + tp
@@ -441,11 +442,11 @@ func TestRunContextCancel(t *testing.T) {
 // merged; with one worker and MaxAttempts small, the run aborts.
 func TestRunCountMismatchRejected(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Trailer", serve.TrailerStatus+", "+serve.TrailerEdges)
+		w.Header().Set("Trailer", wire.TrailerStatus+", "+wire.TrailerEdges)
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintf(w, "0\t1\n") // one edge, whatever the block wanted
-		w.Header().Set(serve.TrailerStatus, "complete")
-		w.Header().Set(serve.TrailerEdges, "1")
+		w.Header().Set(wire.TrailerStatus, "complete")
+		w.Header().Set(wire.TrailerEdges, "1")
 	}))
 	t.Cleanup(ts.Close)
 	var out bytes.Buffer
@@ -509,12 +510,12 @@ func TestRunLyingFourSumTrailer(t *testing.T) {
 			if row != 0 || col != 0 {
 				return
 			}
-			sum, err := strconv.ParseInt(tr.Get(serve.TrailerFourSum), 10, 64)
+			sum, err := strconv.ParseInt(tr.Get(wire.TrailerFourSum), 10, 64)
 			if err != nil {
 				t.Errorf("honest lease (0,0) sent no Σ◊ to lie about: %v", err)
 				return
 			}
-			tr.Set(serve.TrailerFourSum, strconv.FormatInt(sum+1, 10))
+			tr.Set(wire.TrailerFourSum, strconv.FormatInt(sum+1, 10))
 		})
 	})
 	for _, audited := range []bool{false, true} {
@@ -535,14 +536,14 @@ func TestRunLyingFourSumTrailer(t *testing.T) {
 // a fleet whose every worker omits it exhausts the block's attempts.
 func TestRunMissingFourSumTrailer(t *testing.T) {
 	urls := newFleet(t, 2, func(i int, h http.Handler) http.Handler {
-		return rewriteTrailers(h, func(_, _ int, tr http.Header) { tr.Del(serve.TrailerFourSum) })
+		return rewriteTrailers(h, func(_, _ int, tr http.Header) { tr.Del(wire.TrailerFourSum) })
 	})
 	var out bytes.Buffer
 	_, err := Run(context.Background(), testSpec, &out, Options{
 		Workers: urls, Rows: 1, Cols: 1, MaxAttempts: 2,
 	})
-	if !errors.Is(err, ErrExhausted) || !strings.Contains(err.Error(), serve.TrailerFourSum) {
-		t.Fatalf("err = %v, want ErrExhausted over the missing %s trailer", err, serve.TrailerFourSum)
+	if !errors.Is(err, ErrExhausted) || !strings.Contains(err.Error(), wire.TrailerFourSum) {
+		t.Fatalf("err = %v, want ErrExhausted over the missing %s trailer", err, wire.TrailerFourSum)
 	}
 }
 

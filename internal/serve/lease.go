@@ -9,6 +9,7 @@ import (
 	"kronbip/internal/exec"
 	"kronbip/internal/obs"
 	"kronbip/internal/spec"
+	"kronbip/internal/wire"
 )
 
 // Block leases: POST /v1/leases is the worker half of distributed
@@ -35,11 +36,10 @@ import (
 // is repeated in the TrailerEdges trailer at EOF).
 const HeaderBlockEdges = "X-Kronbip-Block-Edges"
 
-// TrailerFourSum carries the leased block's Σ◊: the sum over every edge
-// of the block of its 4-cycle count.  A resumed lease reports the whole
-// block too, so its trailer equals the fresh lease's.  On an aborted
-// lease the value covers only the edges walked before the abort.
-const TrailerFourSum = "X-Kronbip-Four-Sum"
+// The block's Σ◊ travels in the wire.TrailerFourSum trailer.  A resumed
+// lease reports the whole block too, so its trailer equals the fresh
+// lease's; on an aborted lease the value covers only the edges walked
+// before the abort.
 
 // Lease metrics (request/latency/error series come from the shared RED
 // "leases" route; these cover the lease-specific lifecycle).
@@ -154,7 +154,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", contentTypeFor(format))
 	w.Header().Set(HeaderBlockEdges, strconv.FormatInt(want, 10))
 	w.Header().Set(HeaderStreamOffset, strconv.FormatInt(req.Offset, 10))
-	w.Header().Set("Trailer", streamTrailers(false)+", "+TrailerFourSum)
+	w.Header().Set("Trailer", streamTrailers(false)+", "+wire.TrailerFourSum)
 	w.WriteHeader(http.StatusOK)
 
 	var out edgeStreamSink
@@ -211,8 +211,8 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(TrailerStatus, status)
 	w.Header().Set(TrailerEdges, strconv.FormatInt(out.count(), 10))
-	w.Header().Set(TrailerFourSum, strconv.FormatInt(fourSum, 10))
+	w.Header().Set(wire.TrailerFourSum, strconv.FormatInt(fourSum, 10))
 	if ri.id != "" {
-		w.Header().Set(http.TrailerPrefix+HeaderRequestID, ri.id)
+		w.Header().Set(http.TrailerPrefix+wire.HeaderRequestID, ri.id)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"kronbip/internal/spec"
+	"kronbip/internal/wire"
 )
 
 // postLease issues one lease request and returns the response (body
@@ -208,9 +209,9 @@ func leaseFourSum(t *testing.T, res *http.Response) int64 {
 	if st := res.Trailer.Get(TrailerStatus); st != "complete" {
 		t.Fatalf("lease trailer status %q", st)
 	}
-	sum, err := strconv.ParseInt(res.Trailer.Get(TrailerFourSum), 10, 64)
+	sum, err := strconv.ParseInt(res.Trailer.Get(wire.TrailerFourSum), 10, 64)
 	if err != nil {
-		t.Fatalf("lease %s trailer: %v", TrailerFourSum, err)
+		t.Fatalf("lease %s trailer: %v", wire.TrailerFourSum, err)
 	}
 	return sum
 }

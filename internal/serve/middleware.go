@@ -9,6 +9,7 @@ import (
 
 	"kronbip/internal/cli"
 	"kronbip/internal/obs"
+	"kronbip/internal/wire"
 )
 
 // statusWriter captures the response status and body byte count for
@@ -66,8 +67,8 @@ func (s *Server) withMiddleware(h http.Handler) http.Handler {
 		mRequests.Inc()
 		hdr := w.Header()
 		hdr.Set("Server", serverToken)
-		hdr.Set(HeaderRequestID, ri.id)
-		hdr.Set(HeaderTraceparent, ri.traceparent())
+		hdr.Set(wire.HeaderRequestID, ri.id)
+		hdr.Set(wire.HeaderTraceparent, ri.traceparent())
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		defer func() {
 			status := sw.code

@@ -17,6 +17,7 @@ import (
 
 	"kronbip/internal/obs"
 	"kronbip/internal/obs/timeline"
+	"kronbip/internal/wire"
 )
 
 // Tests for the observability layer: request identity, RED recording,
@@ -153,11 +154,11 @@ func TestRequestIdentityEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Body.Close()
-	rid := res.Header.Get(HeaderRequestID)
+	rid := res.Header.Get(wire.HeaderRequestID)
 	if !strings.HasPrefix(rid, "req-") {
 		t.Errorf("generated request id = %q, want req-... form", rid)
 	}
-	tp := res.Header.Get(HeaderTraceparent)
+	tp := res.Header.Get(wire.HeaderTraceparent)
 	if _, ok := parseTraceparent(tp); !ok {
 		t.Errorf("generated traceparent %q does not parse", tp)
 	}
@@ -165,17 +166,17 @@ func TestRequestIdentityEcho(t *testing.T) {
 	// Supplied: the request id echoes verbatim, the trace id propagates
 	// with a fresh span id for this hop.
 	req, _ := http.NewRequest("GET", ts.URL+"/healthz", nil)
-	req.Header.Set(HeaderRequestID, "client-req-7")
-	req.Header.Set(HeaderTraceparent, "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	req.Header.Set(wire.HeaderRequestID, "client-req-7")
+	req.Header.Set(wire.HeaderTraceparent, "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
 	res, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Body.Close()
-	if got := res.Header.Get(HeaderRequestID); got != "client-req-7" {
+	if got := res.Header.Get(wire.HeaderRequestID); got != "client-req-7" {
 		t.Errorf("request id = %q, want the supplied client-req-7", got)
 	}
-	tp = res.Header.Get(HeaderTraceparent)
+	tp = res.Header.Get(wire.HeaderTraceparent)
 	if !strings.HasPrefix(tp, "00-4bf92f3577b34da6a3ce929d0e0e4736-") {
 		t.Errorf("traceparent = %q, want the supplied trace id", tp)
 	}
@@ -185,20 +186,20 @@ func TestRequestIdentityEcho(t *testing.T) {
 
 	// A garbage request id is replaced, not echoed (header injection).
 	req, _ = http.NewRequest("GET", ts.URL+"/healthz", nil)
-	req.Header.Set(HeaderRequestID, `evil" injected`)
+	req.Header.Set(wire.HeaderRequestID, `evil" injected`)
 	res, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Body.Close()
-	if got := res.Header.Get(HeaderRequestID); !strings.HasPrefix(got, "req-") {
+	if got := res.Header.Get(wire.HeaderRequestID); !strings.HasPrefix(got, "req-") {
 		t.Errorf("request id = %q, want the garbage id replaced", got)
 	}
 
 	// A control byte the Go client would refuse to send can still arrive
 	// from a raw socket; resolveIdentity must mint a replacement.
 	raw := httptest.NewRequest("GET", "/healthz", nil)
-	raw.Header.Set(HeaderRequestID, "esc\x1b[2Jwipe")
+	raw.Header.Set(wire.HeaderRequestID, "esc\x1b[2Jwipe")
 	if ri := resolveIdentity(raw); !strings.HasPrefix(ri.id, "req-") {
 		t.Errorf("request id for escape-byte header = %q, want minted", ri.id)
 	}
@@ -285,8 +286,8 @@ func TestAccessLogCarriesIdentity(t *testing.T) {
 	logBuf := &syncBuffer{}
 	_, ts := testServer(t, Config{AccessLog: logBuf})
 	req, _ := http.NewRequest("GET", ts.URL+"/v1/truth?factor=crown4", nil)
-	req.Header.Set(HeaderRequestID, "log-req-1")
-	req.Header.Set(HeaderTraceparent, "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	req.Header.Set(wire.HeaderRequestID, "log-req-1")
+	req.Header.Set(wire.HeaderTraceparent, "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
 	res, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -504,8 +505,8 @@ func TestJobObsEndpoint(t *testing.T) {
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/jobs",
 		strings.NewReader(`{"factor":"crown4","mode":"selfloop","seed":1}`))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HeaderRequestID, "obs-req-1")
-	req.Header.Set(HeaderTraceparent, "00-"+traceID+"-00f067aa0ba902b7-01")
+	req.Header.Set(wire.HeaderRequestID, "obs-req-1")
+	req.Header.Set(wire.HeaderTraceparent, "00-"+traceID+"-00f067aa0ba902b7-01")
 	res, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strings"
 	"sync/atomic"
+
+	"kronbip/internal/wire"
 )
 
 // Request identity and trace propagation.  Every request gets a request
@@ -23,20 +25,12 @@ import (
 // each id after that is the prefix plus an atomic counter — no
 // per-request crypto, no allocation beyond the string itself.
 
-// Correlation header names.  HeaderTraceparent is the W3C trace-context
-// header (https://www.w3.org/TR/trace-context/); HeaderRequestID is the
-// service's own id, honored when the client supplies one.
-const (
-	HeaderRequestID   = "X-Kronbip-Request-Id"
-	HeaderTraceparent = "Traceparent"
-	// HeaderIdempotencyKey makes POST /v1/jobs retry-safe: a resubmission
-	// carrying a key already bound to a job gets that job's status back
-	// (200) instead of enqueueing a duplicate — the contract a dist-gen
-	// coordinator relies on after a dropped response.  Keys share the
-	// request-id charset/length allowlist (they land in logs the same
-	// way).
-	HeaderIdempotencyKey = "X-Kronbip-Idempotency-Key"
-)
+// HeaderIdempotencyKey makes POST /v1/jobs retry-safe: a resubmission
+// carrying a key already bound to a job gets that job's status back
+// (200) instead of enqueueing a duplicate — the contract a dist-gen
+// coordinator relies on after a dropped response.  Keys share the
+// request-id charset/length allowlist (they land in logs the same way).
+const HeaderIdempotencyKey = "X-Kronbip-Idempotency-Key"
 
 // procPrefix is the process-unique 16-hex identity prefix; reqSeq
 // disambiguates requests within the process.
@@ -164,12 +158,12 @@ func isSafeRequestID(id string) bool {
 // id for this hop.
 func resolveIdentity(r *http.Request) requestInfo {
 	ri := requestInfo{spanID: newSpanID()}
-	if id := r.Header.Get(HeaderRequestID); isSafeRequestID(id) {
+	if id := r.Header.Get(wire.HeaderRequestID); isSafeRequestID(id) {
 		ri.id = id
 	} else {
 		ri.id = newRequestID()
 	}
-	if tid, ok := parseTraceparent(r.Header.Get(HeaderTraceparent)); ok {
+	if tid, ok := parseTraceparent(r.Header.Get(wire.HeaderTraceparent)); ok {
 		ri.traceID = tid
 	} else {
 		ri.traceID = newTraceID()

@@ -11,6 +11,7 @@ import (
 
 	"kronbip/internal/audit"
 	"kronbip/internal/exec"
+	"kronbip/internal/wire"
 )
 
 // Streaming output: GET /v1/jobs/{id}/edges re-derives the job's edge
@@ -32,10 +33,12 @@ const streamFlushEdges = 16384
 // Trailer names for the streaming endpoint.  The Trailer header
 // announces exactly the set that will be sent: status and edge count
 // always, the audit pair only on audited streams (an aborted audited
-// stream still gets its partial tallies).
+// stream still gets its partial tallies).  TrailerStatus and
+// TrailerEdges forward internal/wire's names, which perfbench reads
+// from this package.
 const (
-	TrailerStatus          = "X-Kronbip-Status" // "complete" or "aborted"
-	TrailerEdges           = "X-Kronbip-Edges"  // edges actually sent
+	TrailerStatus          = wire.TrailerStatus // "complete" or "aborted"
+	TrailerEdges           = wire.TrailerEdges  // edges actually sent
 	TrailerAuditChecks     = "X-Kronbip-Audit-Checks"
 	TrailerAuditViolations = "X-Kronbip-Audit-Violations"
 )
@@ -44,7 +47,7 @@ const (
 // the granted starting offset, sent before the first edge so a client
 // that loses the connection knows how to size and resume its request.
 const (
-	HeaderStreamTotal  = "X-Kronbip-Stream-Total"
+	HeaderStreamTotal  = wire.HeaderStreamTotal // forwarded, like the trailers
 	HeaderStreamOffset = "X-Kronbip-Stream-Offset"
 )
 
@@ -358,6 +361,6 @@ func (s *Server) handleJobEdges(w http.ResponseWriter, r *http.Request) {
 	// piped the multi-GB body elsewhere sees the correlation key again
 	// at EOF next to the audit verdict.
 	if ri := requestFrom(r.Context()); ri.id != "" {
-		w.Header().Set(http.TrailerPrefix+HeaderRequestID, ri.id)
+		w.Header().Set(http.TrailerPrefix+wire.HeaderRequestID, ri.id)
 	}
 }

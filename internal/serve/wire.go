@@ -1,42 +1,22 @@
 package serve
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
 
 	"kronbip/internal/exec"
+	"kronbip/internal/wire"
 )
 
-// Binary wire format ("bin").  Text rendering dominates the edge
-// stream's cost, so the binary encoding trades strconv for varints:
-// edges travel in self-contained frames of at most WireFrameEdges
-// (v, w) pairs, delta-encoded within the frame.
-//
-// Frame layout (all integers are encoding/binary varints):
-//
-//	uvarint  count       edges in this frame (1..WireFrameEdges)
-//	uvarint  start       stream offset of the frame's first edge
-//	uvarint  v0, w0      first edge, absolute
-//	varint   Δv, Δw      each later edge, zigzag delta from its
-//	                     predecessor (count-1 pairs)
-//
-// Deltas reset at every frame, so any frame decodes alone — a consumer
-// that kept the complete frames of a dropped response resumes from
-// `start+count` of the last one with zero waste (distgen does exactly
-// this).  Frame boundaries are a pure function of the stream offset:
-// a frame never spans a term boundary of the canonical order (the
-// TermEdgeStarts hard cuts) and otherwise closes every WireFrameEdges
-// edges from the last hard cut.  Resuming at any such cut therefore
-// reproduces the uninterrupted byte stream exactly; resuming elsewhere
-// still decodes, the first frame is just shorter.
+// Binary wire format ("bin"): internal/wire owns the frame layout, the
+// frame grid and the codec.  This file keeps the server's side of it —
+// the media type and the buffered, flushing encoder — plus forwarders
+// for the names perfbench reads from this package.
 const (
 	// ContentTypeBin is the negotiated media type for the binary edge
 	// stream (?format=bin, or Accept: application/vnd.kronbip.edges).
 	ContentTypeBin = "application/vnd.kronbip.edges"
-	// WireFrameEdges is the frame capacity, matched to exec.BatchLen so
-	// one generator batch renders into (at most) one frame.
-	WireFrameEdges = exec.BatchLen
+	// WireFrameEdges forwards wire.FrameEdges.
+	WireFrameEdges = wire.FrameEdges
 )
 
 // binSink renders edges into binary wire frames, with the same
@@ -53,7 +33,6 @@ type binSink struct {
 	start   int64       // stream offset of frame[0]
 	end     int64       // target exclusive end of the open frame
 	cuts    []int64     // ascending hard cuts; last is the stream total
-	ci      int         // cuts index: cuts[ci] is the next cut > start
 	scratch []byte      // encode accumulator; frames append at off
 	off     int         // bytes of scratch holding encoded frames
 	n       int64       // edges written (trailer)
@@ -78,35 +57,15 @@ func newBinSink(w io.Writer, cuts []int64, start int64) *binSink {
 		frame: make([]exec.Edge, 0, WireFrameEdges),
 		start: start,
 		cuts:  cuts,
-		// Headroom past the high-water mark for one worst-case frame (4
-		// maximal uvarints of header, 2 ten-byte varints per delta pair),
-		// so the encode loop never grows or bounds-trips mid-frame.
-		scratch: make([]byte, wireWriteTarget+4*binary.MaxVarintLen64+2*binary.MaxVarintLen64*WireFrameEdges),
+		// Headroom past the high-water mark for one worst-case frame, so
+		// the encode loop never grows or bounds-trips mid-frame.
+		scratch: make([]byte, wireWriteTarget+wire.MaxFrameLen),
 	}
 	if f, ok := w.(httpFlusher); ok {
 		s.flusher = f
 	}
-	s.end = s.frameEnd(start)
+	_, s.end = wire.FrameBounds(cuts, start)
 	return s
-}
-
-// frameEnd returns the exclusive end of the frame opening at `at`: the
-// next aligned boundary (hard cut, or WireFrameEdges past the previous
-// hard cut's grid), so framing is a deterministic function of the
-// offset alone.
-func (s *binSink) frameEnd(at int64) int64 {
-	for s.ci < len(s.cuts) && s.cuts[s.ci] <= at {
-		s.ci++
-	}
-	prev := int64(0)
-	if s.ci > 0 {
-		prev = s.cuts[s.ci-1]
-	}
-	end := prev + ((at-prev)/WireFrameEdges+1)*WireFrameEdges
-	if s.ci < len(s.cuts) && s.cuts[s.ci] < end {
-		end = s.cuts[s.ci]
-	}
-	return end
 }
 
 func (s *binSink) Edge(v, w int) error {
@@ -164,33 +123,9 @@ func (s *binSink) emitFrame() error {
 // offset s.start) and advances the framing state past it.
 func (s *binSink) writeFrame(frame []exec.Edge) error {
 	count := len(frame)
-	b := s.scratch
-	i := s.off
-	i += binary.PutUvarint(b[i:], uint64(count))
-	i += binary.PutUvarint(b[i:], uint64(s.start))
-	i += binary.PutUvarint(b[i:], uint64(frame[0].V))
-	i += binary.PutUvarint(b[i:], uint64(frame[0].W))
-	pv, pw := frame[0].V, frame[0].W
-	for _, e := range frame[1:] {
-		// Zigzag the deltas by hand: neighboring canonical edges differ by
-		// small steps almost always, so both fit one byte and the encode
-		// loop is two stores; the slow path matches binary.PutVarint.
-		dv, dw := int64(e.V-pv), int64(e.W-pw)
-		uv := uint64(dv<<1) ^ uint64(dv>>63)
-		uw := uint64(dw<<1) ^ uint64(dw>>63)
-		if uv|uw < 0x80 {
-			b[i] = byte(uv)
-			b[i+1] = byte(uw)
-			i += 2
-		} else {
-			i += binary.PutUvarint(b[i:], uv)
-			i += binary.PutUvarint(b[i:], uw)
-		}
-		pv, pw = e.V, e.W
-	}
-	s.off = i
+	s.off += wire.PutFrame(s.scratch[s.off:], s.start, frame)
 	s.start += int64(count)
-	s.end = s.frameEnd(s.start)
+	_, s.end = wire.FrameBounds(s.cuts, s.start)
 	s.n += int64(count)
 	s.batch += int64(count)
 	if s.off >= wireWriteTarget {
@@ -239,125 +174,16 @@ func (s *binSink) Flush() error {
 
 func (s *binSink) count() int64 { return s.n }
 
-// DecodeWire walks a binary wire payload frame by frame, calling yield
-// (when non-nil) for every edge of every complete frame.  start is the
-// expected offset of the first frame (-1 skips that check); frames must
-// be contiguous regardless.  It returns the edges decoded from complete
-// frames, the stream offset after the last complete frame, and how many
-// trailing bytes did not form a complete frame — a truncated tail is
-// NOT an error, so a consumer of a dropped connection can keep the
-// complete prefix and resume from `next`.  Malformed framing (overlong
-// varints, out-of-range counts, negative vertices, a contiguity break)
-// is an error.
+// DecodeWire is wire.Decode with a per-edge yield, for consumers that
+// take one edge at a time.
 func DecodeWire(payload []byte, start int64, yield func(v, w int)) (edges, next int64, trailing int, err error) {
-	next = start
-	rest := payload
-	var buf [WireFrameEdges]exec.Edge
-	for len(rest) > 0 {
-		frame := rest
-		count, n, ok, err := wireUvarint(frame)
-		if err != nil {
-			return edges, next, len(rest), err
-		}
-		if !ok {
-			return edges, next, len(rest), nil
-		}
-		frame = frame[n:]
-		if count < 1 || count > WireFrameEdges {
-			return edges, next, len(rest), fmt.Errorf("serve: bad wire frame: count %d out of range [1,%d]", count, WireFrameEdges)
-		}
-		fstart, n, ok, err := wireUvarint(frame)
-		if err != nil {
-			return edges, next, len(rest), err
-		}
-		if !ok {
-			return edges, next, len(rest), nil
-		}
-		frame = frame[n:]
-		if next >= 0 && int64(fstart) != next {
-			return edges, next, len(rest), fmt.Errorf("serve: bad wire frame: starts at %d, expected %d", fstart, next)
-		}
-		// Decode the whole frame before yielding anything: a frame cut
-		// off mid-edge contributes nothing, so the caller's "complete
-		// prefix" is exactly the edges yielded.
-		var v, w int64
-		complete := true
-		for i := uint64(0); i < count; i++ {
-			var nv, nw int
-			if i == 0 {
-				var uv, uw uint64
-				var okv, okw bool
-				uv, nv, okv, err = wireUvarint(frame)
-				if err == nil && okv {
-					uw, nw, okw, err = wireUvarint(frame[nv:])
-				}
-				if err != nil {
-					return edges, next, len(rest), err
-				}
-				if !okv || !okw {
-					complete = false
-					break
-				}
-				v, w = int64(uv), int64(uw)
-			} else {
-				var dv, dw int64
-				var okv, okw bool
-				dv, nv, okv, err = wireVarint(frame)
-				if err == nil && okv {
-					dw, nw, okw, err = wireVarint(frame[nv:])
-				}
-				if err != nil {
-					return edges, next, len(rest), err
-				}
-				if !okv || !okw {
-					complete = false
-					break
-				}
-				v += dv
-				w += dw
-			}
-			frame = frame[nv+nw:]
-			if v < 0 || w < 0 {
-				return edges, next, len(rest), fmt.Errorf("serve: bad wire frame: negative vertex (%d,%d)", v, w)
-			}
-			buf[i] = exec.Edge{V: int(v), W: int(w)}
-		}
-		if !complete {
-			return edges, next, len(rest), nil
-		}
-		if yield != nil {
-			for _, e := range buf[:count] {
+	var frames func([]exec.Edge)
+	if yield != nil {
+		frames = func(frame []exec.Edge) {
+			for _, e := range frame {
 				yield(e.V, e.W)
 			}
 		}
-		edges += int64(count)
-		next = int64(fstart) + int64(count)
-		rest = frame
 	}
-	return edges, next, 0, nil
-}
-
-// wireUvarint reads one uvarint: ok=false means the buffer ran out
-// (truncation), err means the encoding itself is invalid.
-func wireUvarint(b []byte) (v uint64, n int, ok bool, err error) {
-	v, n = binary.Uvarint(b)
-	if n > 0 {
-		return v, n, true, nil
-	}
-	if n == 0 {
-		return 0, 0, false, nil
-	}
-	return 0, 0, false, fmt.Errorf("serve: bad wire frame: uvarint overflow")
-}
-
-// wireVarint is wireUvarint for zigzag varints.
-func wireVarint(b []byte) (v int64, n int, ok bool, err error) {
-	v, n = binary.Varint(b)
-	if n > 0 {
-		return v, n, true, nil
-	}
-	if n == 0 {
-		return 0, 0, false, nil
-	}
-	return 0, 0, false, fmt.Errorf("serve: bad wire frame: varint overflow")
+	return wire.Decode(payload, start, frames)
 }

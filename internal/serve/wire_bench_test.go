@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -154,32 +155,33 @@ func BenchmarkStreamWire_NDJSONSocket(b *testing.B) {
 	benchWireSocket(b, url+"?format=ndjson")
 }
 
-// BenchmarkStreamWire_Decode measures the consumer side: DecodeWire over
-// a fully-encoded canonical stream, yielding every edge.
-func BenchmarkStreamWire_Decode(b *testing.B) {
-	p := benchWireProduct(b)
+// benchWirePayload encodes p's whole canonical stream the way the
+// edges endpoint does, batch by batch.
+func benchWirePayload(b *testing.B, p *core.Product) []byte {
+	b.Helper()
 	rec := httptest.NewRecorder()
 	sink := newBinSink(rec, p.TermEdgeStarts(), 0)
-	var batch []exec.Edge
-	p.EachEdge(func(v, w int) bool {
-		batch = append(batch, exec.Edge{V: v, W: w})
-		if len(batch) == exec.BatchLen {
-			if err := sink.EdgeBatch(batch); err != nil {
-				b.Fatal(err)
-			}
-			batch = batch[:0]
-		}
-		return true
-	})
-	if len(batch) > 0 {
+	if err := p.EachEdgeRangeBatchContext(context.Background(), 0, p.NumEdges(), func(batch []exec.Edge) bool {
 		if err := sink.EdgeBatch(batch); err != nil {
 			b.Fatal(err)
 		}
+		return true
+	}); err != nil {
+		b.Fatal(err)
 	}
 	if err := sink.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	payload := rec.Body.Bytes()
+	return rec.Body.Bytes()
+}
+
+// BenchmarkStreamWire_Decode measures the consumer side: DecodeWire over
+// a fully-encoded canonical stream, yielding every edge.  The unicode
+// product's delta pairs are mostly multi-byte (B/edge reports the
+// payload's density).
+func BenchmarkStreamWire_Decode(b *testing.B) {
+	p := benchWireProduct(b)
+	payload := benchWirePayload(b, p)
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -193,4 +195,50 @@ func BenchmarkStreamWire_Decode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(p.NumEdges()), "edges/op")
+	b.ReportMetric(float64(len(payload))/float64(p.NumEdges()), "B/edge")
+}
+
+// BenchmarkStreamWire_DecodeChain is the client side of perfbench's
+// chain-bin workload: its spec (sf48x96x240 ⊗ crown4, selfloop), whose
+// delta pairs are almost all one byte each, decoded the way its
+// receiver does — 256 KiB reads, DecodeWire with a per-edge append, the
+// incomplete last frame carried into the next read.
+func BenchmarkStreamWire_DecodeChain(b *testing.B) {
+	p, err := spec.Spec{Factors: []string{"sf48x96x240", "crown4"}, Mode: "selfloop"}.WithDefaults().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := benchWirePayload(b, p)
+	const chunk = 256 << 10
+	buf := make([]byte, chunk)
+	got := make([]exec.Edge, 0, chunk/2) // a frame spends at least two bytes per edge
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var n, next int64
+		carry := 0
+		for rest := payload; ; {
+			m := copy(buf[carry:], rest)
+			rest = rest[m:]
+			data := buf[:carry+m]
+			got = got[:0]
+			_, after, trailing, err := DecodeWire(data, next, func(v, w int) {
+				got = append(got, exec.Edge{V: v, W: w})
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			n += int64(len(got))
+			next = after
+			carry = copy(buf, data[len(data)-trailing:])
+			if len(rest) == 0 {
+				break
+			}
+		}
+		if carry != 0 || n != p.NumEdges() {
+			b.Fatalf("decoded %d edges with %d bytes left, want %d", n, carry, p.NumEdges())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.NumEdges()), "ns/edge")
+	b.ReportMetric(float64(len(payload))/float64(p.NumEdges()), "B/edge")
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"hash/crc64"
 	"io"
 	"math"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"kronbip/internal/core"
 	"kronbip/internal/exec"
 	"kronbip/internal/spec"
+	"kronbip/internal/wire"
 )
 
 // wireTestProduct builds the standard wire-format test product: big
@@ -243,10 +245,16 @@ func TestDecodeWireMalformed(t *testing.T) {
 		}
 		return b
 	}
+	// Eleven bytes run a varint past 64 bits.
+	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0x01)
 	cases := map[string][]byte{
-		"zero count":      frame(0, 0, 1, 2),
-		"oversized count": frame(WireFrameEdges+1, 0, 1, 2),
-		"wrong start":     frame(1, 5, 1, 2), // expected offset 0
+		"zero count":           frame(0, 0, 1, 2),
+		"oversized count":      frame(WireFrameEdges+1, 0, 1, 2),
+		"wrong start":          frame(1, 5, 1, 2), // expected offset 0
+		"11-byte count varint": overlong,
+		"11-byte start varint": append(frame(1), overlong...),
+		"11-byte delta varint": append(append(frame(2, 0, 1, 2), overlong...), 0),
+		"negative vertex":      frame(2, 0, 1, 2, 3, 0), // Δv = -2 (zigzag 3) takes v from 1 to -1
 	}
 	for name, b := range cases {
 		if _, _, _, err := DecodeWire(b, 0, nil); err == nil {
@@ -262,6 +270,45 @@ func TestDecodeWireMalformed(t *testing.T) {
 	}
 	if _, _, _, err := DecodeWire(payload[firstLen:], 0, nil); err == nil {
 		t.Error("skipped first frame: contiguity break not detected")
+	}
+}
+
+// TestWireBytesPinned pins the bin bytes themselves, which no round trip
+// can see: the length and CRC-64 (ECMA) of three bodies the server
+// sends.  A change to the frame layout, the frame grid or the encoder
+// fails here even while encoder and decoder still agree.
+func TestWireBytesPinned(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	const specBody = `"factors":["biclique8x8","path4"],"mode":"selfloop"`
+	st, _ := submitJob(t, ts.URL, `{`+specBody+`}`)
+	waitState(t, ts.URL, st.ID, "done")
+	edges := ts.URL + "/v1/jobs/" + st.ID + "/edges?format=bin"
+
+	full, _ := fetchBody(t, edges)
+	ranged, _ := fetchBody(t, edges+"&offset=5000&limit=20000")
+	// Block (0,1) of a 2×3 grid holds 18520 edges in one term up to
+	// 16384; 8192 is a grid boundary inside it.
+	res := postLease(t, ts.URL, `{`+specBody+`,"row":0,"rows":2,"col":1,"cols":3,"format":"bin","offset":8192}`)
+	resumed, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("resumed lease: status %d, err %v", res.StatusCode, err)
+	}
+
+	tab := crc64.MakeTable(crc64.ECMA)
+	for _, c := range []struct {
+		name string
+		body []byte
+		size int
+		sum  uint64
+	}{
+		{"full stream", full, 112281, 0x0a8b5b1ec140a686},
+		{"offset=5000&limit=20000", ranged, 40061, 0xa4f22a09ead88cc0},
+		{"lease (0,1) of 2x3 resumed at 8192", resumed, 20707, 0xddb404bc33056c0e},
+	} {
+		if sum := crc64.Checksum(c.body, tab); len(c.body) != c.size || sum != c.sum {
+			t.Errorf("%s: %d bytes, CRC-64 %#016x; pinned %d bytes, %#016x", c.name, len(c.body), sum, c.size, c.sum)
+		}
 	}
 }
 
@@ -379,7 +426,7 @@ func TestTrailerContract(t *testing.T) {
 				want[http.CanonicalHeaderKey(TrailerAuditViolations)] = true
 			}
 			if c.method == http.MethodPost { // a lease
-				want[http.CanonicalHeaderKey(TrailerFourSum)] = true
+				want[http.CanonicalHeaderKey(wire.TrailerFourSum)] = true
 			}
 			if len(announced) != len(want) {
 				t.Fatalf("announced %v, want exactly %v", announced, want)

@@ -4,16 +4,16 @@ import (
 	"bytes"
 	"context"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"kronbip/internal/core"
 	"kronbip/internal/exec"
+	"kronbip/internal/wire"
 )
 
 // Parallel binary streaming.  Framing is a pure function of the stream
-// offset (binSink.frameEnd), so disjoint spans of the canonical order
+// offset (wire.FrameBounds), so disjoint spans of the canonical order
 // encode to exactly the bytes the serial encoder would produce — as
 // long as every span boundary lands on the frame grid.  The edges
 // endpoint exploits that: spans are generated (closed-form range seek)
@@ -32,16 +32,6 @@ var wireSpanEdges = int64(64 * WireFrameEdges)
 // claims span i: a test seam for stalling one worker mid-stream.
 var spanClaimed func(i int)
 
-// alignFrameDown returns the largest frame-grid boundary ≤ x: a hard
-// cut, or a WireFrameEdges multiple past the preceding hard cut.
-func alignFrameDown(cuts []int64, x int64) int64 {
-	prev := int64(0)
-	if i := sort.Search(len(cuts), func(i int) bool { return cuts[i] > x }) - 1; i >= 0 {
-		prev = cuts[i]
-	}
-	return prev + (x-prev)/WireFrameEdges*WireFrameEdges
-}
-
 // wireSpans splits [lo,hi) into frame-aligned spans of about
 // wireSpanEdges edges, returning the ascending boundary list (first
 // element lo, last hi).  lo itself need not be aligned: the first
@@ -52,7 +42,7 @@ func wireSpans(cuts []int64, lo, hi int64) []int64 {
 	for at := lo; at < hi; {
 		b := hi
 		if at+wireSpanEdges < hi {
-			if a := alignFrameDown(cuts, at+wireSpanEdges); a > at {
+			if a, _ := wire.FrameBounds(cuts, at+wireSpanEdges); a > at {
 				b = a
 			}
 		}
