@@ -31,7 +31,7 @@ func cmdDistGen(ctx context.Context, args []string) error {
 	mode := fs.String("mode", "selfloop", "selfloop | nonbip")
 	seed := fs.Int64("seed", 2020, "factor seed")
 	out := fs.String("edges-out", "-", "merged edge list destination ('-' for stdout)")
-	format := fs.String("format", "tsv", "edge rendering leased from workers and written out: tsv | ndjson | bin (binary wire frames; dropped leases resume from the last complete frame)")
+	format := fs.String("format", "tsv", "merged output rendering: tsv | ndjson | bin (the leased wire frames as sent); leases are bin whatever the output, so a dropped lease resumes from its last complete frame")
 	rows := fs.Int("rows", 0, "row blocks of the grid; set with -cols, or leave both 0 to auto-size from -target-block-edges")
 	cols := fs.Int("cols", 0, "column blocks of the grid; set with -rows, or leave both 0 to auto-size")
 	targetBlock := fs.Int64("target-block-edges", distgen.DefaultTargetBlockEdges, "auto-sizing per-block edge target")

@@ -9,31 +9,30 @@ import (
 	"testing"
 	"time"
 
+	"kronbip/internal/core"
 	"kronbip/internal/serve"
 	"kronbip/internal/spec"
 )
 
-// BenchmarkDistGenMergeBin is the coordinator's side of an audited bin
-// run, the path perfbench's distgen-audit workload takes: the 4×2 grid
-// of BenchmarkDistGenMerge over Table I's spec, each block's lease
-// payload (leased once, before the clock starts, from an in-process
-// replica) decoded by parseEdges into its audit child, then accepted
-// and merged.  No network inside the loop.
-func BenchmarkDistGenMergeBin(b *testing.B) {
-	sp := spec.Spec{Factors: []string{"unicode"}, Mode: "selfloop"}.WithDefaults()
+// leasePayloads leases every block of a rows×cols grid of sp once from
+// an in-process replica, before the benchmark clock starts, and returns
+// the built product, the bin payloads in block order and their total
+// size.
+func leasePayloads(b *testing.B, sp spec.Spec, rows, cols int) (*core.Product, [][]byte, int64) {
+	b.Helper()
+	sp = sp.WithDefaults()
 	p, err := sp.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	const rows, cols = 4, 2
 	s := serve.New(serve.Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
-	b.Cleanup(func() {
+	defer func() {
 		ts.Close()
 		_ = s.Shutdown(5 * time.Second)
-	})
+	}()
 	var payloads [][]byte
-	var totalBytes int64
+	var total int64
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			body := fmt.Sprintf(`{"factors":%s,"mode":%q,"seed":%d,"row":%d,"rows":%d,"col":%d,"cols":%d,"format":"bin"}`,
@@ -48,35 +47,65 @@ func BenchmarkDistGenMergeBin(b *testing.B) {
 				b.Fatalf("lease (%d,%d): status %d, err %v", r, c, res.StatusCode, err)
 			}
 			payloads = append(payloads, payload)
-			totalBytes += int64(len(payload))
+			total += int64(len(payload))
 		}
 	}
-	opts, err := Options{Workers: []string{"bench"}, Format: "bin", Audit: true, MaxAttempts: 1}.withDefaults()
+	return p, payloads, total
+}
+
+// benchMerge runs the coordinator's side of a run over pre-leased
+// payloads: each block decoded by parseEdges (into its audit child when
+// opts.Audit, rendered when the output is text), then accepted and
+// merged.  No network inside the loop.
+func benchMerge(b *testing.B, sp spec.Spec, opts Options) {
+	const rows, cols = 4, 2
+	p, payloads, total := leasePayloads(b, sp, rows, cols)
+	opts.Workers, opts.MaxAttempts = []string{"bench"}, 1
+	opts, err := opts.withDefaults()
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(totalBytes)
+	b.SetBytes(total)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := newCoordinator(p, sp, discardWriter{}, rows, cols, opts)
+		c, err := newCoordinator(p, sp.WithDefaults(), discardWriter{}, rows, cols, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		w := c.workers[0]
 		for bi, payload := range payloads {
-			auditCh := c.auditStream.ForShard()
-			n, err := parseEdges(payload, "bin", auditCh)
+			res := &leaseResult{}
+			if c.auditStream != nil {
+				res.auditCh = c.auditStream.ForShard()
+			}
+			res.edges, res.buf, err = parseEdges(payload, res.auditCh, c.render)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if want := c.blocks[bi].want; n != want {
-				b.Fatalf("block %d parsed %d edges, want %d", bi, n, want)
+			if want := c.blocks[bi].want; res.edges != want {
+				b.Fatalf("block %d parsed %d edges, want %d", bi, res.edges, want)
 			}
-			c.complete(w, bi, false, &leaseResult{buf: payload, edges: n, auditCh: auditCh}, nil)
+			c.complete(w, bi, false, res, nil)
 		}
 		if c.merged != p.NumEdges() {
 			b.Fatalf("merged %d, want %d", c.merged, p.NumEdges())
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.NumEdges()), "ns/edge")
+}
+
+// BenchmarkDistGenMerge is the coordinator's per-byte cost on top of
+// worker generation for the default tsv output: the bin lease payloads
+// of a 4×2 grid of crown4⊗path3 decoded and rendered as TSV, then
+// verified and merged in order.
+func BenchmarkDistGenMerge(b *testing.B) {
+	benchMerge(b, spec.Spec{Factors: []string{"crown4", "path3"}, Mode: "selfloop"}, Options{Format: "tsv"})
+}
+
+// BenchmarkDistGenMergeBin is the coordinator's side of an audited bin
+// run, the path perfbench's distgen-audit workload takes: the same 4×2
+// grid over Table I's spec, each block decoded into its audit child and
+// merged as leased.
+func BenchmarkDistGenMergeBin(b *testing.B) {
+	benchMerge(b, spec.Spec{Factors: []string{"unicode"}, Mode: "selfloop"}, Options{Format: "bin", Audit: true})
 }

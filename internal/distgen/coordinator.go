@@ -56,16 +56,16 @@ func failureBackoff(consec int) time.Duration {
 type blockState struct {
 	row, col int
 	want     int64  // closed-form edge count
-	buf      []byte // accepted payload, held until merged in order
+	buf      []byte // accepted block in the output rendering, held until merged in order
 	done     bool
 	merged   bool
 	inflight int       // outstanding leases (1 normally, 2 with a speculative duplicate)
 	attempts int       // failed leases so far, judged against MaxAttempts
 	issued   time.Time // earliest outstanding issue time (straggler clock)
-	// Banked resume state (bin format only): the complete-frame bytes
-	// salvaged from failed leases of this block.  The next lease resumes
-	// at partEdges instead of regenerating the whole block, and the
-	// accepted payload is the bank plus the resumed tail.
+	// Banked resume state: the complete-frame bytes salvaged from failed
+	// leases of this block.  The next lease resumes at partEdges instead
+	// of regenerating the whole block, and the accepted payload is the
+	// bank plus the resumed tail.
 	part      []byte
 	partEdges int64
 }
@@ -81,15 +81,15 @@ type workerState struct {
 
 // leaseResult is one finished lease attempt before acceptance.
 type leaseResult struct {
-	buf     []byte
+	buf     []byte // the block in the output rendering
 	edges   int64
 	four    int64 // the block's Σ◊, from the worker's TrailerFourSum
 	dur     time.Duration
 	auditCh exec.Sink // unflushed per-block audit child; flushed only on acceptance
-	// Partial-lease salvage (bin format only): a failed lease may still
-	// carry the complete frames that reached the coordinator.  complete()
-	// banks them — guarded by base matching the block's banked offset —
-	// so the next attempt resumes from the frame boundary.
+	// Partial-lease salvage: a failed lease may still carry the complete
+	// frames that reached the coordinator.  complete() banks them —
+	// guarded by base matching the block's banked offset — so the next
+	// attempt resumes from the frame boundary.
 	base         int64  // block-local offset this lease was issued at
 	partial      []byte // complete-frame bytes salvaged from a failed lease
 	partialEdges int64  // edges carried by partial
@@ -100,6 +100,7 @@ type coordinator struct {
 	sp      spec.Spec
 	out     io.Writer
 	opts    Options
+	render  func(dst []byte, edges []exec.Edge) []byte // text output; nil for bin
 	rows    int
 	cols    int
 	traceID string
@@ -131,6 +132,12 @@ func newCoordinator(p *core.Product, sp spec.Spec, out io.Writer, rows, cols int
 		rows:    rows,
 		cols:    cols,
 		traceID: randHex(16),
+	}
+	switch opts.Format {
+	case "tsv":
+		c.render = exec.AppendTSV
+	case "ndjson":
+		c.render = exec.AppendNDJSON
 	}
 	if opts.Audit {
 		c.auditor = audit.New(p, audit.Options{SampleEvery: opts.AuditSample})
@@ -352,27 +359,33 @@ func parseRetryAfter(h string, now time.Time) time.Duration {
 	return d
 }
 
+// leaseBytesPerEdge bounds an honest lease body per edge.  A frame of
+// c ≤ wire.FrameEdges edges encodes to at most 12 + 20c bytes (a
+// two-byte count, a ten-byte start, two ten-byte varints per edge), so
+// at most 32 bytes an edge; 40 leaves room for a per-frame checksum.
+const leaseBytesPerEdge = 40
+
 // lease executes one POST /v1/leases round trip for block b against w:
-// issue with the run's correlation identity, read the full payload,
-// verify the trailer and the closed-form count, parse every edge
-// (feeding the un-merged audit child when auditing), and read the
+// issue with the run's correlation identity, read the payload (at most
+// its closed-form ceiling), verify the trailer, decode every frame —
+// feeding the un-merged audit child when auditing and rendering the
+// output when it is text — check the closed-form count, and read the
 // block's Σ◊ trailer.  Any discrepancy is an error — the worker is not
 // trusted, the closed forms are; a missing or malformed Σ◊ fails the
 // lease, and a wrong one fails the run's final 4·□ check.
 //
-// base/banked are the block's resume snapshot (bin format only, both
-// zero otherwise): the worker is asked for the tail from block-local
-// offset base, and the accepted payload is banked + tail — which the
-// offset-deterministic framing makes byte-identical to an uninterrupted
-// lease.  A failed bin lease returns its salvageable complete-frame
-// prefix alongside the error.
+// base/banked are the block's resume snapshot: the worker is asked for
+// the tail from block-local offset base, and the accepted payload is
+// banked + tail — which the offset-deterministic framing makes
+// byte-identical to an uninterrupted lease.  A failed lease returns its
+// salvageable complete-frame prefix alongside the error.
 func (c *coordinator) lease(ctx context.Context, w *workerState, b *blockState, base int64, banked []byte) (*leaseResult, error) {
 	mLeasesIssued.Inc()
 	lctx, cancel := context.WithTimeout(ctx, c.opts.LeaseTimeout)
 	defer cancel()
 	body := fmt.Sprintf(
-		`{"factors":%s,"mode":%q,"seed":%d,"row":%d,"rows":%d,"col":%d,"cols":%d,"format":%q,"offset":%d}`,
-		factorsJSON(c.sp.Factors), c.sp.Mode, c.sp.Seed, b.row, c.rows, b.col, c.cols, c.opts.Format, base)
+		`{"factors":%s,"mode":%q,"seed":%d,"row":%d,"rows":%d,"col":%d,"cols":%d,"format":"bin","offset":%d}`,
+		factorsJSON(c.sp.Factors), c.sp.Mode, c.sp.Seed, b.row, c.rows, b.col, c.cols, base)
 	req, err := http.NewRequestWithContext(lctx, http.MethodPost, w.url+"/v1/leases", strings.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -406,31 +419,36 @@ func (c *coordinator) lease(ctx context.Context, w *workerState, b *blockState, 
 		return nil, fmt.Errorf("distgen: worker %s: lease (%d,%d): status %d: %s",
 			w.url, b.row, b.col, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	payload, err := io.ReadAll(resp.Body)
+	n := b.want - base
+	ceiling := leaseBytesPerEdge * n
+	payload, err := io.ReadAll(io.LimitReader(resp.Body, ceiling+1))
+	if err == nil && int64(len(payload)) > ceiling {
+		payload = payload[:ceiling]
+		err = fmt.Errorf("body exceeds the %d-byte ceiling of %d edges", ceiling, n)
+	}
 	if err != nil {
-		return c.salvage(base, payload),
+		return salvage(base, n, payload),
 			fmt.Errorf("distgen: worker %s: lease (%d,%d): read: %w", w.url, b.row, b.col, err)
 	}
 	if st := resp.Trailer.Get(wire.TrailerStatus); st != "complete" {
-		return c.salvage(base, payload),
+		return salvage(base, n, payload),
 			fmt.Errorf("distgen: worker %s: lease (%d,%d): trailer status %q", w.url, b.row, b.col, st)
 	}
-	res := &leaseResult{buf: payload, dur: time.Since(start), base: base}
+	res := &leaseResult{dur: time.Since(start), base: base}
 	if base > 0 {
 		// Reassemble the whole block: banked complete frames + resumed
 		// tail.  Frame boundaries are a pure function of the offset, so
 		// this is the byte stream an uninterrupted lease would have sent,
-		// and the full-payload parse below re-verifies every frame of it
-		// (bank included) before acceptance.
+		// and the decode below re-verifies every frame of it (bank
+		// included) before acceptance.
 		assembled := make([]byte, 0, len(banked)+len(payload))
 		assembled = append(assembled, banked...)
-		assembled = append(assembled, payload...)
-		res.buf = assembled
+		payload = append(assembled, payload...)
 	}
 	if c.auditStream != nil {
 		res.auditCh = c.auditStream.ForShard()
 	}
-	res.edges, err = parseEdges(res.buf, c.opts.Format, res.auditCh)
+	res.edges, res.buf, err = parseEdges(payload, res.auditCh, c.render)
 	if err != nil {
 		return nil, fmt.Errorf("distgen: worker %s: lease (%d,%d): %w", w.url, b.row, b.col, err)
 	}
@@ -445,17 +463,17 @@ func (c *coordinator) lease(ctx context.Context, w *workerState, b *blockState, 
 	return res, nil
 }
 
-// salvage extracts the complete-frame prefix of a failed bin lease's
-// payload.  Text renderings are never salvaged (a truncated line is
-// unframed), and a payload whose framing does not decode cleanly from
-// the issued offset is dropped wholesale — resume only trusts bytes the
-// wire format can vouch for.
-func (c *coordinator) salvage(base int64, payload []byte) *leaseResult {
-	if c.opts.Format != "bin" || len(payload) == 0 {
+// salvage extracts the complete-frame prefix of a failed lease's
+// payload, issued at block-local offset base for n edges.  A payload
+// whose framing does not decode cleanly from base, or whose frames carry
+// more than n edges, is dropped wholesale — resume only trusts bytes the
+// wire format and the closed form can vouch for.
+func salvage(base, n int64, payload []byte) *leaseResult {
+	if len(payload) == 0 {
 		return nil
 	}
 	edges, _, trailing, err := wire.Decode(payload, base, nil)
-	if err != nil || edges == 0 {
+	if err != nil || edges == 0 || edges > n {
 		return nil
 	}
 	return &leaseResult{base: base, partial: payload[:len(payload)-trailing], partialEdges: edges}
@@ -476,88 +494,39 @@ func factorsJSON(fs []string) string {
 	return sb.String()
 }
 
-// parseEdges walks a lease payload in the given format ("tsv", "ndjson"
-// or "bin"), validating shape, counting edges and feeding them to the
-// audit child when one is supplied: a bin payload a frame at a time, a
-// text one an edge at a time.
-func parseEdges(payload []byte, format string, auditCh exec.Sink) (int64, error) {
-	if format == "bin" {
-		// A whole-block payload frames from block-local offset 0; the
-		// decoder enforces contiguity, and a truncated tail — tolerated
-		// on the salvage path — is a hard error here.
-		var yield func(frame []exec.Edge)
-		if auditCh != nil {
-			// The audit child samples a batch at the per-edge cadence.
-			yield = func(frame []exec.Edge) { _ = exec.DeliverBatch(auditCh, frame) }
-		}
-		n, _, trailing, err := wire.Decode(payload, 0, yield)
-		if err != nil {
-			return n, err
-		}
-		if trailing != 0 {
-			return n, fmt.Errorf("truncated payload: %d trailing bytes after the last complete frame", trailing)
-		}
-		return n, nil
-	}
-	ndjson := format == "ndjson"
-	var n int64
-	for len(payload) > 0 {
-		nl := bytes.IndexByte(payload, '\n')
-		if nl < 0 {
-			return n, fmt.Errorf("truncated payload: unterminated final line")
-		}
-		line := payload[:nl]
-		payload = payload[nl+1:]
-		var v, w int
-		var err error
-		if ndjson {
-			v, w, err = parseNDJSONEdge(line)
-		} else {
-			v, w, err = parseTSVEdge(line)
-		}
-		if err != nil {
-			return n, err
-		}
-		n++
-		if auditCh != nil {
-			_ = auditCh.Edge(v, w) // StreamAuditor children never error
+// parseEdges decodes a whole-block lease payload, validating its
+// framing and counting its edges.  Each frame goes to the audit child
+// when one is supplied and, when render is set, is appended to the
+// returned text; without render the returned output is the payload
+// itself.
+func parseEdges(payload []byte, auditCh exec.Sink, render func(dst []byte, edges []exec.Edge) []byte) (n int64, out []byte, err error) {
+	var text []byte
+	var yield func(frame []exec.Edge)
+	if auditCh != nil || render != nil {
+		yield = func(frame []exec.Edge) {
+			if auditCh != nil {
+				// The audit child samples a batch at the per-edge cadence.
+				_ = exec.DeliverBatch(auditCh, frame)
+			}
+			if render != nil {
+				text = render(text, frame)
+			}
 		}
 	}
-	return n, nil
-}
-
-// parseTSVEdge parses "v\tw".
-func parseTSVEdge(line []byte) (int, int, error) {
-	tab := bytes.IndexByte(line, '\t')
-	if tab < 0 {
-		return 0, 0, fmt.Errorf("bad tsv line %q", line)
+	// A whole-block payload frames from block-local offset 0; the
+	// decoder enforces contiguity, and a truncated tail — tolerated on
+	// the salvage path — is a hard error here.
+	n, _, trailing, err := wire.Decode(payload, 0, yield)
+	if err != nil {
+		return n, nil, err
 	}
-	v, err1 := strconv.Atoi(string(line[:tab]))
-	w, err2 := strconv.Atoi(string(line[tab+1:]))
-	if err1 != nil || err2 != nil {
-		return 0, 0, fmt.Errorf("bad tsv line %q", line)
+	if trailing != 0 {
+		return n, nil, fmt.Errorf("truncated payload: %d trailing bytes after the last complete frame", trailing)
 	}
-	return v, w, nil
-}
-
-// parseNDJSONEdge parses the serve stream's fixed rendering
-// {"v":N,"w":M} positionally — the worker is ours, and a shape change
-// should fail loudly here rather than be absorbed.
-func parseNDJSONEdge(line []byte) (int, int, error) {
-	rest, ok := bytes.CutPrefix(line, []byte(`{"v":`))
-	if !ok {
-		return 0, 0, fmt.Errorf("bad ndjson line %q", line)
+	if render == nil {
+		return n, payload, nil
 	}
-	comma := bytes.Index(rest, []byte(`,"w":`))
-	if comma < 0 || !bytes.HasSuffix(rest, []byte("}")) {
-		return 0, 0, fmt.Errorf("bad ndjson line %q", line)
-	}
-	v, err1 := strconv.Atoi(string(rest[:comma]))
-	w, err2 := strconv.Atoi(string(rest[comma+5 : len(rest)-1]))
-	if err1 != nil || err2 != nil {
-		return 0, 0, fmt.Errorf("bad ndjson line %q", line)
-	}
-	return v, w, nil
+	return n, text, nil
 }
 
 // complete books one lease outcome: accept the first result for a block

@@ -5,15 +5,17 @@
 // The coordinator partitions a factor-chain spec's canonical edge order
 // into a rows×cols grid of blocks (core.EachEdgeBlockBatchContext: rows
 // stripe the stream's row space, cols stripe the last factor's edge
-// list) and leases each block to a replica over POST /v1/leases.  Three
+// list) and leases each block to a replica over POST /v1/leases.  A
+// lease always travels as bin wire frames (internal/wire); Options.Format
+// only picks how the coordinator renders the merged output.  Four
 // properties of the paper's construction make the distribution trivial
 // to verify and safe to retry:
 //
 //   - determinism: any replica produces byte-identical output for a
 //     given block, so a lease lost to a crash or deadline is simply
-//     re-issued elsewhere — at-least-once delivery with exact replays
-//     (and, with Format "bin", re-issued from the last complete wire
-//     frame the dying replica managed to deliver, not from scratch);
+//     re-issued elsewhere — at-least-once delivery with exact replays,
+//     resumed from the last complete wire frame the dying replica
+//     managed to deliver, not from scratch;
 //   - closed-form counts: core.BlockEdgeCount prices every block in
 //     O(K) before any generation, so the coordinator sizes a balanced
 //     grid up front and verifies every returned stream (and the
@@ -112,10 +114,11 @@ type Options struct {
 	// AuditSample is the auditor's membership sampling stride (0 = the
 	// audit package default).
 	AuditSample int
-	// Format selects the merged output rendering, forwarded to workers:
-	// "tsv" (default), "ndjson" or "bin" (the binary wire format, which
-	// additionally lets a dropped lease resume from its last complete
-	// frame instead of regenerating the whole block).
+	// Format selects the merged output rendering: "tsv" (default),
+	// "ndjson" or "bin" (each block's wire frames as leased).  Leases are
+	// bin whatever the output, so every run resumes a dropped lease from
+	// its last complete frame; a text output is rendered from the
+	// decoded frames.
 	Format string
 	// RequestID correlates the run across every replica's access log,
 	// timeline and flight recorder; generated when empty.  Propagated as

@@ -444,7 +444,8 @@ func TestRunCountMismatchRejected(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Trailer", wire.TrailerStatus+", "+wire.TrailerEdges)
 		w.WriteHeader(http.StatusOK)
-		fmt.Fprintf(w, "0\t1\n") // one edge, whatever the block wanted
+		frame := make([]byte, wire.MaxFrameLen)
+		w.Write(frame[:wire.PutFrame(frame, 0, []exec.Edge{{V: 0, W: 1}})]) // one edge, whatever the block wanted
 		w.Header().Set(wire.TrailerStatus, "complete")
 		w.Header().Set(wire.TrailerEdges, "1")
 	}))
@@ -461,6 +462,42 @@ func TestRunCountMismatchRejected(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("unverified payload reached the merged output: %q", out.String())
+	}
+}
+
+// TestRunLeaseBodyCeiling: a worker that streams well-formed frames
+// past a block's closed-form byte ceiling (40 bytes per edge) fails the
+// lease once the coordinator has read the ceiling plus one byte, with an
+// error naming the ceiling; with one worker and one attempt the run
+// ends in ErrExhausted and merges nothing.
+func TestRunLeaseBodyCeiling(t *testing.T) {
+	want := testProduct(t).NumEdges()
+	ceiling := leaseBytesPerEdge * want
+	var sent atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		frame := make([]byte, wire.MaxFrameLen)
+		for i := int64(0); sent.Load() < 100*ceiling; i++ {
+			n := wire.PutFrame(frame, i, []exec.Edge{{V: 0, W: 1}})
+			if _, err := w.Write(frame[:n]); err != nil {
+				return // the coordinator hung up
+			}
+			sent.Add(int64(n))
+		}
+	}))
+	t.Cleanup(ts.Close)
+	var out bytes.Buffer
+	_, err := Run(context.Background(), testSpec, &out, Options{
+		Workers: []string{ts.URL}, Rows: 1, Cols: 1, MaxAttempts: 1,
+	})
+	if !errors.Is(err, ErrExhausted) || !strings.Contains(err.Error(), fmt.Sprintf("%d-byte ceiling", ceiling)) {
+		t.Fatalf("err = %v, want ErrExhausted naming the %d-byte ceiling", err, ceiling)
+	}
+	if sent.Load() <= ceiling {
+		t.Fatalf("worker sent %d bytes, not past the %d-byte ceiling", sent.Load(), ceiling)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("an over-long lease reached the merged output: %d bytes", out.Len())
 	}
 }
 
@@ -585,71 +622,6 @@ func TestPlanAutoSizing(t *testing.T) {
 	r, c = plan(p, Options{Workers: []string{"a"}, TargetBlockEdges: 1 << 40})
 	if r < 1 || c < 1 {
 		t.Fatalf("degenerate grid %dx%d for huge target", r, c)
-	}
-}
-
-// BenchmarkDistGenMerge measures the coordinator's merge path — payload
-// parse + verification + ordered flush — over pre-rendered block
-// payloads, no network.  This is the per-byte cost a dist-gen run adds
-// on top of worker generation.
-func BenchmarkDistGenMerge(b *testing.B) {
-	sp := spec.Spec{Factors: []string{"crown4", "path3"}, Mode: "selfloop"}.WithDefaults()
-	p, err := sp.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	const rows, cols = 4, 2
-	type block struct {
-		payload []byte
-		want    int64
-	}
-	var blocks []block
-	var totalBytes int64
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			var buf bytes.Buffer
-			if err := p.EachEdgeBlockBatchContext(context.Background(), r, rows, c, cols, func(batch []exec.Edge) bool {
-				for _, e := range batch {
-					buf.WriteString(strconv.Itoa(e.V))
-					buf.WriteByte('\t')
-					buf.WriteString(strconv.Itoa(e.W))
-					buf.WriteByte('\n')
-				}
-				return true
-			}); err != nil {
-				b.Fatal(err)
-			}
-			want, err := p.BlockEdgeCount(r, rows, c, cols)
-			if err != nil {
-				b.Fatal(err)
-			}
-			blocks = append(blocks, block{payload: buf.Bytes(), want: want})
-			totalBytes += int64(buf.Len())
-		}
-	}
-	b.SetBytes(totalBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := newCoordinator(p, sp, discardWriter{}, rows, cols, Options{
-			Workers: []string{"bench"}, Format: "tsv", MaxAttempts: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		w := c.workers[0]
-		for bi, blk := range blocks {
-			n, err := parseEdges(blk.payload, "tsv", nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if n != blk.want {
-				b.Fatalf("block %d parsed %d edges, want %d", bi, n, blk.want)
-			}
-			c.complete(w, bi, false, &leaseResult{buf: blk.payload, edges: n}, nil)
-		}
-		if c.merged != p.NumEdges() {
-			b.Fatalf("merged %d, want %d", c.merged, p.NumEdges())
-		}
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"kronbip/internal/exec"
 	"kronbip/internal/serve"
+	"kronbip/internal/wire"
 )
 
 // --- Retry-After parsing (satellite: coordinator backoff fix) ---------
@@ -173,6 +175,55 @@ func TestRunBinFormat(t *testing.T) {
 	}
 }
 
+// decodeMerged decodes a merged bin output block by block: each
+// block's frames restart at block-local offset 0, so a block ends where
+// the decoder reports a contiguity break.
+func decodeMerged(t *testing.T, buf []byte) []exec.Edge {
+	t.Helper()
+	var edges []exec.Edge
+	for len(buf) > 0 {
+		n, _, trailing, err := wire.Decode(buf, 0, func(frame []exec.Edge) {
+			edges = append(edges, frame...)
+		})
+		if n == 0 {
+			t.Fatalf("merged bin output: undecodable block (%d bytes left): %v", len(buf), err)
+		}
+		buf = buf[len(buf)-trailing:]
+	}
+	return edges
+}
+
+// TestRunTextRendersBin: the tsv and ndjson outputs of a multi-block
+// run are the line renderings of the bin output's decoded edges, in the
+// same order.
+func TestRunTextRendersBin(t *testing.T) {
+	urls := newFleet(t, 2, nil)
+	run := func(format string) []byte {
+		var out bytes.Buffer
+		if _, err := Run(context.Background(), testSpec, &out, Options{
+			Workers: urls, Rows: 3, Cols: 2, Format: format, RequestID: "test-render-" + format,
+		}); err != nil {
+			t.Fatalf("%s run: %v", format, err)
+		}
+		return out.Bytes()
+	}
+	edges := decodeMerged(t, run("bin"))
+	if want := testProduct(t).NumEdges(); int64(len(edges)) != want {
+		t.Fatalf("bin output decodes to %d edges, closed form %d", len(edges), want)
+	}
+	var tsv, ndjson bytes.Buffer
+	for _, e := range edges {
+		fmt.Fprintf(&tsv, "%d\t%d\n", e.V, e.W)
+		fmt.Fprintf(&ndjson, "{\"v\":%d,\"w\":%d}\n", e.V, e.W)
+	}
+	if got := run("tsv"); !bytes.Equal(got, tsv.Bytes()) {
+		t.Fatalf("tsv output (%d bytes) is not the bin output's rendering (%d bytes)", len(got), tsv.Len())
+	}
+	if got := run("ndjson"); !bytes.Equal(got, ndjson.Bytes()) {
+		t.Fatalf("ndjson output (%d bytes) is not the bin output's rendering (%d bytes)", len(got), ndjson.Len())
+	}
+}
+
 // --- Resume from banked frames (tentpole: distgen side) ---------------
 
 // frameLen returns the byte length of the wire frame at the head of b,
@@ -267,66 +318,71 @@ func leaseOffset(body string) int64 {
 	return n
 }
 
-// TestRunBinResumeAfterTruncation is the tentpole acceptance test: a
-// worker dies mid-lease after one complete frame reaches the wire.  The
-// coordinator salvages that frame, re-issues the lease with a non-zero
-// block-local offset, and the assembled bank+tail stream is verified
-// and merged — byte-identical to a run that never saw the fault.
+// TestRunBinResumeAfterTruncation: a worker dies mid-lease after one
+// complete frame reaches the wire.  Leases are bin whatever the output
+// rendering, so for every Format the coordinator salvages that frame,
+// re-issues the lease with a non-zero block-local offset, and the
+// assembled bank+tail block is verified and merged — byte-identical to
+// a run that never saw the fault.
 func TestRunBinResumeAfterTruncation(t *testing.T) {
-	var th *truncatingHandler
-	urls := newFleet(t, 1, func(i int, h http.Handler) http.Handler {
-		th = &truncatingHandler{h: h}
-		return th
-	})
-	_, total := localEdgeSet(t, testSpec)
+	for _, format := range []string{"bin", "tsv", "ndjson"} {
+		t.Run(format, func(t *testing.T) {
+			var th *truncatingHandler
+			urls := newFleet(t, 1, func(i int, h http.Handler) http.Handler {
+				th = &truncatingHandler{h: h}
+				return th
+			})
+			_, total := localEdgeSet(t, testSpec)
 
-	var faulted bytes.Buffer
-	res, err := Run(context.Background(), testSpec, &faulted, Options{
-		Workers: urls, Rows: 1, Cols: 1, Format: "bin", Audit: true,
-		RequestID: "test-bin-resume",
-	})
-	if err != nil {
-		t.Fatalf("run with truncated first lease: %v", err)
-	}
-	if !th.fired.Load() {
-		t.Fatal("fault injection never fired")
-	}
-	if res.Edges != total {
-		t.Fatalf("merged %d edges, closed form %d", res.Edges, total)
-	}
-	if want := testProduct(t).GlobalFourCycles(); res.FourCycles != want {
-		t.Fatalf("fleet □ = %d, closed form %d", res.FourCycles, want)
-	}
-	if res.AuditChecks == 0 || res.AuditViolations != 0 {
-		t.Fatalf("audit checks=%d violations=%d", res.AuditChecks, res.AuditViolations)
-	}
+			var faulted bytes.Buffer
+			res, err := Run(context.Background(), testSpec, &faulted, Options{
+				Workers: urls, Rows: 1, Cols: 1, Format: format, Audit: true,
+				RequestID: "test-resume-" + format,
+			})
+			if err != nil {
+				t.Fatalf("run with truncated first lease: %v", err)
+			}
+			if !th.fired.Load() {
+				t.Fatal("fault injection never fired")
+			}
+			if res.Edges != total {
+				t.Fatalf("merged %d edges, closed form %d", res.Edges, total)
+			}
+			if want := testProduct(t).GlobalFourCycles(); res.FourCycles != want {
+				t.Fatalf("fleet □ = %d, closed form %d", res.FourCycles, want)
+			}
+			if res.AuditChecks == 0 || res.AuditViolations != 0 {
+				t.Fatalf("audit checks=%d violations=%d", res.AuditChecks, res.AuditViolations)
+			}
 
-	th.mu.Lock()
-	offs := append([]int64(nil), th.offs...)
-	th.mu.Unlock()
-	if len(offs) < 2 || offs[0] != 0 {
-		t.Fatalf("lease offsets %v: want the initial lease at 0 and a retry", offs)
-	}
-	resumed := false
-	for _, o := range offs[1:] {
-		if o > 0 {
-			resumed = true
-		}
-	}
-	if !resumed {
-		t.Fatalf("lease offsets %v: no resume lease was issued — the salvaged frame was not banked", offs)
-	}
+			th.mu.Lock()
+			offs := append([]int64(nil), th.offs...)
+			th.mu.Unlock()
+			if len(offs) < 2 || offs[0] != 0 {
+				t.Fatalf("lease offsets %v: want the initial lease at 0 and a retry", offs)
+			}
+			resumed := false
+			for _, o := range offs[1:] {
+				if o > 0 {
+					resumed = true
+				}
+			}
+			if !resumed {
+				t.Fatalf("lease offsets %v: no resume lease was issued — the salvaged frame was not banked", offs)
+			}
 
-	// The assembled stream must be byte-identical to an uninterrupted run.
-	var clean bytes.Buffer
-	if _, err := Run(context.Background(), testSpec, &clean, Options{
-		Workers: newFleet(t, 1, nil), Rows: 1, Cols: 1, Format: "bin",
-		RequestID: "test-bin-clean",
-	}); err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-	if !bytes.Equal(faulted.Bytes(), clean.Bytes()) {
-		t.Fatalf("resumed stream differs from uninterrupted stream (%d vs %d bytes)",
-			faulted.Len(), clean.Len())
+			// The assembled stream must be byte-identical to an uninterrupted run.
+			var clean bytes.Buffer
+			if _, err := Run(context.Background(), testSpec, &clean, Options{
+				Workers: newFleet(t, 1, nil), Rows: 1, Cols: 1, Format: format,
+				RequestID: "test-clean-" + format,
+			}); err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			if !bytes.Equal(faulted.Bytes(), clean.Bytes()) {
+				t.Fatalf("resumed stream differs from uninterrupted stream (%d vs %d bytes)",
+					faulted.Len(), clean.Len())
+			}
+		})
 	}
 }

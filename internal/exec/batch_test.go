@@ -175,7 +175,7 @@ func TestBufferedSinkEdgeBatchChunksAndFlushes(t *testing.T) {
 }
 
 func TestTSVSinkEdgeBatchMatchesPerEdge(t *testing.T) {
-	batch := batchOf(2000, 100000) // wide enough vertex IDs to cross tsvChunk
+	batch := batchOf(2000, 100000) // more than one RenderChunk
 	var viaBatch, viaEdge bytes.Buffer
 	tb := NewTSVSink(&viaBatch)
 	if err := tb.EdgeBatch(batch); err != nil {

@@ -210,9 +210,42 @@ func (b *BufferedSink) Close() error {
 	return err
 }
 
-// TSVSink renders each edge as a "v\tw\n" line — the on-disk interchange
-// format of cmd/kronbip — through an internal buffered writer, formatting
-// with strconv.AppendInt to keep fmt out of the per-edge path.
+// AppendTSV appends each edge as a "v\tw\n" line — the on-disk
+// interchange format of cmd/kronbip and serve's tsv stream — to dst and
+// returns the extended buffer.  It formats with strconv.AppendInt to
+// keep fmt out of the per-edge path.  Every TSV rendering in the
+// repository goes through it, so they agree byte for byte.
+func AppendTSV(dst []byte, edges []Edge) []byte {
+	for _, e := range edges {
+		dst = strconv.AppendInt(dst, int64(e.V), 10)
+		dst = append(dst, '\t')
+		dst = strconv.AppendInt(dst, int64(e.W), 10)
+		dst = append(dst, '\n')
+	}
+	return dst
+}
+
+// AppendNDJSON appends each edge as a {"v":N,"w":M} line — serve's
+// ndjson stream — to dst and returns the extended buffer.
+func AppendNDJSON(dst []byte, edges []Edge) []byte {
+	for _, e := range edges {
+		dst = append(dst, `{"v":`...)
+		dst = strconv.AppendInt(dst, int64(e.V), 10)
+		dst = append(dst, `,"w":`...)
+		dst = strconv.AppendInt(dst, int64(e.W), 10)
+		dst = append(dst, '}', '\n')
+	}
+	return dst
+}
+
+// RenderChunk is how many edges a text sink renders per writer call:
+// enough to amortize the call, few enough that the scratch buffer stays
+// under 64 KiB at the widest vertex ids (an NDJSON line is at most 52
+// bytes).
+const RenderChunk = 1024
+
+// TSVSink renders edges with AppendTSV through an internal buffered
+// writer.
 type TSVSink struct {
 	bw      *bufio.Writer
 	scratch []byte
@@ -220,49 +253,27 @@ type TSVSink struct {
 
 // NewTSVSink returns a TSVSink writing to w.
 func NewTSVSink(w io.Writer) *TSVSink {
-	return &TSVSink{bw: bufio.NewWriterSize(w, 1<<20), scratch: make([]byte, 0, 48)}
+	return &TSVSink{bw: bufio.NewWriterSize(w, 1<<20)}
 }
 
-// Edge writes one tab-separated line.
+// Edge writes one tab-separated line through EdgeBatch.
 func (t *TSVSink) Edge(v, w int) error {
-	b := t.scratch[:0]
-	b = strconv.AppendInt(b, int64(v), 10)
-	b = append(b, '\t')
-	b = strconv.AppendInt(b, int64(w), 10)
-	b = append(b, '\n')
-	t.scratch = b
-	_, err := t.bw.Write(b)
-	return err
+	e := [1]Edge{{V: v, W: w}}
+	return t.EdgeBatch(e[:])
 }
 
-// tsvChunk bounds how many rendered bytes EdgeBatch accumulates before
-// handing them to the buffered writer, keeping the scratch buffer out
-// of large-allocation territory on worst-case vertex widths.
-const tsvChunk = 32 << 10
-
-// EdgeBatch renders the whole batch into the scratch buffer in chunks,
-// paying the writer call once per chunk instead of once per edge.
+// EdgeBatch renders the batch RenderChunk edges at a time, paying the
+// writer call once per chunk instead of once per edge.
 func (t *TSVSink) EdgeBatch(edges []Edge) error {
-	b := t.scratch[:0]
-	for _, e := range edges {
-		b = strconv.AppendInt(b, int64(e.V), 10)
-		b = append(b, '\t')
-		b = strconv.AppendInt(b, int64(e.W), 10)
-		b = append(b, '\n')
-		if len(b) >= tsvChunk {
-			if _, err := t.bw.Write(b); err != nil {
-				t.scratch = b[:0]
-				return err
-			}
-			b = b[:0]
+	for len(edges) > 0 {
+		n := min(len(edges), RenderChunk)
+		t.scratch = AppendTSV(t.scratch[:0], edges[:n])
+		if _, err := t.bw.Write(t.scratch); err != nil {
+			return err
 		}
+		edges = edges[n:]
 	}
-	t.scratch = b
-	if len(b) == 0 {
-		return nil
-	}
-	_, err := t.bw.Write(b)
-	return err
+	return nil
 }
 
 // Flush flushes the underlying buffered writer.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 )
 
@@ -18,7 +17,7 @@ import (
 // the timeline (opt-in, per-shard data plane), the recorder is cheap
 // enough to leave on unconditionally: recording sites are per
 // job/request/tick, never per edge, and an append is one mutex-guarded
-// store of a fixed-size record into a preallocated ring — zero
+// store of a fixed-size record into a preallocated Ring — zero
 // allocations in steady state (strings are stored by reference;
 // callers pass static or already-built strings, never fmt.Sprintf
 // results built only for the recorder).
@@ -28,11 +27,7 @@ import (
 // SIGQUIT gives both the event ordering ("what happened just before")
 // and the aggregate state ("what the gauges said when it did").
 type FlightRecorder struct {
-	cap int
-
-	mu   sync.Mutex
-	ring []FlightEvent // allocated on first Record
-	n    uint64        // total events ever recorded
+	ring *Ring[FlightEvent]
 }
 
 // FlightSeverity classifies an event for dump filtering.
@@ -88,7 +83,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{cap: capacity}
+	return &FlightRecorder{ring: NewRing[FlightEvent](capacity)}
 }
 
 // Flight is the process-wide recorder every built-in recording site
@@ -105,46 +100,17 @@ func (r *FlightRecorder) Record(sev FlightSeverity, cat, msg string, n1, n2 int6
 // The note must be a string the caller already has — building one just
 // for the recorder would void the allocation-free contract.
 func (r *FlightRecorder) RecordNote(sev FlightSeverity, cat, msg string, n1, n2 int64, note string) {
-	at := time.Now()
-	r.mu.Lock()
-	if r.ring == nil {
-		r.ring = make([]FlightEvent, r.cap)
-	}
-	r.ring[r.n%uint64(r.cap)] = FlightEvent{At: at, Sev: sev, Cat: cat, Msg: msg, N1: n1, N2: n2, Note: note}
-	r.n++
-	r.mu.Unlock()
+	r.ring.Add(FlightEvent{At: time.Now(), Sev: sev, Cat: cat, Msg: msg, N1: n1, N2: n2, Note: note})
 }
 
 // Snapshot copies the retained events oldest-first and reports how many
 // older events the ring has already overwritten.
 func (r *FlightRecorder) Snapshot() (events []FlightEvent, dropped uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n == 0 {
-		return nil, 0
-	}
-	kept := r.n
-	if kept > uint64(r.cap) {
-		kept = uint64(r.cap)
-		dropped = r.n - kept
-	}
-	events = make([]FlightEvent, 0, kept)
-	start := r.n - kept
-	for i := start; i < r.n; i++ {
-		events = append(events, r.ring[i%uint64(r.cap)])
-	}
-	return events, dropped
+	return r.ring.Snapshot()
 }
 
 // Len reports how many events the ring currently retains.
-func (r *FlightRecorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n > uint64(r.cap) {
-		return r.cap
-	}
-	return int(r.n)
-}
+func (r *FlightRecorder) Len() int { return r.ring.Len() }
 
 // WriteDump writes the post-mortem dump: a header line, one logfmt line
 // per retained event (oldest first), and — when reg is non-nil — a

@@ -24,9 +24,10 @@ package timeline
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"kronbip/internal/obs"
 )
 
 // enabled is the global recording switch, mirroring obs.SetEnabled.
@@ -68,14 +69,11 @@ type Event struct {
 // beyond it.
 const DefaultCapacity = 1 << 16
 
-// Recorder accumulates events in a fixed-capacity ring.  All methods
-// are safe for concurrent use; the ring is allocated lazily on the
-// first Record so disabled processes never pay for it.
+// Recorder accumulates events in a fixed-capacity obs.Ring.  All
+// methods are safe for concurrent use; the ring is allocated lazily on
+// the first Record so disabled processes never pay for it.
 type Recorder struct {
-	mu   sync.Mutex
-	cap  int
-	ring []Event
-	n    uint64 // total events ever recorded
+	ring *obs.Ring[Event]
 }
 
 // NewRecorder returns a recorder keeping the last `capacity` events;
@@ -84,7 +82,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{cap: capacity}
+	return &Recorder{ring: obs.NewRing[Event](capacity)}
 }
 
 // Default is the process-wide recorder every built-in instrumentation
@@ -93,30 +91,13 @@ var Default = NewRecorder(0)
 
 // Record appends one completed event, overwriting the oldest once the
 // ring is full.
-func (r *Recorder) Record(ev Event) {
-	r.mu.Lock()
-	if r.ring == nil {
-		r.ring = make([]Event, r.cap)
-	}
-	r.ring[r.n%uint64(r.cap)] = ev
-	r.n++
-	r.mu.Unlock()
-}
+func (r *Recorder) Record(ev Event) { r.ring.Add(ev) }
 
 // Snapshot returns the retained events sorted by start time (ties
 // broken by category, name, then ID, so exports are deterministic) and
 // the number of older events the ring has dropped.
 func (r *Recorder) Snapshot() (events []Event, dropped uint64) {
-	r.mu.Lock()
-	if r.n <= uint64(r.cap) {
-		events = append(events, r.ring[:r.n]...)
-	} else {
-		head := r.n % uint64(r.cap)
-		events = append(events, r.ring[head:]...)
-		events = append(events, r.ring[:head]...)
-		dropped = r.n - uint64(r.cap)
-	}
-	r.mu.Unlock()
+	events, dropped = r.ring.Snapshot()
 	sort.SliceStable(events, func(a, b int) bool {
 		ea, eb := events[a], events[b]
 		if !ea.Start.Equal(eb.Start) {
@@ -134,23 +115,11 @@ func (r *Recorder) Snapshot() (events []Event, dropped uint64) {
 }
 
 // Len returns the number of events currently retained.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n < uint64(r.cap) {
-		return int(r.n)
-	}
-	return r.cap
-}
+func (r *Recorder) Len() int { return r.ring.Len() }
 
 // Reset drops every retained event.  Intended for tests and the start
 // of a flag-driven run.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.ring = nil
-	r.n = 0
-	r.mu.Unlock()
-}
+func (r *Recorder) Reset() { r.ring.Reset() }
 
 // Done finishes the event opened by Begin, stamping OK from err.
 type Done func(err error)

@@ -15,9 +15,11 @@ import (
 // Block leases: POST /v1/leases is the worker half of distributed
 // generation (internal/distgen).  A coordinator partitions a spec's
 // canonical edge order into rows×cols blocks and asks one replica to
-// stream one block; determinism means any replica can serve any block,
-// a retried lease reproduces the identical bytes, and the closed-form
-// core.BlockEdgeCount lets both sides verify the stream without trust.
+// stream one block, always as bin wire frames, so a dropped lease
+// resumes from its last complete frame; determinism means any replica
+// can serve any block, a retried lease reproduces the identical bytes,
+// and the closed-form core.BlockEdgeCount lets both sides verify the
+// stream without trust.
 //
 // Unlike jobs, a lease is synchronous: the response IS the work.  There
 // is no queue — admission is a concurrency cap (Config.MaxLeases) and a
@@ -63,7 +65,10 @@ type leaseRequest struct {
 	Rows    int      `json:"rows"`
 	Col     int      `json:"col"`
 	Cols    int      `json:"cols"`
-	Format  string   `json:"format"` // "ndjson" (default), "tsv" or "bin"
+	// Format is "bin", the only lease encoding, or absent.  A
+	// coordinator salvages and resumes a dropped lease from its complete
+	// wire frames, which no text rendering carries.
+	Format string `json:"format"`
 	// Offset skips the first N block-local edges — a coordinator that
 	// banked the complete frames of a dropped lease resumes from the
 	// last frame boundary instead of re-leasing the whole block.
@@ -90,9 +95,8 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, `use either "factor" or "factors", not both`)
 		return
 	}
-	format, err := parseStreamFormat(req.Format, r.Header.Get("Accept"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if req.Format != "" && req.Format != "bin" {
+		writeError(w, http.StatusBadRequest, "bad lease format %q (leases are bin only)", req.Format)
 		return
 	}
 	factors := req.Factors
@@ -151,23 +155,18 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	ri := requestFrom(r.Context())
 	obs.Flight.RecordNote(obs.FlightInfo, "lease", "lease start", int64(req.Row*req.Cols+req.Col), want, ri.id)
 
-	w.Header().Set("Content-Type", contentTypeFor(format))
+	w.Header().Set("Content-Type", ContentTypeBin)
 	w.Header().Set(HeaderBlockEdges, strconv.FormatInt(want, 10))
 	w.Header().Set(HeaderStreamOffset, strconv.FormatInt(req.Offset, 10))
 	w.Header().Set("Trailer", streamTrailers(false)+", "+wire.TrailerFourSum)
 	w.WriteHeader(http.StatusOK)
 
-	var out edgeStreamSink
-	if format == "bin" {
-		cuts, cerr := p.BlockTermEdgeStarts(req.Row, req.Rows, req.Col, req.Cols)
-		if cerr != nil {
-			// Unreachable: the coordinates validated above.
-			cuts = []int64{want}
-		}
-		out = newBinSink(w, cuts, req.Offset)
-	} else {
-		out = newStreamSink(w, format == "ndjson")
+	cuts, cerr := p.BlockTermEdgeStarts(req.Row, req.Rows, req.Col, req.Cols)
+	if cerr != nil {
+		// Unreachable: the coordinates validated above.
+		cuts = []int64{want}
 	}
+	out := newBinSink(w, cuts, req.Offset)
 	// The lease rides the ◊ batch walk, which prices every edge with its
 	// 4-cycle count.  A fresh lease covers the whole block; a resumed one
 	// first ◊-sums the skipped prefix [0, offset) without emitting it,

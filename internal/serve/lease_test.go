@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"kronbip/internal/exec"
 	"kronbip/internal/spec"
 	"kronbip/internal/wire"
 )
@@ -84,22 +85,24 @@ func TestLeaseBlocksReassemble(t *testing.T) {
 	}
 }
 
-// readLeaseEdges consumes an NDJSON lease body, returning one canonical
-// "v,w" string per edge (res.Trailer is populated after the read).
+// readLeaseEdges consumes a bin lease body through wire.Decode,
+// returning one canonical "v,w" string per edge (res.Trailer is
+// populated after the read).
 func readLeaseEdges(t *testing.T, res *http.Response) []string {
 	t.Helper()
 	defer res.Body.Close()
-	dec := json.NewDecoder(res.Body)
+	payload, err := io.ReadAll(res.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []string
-	for {
-		var e struct{ V, W int }
-		if err := dec.Decode(&e); err != nil {
-			if err == io.EOF {
-				break
-			}
-			t.Fatalf("decode lease edge: %v", err)
+	_, _, trailing, err := wire.Decode(payload, 0, func(frame []exec.Edge) {
+		for _, e := range frame {
+			out = append(out, fmt.Sprintf("%d,%d", e.V, e.W))
 		}
-		out = append(out, fmt.Sprintf("%d,%d", e.V, e.W))
+	})
+	if err != nil || trailing != 0 {
+		t.Fatalf("decode lease body: trailing=%d err=%v", trailing, err)
 	}
 	return out
 }
@@ -114,6 +117,8 @@ func TestLeaseValidation(t *testing.T) {
 		{"both factor fields", `{"factor":"crown3","factors":["crown3"],"rows":1,"cols":1}`, http.StatusBadRequest},
 		{"bad factor", `{"factor":"nope","rows":1,"cols":1}`, http.StatusBadRequest},
 		{"bad format", `{"factor":"crown3","rows":1,"cols":1,"format":"csv"}`, http.StatusBadRequest},
+		{"tsv format", `{"factor":"crown3","rows":1,"cols":1,"format":"tsv"}`, http.StatusBadRequest},
+		{"ndjson format", `{"factor":"crown3","rows":1,"cols":1,"format":"ndjson"}`, http.StatusBadRequest},
 		{"row out of range", `{"factor":"crown3","row":2,"rows":2,"col":0,"cols":1}`, http.StatusBadRequest},
 		{"zero rows", `{"factor":"crown3","row":0,"rows":0,"col":0,"cols":1}`, http.StatusBadRequest},
 		{"col out of range", `{"factor":"crown3","row":0,"rows":1,"col":5,"cols":2}`, http.StatusBadRequest},
@@ -123,6 +128,35 @@ func TestLeaseValidation(t *testing.T) {
 		res.Body.Close()
 		if res.StatusCode != tc.wantCode {
 			t.Errorf("%s: status %d, want %d", tc.name, res.StatusCode, tc.wantCode)
+		}
+	}
+
+	// Leases are bin only: with no format, or "bin", and whatever the
+	// Accept header says, the body is wire frames of the whole block.
+	for _, body := range []string{
+		`{"factor":"crown3","rows":1,"cols":1}`,
+		`{"factor":"crown3","rows":1,"cols":1,"format":"bin"}`,
+	} {
+		for _, accept := range []string{"", "application/x-ndjson", "text/tab-separated-values", "*/*", ContentTypeBin} {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/leases", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if accept != "" {
+				req.Header.Set("Accept", accept)
+			}
+			res, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.StatusCode != http.StatusOK || res.Header.Get("Content-Type") != ContentTypeBin {
+				res.Body.Close()
+				t.Fatalf("%s with Accept %q: status %d, content type %q; want 200 %s",
+					body, accept, res.StatusCode, res.Header.Get("Content-Type"), ContentTypeBin)
+			}
+			if got, want := len(readLeaseEdges(t, res)), res.Header.Get(HeaderBlockEdges); strconv.Itoa(got) != want {
+				t.Fatalf("%s with Accept %q: decoded %d edges, header promised %s", body, accept, got, want)
+			}
 		}
 	}
 }
@@ -165,33 +199,6 @@ func TestLeaseDraining(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", res.StatusCode)
-	}
-}
-
-// TestLeaseTSVFormat: the tsv rendering matches the ndjson edge list.
-func TestLeaseTSVFormat(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	res := postLease(t, ts.URL, `{"factor":"crown3","row":0,"rows":1,"col":0,"cols":2,"format":"tsv"}`)
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", res.StatusCode)
-	}
-	if ct := res.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/tab-separated-values") {
-		t.Fatalf("content type %q", ct)
-	}
-	body, err := io.ReadAll(res.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
-	want := res.Header.Get(HeaderBlockEdges)
-	if strconv.Itoa(len(lines)) != want {
-		t.Fatalf("tsv lease streamed %d lines, header promised %s", len(lines), want)
-	}
-	for _, l := range lines {
-		if !strings.Contains(l, "\t") {
-			t.Fatalf("tsv line %q has no tab", l)
-		}
 	}
 }
 

@@ -561,6 +561,12 @@ func TestBadRequests(t *testing.T) {
 		{"GET", "/v1/truth?factor=crown4&edge=zz", "", http.StatusBadRequest},
 		// a crown4 root with eight crown4 levels: 2^27 vertices, but 2.8e19 4-cycles
 		{"GET", "/v1/truth?mode=selfloop" + strings.Repeat("&factor=crown4", 8), "", http.StatusBadRequest},
+		// factors over spec.MaxFactorSize, rejected unbuilt: building
+		// them panics in makeslice, takes 10 s of CPU or 3.9 GB
+		{"GET", "/v1/truth?factor=biclique3037000500x3037000500", "", http.StatusBadRequest},
+		{"GET", "/v1/truth?factor=crown400", "", http.StatusBadRequest},
+		{"GET", "/v1/truth?factor=path1000000", "", http.StatusBadRequest},
+		{"POST", "/v1/jobs", `{"factor":"crown400"}`, http.StatusBadRequest},
 		{"GET", "/v1/stats?seed=abc", "", http.StatusBadRequest},
 		{"GET", "/v1/jobs/nope", "", http.StatusNotFound},
 		{"DELETE", "/v1/jobs/nope", "", http.StatusNotFound},

@@ -51,115 +51,68 @@ const (
 	HeaderStreamOffset = "X-Kronbip-Stream-Offset"
 )
 
-// streamSink writes edges in the chosen rendering through a buffered
-// writer, flushing the HTTP chunk every streamFlushEdges edges.  It is
-// used from a single goroutine (the stream runs one shard, because an
-// HTTP response is one ordered byte stream).
+// streamSink writes edges in a text rendering (exec.AppendNDJSON or
+// exec.AppendTSV) through a buffered writer, flushing the HTTP chunk
+// every streamFlushEdges edges.  It is used from a single goroutine (the
+// stream runs one shard, because an HTTP response is one ordered byte
+// stream).
 type streamSink struct {
 	bw      *bufio.Writer
 	flusher http.Flusher
 	ndjson  bool
 	scratch []byte
 	n       int64 // edges written
-	batch   int64
+	batch   int   // edges since the last flush
 }
 
 func newStreamSink(w http.ResponseWriter, ndjson bool) *streamSink {
-	s := &streamSink{bw: bufio.NewWriterSize(w, 1<<16), ndjson: ndjson, scratch: make([]byte, 0, 64)}
+	s := &streamSink{bw: bufio.NewWriterSize(w, 1<<16), ndjson: ndjson}
 	if f, ok := w.(http.Flusher); ok {
 		s.flusher = f
 	}
 	return s
 }
 
+// Edge writes one line through EdgeBatch.
 func (s *streamSink) Edge(v, w int) error {
-	b := s.scratch[:0]
-	if s.ndjson {
-		b = append(b, `{"v":`...)
-		b = strconv.AppendInt(b, int64(v), 10)
-		b = append(b, `,"w":`...)
-		b = strconv.AppendInt(b, int64(w), 10)
-		b = append(b, '}', '\n')
-	} else {
-		b = strconv.AppendInt(b, int64(v), 10)
-		b = append(b, '\t')
-		b = strconv.AppendInt(b, int64(w), 10)
-		b = append(b, '\n')
-	}
-	s.scratch = b
-	if _, err := s.bw.Write(b); err != nil {
-		return err
-	}
-	s.n++
-	s.batch++
-	if s.batch >= streamFlushEdges {
-		s.batch = 0
-		mStreamEdges.Add(streamFlushEdges)
-		if err := s.bw.Flush(); err != nil {
+	e := [1]exec.Edge{{V: v, W: w}}
+	return s.EdgeBatch(e[:])
+}
+
+// EdgeBatch renders the batch exec.RenderChunk edges at a time, paying
+// the writer call once per chunk instead of once per edge.  The chunk
+// also ends at every streamFlushEdges-th edge, where the HTTP chunk goes
+// out and the edge counter advances, wherever that falls in a batch.
+func (s *streamSink) EdgeBatch(edges []exec.Edge) error {
+	for len(edges) > 0 {
+		n := min(len(edges), exec.RenderChunk, streamFlushEdges-s.batch)
+		if s.ndjson {
+			s.scratch = exec.AppendNDJSON(s.scratch[:0], edges[:n])
+		} else {
+			s.scratch = exec.AppendTSV(s.scratch[:0], edges[:n])
+		}
+		if _, err := s.bw.Write(s.scratch); err != nil {
 			return err
 		}
-		if s.flusher != nil {
-			s.flusher.Flush()
+		edges = edges[n:]
+		s.n += int64(n)
+		s.batch += n
+		if s.batch == streamFlushEdges {
+			s.batch = 0
+			mStreamEdges.Add(streamFlushEdges)
+			if err := s.bw.Flush(); err != nil {
+				return err
+			}
+			if s.flusher != nil {
+				s.flusher.Flush()
+			}
 		}
 	}
 	return nil
 }
 
-// streamChunk bounds how many rendered bytes EdgeBatch accumulates in
-// the scratch buffer before handing them to the buffered writer.
-const streamChunk = 32 << 10
-
-// EdgeBatch renders a whole batch into the scratch buffer, paying the
-// writer call once per chunk instead of once per edge.  The HTTP flush
-// cadence is unchanged: the chunk still goes out (and the edge counter
-// still advances) every streamFlushEdges edges, wherever those fall
-// inside a batch.
-func (s *streamSink) EdgeBatch(edges []exec.Edge) error {
-	b := s.scratch[:0]
-	for _, e := range edges {
-		if s.ndjson {
-			b = append(b, `{"v":`...)
-			b = strconv.AppendInt(b, int64(e.V), 10)
-			b = append(b, `,"w":`...)
-			b = strconv.AppendInt(b, int64(e.W), 10)
-			b = append(b, '}', '\n')
-		} else {
-			b = strconv.AppendInt(b, int64(e.V), 10)
-			b = append(b, '\t')
-			b = strconv.AppendInt(b, int64(e.W), 10)
-			b = append(b, '\n')
-		}
-		s.n++
-		s.batch++
-		if s.batch >= streamFlushEdges || len(b) >= streamChunk {
-			if _, err := s.bw.Write(b); err != nil {
-				s.scratch = b[:0]
-				return err
-			}
-			b = b[:0]
-			if s.batch >= streamFlushEdges {
-				s.batch = 0
-				mStreamEdges.Add(streamFlushEdges)
-				if err := s.bw.Flush(); err != nil {
-					s.scratch = b
-					return err
-				}
-				if s.flusher != nil {
-					s.flusher.Flush()
-				}
-			}
-		}
-	}
-	s.scratch = b
-	if len(b) == 0 {
-		return nil
-	}
-	_, err := s.bw.Write(b)
-	return err
-}
-
 func (s *streamSink) Flush() error {
-	mStreamEdges.Add(s.batch)
+	mStreamEdges.Add(int64(s.batch))
 	s.batch = 0
 	return s.bw.Flush()
 }

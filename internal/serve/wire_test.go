@@ -312,6 +312,35 @@ func TestWireBytesPinned(t *testing.T) {
 	}
 }
 
+// TestTextBytesPinned pins the text renderings the way
+// TestWireBytesPinned pins bin: the length and CRC-64 (ECMA) of the tsv
+// and ndjson job-stream bodies of wireTestProduct, whole and ranged.
+// Every text sink renders through exec.AppendTSV and exec.AppendNDJSON,
+// so a change to either, or to the sink's chunking, fails here.
+func TestTextBytesPinned(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	st, _ := submitJob(t, ts.URL, `{"factors":["biclique8x8","path4"],"mode":"selfloop"}`)
+	waitState(t, ts.URL, st.ID, "done")
+	edges := ts.URL + "/v1/jobs/" + st.ID + "/edges?format="
+
+	tab := crc64.MakeTable(crc64.ECMA)
+	for _, c := range []struct {
+		query string
+		size  int
+		sum   uint64
+	}{
+		{"tsv", 439095, 0xbfcacbd5351fadf2},
+		{"tsv&offset=5000&limit=20000", 156432, 0xa74a5dd1d927410a},
+		{"ndjson", 999735, 0x4e81c39fd300fd53},
+		{"ndjson&offset=5000&limit=20000", 356432, 0x9f9e83555aa1c394},
+	} {
+		body, _ := fetchBody(t, edges+c.query)
+		if sum := crc64.Checksum(body, tab); len(body) != c.size || sum != c.sum {
+			t.Errorf("format=%s: %d bytes, CRC-64 %#016x; pinned %d bytes, %#016x", c.query, len(body), sum, c.size, c.sum)
+		}
+	}
+}
+
 // --- Trailer contract -------------------------------------------------
 
 // abortWriter fails every body write after `allow` bytes, simulating a
@@ -346,11 +375,11 @@ func trailerNames(announce string) []string {
 }
 
 // TestTrailerContract is the announced-equals-sent matrix: for both
-// streaming endpoints, every format, complete and aborted, audited and
-// not, the Trailer header announces exactly the trailers that arrive —
-// no phantom audit trailers on unaudited streams (the old bug), no
-// announced-but-missing trailers on aborted ones, and the block's Σ◊
-// on every lease.
+// streaming endpoints, every format (a lease has only bin), complete and
+// aborted, audited and not, the Trailer header announces exactly the
+// trailers that arrive — no phantom audit trailers on unaudited streams
+// (the old bug), no announced-but-missing trailers on aborted ones, and
+// the block's Σ◊ on every lease.
 func TestTrailerContract(t *testing.T) {
 	total := wireTestProduct(t).NumEdges()
 	s, ts := testServer(t, Config{Workers: 1})
@@ -385,13 +414,15 @@ func TestTrailerContract(t *testing.T) {
 					audited: audited,
 				})
 			}
-			cells = append(cells, cell{
-				name:   fmt.Sprintf("leases/%s/abort=%v", format, abort),
-				method: http.MethodPost,
-				target: "/v1/leases",
-				body:   fmt.Sprintf(`{%s,"row":0,"rows":1,"col":0,"cols":1,"format":%q}`, specBody, format),
-				abort:  abort,
-			})
+			if format == "bin" {
+				cells = append(cells, cell{
+					name:   fmt.Sprintf("leases/%s/abort=%v", format, abort),
+					method: http.MethodPost,
+					target: "/v1/leases",
+					body:   fmt.Sprintf(`{%s,"row":0,"rows":1,"col":0,"cols":1,"format":%q}`, specBody, format),
+					abort:  abort,
+				})
+			}
 		}
 	}
 
@@ -585,16 +616,17 @@ func TestEdgesRangeConcatenation(t *testing.T) {
 
 // TestLeaseOffsetResume: a lease resumed at a frame-aligned block-local
 // offset returns exactly the bytes the uninterrupted lease carries from
-// that offset — prefix + resumed tail is byte-identical — and an offset
-// past the block answers 416.
+// that offset — prefix + resumed tail is byte-identical — at every
+// interior frame cut of every block of a 2×3 grid, and an offset past
+// the block answers 416.
 func TestLeaseOffsetResume(t *testing.T) {
 	p := wireTestProduct(t)
 	_, ts := testServer(t, Config{})
 	const specBody = `"factors":["biclique8x8","path4"],"mode":"selfloop"`
 	const rows, cols = 2, 3
-	leaseBody := func(r, c int, format string, offset int64) string {
-		return fmt.Sprintf(`{%s,"row":%d,"rows":%d,"col":%d,"cols":%d,"format":%q,"offset":%d}`,
-			specBody, r, rows, c, cols, format, offset)
+	leaseBody := func(r, c int, offset int64) string {
+		return fmt.Sprintf(`{%s,"row":%d,"rows":%d,"col":%d,"cols":%d,"format":"bin","offset":%d}`,
+			specBody, r, rows, c, cols, offset)
 	}
 	fetch := func(body string) ([]byte, *http.Response) {
 		res := postLease(t, ts.URL, body)
@@ -606,63 +638,63 @@ func TestLeaseOffsetResume(t *testing.T) {
 		return payload, res
 	}
 
-	r, c := 1, 1
-	want, err := p.BlockEdgeCount(r, rows, c, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bcuts, err := p.BlockTermEdgeStarts(r, rows, c, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, res := fetch(leaseBody(r, c, "bin", 0))
-	if res.StatusCode != http.StatusOK || res.Trailer.Get(TrailerStatus) != "complete" {
-		t.Fatalf("full lease: status %d trailer %q", res.StatusCode, res.Trailer.Get(TrailerStatus))
-	}
-	if got := res.Header.Get("Content-Type"); got != ContentTypeBin {
-		t.Fatalf("bin lease content type %q", got)
-	}
-	n, _, trailing, err := DecodeWire(full, 0, nil)
-	if err != nil || trailing != 0 || n != want {
-		t.Fatalf("full lease decode: n=%d trailing=%d err=%v (closed form %d)", n, trailing, err, want)
-	}
+	resumed := 0
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			want, err := p.BlockEdgeCount(r, rows, c, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bcuts, err := p.BlockTermEdgeStarts(r, rows, c, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, res := fetch(leaseBody(r, c, 0))
+			if res.StatusCode != http.StatusOK || res.Trailer.Get(TrailerStatus) != "complete" {
+				t.Fatalf("lease (%d,%d): status %d trailer %q", r, c, res.StatusCode, res.Trailer.Get(TrailerStatus))
+			}
+			if got := res.Header.Get("Content-Type"); got != ContentTypeBin {
+				t.Fatalf("lease (%d,%d): content type %q", r, c, got)
+			}
+			n, _, trailing, err := DecodeWire(full, 0, nil)
+			if err != nil || trailing != 0 || n != want {
+				t.Fatalf("lease (%d,%d) decode: n=%d trailing=%d err=%v (closed form %d)", r, c, n, trailing, err, want)
+			}
 
-	// Resume at every block-local frame cut: term cuts plus the grid.
-	var ks []int64
-	prev := int64(0)
-	for _, cut := range bcuts {
-		for g := prev; g < cut; g += WireFrameEdges {
-			ks = append(ks, g)
-		}
-		ks = append(ks, cut)
-		prev = cut
-	}
-	for _, k := range ks {
-		if k == 0 || k == want {
-			continue
-		}
-		// Find the byte boundary of offset k in the full payload by
-		// decoding until the frame that starts at k.
-		head := splitWireAt(t, full, k)
-		tail, res := fetch(leaseBody(r, c, "bin", k))
-		if res.StatusCode != http.StatusOK {
-			t.Fatalf("resume at %d: status %d", k, res.StatusCode)
-		}
-		if got := res.Header.Get(HeaderStreamOffset); got != strconv.FormatInt(k, 10) {
-			t.Fatalf("resume at %d: %s header %q", k, HeaderStreamOffset, got)
-		}
-		if !bytes.Equal(append(head, tail...), full) {
-			t.Fatalf("resume at %d: prefix+tail differs from the uninterrupted lease", k)
-		}
-	}
+			// Resume at every interior block-local frame cut: the term
+			// cuts plus the grid between them.
+			for k := int64(0); k < want; {
+				if _, k = wire.FrameBounds(bcuts, k); k == want {
+					break
+				}
+				// The byte boundary of offset k in the full payload,
+				// found by walking frame headers.
+				head := splitWireAt(t, full, k)
+				tail, res := fetch(leaseBody(r, c, k))
+				if res.StatusCode != http.StatusOK {
+					t.Fatalf("lease (%d,%d) resumed at %d: status %d", r, c, k, res.StatusCode)
+				}
+				if got := res.Header.Get(HeaderStreamOffset); got != strconv.FormatInt(k, 10) {
+					t.Fatalf("lease (%d,%d) resumed at %d: %s header %q", r, c, k, HeaderStreamOffset, got)
+				}
+				if !bytes.Equal(append(head, tail...), full) {
+					t.Fatalf("lease (%d,%d) resumed at %d: prefix+tail differs from the uninterrupted lease", r, c, k)
+				}
+				resumed++
+			}
 
-	// Past-the-end offset: 416 with the block's closed-form count.
-	_, res = fetch(leaseBody(r, c, "bin", want+1))
-	if res.StatusCode != http.StatusRequestedRangeNotSatisfiable {
-		t.Fatalf("offset past block end: status %d, want 416", res.StatusCode)
+			// Past-the-end offset: 416 with the block's closed-form count.
+			_, res = fetch(leaseBody(r, c, want+1))
+			if res.StatusCode != http.StatusRequestedRangeNotSatisfiable {
+				t.Fatalf("lease (%d,%d) offset past block end: status %d, want 416", r, c, res.StatusCode)
+			}
+			if got := res.Header.Get(HeaderBlockEdges); got != strconv.FormatInt(want, 10) {
+				t.Fatalf("lease (%d,%d) 416 %s header %q, want %d", r, c, HeaderBlockEdges, got, want)
+			}
+		}
 	}
-	if got := res.Header.Get(HeaderBlockEdges); got != strconv.FormatInt(want, 10) {
-		t.Fatalf("416 %s header %q, want %d", HeaderBlockEdges, got, want)
+	if resumed == 0 {
+		t.Fatal("no block of the grid has an interior frame cut: nothing was resumed")
 	}
 }
 

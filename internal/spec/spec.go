@@ -8,6 +8,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -117,6 +118,44 @@ func Parse(text string) (Spec, error) {
 	return s.WithDefaults(), nil
 }
 
+// MaxFactorSize bounds the vertex count and the edge count of every
+// factor a spec names.  ParseFactor computes both from the spec's
+// parameters before it allocates anything (and checks a product(…)
+// factor's before materializing it), so an oversized spec is a parse
+// error rather than gigabytes of memory, minutes of CPU or a makeslice
+// panic.  Every factor the repository uses fits: the largest,
+// sf2000x2000x40000, has 4,000 vertices and 40,000 requested edges.
+const MaxFactorSize = 1 << 16
+
+// checkSize rejects a factor with more than MaxFactorSize vertices or
+// edges.  Callers combine parameters with add and mul, which saturate
+// instead of wrapping, so no parameter can overflow its way past.
+func checkSize(factorSpec string, vertices, edges int) error {
+	if vertices > MaxFactorSize || edges > MaxFactorSize {
+		return tooLarge(factorSpec)
+	}
+	return nil
+}
+
+func tooLarge(factorSpec string) error {
+	return fmt.Errorf("factor %q is too large (over %d vertices or edges)", factorSpec, MaxFactorSize)
+}
+
+// add and mul combine non-negative counts, saturating at math.MaxInt.
+func add(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
+}
+
+func mul(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
 // ParseFactor resolves a factor spec string into a bipartite factor
 // graph.  Recognized specs: unicode, crown<N>, biclique<NU>x<NW>,
 // cycle<N>, path<N>, star<N>, hypercube<D>, sf<NU>x<NW>x<EDGES>, and the
@@ -125,7 +164,8 @@ func Parse(text string) (Spec, error) {
 // how a regrouped chain is spelled: "factor=product(crown4,path2)
 // factor=path3" names ((crown4 ∘ path2) ∘ path3) with the inner product
 // built eagerly, which is a different object — and a different canonical
-// string — than the flat three-level chain.
+// string — than the flat three-level chain.  A factor over MaxFactorSize
+// vertices or edges is an error.
 func ParseFactor(factorSpec string, seed int64) (*graph.Bipartite, error) {
 	num := func(s string) (int, error) { return strconv.Atoi(s) }
 	switch {
@@ -138,6 +178,9 @@ func ParseFactor(factorSpec string, seed int64) (*graph.Bipartite, error) {
 		if err != nil || n < 3 {
 			return nil, fmt.Errorf("bad crown spec %q (want crown<N>, N>=3)", factorSpec)
 		}
+		if err := checkSize(factorSpec, add(n, n), mul(n, n-1)); err != nil {
+			return nil, err
+		}
 		return gen.Crown(n), nil
 	case strings.HasPrefix(factorSpec, "biclique"):
 		parts := strings.Split(factorSpec[len("biclique"):], "x")
@@ -149,6 +192,9 @@ func ParseFactor(factorSpec string, seed int64) (*graph.Bipartite, error) {
 		if err1 != nil || err2 != nil || nu < 1 || nw < 1 {
 			return nil, fmt.Errorf("bad biclique spec %q", factorSpec)
 		}
+		if err := checkSize(factorSpec, add(nu, nw), mul(nu, nw)); err != nil {
+			return nil, err
+		}
 		return gen.CompleteBipartite(nu, nw), nil
 	case strings.HasPrefix(factorSpec, "sf"):
 		parts := strings.Split(factorSpec[len("sf"):], "x")
@@ -158,8 +204,11 @@ func ParseFactor(factorSpec string, seed int64) (*graph.Bipartite, error) {
 		nu, err1 := num(parts[0])
 		nw, err2 := num(parts[1])
 		m, err3 := num(parts[2])
-		if err1 != nil || err2 != nil || err3 != nil {
+		if err1 != nil || err2 != nil || err3 != nil || nu < 1 || nw < 1 || m < 0 {
 			return nil, fmt.Errorf("bad scale-free spec %q", factorSpec)
+		}
+		if err := checkSize(factorSpec, add(nu, nw), m); err != nil {
+			return nil, err
 		}
 		return gen.ConnectedBipartiteScaleFree(nu, nw, m, seed), nil
 	case strings.HasPrefix(factorSpec, "cycle"):
@@ -167,11 +216,17 @@ func ParseFactor(factorSpec string, seed int64) (*graph.Bipartite, error) {
 		if err != nil || n < 4 || n%2 != 0 {
 			return nil, fmt.Errorf("bad cycle spec %q (need even N >= 4 for a bipartite cycle)", factorSpec)
 		}
+		if err := checkSize(factorSpec, n, n); err != nil {
+			return nil, err
+		}
 		return graph.AsBipartite(gen.Cycle(n))
 	case strings.HasPrefix(factorSpec, "path"):
 		n, err := num(factorSpec[len("path"):])
 		if err != nil || n < 2 {
 			return nil, fmt.Errorf("bad path spec %q", factorSpec)
+		}
+		if err := checkSize(factorSpec, n, n-1); err != nil {
+			return nil, err
 		}
 		return graph.AsBipartite(gen.Path(n))
 	case strings.HasPrefix(factorSpec, "star"):
@@ -179,11 +234,17 @@ func ParseFactor(factorSpec string, seed int64) (*graph.Bipartite, error) {
 		if err != nil || n < 2 {
 			return nil, fmt.Errorf("bad star spec %q", factorSpec)
 		}
+		if err := checkSize(factorSpec, n, n-1); err != nil {
+			return nil, err
+		}
 		return graph.AsBipartite(gen.Star(n))
 	case strings.HasPrefix(factorSpec, "hypercube"):
 		d, err := num(factorSpec[len("hypercube"):])
 		if err != nil || d < 1 || d > 16 {
 			return nil, fmt.Errorf("bad hypercube spec %q", factorSpec)
+		}
+		if err := checkSize(factorSpec, 1<<d, d<<(d-1)); err != nil {
+			return nil, err
 		}
 		return graph.AsBipartite(gen.Hypercube(d))
 	default:
@@ -237,6 +298,9 @@ func parseProductFactor(factorSpec string, seed int64) (*graph.Bipartite, error)
 		if err != nil {
 			return nil, fmt.Errorf("bad product spec %q: %w", factorSpec, err)
 		}
+	}
+	if p.N() > MaxFactorSize || p.NumEdges() > MaxFactorSize {
+		return nil, tooLarge(factorSpec)
 	}
 	g, err := p.Materialize(0)
 	if err != nil {

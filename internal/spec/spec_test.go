@@ -46,11 +46,32 @@ func TestParseFactorSpecs(t *testing.T) {
 	}
 }
 
+// TestParseFactorSizeLimit: a factor is accepted up to MaxFactorSize
+// vertices and edges and rejected one step past it, with its counts
+// computed from the parameters (huge ones saturate, never wrap) and a
+// product(…)'s checked before it is materialized.
+func TestParseFactorSizeLimit(t *testing.T) {
+	for _, s := range []string{"path65536", "star65536", "cycle65536", "crown256", "biclique256x256", "biclique1x65535", "hypercube13", "product(crown16,path3)"} {
+		if _, err := ParseFactor(s, 1); err != nil {
+			t.Errorf("%s: %v, want it accepted", s, err)
+		}
+	}
+	for _, s := range []string{
+		"path65537", "star65537", "cycle65538", "crown257", "biclique256x257", "hypercube14",
+		"sf40000x40000x10", "sf10x10x65537", "product(crown32,crown8)",
+		"crown400", "path1000000", "biclique3037000500x3037000500", "biclique9223372036854775807x2",
+	} {
+		if _, err := ParseFactor(s, 1); err == nil || !strings.Contains(err.Error(), "too large") {
+			t.Errorf("%s: err = %v, want a too-large error", s, err)
+		}
+	}
+}
+
 func TestParseFactorErrors(t *testing.T) {
 	bad := []string{
 		"nope", "crown2", "crownx", "biclique3", "biclique3x", "bicliqueAxB",
 		"cycle5", "cycle3", "cyclex", "path1", "star1", "hypercube0",
-		"hypercube99", "sf3x4", "sfAxBxC",
+		"hypercube99", "sf3x4", "sfAxBxC", "sf0x4x5", "sf4x-1x5", "sf4x4x-5",
 		"product()", "product(crown4)", "product(crown4,)", "product(,path2)",
 		"product(crown4,nope)", "product(nope,path2)", "product(crown4,path2,path3)",
 	}

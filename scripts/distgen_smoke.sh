@@ -2,18 +2,22 @@
 # distgen_smoke.sh — end-to-end smoke test for `kronbip dist-gen`.
 #
 # Exercises distributed 2D-blocked generation against a real local
-# fleet, with nothing but the binary, curl and a shell:
+# fleet, with nothing but the binary, curl and a shell.  Every lease
+# travels as bin wire frames; -format only picks how dist-gen renders
+# the merged output.
 #   1. start three `kronbip serve` replicas on ephemeral ports
 #   2. run `kronbip dist-gen` across them (explicit grid, audit on,
-#      a pinned request id), merging to a file
+#      a pinned request id), merging to a tsv file
 #   3. the merged line count equals the closed-form |E_C| reported by
 #      /v1/truth for the same spec, with no duplicate edges, and the
 #      fleet's 4-cycle count (the leases' Σ◊ trailers / 4, printed as
 #      four_cycles=) equals /v1/truth's global_four_cycles
 #   4. a second dist-gen run produces a byte-identical merged file —
 #      distribution is a deterministic permutation, not a race outcome;
-#      then the same two checks for a k=2 chain (repeated -factor)
-#      leased as binary wire frames over a grid with several column
+#      an -format ndjson run of the same grid, turned into tsv lines
+#      with sed, is byte-identical too, so the coordinator's two text
+#      renderings agree; then the same two checks for a k=2 chain
+#      (repeated -factor) merged as bin over a grid with several column
 #      stripes, audit on: the chain block walker behind real leases,
 #      with the fleet's four_cycles checked against /v1/truth as well
 #   5. SIGINT drains every replica to a clean exit 0
@@ -127,9 +131,19 @@ echo "distgen-smoke: fleet's four_cycles=$got4 (leases' Σ◊ / 4) matches /v1/t
 cmp -s "$tmp/merged.tsv" "$tmp/merged2.tsv" \
   || fail "two dist-gen runs produced different merged bytes"
 echo "distgen-smoke: re-run is byte-identical (deterministic merge order)"
+"$tmp/kronbip" dist-gen \
+  -worker "${workers[0]}" -worker "${workers[1]}" -worker "${workers[2]}" \
+  -factor "$spec_factor" -mode selfloop -seed "$spec_seed" \
+  -rows 4 -cols 2 -format ndjson -edges-out "$tmp/merged.ndjson" 2>>"$tmp/distgen.log" \
+  || fail "ndjson dist-gen run exited non-zero"
+tab=$(printf '\t')
+sed 's/^{"v":\([0-9]*\),"w":\([0-9]*\)}$/\1'"$tab"'\2/' "$tmp/merged.ndjson" >"$tmp/merged-ndjson.tsv"
+cmp -s "$tmp/merged.tsv" "$tmp/merged-ndjson.tsv" \
+  || fail "the ndjson merge, as tsv lines, differs from the tsv merge"
+echo "distgen-smoke: the ndjson merge renders the same edges as the tsv merge"
 
 # 4b. A k=2 chain through the chain block walker: three factors,
-# binary wire frames, and a 3x3 grid whose column stripes slice the
+# merged as bin, and a 3x3 grid whose column stripes slice the
 # last factor's (crown4's) edge list.  The merge summary's edge count
 # must equal the chain's closed form, and a re-run must be
 # byte-identical.
