@@ -20,7 +20,8 @@ BENCH_DATE := $(shell date +%Y-%m-%dT%H%M%S)
 
 # Packages with nontrivial concurrency: everything scheduled on the
 # internal/exec engine plus the engine itself, the obs registry the
-# instrumented paths hammer concurrently, and the serve job manager.
+# instrumented paths hammer concurrently, and the serve job manager
+# and walk cap.
 RACE_PKGS = ./internal/exec ./internal/core ./internal/count ./internal/grb ./internal/obs ./internal/obs/timeline ./internal/audit ./internal/serve ./internal/distgen
 
 .PHONY: all vet build test race fuzz bench bench-json bench-check bench-trend serve-smoke distgen-smoke check
@@ -77,7 +78,7 @@ bench-json:
 # the BenchmarkStream_* and BenchmarkStreamWire* families — a >20%
 # slide in the edge-streaming or wire-encoding hot paths fails the
 # build — and 1.5x for BenchmarkServe* (HTTP middleware
-# per-request cost and per-job attribution overhead) and BenchmarkDistGen*
+# per-request cost) and BenchmarkDistGen*
 # (the dist-gen coordinator's parse/verify/merge path).  Results under the
 # 500ns noise floor never fail: nanosecond ops at -benchtime 100x
 # measure scheduler jitter, not the code.  Passes trivially with fewer

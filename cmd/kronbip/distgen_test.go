@@ -20,7 +20,7 @@ func TestCmdDistGen(t *testing.T) {
 	ctx := context.Background()
 	var urls []string
 	for i := 0; i < 2; i++ {
-		s := serve.New(serve.Config{Workers: 1})
+		s := serve.New(serve.Config{})
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(func() {
 			ts.Close()

@@ -21,9 +21,10 @@
 //
 //	kronbip serve     -addr 127.0.0.1:8080
 //	    Run the long-lived generation & ground-truth HTTP service
-//	    (internal/serve): job submission with admission control, sync
-//	    /v1/truth and /v1/stats from factor closed forms, NDJSON/TSV edge
-//	    streaming, /metrics.  SIGINT drains running jobs and exits 0.
+//	    (internal/serve): jobs priced in closed form at submission, one
+//	    walk cap admitting every edge stream, lease and audited job, sync
+//	    /v1/truth and /v1/stats from factor closed forms, NDJSON/TSV/bin
+//	    edge streaming, /metrics.  SIGINT drains audited jobs and exits 0.
 //
 //	kronbip dist-gen  -worker http://h1:8080 -worker http://h2:8080 -factor crown4
 //	    Coordinate distributed generation: partition the spec into a 2D

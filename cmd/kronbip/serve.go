@@ -17,24 +17,20 @@ import (
 
 // cmdServe runs the long-lived generation & ground-truth HTTP service.
 // It serves until the signal context is cancelled (SIGINT/SIGTERM),
-// then drains: running jobs finish, in-flight responses complete, and a
+// then drains: audited jobs finish, in-flight responses complete, and a
 // clean drain exits 0.
 func cmdServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; ':0' picks a free port)")
-	workers := fs.Int("workers", 0, "generation jobs run concurrently (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 16, "jobs accepted beyond the running set before submissions get 429")
 	maxEdges := fs.Int64("max-edges", serve.DefaultMaxEdges, "per-job closed-form |E_C| budget; bigger specs get 413 (negative = unlimited)")
-	jobTimeout := fs.Duration("job-timeout", 10*time.Minute, "per-job generation deadline (negative = none)")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "sync endpoint (truth/stats/submit) timeout")
 	retryAfter := fs.Duration("retry-after", time.Second, "backoff hint sent with 429 responses")
 	retention := fs.Int("retention", 64, "finished jobs kept pollable before eviction")
 	cacheSize := fs.Int("cache", 128, "factor-spec product cache capacity (LRU)")
-	shards := fs.Int("shards", 0, "per-job generation shards (0 = GOMAXPROCS)")
-	maxLeases := fs.Int("max-leases", 0, "concurrent block leases streamed for dist-gen coordinators before 429 (0 = 2×GOMAXPROCS)")
-	drain := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound: running jobs and open responses get this long to finish")
-	auditOn := fs.Bool("audit", false, "run the online ground-truth auditor inside every job by default")
-	auditSample := fs.Int("audit-sample", 0, "auditor edge-membership sampling stride (0 = default 1024)")
+	maxWalks := fs.Int("max-walks", 0, "concurrent product walks (edge streams, leases, audited jobs' checks) before 429 (0 = 2×GOMAXPROCS)")
+	drain := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound: audited jobs and open responses get this long to finish")
+	auditOn := fs.Bool("audit", false, "audit every job by default (its stream-free ground-truth checks)")
+	auditSample := fs.Int("audit-sample", 0, "edge-membership sampling stride of ?audit=1 streams (0 = default 1024)")
 	sloWindow := fs.Duration("slo-window", time.Minute, "rolling window the SLO evaluator judges over")
 	sloP99 := fs.Duration("slo-p99", time.Second, "p99 latency objective for non-streaming routes; /readyz answers 503 while burned (negative = disabled)")
 	sloErrRate := fs.Float64("slo-error-rate", 0.05, "5xx error-rate objective as a fraction (0 = zero tolerance, negative = disabled)")
@@ -85,16 +81,12 @@ func cmdServe(ctx context.Context, args []string) error {
 	}
 
 	srv := serve.New(serve.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
 		MaxEdges:       *maxEdges,
-		JobTimeout:     *jobTimeout,
 		RequestTimeout: *reqTimeout,
 		RetryAfter:     *retryAfter,
 		Retention:      *retention,
 		CacheSize:      *cacheSize,
-		Shards:         *shards,
-		MaxLeases:      *maxLeases,
+		MaxWalks:       *maxWalks,
 		Audit:          *auditOn,
 		AuditSample:    *auditSample,
 		SLOWindow:      *sloWindow,

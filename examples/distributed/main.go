@@ -32,7 +32,7 @@ import (
 func runOnFleet(sp spec.Spec, n int) (*distgen.Result, error) {
 	urls := make([]string, n)
 	for i := range urls {
-		s := serve.New(serve.Config{Workers: 1})
+		s := serve.New(serve.Config{})
 		ts := httptest.NewServer(s.Handler())
 		defer func() {
 			ts.Close()

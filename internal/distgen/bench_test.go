@@ -18,14 +18,14 @@ import (
 // an in-process replica, before the benchmark clock starts, and returns
 // the built product, the bin payloads in block order and their total
 // size.
-func leasePayloads(b *testing.B, sp spec.Spec, rows, cols int) (*core.Product, [][]byte, int64) {
-	b.Helper()
+func leasePayloads(tb testing.TB, sp spec.Spec, rows, cols int) (*core.Product, [][]byte, int64) {
+	tb.Helper()
 	sp = sp.WithDefaults()
 	p, err := sp.Build()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	s := serve.New(serve.Config{Workers: 1})
+	s := serve.New(serve.Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
 		ts.Close()
@@ -39,12 +39,12 @@ func leasePayloads(b *testing.B, sp spec.Spec, rows, cols int) (*core.Product, [
 				factorsJSON(sp.Factors), sp.Mode, sp.Seed, r, rows, c, cols)
 			res, err := http.Post(ts.URL+"/v1/leases", "application/json", strings.NewReader(body))
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			payload, err := io.ReadAll(res.Body)
 			res.Body.Close()
 			if err != nil || res.StatusCode != http.StatusOK {
-				b.Fatalf("lease (%d,%d): status %d, err %v", r, c, res.StatusCode, err)
+				tb.Fatalf("lease (%d,%d): status %d, err %v", r, c, res.StatusCode, err)
 			}
 			payloads = append(payloads, payload)
 			total += int64(len(payload))
@@ -54,7 +54,7 @@ func leasePayloads(b *testing.B, sp spec.Spec, rows, cols int) (*core.Product, [
 }
 
 // benchMerge runs the coordinator's side of a run over pre-leased
-// payloads: each block decoded by parseEdges (into its audit child when
+// payloads: each block decoded by coordinator.parseEdges (into its audit child when
 // opts.Audit, rendered when the output is text), then accepted and
 // merged.  No network inside the loop.
 func benchMerge(b *testing.B, sp spec.Spec, opts Options) {
@@ -78,7 +78,7 @@ func benchMerge(b *testing.B, sp spec.Spec, opts Options) {
 			if c.auditStream != nil {
 				res.auditCh = c.auditStream.ForShard()
 			}
-			res.edges, res.buf, err = parseEdges(payload, res.auditCh, c.render)
+			res.edges, res.buf, err = c.parseEdges(payload, res.auditCh, c.blocks[bi].want)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -101,6 +101,7 @@ type coordinator struct {
 	out     io.Writer
 	opts    Options
 	render  func(dst []byte, edges []exec.Edge) []byte // text output; nil for bin
+	lineMax int64                                      // widest line render emits
 	rows    int
 	cols    int
 	traceID string
@@ -133,11 +134,15 @@ func newCoordinator(p *core.Product, sp spec.Spec, out io.Writer, rows, cols int
 		cols:    cols,
 		traceID: randHex(16),
 	}
+	// Every vertex id has at most the d digits of N−1, so a TSV line
+	// ("v\tw\n") is at most 2d+2 bytes and an NDJSON line
+	// ({"v":v,"w":w} and a newline) 2d+12.
+	d := int64(len(strconv.Itoa(p.N() - 1)))
 	switch opts.Format {
 	case "tsv":
-		c.render = exec.AppendTSV
+		c.render, c.lineMax = exec.AppendTSV, 2*d+2
 	case "ndjson":
-		c.render = exec.AppendNDJSON
+		c.render, c.lineMax = exec.AppendNDJSON, 2*d+12
 	}
 	if opts.Audit {
 		c.auditor = audit.New(p, audit.Options{SampleEvery: opts.AuditSample})
@@ -448,7 +453,7 @@ func (c *coordinator) lease(ctx context.Context, w *workerState, b *blockState, 
 	if c.auditStream != nil {
 		res.auditCh = c.auditStream.ForShard()
 	}
-	res.edges, res.buf, err = parseEdges(payload, res.auditCh, c.render)
+	res.edges, res.buf, err = c.parseEdges(payload, res.auditCh, b.want)
 	if err != nil {
 		return nil, fmt.Errorf("distgen: worker %s: lease (%d,%d): %w", w.url, b.row, b.col, err)
 	}
@@ -496,20 +501,25 @@ func factorsJSON(fs []string) string {
 
 // parseEdges decodes a whole-block lease payload, validating its
 // framing and counting its edges.  Each frame goes to the audit child
-// when one is supplied and, when render is set, is appended to the
-// returned text; without render the returned output is the payload
-// itself.
-func parseEdges(payload []byte, auditCh exec.Sink, render func(dst []byte, edges []exec.Edge) []byte) (n int64, out []byte, err error) {
+// when one is supplied and, for a text output, is appended to the
+// returned text; for bin the returned output is the payload itself.
+// The text is allocated once, at want (the block's closed-form count)
+// widest lines, so it never regrows and an untrusted payload cannot
+// size it.
+func (c *coordinator) parseEdges(payload []byte, auditCh exec.Sink, want int64) (n int64, out []byte, err error) {
 	var text []byte
+	if c.render != nil {
+		text = make([]byte, 0, want*c.lineMax)
+	}
 	var yield func(frame []exec.Edge)
-	if auditCh != nil || render != nil {
+	if auditCh != nil || c.render != nil {
 		yield = func(frame []exec.Edge) {
 			if auditCh != nil {
 				// The audit child samples a batch at the per-edge cadence.
 				_ = exec.DeliverBatch(auditCh, frame)
 			}
-			if render != nil {
-				text = render(text, frame)
+			if c.render != nil {
+				text = c.render(text, frame)
 			}
 		}
 	}
@@ -523,7 +533,7 @@ func parseEdges(payload []byte, auditCh exec.Sink, render func(dst []byte, edges
 	if trailing != 0 {
 		return n, nil, fmt.Errorf("truncated payload: %d trailing bytes after the last complete frame", trailing)
 	}
-	if render == nil {
+	if c.render == nil {
 		return n, payload, nil
 	}
 	return n, text, nil

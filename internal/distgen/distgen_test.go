@@ -36,7 +36,7 @@ func newFleet(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handler
 	t.Helper()
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		s := serve.New(serve.Config{Workers: 1})
+		s := serve.New(serve.Config{})
 		h := s.Handler()
 		if wrap != nil {
 			h = wrap(i, h)

@@ -224,6 +224,38 @@ func TestRunTextRendersBin(t *testing.T) {
 	}
 }
 
+// TestParseEdgesTextNeverRegrows: a block's text rendering is allocated
+// once, at its closed-form count times the widest line, and never
+// regrows; the widest line is the rendering of the largest vertex ids.
+func TestParseEdgesTextNeverRegrows(t *testing.T) {
+	const rows, cols = 3, 2
+	p, payloads, _ := leasePayloads(t, testSpec, rows, cols)
+	for _, format := range []string{"tsv", "ndjson"} {
+		opts, err := Options{Workers: []string{"test"}, Format: format}.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := newCoordinator(p, testSpec.WithDefaults(), io.Discard, rows, cols, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := p.N() - 1
+		if got := int64(len(c.render(nil, []exec.Edge{{V: top, W: top}}))); got != c.lineMax {
+			t.Fatalf("%s: the widest line renders to %d bytes, lineMax is %d", format, got, c.lineMax)
+		}
+		for bi, payload := range payloads {
+			b := c.blocks[bi]
+			n, text, err := c.parseEdges(payload, nil, b.want)
+			if err != nil || n != b.want {
+				t.Fatalf("%s block (%d,%d): parsed %d of %d edges: %v", format, b.row, b.col, n, b.want, err)
+			}
+			if got, want := int64(cap(text)), b.want*c.lineMax; got != want {
+				t.Errorf("%s block (%d,%d): text capacity %d, presized %d: the rendering regrew", format, b.row, b.col, got, want)
+			}
+		}
+	}
+}
+
 // --- Resume from banked frames (tentpole: distgen side) ---------------
 
 // frameLen returns the byte length of the wire frame at the head of b,

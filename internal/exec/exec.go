@@ -31,7 +31,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"kronbip/internal/obs"
 	"kronbip/internal/obs/timeline"
@@ -84,13 +83,6 @@ func ShardedN(ctx context.Context, nshards, workers int, fn func(ctx context.Con
 	}
 	instr := obs.Enabled()
 	tl := timeline.Enabled()
-	// Attribution: a meter attached by WithMeter receives each shard
-	// task's busy wall-time.  Resolved once per run, honoured only while
-	// instrumentation is on — the disabled path never reads the clock.
-	var meter *Meter
-	if instr {
-		meter = MeterFrom(ctx)
-	}
 	if workers == 1 {
 		for s := 0; s < nshards; s++ {
 			if err := ctx.Err(); err != nil {
@@ -105,14 +97,7 @@ func ShardedN(ctx context.Context, nshards, workers int, fn func(ctx context.Con
 			if tl {
 				end = timeline.Begin(timeline.CatShard, "exec.pool", s)
 			}
-			var t0 time.Time
-			if meter != nil {
-				t0 = time.Now()
-			}
 			err := fn(ctx, s)
-			if meter != nil {
-				meter.add(time.Since(t0))
-			}
 			if end != nil {
 				end(err)
 			}
@@ -160,14 +145,7 @@ func ShardedN(ctx context.Context, nshards, workers int, fn func(ctx context.Con
 				if tl {
 					end = timeline.Begin(timeline.CatShard, "exec.pool", s)
 				}
-				var t0 time.Time
-				if meter != nil {
-					t0 = time.Now()
-				}
 				err := fn(wctx, s)
-				if meter != nil {
-					meter.add(time.Since(t0))
-				}
 				if end != nil {
 					end(err)
 				}

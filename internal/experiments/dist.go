@@ -63,7 +63,7 @@ func RunDistributed(seed int64) (*DistResult, error) {
 func runFleet(sp spec.Spec, replicas int) (DistRow, error) {
 	urls := make([]string, replicas)
 	for i := range urls {
-		s := serve.New(serve.Config{Workers: 1})
+		s := serve.New(serve.Config{})
 		ts := httptest.NewServer(s.Handler())
 		defer func() {
 			ts.Close()

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math/rand"
 	"testing"
 
 	"kronbip/internal/graph"
@@ -258,6 +259,51 @@ func TestBipartiteScaleFree(t *testing.T) {
 	}
 	if !b.IsBipartite() {
 		t.Fatal("bipartite generator produced odd cycle")
+	}
+}
+
+// scanSearch is the reference the Fenwick descent replaced: the linear
+// inverse-transform scan BipartiteScaleFree used to run over its
+// weights, returning the smallest i whose prefix weight exceeds t.
+func scanSearch(w []int, t int) int {
+	for i, x := range w {
+		t -= x
+		if t < 0 {
+			return i
+		}
+	}
+	return len(w) - 1
+}
+
+// TestFenwickSearchMatchesScan: over random weight vectors (zeros
+// included), grown one add at a time, the descent returns the scan's
+// index for every t in [0, Σw).
+func TestFenwickSearchMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		w := make([]int, n)
+		f := newFenwick(n)
+		for i := range w {
+			w[i] = 1
+		}
+		for step := 0; step < 30; step++ {
+			i, d := rng.Intn(n), rng.Intn(4)-1
+			if w[i]+d < 0 {
+				d = -w[i]
+			}
+			w[i] += d
+			f.add(i, d)
+			total := 0
+			for _, x := range w {
+				total += x
+			}
+			for x := 0; x < total; x++ {
+				if got, want := f.search(x), scanSearch(w, x); got != want {
+					t.Fatalf("weights %v, t=%d: descent %d, scan %d", w, x, got, want)
+				}
+			}
+		}
 	}
 }
 

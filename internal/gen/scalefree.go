@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"kronbip/internal/graph"
@@ -61,37 +62,26 @@ func scaleFreeFrom(n, m int, seed int64, core *graph.Graph) *graph.Graph {
 // possible on either side.
 func BipartiteScaleFree(nu, nw, targetEdges int, seed int64) *graph.Bipartite {
 	rng := rand.New(rand.NewSource(seed))
-	degU := make([]int, nu)
-	degW := make([]int, nw)
 	seen := map[[2]int]bool{}
 	var pairs [][2]int
 
-	// Weighted sampling by (deg+1) via cumulative inverse transform on the
-	// fly: total weight = sum(deg) + n.
-	sample := func(deg []int, totalDeg int) int {
-		t := rng.Intn(totalDeg + len(deg))
-		for i, d := range deg {
-			t -= d + 1
-			if t < 0 {
-				return i
-			}
-		}
-		return len(deg) - 1
-	}
-
-	totalU, totalW := 0, 0
+	// Weighted sampling by (deg+1), inverse transform over the running
+	// weights: a draw t in [0, Σ(deg+1)) picks the smallest i whose
+	// prefix weight exceeds t, found by a Fenwick descent in O(log n).
+	wU, wW := newFenwick(nu), newFenwick(nw)
+	totalU, totalW := nu, nw
 	attempts := 0
 	for len(pairs) < targetEdges && attempts < 50*targetEdges {
 		attempts++
-		u := sample(degU, totalU)
-		w := sample(degW, totalW)
+		u := wU.search(rng.Intn(totalU))
+		w := wW.search(rng.Intn(totalW))
 		if seen[[2]int{u, w}] {
 			continue
 		}
 		seen[[2]int{u, w}] = true
 		pairs = append(pairs, [2]int{u, w})
-		degU[u]++
-		degW[w]++
+		wU.add(u, 1)
+		wW.add(w, 1)
 		totalU++
 		totalW++
 	}
@@ -100,6 +90,41 @@ func BipartiteScaleFree(nu, nw, targetEdges int, seed int64) *graph.Bipartite {
 		panic(err) // pairs are in range by construction
 	}
 	return b
+}
+
+// fenwick is a binary indexed tree over non-negative integer weights
+// w_0 … w_{n-1}: add changes one weight and search inverts the prefix
+// sums, each in O(log n).
+type fenwick []int // 1-based: f[i] sums w over (i − lowbit(i), i]
+
+// newFenwick returns the tree of n unit weights.
+func newFenwick(n int) fenwick {
+	f := make(fenwick, n+1)
+	for i := 1; i <= n; i++ {
+		f[i] = i & -i
+	}
+	return f
+}
+
+// add adds d to w_i.
+func (f fenwick) add(i, d int) {
+	for i++; i < len(f); i += i & -i {
+		f[i] += d
+	}
+}
+
+// search returns the smallest i with w_0 + … + w_i > t, for t in
+// [0, Σw): the descent finds the longest prefix whose sum is at most t,
+// and i is the next index.
+func (f fenwick) search(t int) int {
+	pos := 0
+	for step := 1 << bits.Len(uint(len(f)-1)); step > 0; step >>= 1 {
+		if next := pos + step; next < len(f) && f[next] <= t {
+			pos = next
+			t -= f[next]
+		}
+	}
+	return pos
 }
 
 // ConnectedBipartiteScaleFree is BipartiteScaleFree followed by a stitching

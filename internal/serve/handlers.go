@@ -84,13 +84,32 @@ func specFromQuery(q url.Values) (spec.Spec, error) {
 // Retry-After header: round up, then clamp to a minimum of 1.  The
 // round-up alone only guards fractional seconds — a zero (or negative)
 // duration would still render as "Retry-After: 0", telling saturated
-// clients to hammer the queue immediately.
+// clients to hammer the server immediately.
 func retryAfterSeconds(d time.Duration) int {
 	secs := int((d + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
 	return secs
+}
+
+// writeSaturated answers 429 with the Retry-After backoff hint.
+func (s *Server) writeSaturated(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+	writeError(w, http.StatusTooManyRequests, "%v", ErrSaturated)
+}
+
+// admitWalk takes a walk slot for a request about to walk the product,
+// or answers 429 + Retry-After, notes the rejection in the flight
+// recorder under cat and returns false.  The caller releases the slot
+// (s.mgr.walks.release) when its walk ends.
+func (s *Server) admitWalk(w http.ResponseWriter, r *http.Request, cat string) bool {
+	if s.mgr.walks.tryAcquire() {
+		return true
+	}
+	obs.Flight.RecordNote(obs.FlightWarn, cat, "reject saturated", int64(s.cfg.MaxWalks), 0, requestFrom(r.Context()).id)
+	s.writeSaturated(w)
+	return false
 }
 
 // syncContext bounds a sync (non-streaming) handler by the configured
@@ -101,18 +120,14 @@ func (s *Server) syncContext(r *http.Request) (context.Context, context.CancelFu
 
 // handleHealthz is liveness: it answers 200 for as long as the process
 // can serve HTTP at all — including during a drain, so an orchestrator
-// does not kill a server that is still finishing jobs.  Readiness (take
-// me out of rotation) is /readyz.
+// does not kill a server that is still finishing audited jobs.
+// Readiness (take me out of rotation) is /readyz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	queued, running := s.mgr.counts()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"version":        cli.Build(),
 		"uptime_seconds": time.Since(s.started).Seconds(),
-		"jobs": map[string]int{
-			"queued":  queued,
-			"running": running,
-		},
+		"jobs":           map[string]int{"running": s.mgr.running()},
 	})
 }
 
@@ -374,8 +389,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "%v", err)
 		return
 	case errors.Is(err, ErrSaturated):
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		s.writeSaturated(w)
 		return
 	case errors.Is(err, ErrDraining):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)

@@ -4,22 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"kronbip/internal/audit"
 	"kronbip/internal/core"
-	"kronbip/internal/exec"
 	"kronbip/internal/obs"
 	"kronbip/internal/obs/timeline"
 	"kronbip/internal/spec"
 )
 
-// Admission-control sentinels, mapped to HTTP statuses by the submit
-// handler.
+// Admission-control sentinels, mapped to HTTP statuses by the handlers.
 var (
-	// ErrSaturated: the queue is full — 429 with Retry-After.
-	ErrSaturated = errors.New("serve: job queue is full")
+	// ErrSaturated: every walk slot is taken — 429 with Retry-After.
+	ErrSaturated = errors.New("serve: walk capacity is full")
 	// ErrTooLarge: closed-form |E_C| exceeds the per-job budget — 413.
 	ErrTooLarge = errors.New("serve: spec exceeds the per-job edge budget")
 	// ErrDraining: the server is shutting down — 503.
@@ -29,10 +28,10 @@ var (
 // JobState is a job's position in its lifecycle.
 type JobState int32
 
-// Job lifecycle states.
+// Job lifecycle states.  An unaudited job is done at admission; an
+// audited one is running until its checks report.
 const (
-	StateQueued JobState = iota
-	StateRunning
+	StateRunning JobState = iota
 	StateDone
 	StateFailed
 	StateCancelled
@@ -40,8 +39,6 @@ const (
 
 func (s JobState) String() string {
 	switch s {
-	case StateQueued:
-		return "queued"
 	case StateRunning:
 		return "running"
 	case StateDone:
@@ -57,9 +54,11 @@ func (s JobState) String() string {
 
 func (s JobState) terminal() bool { return s >= StateDone }
 
-// Job is one submitted generation run.  The product descriptor and the
-// identity fields are immutable after submission; the mutable lifecycle
-// fields are guarded by mu.
+// Job is one submitted spec.  A job is priced, not generated: its edge
+// count and global 4-cycle count are closed forms of the cached factor
+// state, known at admission, and its edge list is re-derived by every
+// stream.  The product descriptor and the identity fields are immutable
+// after submission; the mutable lifecycle fields are guarded by mu.
 type Job struct {
 	id      string
 	seq     int // numeric id, the job's timeline lane
@@ -67,9 +66,9 @@ type Job struct {
 	product *core.Product
 	auditOn bool
 	// Correlation identity of the submitting request: echoed in job
-	// status and stamped on the job's timeline-lane events, so a
+	// status and stamped on the job's timeline-lane event, so a
 	// distributed trace reaching POST /v1/jobs can be followed into the
-	// generation run it started.
+	// job it admitted.
 	reqID   string
 	traceID string
 	// idemKey is the client's idempotency key, when one was supplied at
@@ -77,55 +76,38 @@ type Job struct {
 	// eviction.
 	idemKey string
 	// ctx is cancelled by DELETE, eviction or manager close — NOT by
-	// normal completion, so edge-stream requests for a finished job
-	// keep working until the job is evicted.
+	// completion, so edge-stream requests for a finished job keep
+	// working until the job is evicted.
 	ctx    context.Context
 	cancel context.CancelFunc
-
-	// meter receives the job's pool attribution: while instrumentation
-	// is enabled, every generation shard the exec engine runs for this
-	// job adds its busy wall-time here (exec.WithMeter), which is the
-	// job's CPU time under the one-core-per-shard model.  Atomic
-	// internally; read without mu.
-	meter exec.Meter
 
 	mu              sync.Mutex
 	state           JobState
 	errMsg          string
 	created         time.Time
-	started         time.Time
 	finished        time.Time
-	edges           int64 // edges streamed by the generation run
-	allocBytes      int64 // heap bytes allocated during the run (process-wide delta)
-	allocObjects    int64 // heap objects allocated during the run (process-wide delta)
 	auditChecks     int
 	auditViolations int
-	done            chan struct{} // closed on entering a terminal state
 }
 
 // JobStatus is the wire rendering of a job.
 type JobStatus struct {
-	ID               string  `json:"id"`
-	Spec             string  `json:"spec"`
-	State            string  `json:"state"`
-	Error            string  `json:"error,omitempty"`
-	NumEdges         int64   `json:"num_edges"` // closed-form |E_C|
+	ID       string `json:"id"`
+	Spec     string `json:"spec"`
+	State    string `json:"state"`
+	Error    string `json:"error,omitempty"`
+	NumEdges int64  `json:"num_edges"` // closed-form |E_C|
+	// EdgesStreamed is the job's priced count: the closed-form |E_C|
+	// that every complete stream of the job carries, known at admission.
+	// It keeps its historical name and always equals NumEdges.
 	EdgesStreamed    int64   `json:"edges_streamed"`
 	GlobalFourCycles int64   `json:"global_four_cycles"`
 	Audit            bool    `json:"audit"`
 	AuditChecks      int     `json:"audit_checks,omitempty"`
 	AuditViolations  int     `json:"audit_violations,omitempty"`
 	Created          string  `json:"created"`
-	RunSeconds       float64 `json:"run_seconds,omitempty"`
-	// Resource attribution (zero until the run starts; alloc fields are
-	// process-wide deltas, so concurrent jobs inflate each other's —
-	// approximate by construction, unlike cpu_seconds/pool_tasks which
-	// are exact per-job sums).
-	CPUSeconds       float64 `json:"cpu_seconds,omitempty"`
-	PoolTasks        int64   `json:"pool_tasks,omitempty"`
-	AllocBytesApprox int64   `json:"alloc_bytes_approx,omitempty"`
-	AllocsApprox     int64   `json:"allocs_approx,omitempty"`
-	RequestID        string  `json:"request_id,omitempty"` // submitting request
+	RunSeconds       float64 `json:"run_seconds,omitempty"` // an audited job's check time
+	RequestID        string  `json:"request_id,omitempty"`  // submitting request
 	TraceID          string  `json:"trace_id,omitempty"`
 }
 
@@ -139,96 +121,91 @@ func (j *Job) Status() JobStatus {
 		State:            j.state.String(),
 		Error:            j.errMsg,
 		NumEdges:         j.product.NumEdges(),
-		EdgesStreamed:    j.edges,
+		EdgesStreamed:    j.product.NumEdges(),
 		GlobalFourCycles: j.product.GlobalFourCycles(),
 		Audit:            j.auditOn,
 		AuditChecks:      j.auditChecks,
 		AuditViolations:  j.auditViolations,
 		Created:          j.created.UTC().Format(time.RFC3339Nano),
-		CPUSeconds:       j.meter.BusySeconds(),
-		PoolTasks:        j.meter.Tasks(),
-		AllocBytesApprox: j.allocBytes,
-		AllocsApprox:     j.allocObjects,
 		RequestID:        j.reqID,
 		TraceID:          j.traceID,
 	}
-	if !j.started.IsZero() {
+	if j.auditOn {
 		end := j.finished
 		if end.IsZero() {
 			end = time.Now()
 		}
-		st.RunSeconds = end.Sub(j.started).Seconds()
+		st.RunSeconds = end.Sub(j.created).Seconds()
 	}
 	return st
 }
 
-// claim moves the job queued → running; false if it was cancelled while
-// waiting in the queue.
-func (j *Job) claim() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	return true
-}
-
-// finish records the run outcome and closes done.
+// finish records a run's outcome; a job already terminal (cancelled
+// while its checks ran) keeps its state.
 func (j *Job) finish(err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.state.terminal() {
+		return
+	}
 	switch {
 	case err == nil:
-		j.state = StateDone
-		mJobsDone.Inc()
-		obs.Flight.RecordNote(obs.FlightInfo, "job", "job done", int64(j.seq), j.edges, j.reqID)
+		j.settleLocked(StateDone, "")
 	case errors.Is(err, context.Canceled):
-		j.state = StateCancelled
-		j.errMsg = "cancelled"
-		mJobsCancel.Inc()
-		obs.Flight.RecordNote(obs.FlightInfo, "job", "job cancelled", int64(j.seq), j.edges, j.reqID)
+		j.settleLocked(StateCancelled, "cancelled")
 	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
+		j.settleLocked(StateFailed, err.Error())
+	}
+}
+
+// settleLocked moves the job to a terminal state and books it; the
+// first terminal transition stamps finished.  Caller holds j.mu.
+func (j *Job) settleLocked(to JobState, msg string) {
+	if !j.state.terminal() {
+		j.finished = time.Now()
+	}
+	j.state, j.errMsg = to, msg
+	edges := j.product.NumEdges()
+	switch to {
+	case StateDone:
+		mJobsDone.Inc()
+		obs.Flight.RecordNote(obs.FlightInfo, "job", "job done", int64(j.seq), edges, j.reqID)
+	case StateCancelled:
+		mJobsCancel.Inc()
+		obs.Flight.RecordNote(obs.FlightInfo, "job", "job cancelled", int64(j.seq), edges, j.reqID)
+	default:
 		mJobsFailed.Inc()
-		obs.Flight.RecordNote(obs.FlightError, "job", "job failed", int64(j.seq), j.edges, j.errMsg)
+		obs.Flight.RecordNote(obs.FlightError, "job", "job failed", int64(j.seq), edges, msg)
 	}
-	j.finished = time.Now()
-	close(j.done)
 }
 
-// cancelIfQueued retires a still-queued job without touching a running
-// one; used by DELETE and by shutdown's queued-job sweep.
-func (j *Job) cancelIfQueued() bool {
+// running reports whether the job's audit is still in flight.
+func (j *Job) running() bool {
 	j.mu.Lock()
-	if j.state != StateQueued {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = StateCancelled
-	j.errMsg = "cancelled"
-	j.finished = time.Now()
-	close(j.done)
-	j.mu.Unlock()
-	mJobsCancel.Inc()
-	obs.Flight.RecordNote(obs.FlightInfo, "job", "job cancelled queued", int64(j.seq), 0, j.reqID)
-	j.cancel()
-	return true
+	defer j.mu.Unlock()
+	return !j.state.terminal()
 }
 
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
+// lane opens the job's timeline-lane event, which carries the
+// submitting request's identity so a trace id seen at POST /v1/jobs can
+// be grepped out of the journal or read in the Chrome trace args pane;
+// nil while the timeline is off.
+func (j *Job) lane() timeline.Done {
+	if !timeline.Enabled() {
+		return nil
+	}
+	return timeline.BeginNote(timeline.CatJob, "serve.job", j.seq,
+		"req_id="+j.reqID+" trace_id="+j.traceID)
+}
 
-// manager owns the job lifecycle: a bounded queue, a fixed worker pool,
-// the job index and the retention policy.
+// manager owns the job index: admission (the edge budget, and the walk
+// cap for audited jobs), the audited runs in flight, and retention.
 type manager struct {
 	cfg        Config
+	walks      walkCap // Config.MaxWalks slots, shared with streams and leases
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	queue      chan *Job
-	wg         sync.WaitGroup
+	audits     sync.WaitGroup // audited runs in flight; drain waits for them
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -237,37 +214,34 @@ type manager struct {
 	nextID int
 	closed bool
 
-	// runHook, when non-nil, runs at the start of every job before
-	// generation — the test seam for making jobs slow or fail on demand.
+	// runHook, when non-nil, runs at the start of every audited run,
+	// before the checks — the test seam for holding an audit open or
+	// failing it on demand.
 	runHook func(ctx context.Context, j *Job) error
 }
 
 func newManager(cfg Config) *manager {
 	ctx, cancel := context.WithCancel(context.Background())
-	m := &manager{
+	return &manager{
 		cfg:        cfg,
+		walks:      make(walkCap, cfg.MaxWalks),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		queue:      make(chan *Job, cfg.QueueDepth),
 		jobs:       make(map[string]*Job),
 		idem:       make(map[string]*Job),
 	}
-	m.wg.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go m.worker()
-	}
-	return m
 }
 
 // submit admits a job or rejects it: ErrTooLarge when the closed-form
-// edge count busts the budget (checked from factor stats alone, before
-// any generation), ErrSaturated when the queue is full, ErrDraining
-// during shutdown.  A non-empty idemKey already bound to a retained job
-// short-circuits to that job with existing=true — the at-most-once half
-// of the coordinator's retry contract: a resubmission after a dropped
-// response must not enqueue the work twice.  Keys bind only on
-// successful admission (a 429/413 retry is a fresh attempt) and unbind
-// when the job is evicted.
+// edge count busts the budget, ErrDraining during shutdown, and
+// ErrSaturated when an audited job finds every walk slot taken.  An
+// admitted unaudited job is done on return; an audited one holds a
+// walk slot and runs its checks on its own goroutine.  A non-empty
+// idemKey already bound to a retained job short-circuits to that job
+// with existing=true — the at-most-once half of the coordinator's retry
+// contract: a resubmission after a dropped response must not admit the
+// work twice.  Keys bind only on successful admission (a 429/413 retry
+// is a fresh attempt) and unbind when the job is evicted.
 func (m *manager) submit(sp spec.Spec, p *core.Product, auditOn bool, idemKey string, ri requestInfo) (j *Job, existing bool, err error) {
 	if m.cfg.MaxEdges > 0 && p.NumEdges() > m.cfg.MaxEdges {
 		mRejected.Inc()
@@ -275,24 +249,28 @@ func (m *manager) submit(sp spec.Spec, p *core.Product, auditOn bool, idemKey st
 		return nil, false, fmt.Errorf("%w: |E_C|=%d > budget %d", ErrTooLarge, p.NumEdges(), m.cfg.MaxEdges)
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		mRejected.Inc()
 		obs.Flight.RecordNote(obs.FlightWarn, "job", "reject draining", 0, 0, ri.id)
 		return nil, false, ErrDraining
 	}
-	if idemKey != "" {
-		if prior, ok := m.idem[idemKey]; ok {
-			m.mu.Unlock()
-			mIdemReplays.Inc()
-			obs.Flight.RecordNote(obs.FlightInfo, "job", "idem replay", int64(prior.seq), 0, ri.id)
-			return prior, true, nil
-		}
+	if prior, ok := m.idem[idemKey]; ok { // "" never binds
+		mIdemReplays.Inc()
+		obs.Flight.RecordNote(obs.FlightInfo, "job", "idem replay", int64(prior.seq), 0, ri.id)
+		return prior, true, nil
 	}
+	if auditOn && !m.walks.tryAcquire() {
+		mRejected.Inc()
+		obs.Flight.RecordNote(obs.FlightWarn, "job", "reject saturated", int64(m.cfg.MaxWalks), 0, ri.id)
+		return nil, false, ErrSaturated
+	}
+	m.evictLocked()
+	m.nextID++
 	jctx, jcancel := context.WithCancel(m.baseCtx)
 	j = &Job{
-		id:      fmt.Sprintf("j%d", m.nextID+1),
-		seq:     m.nextID + 1,
+		id:      fmt.Sprintf("j%d", m.nextID),
+		seq:     m.nextID,
 		spec:    sp,
 		product: p,
 		auditOn: auditOn,
@@ -301,57 +279,44 @@ func (m *manager) submit(sp spec.Spec, p *core.Product, auditOn bool, idemKey st
 		idemKey: idemKey,
 		ctx:     jctx,
 		cancel:  jcancel,
-		state:   StateQueued,
+		state:   StateRunning,
 		created: time.Now(),
-		done:    make(chan struct{}),
 	}
-	select {
-	case m.queue <- j:
-		m.nextID++
-		m.jobs[j.id] = j
-		if idemKey != "" {
-			m.idem[idemKey] = j
-		}
-		m.order = append(m.order, j)
-		m.evictLocked()
-		gQueueDepth.Set(int64(len(m.queue)))
-		m.mu.Unlock()
-		mSubmitted.Inc()
-		obs.Flight.RecordNote(obs.FlightInfo, "job", "job submitted", int64(j.seq), p.NumEdges(), ri.id)
+	m.jobs[j.id] = j
+	if idemKey != "" {
+		m.idem[idemKey] = j
+	}
+	m.order = append(m.order, j)
+	mSubmitted.Inc()
+	obs.Flight.RecordNote(obs.FlightInfo, "job", "job submitted", int64(j.seq), p.NumEdges(), ri.id)
+	if auditOn {
+		m.audits.Add(1)
+		go m.audit(j)
 		return j, false, nil
-	default:
-		m.mu.Unlock()
-		jcancel()
-		mRejected.Inc()
-		obs.Flight.RecordNote(obs.FlightWarn, "job", "reject saturated", int64(m.cfg.QueueDepth), 0, ri.id)
-		return nil, false, ErrSaturated
 	}
+	if end := j.lane(); end != nil {
+		end(nil)
+	}
+	j.finish(nil)
+	return j, false, nil
 }
 
-// evictLocked drops the oldest terminal jobs beyond the retention cap,
-// releasing their contexts.  Live (queued/running) jobs are never
-// evicted.  Caller holds m.mu.
+// evictLocked makes room for one more job: it drops the oldest terminal
+// jobs until fewer than Retention remain, releasing their contexts.
+// Running jobs are never evicted.  Caller holds m.mu.
 func (m *manager) evictLocked() {
-	for len(m.order) > m.cfg.Retention {
-		evicted := false
-		for i, j := range m.order {
-			j.mu.Lock()
-			terminal := j.state.terminal()
-			j.mu.Unlock()
-			if terminal {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				delete(m.jobs, j.id)
-				if j.idemKey != "" {
-					delete(m.idem, j.idemKey)
-				}
-				j.cancel()
-				evicted = true
-				break
-			}
+	for len(m.order) >= m.cfg.Retention {
+		i := slices.IndexFunc(m.order, func(j *Job) bool { return !j.running() })
+		if i < 0 {
+			return // everything retained is still running
 		}
-		if !evicted {
-			return // everything retained is still live
+		j := m.order[i]
+		m.order = slices.Delete(m.order, i, i+1)
+		delete(m.jobs, j.id)
+		if j.idemKey != "" {
+			delete(m.idem, j.idemKey)
 		}
+		j.cancel()
 	}
 }
 
@@ -363,12 +328,16 @@ func (m *manager) get(id string) (*Job, bool) {
 	return j, ok
 }
 
+// snapshot copies the retained jobs in submission order.
+func (m *manager) snapshot() []*Job {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.order)
+}
+
 // list snapshots every retained job, newest first.
 func (m *manager) list() []JobStatus {
-	m.mu.Lock()
-	jobs := make([]*Job, len(m.order))
-	copy(jobs, m.order)
-	m.mu.Unlock()
+	jobs := m.snapshot()
 	out := make([]JobStatus, 0, len(jobs))
 	for i := len(jobs) - 1; i >= 0; i-- {
 		out = append(out, jobs[i].Status())
@@ -376,176 +345,95 @@ func (m *manager) list() []JobStatus {
 	return out
 }
 
-// cancelJob cancels a job wherever it is: queued jobs retire without
-// running, running jobs unwind through the exec engine's cancellation
-// contract, and any in-flight edge stream tied to the job aborts.
+// cancelJob moves a job to cancelled from any state and cancels its
+// context: in-flight edge streams abort, later ones answer 409, and a
+// running audit's report is dropped when it lands.
 func (m *manager) cancelJob(j *Job) {
-	if j.cancelIfQueued() {
-		return
+	j.mu.Lock()
+	if j.state != StateCancelled {
+		j.settleLocked(StateCancelled, "cancelled")
 	}
+	j.mu.Unlock()
 	j.cancel()
 }
 
-// counts reports (queued, running) for the health payload.
-func (m *manager) counts() (queued, running int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, j := range m.order {
-		j.mu.Lock()
-		switch j.state {
-		case StateQueued:
-			queued++
-		case StateRunning:
-			running++
+// running counts the jobs whose audit is in flight, for the health
+// payload.
+func (m *manager) running() (n int) {
+	for _, j := range m.snapshot() {
+		if j.running() {
+			n++
 		}
-		j.mu.Unlock()
 	}
-	return queued, running
+	return n
 }
 
-// drain stops admissions, cancels still-queued jobs and waits for the
-// running ones to finish; when ctx expires first, the remaining jobs
-// are cancelled hard and the ctx error returned.
+// drain stops admissions and waits for the audited runs in flight; when
+// ctx expires first, the running jobs are cancelled and the ctx error
+// returned.  An audit's checks watch no context, so a run cut off that
+// way is abandoned, not awaited.
 func (m *manager) drain(ctx context.Context) error {
 	m.mu.Lock()
-	if !m.closed {
-		m.closed = true
-		close(m.queue)
-	}
-	queued := make([]*Job, len(m.order))
-	copy(queued, m.order)
+	m.closed = true
 	m.mu.Unlock()
-	obs.Flight.Record(obs.FlightInfo, "serve", "drain begin", int64(len(queued)), 0)
-	for _, j := range queued {
-		j.cancelIfQueued()
-	}
+	jobs := m.snapshot()
+	obs.Flight.Record(obs.FlightInfo, "serve", "drain begin", int64(len(jobs)), 0)
 	done := make(chan struct{})
-	go func() { m.wg.Wait(); close(done) }()
+	go func() { m.audits.Wait(); close(done) }()
 	select {
 	case <-done:
 		obs.Flight.Record(obs.FlightInfo, "serve", "drain done", 0, 0)
 		return nil
 	case <-ctx.Done():
-		m.baseCancel()
-		<-done
+		for _, j := range jobs {
+			if j.running() {
+				m.cancelJob(j)
+			}
+		}
 		obs.Flight.Record(obs.FlightError, "serve", "drain timeout", 0, 0)
 		return fmt.Errorf("serve: drain timeout: %w", ctx.Err())
 	}
 }
 
-// close force-stops the manager; idempotent, used after drain and on
-// listener failure.
+// close force-stops the manager: admissions end and every job context
+// is cancelled, which aborts in-flight edge streams.  Idempotent, used
+// after drain and on listener failure.
 func (m *manager) close() {
 	m.mu.Lock()
-	if !m.closed {
-		m.closed = true
-		close(m.queue)
-	}
+	m.closed = true
 	m.mu.Unlock()
 	m.baseCancel()
-	m.wg.Wait()
 }
 
-func (m *manager) worker() {
-	defer m.wg.Done()
-	for j := range m.queue {
-		gQueueDepth.Set(int64(len(m.queue)))
-		m.run(j)
-	}
-}
-
-// run executes one job under its per-job context plus the configured
-// deadline, recording the outcome and a per-job timeline group.
-func (m *manager) run(j *Job) {
-	if !j.claim() {
-		return // cancelled while queued
-	}
-	obs.Flight.RecordNote(obs.FlightInfo, "job", "job running", int64(j.seq), j.product.NumEdges(), j.reqID)
+// audit runs an audited job's checks while the job holds the walk slot
+// taken at admission: audit.Auditor.Finalize without a stream, that is
+// the degree sums, the dual-route 4-cycle count (one ◊ walk of the
+// product), the spot checks and Thm. 7.  The stream checks
+// (stream.count, stream.membership) belong to the edges that are
+// actually emitted, on ?audit=1 streams.
+func (m *manager) audit(j *Job) {
+	defer m.audits.Done()
+	defer m.walks.release()
 	gJobsRunning.Add(1)
 	defer gJobsRunning.Add(-1)
-	ctx := j.ctx
-	if m.cfg.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, m.cfg.JobTimeout)
-		defer cancel()
-	}
-	var end timeline.Done
-	if timeline.Enabled() {
-		// The submitting request's identity rides on the job-lane event,
-		// so a trace id seen at POST /v1/jobs can be grepped out of the
-		// journal or read in the Chrome trace args pane.
-		end = timeline.BeginNote(timeline.CatJob, "serve.job", j.seq,
-			"req_id="+j.reqID+" trace_id="+j.traceID)
-	}
-	err := m.generate(ctx, j)
+	obs.Flight.RecordNote(obs.FlightInfo, "job", "job running", int64(j.seq), j.product.NumEdges(), j.reqID)
+	end := j.lane()
+	err := m.runAudit(j)
 	if end != nil {
 		end(err)
 	}
 	j.finish(err)
-	// Attribution roll-up, once per job at the batch boundary: the
-	// meter's shard sums become one histogram observation per family.
-	if obs.Enabled() {
-		hJobCPUSecs.Observe(j.meter.BusySeconds())
-		j.mu.Lock()
-		ab, ao := j.allocBytes, j.allocObjects
-		j.mu.Unlock()
-		hJobAllocBytes.Observe(float64(ab))
-		hJobAllocs.Observe(float64(ao))
-	}
 }
 
-// generate performs the job's generation run on the exec engine: the
-// full sharded stream into a counting sink (and the online auditor when
-// requested).  The streamed count is the job's result — the edge list
-// itself is never stored; /v1/jobs/{id}/edges re-derives it on demand,
-// which is the paper's whole point.
-func (m *manager) generate(ctx context.Context, j *Job) error {
-	// Resource attribution, gated on the usual one atomic load: the
-	// job's meter rides the context into the exec pool (per-shard busy
-	// time), and the run is bracketed by cumulative-alloc snapshots.
-	// The alloc delta is process-wide — concurrent jobs bleed into each
-	// other — so it is surfaced with an _approx suffix, while the meter
-	// sums are exact per-job.
-	if obs.Enabled() {
-		ctx = exec.WithMeter(ctx, &j.meter)
-		b0, o0 := obs.AllocSnapshot()
-		defer func() {
-			b1, o1 := obs.AllocSnapshot()
-			j.mu.Lock()
-			j.allocBytes, j.allocObjects = b1-b0, o1-o0
-			j.mu.Unlock()
-		}()
-	}
+func (m *manager) runAudit(j *Job) error {
 	if m.runHook != nil {
-		if err := m.runHook(ctx, j); err != nil {
+		if err := m.runHook(j.ctx, j); err != nil {
 			return err
 		}
 	}
-	p := j.product
-	var auditor *audit.Auditor
-	if j.auditOn {
-		auditor = audit.New(p, audit.Options{SampleEvery: m.cfg.AuditSample})
-	}
-	var cnt exec.CountingSink
-	err := p.StreamEdgesParallelContext(ctx, m.cfg.Shards, func(int) exec.Sink {
-		if auditor != nil {
-			return exec.MultiSink{&cnt, auditor.Stream().ForShard()}
-		}
-		return &cnt
-	})
+	report := audit.New(j.product, audit.Options{}).Finalize()
 	j.mu.Lock()
-	j.edges = cnt.Count()
+	j.auditChecks, j.auditViolations = report.Checks, len(report.Violations)
 	j.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if auditor != nil {
-		report := auditor.Finalize()
-		j.mu.Lock()
-		j.auditChecks = report.Checks
-		j.auditViolations = len(report.Violations)
-		j.mu.Unlock()
-		return report.Err()
-	}
-	return nil
+	return report.Err()
 }

@@ -8,15 +8,8 @@ import (
 )
 
 // GET /v1/jobs/{id}/obs — the per-job observability view: the job's
-// correlation identity, its throughput (edges per second over the run),
-// and — when timeline recording is on — the job-lane events plus a
-// straggler summary of the generation shards that ran inside the job's
-// [started, finished] window.
-//
-// Shard attribution is by time window: core shard events carry no job
-// identity (the generation engine is job-agnostic), so with concurrent
-// jobs the shard summary can include a neighbour's shards.  The
-// job-lane events and identity fields are always exact.
+// correlation identity, its priced edge count and audit time, and —
+// when timeline recording is on — its job-lane events.
 
 // jobObsResponse is the endpoint payload.
 type jobObsResponse struct {
@@ -26,25 +19,9 @@ type jobObsResponse struct {
 	TraceID         string  `json:"trace_id,omitempty"`
 	EdgesStreamed   int64   `json:"edges_streamed"`
 	RunSeconds      float64 `json:"run_seconds,omitempty"`
-	EdgesPerSecond  float64 `json:"edges_per_second,omitempty"`
 	TimelineEnabled bool    `json:"timeline_enabled"`
 
-	Resources *jobObsResources `json:"resources,omitempty"`
-	JobEvents []jobObsEvent    `json:"job_events,omitempty"`
-	Shards    *jobObsShards    `json:"shards,omitempty"`
-}
-
-// jobObsResources is the per-job attribution snapshot — the exact
-// per-job view behind the serve.job.* histograms.  CPU seconds and pool
-// tasks are exact sums over the job's own shards (exec.Meter); the
-// alloc deltas are process-wide brackets around the run, so concurrent
-// jobs inflate each other's — AllocsApproximate flags that.
-type jobObsResources struct {
-	CPUSeconds        float64 `json:"cpu_seconds"`
-	PoolTasks         int64   `json:"pool_tasks"`
-	AllocBytes        int64   `json:"alloc_bytes"`
-	Allocs            int64   `json:"allocs"`
-	AllocsApproximate bool    `json:"allocs_approximate"`
+	JobEvents []jobObsEvent `json:"job_events,omitempty"`
 }
 
 // jobObsEvent is one event from the job's timeline lane.
@@ -55,20 +32,6 @@ type jobObsEvent struct {
 	DurationMS float64 `json:"duration_ms"`
 	Note       string  `json:"note,omitempty"`
 }
-
-// jobObsShards summarizes the generation shards attributed to the job.
-type jobObsShards struct {
-	Count          int     `json:"count"`
-	Failed         int     `json:"failed"`
-	P50MS          float64 `json:"p50_ms"`
-	P99MS          float64 `json:"p99_ms"`
-	MaxMS          float64 `json:"max_ms"`
-	MeanMS         float64 `json:"mean_ms"`
-	StragglerRatio float64 `json:"straggler_ratio"`
-	Approximate    bool    `json:"approximate"` // window attribution, see package comment
-}
-
-func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 func (s *Server) handleJobObs(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFromPath(w, r)
@@ -85,63 +48,17 @@ func (s *Server) handleJobObs(w http.ResponseWriter, r *http.Request) {
 		RunSeconds:      st.RunSeconds,
 		TimelineEnabled: timeline.Enabled(),
 	}
-	if st.RunSeconds > 0 {
-		resp.EdgesPerSecond = float64(st.EdgesStreamed) / st.RunSeconds
-	}
-	if st.CPUSeconds > 0 || st.PoolTasks > 0 || st.AllocBytesApprox > 0 {
-		resp.Resources = &jobObsResources{
-			CPUSeconds:        st.CPUSeconds,
-			PoolTasks:         st.PoolTasks,
-			AllocBytes:        st.AllocBytesApprox,
-			Allocs:            st.AllocsApprox,
-			AllocsApproximate: true,
-		}
-	}
 	if resp.TimelineEnabled {
 		events, _ := timeline.Default.Snapshot()
-		j.mu.Lock()
-		started, finished := j.started, j.finished
-		j.mu.Unlock()
-		var shardEvents []timeline.Event
 		for _, ev := range events {
-			switch {
-			case ev.Cat == timeline.CatJob && ev.ID == j.seq:
+			if ev.Cat == timeline.CatJob && ev.ID == j.seq {
 				resp.JobEvents = append(resp.JobEvents, jobObsEvent{
 					Name:       ev.Name,
 					OK:         ev.OK,
 					Start:      ev.Start.UTC().Format(time.RFC3339Nano),
-					DurationMS: durMS(ev.Dur),
+					DurationMS: float64(ev.Dur.Microseconds()) / 1000,
 					Note:       ev.Note,
 				})
-			case ev.Cat == timeline.CatShard && !started.IsZero():
-				// Window attribution: the shard ran inside the job's
-				// lifetime (an unfinished job's window is open-ended).
-				end := ev.Start.Add(ev.Dur)
-				if end.Before(started) {
-					continue
-				}
-				if !finished.IsZero() && ev.Start.After(finished) {
-					continue
-				}
-				shardEvents = append(shardEvents, ev)
-			}
-		}
-		if len(shardEvents) > 0 {
-			for _, g := range timeline.Stats(shardEvents) {
-				if g.Cat != timeline.CatShard {
-					continue
-				}
-				resp.Shards = &jobObsShards{
-					Count:          g.Count,
-					Failed:         g.Failed,
-					P50MS:          durMS(g.P50),
-					P99MS:          durMS(g.P99),
-					MaxMS:          durMS(g.Max),
-					MeanMS:         durMS(g.Mean),
-					StragglerRatio: g.StragglerRatio,
-					Approximate:    true,
-				}
-				break
 			}
 		}
 	}

@@ -21,16 +21,16 @@ import (
 // and the closed-form core.BlockEdgeCount lets both sides verify the
 // stream without trust.
 //
-// Unlike jobs, a lease is synchronous: the response IS the work.  There
-// is no queue — admission is a concurrency cap (Config.MaxLeases) and a
-// full server answers 429 + Retry-After so the coordinator backs off
-// and routes the block to another replica.  Every lease prices its
-// edges with their 4-cycle counts as it walks (Thm. 5) and sends the
-// block's Σ◊ in a trailer; summed over the grid that is 4·□(C), which
-// the coordinator checks against the closed form without walking the
-// product.  The other invariants (degree sums, membership) it audits on
-// the merged stream, and it verifies each block against its
-// closed-form count.
+// A lease is synchronous: the response IS the work.  It walks its
+// block, so admission is the walk cap it shares with edge streams and
+// audited jobs (Config.MaxWalks), and a full server answers 429 +
+// Retry-After so the coordinator backs off and routes the block to
+// another replica.  Every lease prices its edges with their 4-cycle
+// counts as it walks (Thm. 5) and sends the block's Σ◊ in a trailer;
+// summed over the grid that is 4·□(C), which the coordinator checks
+// against the closed form without walking the product.  The other
+// invariants (degree sums, membership) it audits on the merged stream,
+// and it verifies each block against its closed-form count.
 
 // HeaderBlockEdges carries the closed-form edge count of the leased
 // block, sent as a response header before the first edge so the
@@ -137,20 +137,14 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			"%v: block carries %d edges > budget %d", ErrTooLarge, want, s.cfg.MaxEdges)
 		return
 	}
-	// Concurrency cap in place of a queue: a lease is synchronous, so
-	// "queued" would just hold the coordinator's connection open while
-	// another replica sits idle.  429 tells it to go elsewhere.
-	select {
-	case s.leaseSem <- struct{}{}:
-		defer func() { <-s.leaseSem; gLeasesActive.Add(-1) }()
-		gLeasesActive.Add(1)
-	default:
+	// A full walk cap answers 429: waiting would only hold the
+	// coordinator's connection open while another replica sits idle.
+	if !s.admitWalk(w, r, "lease") {
 		mLeaseRejects.Inc()
-		obs.Flight.RecordNote(obs.FlightWarn, "lease", "reject saturated", int64(s.cfg.MaxLeases), 0, requestFrom(r.Context()).id)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-		writeError(w, http.StatusTooManyRequests, "serve: lease capacity is full")
 		return
 	}
+	defer func() { s.mgr.walks.release(); gLeasesActive.Add(-1) }()
+	gLeasesActive.Add(1)
 
 	ri := requestFrom(r.Context())
 	obs.Flight.RecordNote(obs.FlightInfo, "lease", "lease start", int64(req.Row*req.Cols+req.Col), want, ri.id)

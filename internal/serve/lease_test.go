@@ -173,12 +173,12 @@ func TestLeaseTooLarge(t *testing.T) {
 	}
 }
 
-// TestLeaseSaturated: with the lease semaphore full, a lease is answered
-// 429 with a Retry-After of at least one second.
+// TestLeaseSaturated: with the walk cap full, a lease is answered 429
+// with a Retry-After of at least one second.
 func TestLeaseSaturated(t *testing.T) {
-	s, ts := testServer(t, Config{MaxLeases: 1})
-	s.leaseSem <- struct{}{} // occupy the only slot
-	defer func() { <-s.leaseSem }()
+	s, ts := testServer(t, Config{MaxWalks: 1})
+	s.mgr.walks <- struct{}{} // occupy the only slot
+	defer s.mgr.walks.release()
 	res := postLease(t, ts.URL, `{"factor":"crown3","row":0,"rows":1,"col":0,"cols":1}`)
 	io.Copy(io.Discard, res.Body)
 	res.Body.Close()
@@ -335,14 +335,12 @@ func TestIdempotencyKeyReleasedOnEviction(t *testing.T) {
 	if err != nil || existing {
 		t.Fatalf("first submit: existing=%v err=%v", existing, err)
 	}
-	<-j1.Done()
-	// Push enough unkeyed jobs through to evict j1 (Retention=1).
+	// Push enough unkeyed jobs through to evict j1 (Retention=1); an
+	// unaudited job is done, so evictable, on return.
 	for i := 0; i < 3; i++ {
-		j, _, err := s.mgr.submit(sp, p, false, "", requestInfo{})
-		if err != nil {
+		if _, _, err := s.mgr.submit(sp, p, false, "", requestInfo{}); err != nil {
 			t.Fatal(err)
 		}
-		<-j.Done()
 	}
 	j2, existing, err := s.mgr.submit(sp, p, false, "evict-key", requestInfo{})
 	if err != nil {

@@ -2,9 +2,9 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -211,7 +211,7 @@ func TestRequestIdentityEcho(t *testing.T) {
 func TestPanicRecoveryRecordsREDError(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	defer s.Shutdown(time.Second)
 	ts := httptest.NewServer(s.withMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("boom")
@@ -242,7 +242,7 @@ func TestPanicRecoveryRecordsREDError(t *testing.T) {
 func TestPanicAfterHeaderStillCountsError(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	defer s.Shutdown(time.Second)
 	ts := httptest.NewServer(s.withMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -315,19 +315,12 @@ func TestAccessLogCarriesIdentity(t *testing.T) {
 }
 
 // TestHealthzStaysUpWhileReadyzDrains: during a shutdown drain the
-// process is still alive (healthz 200, jobs finishing) but must leave
-// the load balancer rotation (readyz 503).
+// process is still alive (healthz 200, an audited job finishing) but
+// must leave the load balancer rotation (readyz 503).
 func TestHealthzStaysUpWhileReadyzDrains(t *testing.T) {
 	release := make(chan struct{})
-	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 4})
-	s.mgr.runHook = func(ctx context.Context, j *Job) error {
-		select {
-		case <-release:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
+	s, ts := testServer(t, Config{})
+	holdAudits(s, release)
 
 	// Before the drain both report healthy.
 	res := getJSON(t, ts.URL+"/readyz", nil)
@@ -335,7 +328,7 @@ func TestHealthzStaysUpWhileReadyzDrains(t *testing.T) {
 		t.Fatalf("pre-drain readyz = %d, want 200", res.StatusCode)
 	}
 
-	st, res := submitJob(t, ts.URL, `{"factor":"crown4"}`)
+	st, res := submitJob(t, ts.URL, `{"factor":"crown4","audit":true}`)
 	if res.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d", res.StatusCode)
 	}
@@ -419,7 +412,7 @@ func TestReadyzFlipsOnSLOBurn(t *testing.T) {
 func TestProbeRoutesExcludedFromSLO(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	defer s.Shutdown(time.Second)
 	// Every route answers 503 — the shape probe polls take while the
 	// server is draining or burning.
@@ -466,7 +459,7 @@ func TestProbeRoutesExcludedFromSLO(t *testing.T) {
 // a single windowed 5xx on real traffic burns the SLO.
 func TestZeroToleranceErrorObjective(t *testing.T) {
 	zero := 0.0
-	s := New(Config{Workers: 1, SLOErrorRate: &zero})
+	s := New(Config{SLOErrorRate: &zero})
 	defer s.Shutdown(time.Second)
 	ts := httptest.NewServer(s.withMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "boom")
@@ -488,7 +481,7 @@ func TestZeroToleranceErrorObjective(t *testing.T) {
 }
 
 // TestJobObsEndpoint: the per-job observability view carries the
-// submitting request's identity, the throughput figure, and — with
+// submitting request's identity, the priced edge count, and — with
 // timeline recording on — the job-lane events annotated with that
 // identity (the acceptance check that a supplied traceparent reaches
 // the job's timeline lane).
@@ -499,7 +492,7 @@ func TestJobObsEndpoint(t *testing.T) {
 		timeline.SetEnabled(false)
 		timeline.Default.Reset()
 	})
-	_, ts := testServer(t, Config{Workers: 1})
+	_, ts := testServer(t, Config{})
 
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
 	req, _ := http.NewRequest("POST", ts.URL+"/v1/jobs",
@@ -531,8 +524,8 @@ func TestJobObsEndpoint(t *testing.T) {
 	if ob.RequestID != "obs-req-1" || ob.TraceID != traceID {
 		t.Errorf("obs identity = %q/%q, want the submitted pair", ob.RequestID, ob.TraceID)
 	}
-	if ob.EdgesStreamed <= 0 || ob.EdgesPerSecond <= 0 {
-		t.Errorf("throughput = %d edges, %v edges/s, want positive", ob.EdgesStreamed, ob.EdgesPerSecond)
+	if ob.EdgesStreamed <= 0 || ob.EdgesStreamed != st.NumEdges {
+		t.Errorf("edges_streamed = %d, want the priced count %d", ob.EdgesStreamed, st.NumEdges)
 	}
 	if len(ob.JobEvents) == 0 {
 		t.Fatal("job_events empty, want the serve.job lane event")
@@ -561,6 +554,41 @@ func TestJobObsEndpoint(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderSeesJobLifecycle submits an audited job and lets it
+// finish, then reads /debug/flightrecorder: the dump must carry the
+// job's lifecycle trail and the request records that drove it.
+func TestFlightRecorderSeesJobLifecycle(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	st, _ := submitJob(t, ts.URL, `{"factor":"crown4","seed":1,"audit":true}`)
+	waitState(t, ts.URL, st.ID, "done")
+	dump := getBody(t, ts.URL+"/debug/flightrecorder")
+	for _, want := range []string{
+		`cat=job ev="job submitted"`,
+		`cat=job ev="job running"`,
+		`cat=job ev="job done"`,
+		`cat=http ev="jobs.submit"`,
+		"\nmetrics {",
+	} {
+		if !strings.Contains(dump, want) {
+			t.Errorf("flight dump missing %q\n--- dump ---\n%s", want, dump)
+		}
+	}
+}
+
+func getBody(t *testing.T, url string) string {
+	t.Helper()
+	res, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer res.Body.Close()
+	b, err := io.ReadAll(res.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 var updateMetricNames = flag.Bool("update-metric-names", false, "rewrite the exported metric-name golden")
 
 // TestMetricNameTableGolden pins the full exported serve.* metric-name
@@ -569,7 +597,7 @@ var updateMetricNames = flag.Bool("update-metric-names", false, "rewrite the exp
 // metric must update the golden — dashboards and the smoke harness key
 // on these names.
 func TestMetricNameTableGolden(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	defer s.Shutdown(time.Second)
 
 	snap := obs.Default.Snapshot()
@@ -623,7 +651,7 @@ func (w nopResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
 // check that the observability layer is one atomic load away from free
 // when off.
 func BenchmarkServeMiddleware(b *testing.B) {
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	defer s.Shutdown(time.Second)
 	h := s.withMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok"))

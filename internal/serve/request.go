@@ -27,7 +27,7 @@ import (
 
 // HeaderIdempotencyKey makes POST /v1/jobs retry-safe: a resubmission
 // carrying a key already bound to a job gets that job's status back
-// (200) instead of enqueueing a duplicate — the contract a dist-gen
+// (200) instead of admitting a duplicate — the contract a dist-gen
 // coordinator relies on after a dropped response.  Keys share the
 // request-id charset/length allowlist (they land in logs the same way).
 const HeaderIdempotencyKey = "X-Kronbip-Idempotency-Key"

@@ -7,28 +7,32 @@
 //
 // The service has four layers:
 //
-//   - Job manager (jobs.go): a bounded submission queue feeding a fixed
-//     worker pool; each generation job runs on the internal/exec engine
-//     under its own cancellable context (DELETE /v1/jobs/{id} cancels),
-//     moves through queued → running → done/failed/cancelled, and a
-//     bounded set of recent results is retained for polling.
-//   - Admission control (jobs.go, middleware.go): a full queue answers
-//     429 with Retry-After; a spec whose closed-form |E_C| exceeds the
-//     per-job budget is rejected with 413 before any generation work;
-//     sync endpoints run under a request timeout; every handler sits
-//     behind panic recovery; shutdown drains running jobs first.
+//   - Jobs (jobs.go): a job is priced, not generated.  POST /v1/jobs
+//     builds the spec's factors (cached), prices |E_C| and □(C) in
+//     closed form and answers with the job already done; an audited
+//     job runs the stream-free audit checks on its own goroutine and is
+//     running until they report.  DELETE /v1/jobs/{id} moves a job to
+//     cancelled from any state, and a bounded set of recent jobs is
+//     retained for polling.
+//   - Admission control (jobs.go, handlers.go, middleware.go): every
+//     request that walks the product — an edge stream, a lease, an
+//     audited job's checks — takes a slot of one cap (Config.MaxWalks)
+//     or is answered 429 with Retry-After; a spec whose closed-form
+//     |E_C| exceeds the per-job budget is rejected with 413 before any
+//     work; sync endpoints run under a request timeout; every handler
+//     sits behind panic recovery; shutdown drains audited runs first.
 //   - Sync ground truth (handlers.go): GET /v1/truth and /v1/stats
 //     answer from the factor closed forms alone, through an LRU cache
 //     keyed by canonical factor spec (cache.go) so repeated queries for
 //     popular factors skip factor construction entirely.
 //   - Streaming output (stream.go): GET /v1/jobs/{id}/edges re-streams
-//     the job's deterministic edge list as NDJSON or TSV with
+//     the job's deterministic edge list as NDJSON, TSV or bin with
 //     flush-on-batch, optionally auditing the stream online
 //     (internal/audit) and reporting the outcome in HTTP trailers.
 //
 // Everything is instrumented through internal/obs (request counters,
-// queue-depth/running gauges, cache hit/miss counters, per-job timeline
-// groups) and exported on /metrics and /metrics.json.
+// the running-audit gauge, cache hit/miss counters, per-job timeline
+// lanes) and exported on /metrics and /metrics.json.
 package serve
 
 import (
@@ -65,8 +69,7 @@ var (
 	mCacheHits    = obs.Default.Counter("serve.cache.hits")
 	mCacheMisses  = obs.Default.Counter("serve.cache.misses")
 	gCacheSize    = obs.Default.Gauge("serve.cache.size")
-	gQueueDepth   = obs.Default.Gauge("serve.jobs.queue_depth")
-	gJobsRunning  = obs.Default.Gauge("serve.jobs.running")
+	gJobsRunning  = obs.Default.Gauge("serve.jobs.running") // audited jobs whose checks are in flight
 	mSubmitted    = obs.Default.Counter("serve.jobs.submitted")
 	mIdemReplays  = obs.Default.Counter("serve.jobs.idem_replays") // resubmissions answered from the idempotency index
 	mRejected     = obs.Default.Counter("serve.jobs.rejected")     // 429 + 413 + 503
@@ -75,38 +78,19 @@ var (
 	mJobsCancel   = obs.Default.Counter("serve.jobs.cancelled")
 	mStreamEdges  = obs.Default.Counter("serve.stream.edges") // edges sent to clients, batched
 	mStreamAborts = obs.Default.Counter("serve.stream.aborts")
-	// Per-job resource attribution (DESIGN.md §6a): observed once per
-	// finished job, never per edge or per shard.  These are histograms,
-	// not per-job-id labeled series — job ids are unbounded, so labeling
-	// by them would grow the registry without limit and break the
-	// deterministic exported-name contract; the exact per-job numbers
-	// live in the job status JSON and GET /v1/jobs/{id}/obs instead.
-	hJobCPUSecs    = obs.Default.Histogram("serve.job.cpu_seconds")
-	hJobAllocs     = obs.Default.Histogram("serve.job.allocs", 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)
-	hJobAllocBytes = obs.Default.Histogram("serve.job.alloc_bytes", 1e6, 1e7, 1e8, 1e9, 1e10, 1e11)
 )
 
 // DefaultMaxEdges is the default per-job closed-form edge budget: large
 // enough for every spec the experiment suite generates, small enough
-// that a runaway sf spec cannot park a worker for hours.
+// that a runaway sf spec cannot hold a walk slot for hours.
 const DefaultMaxEdges = int64(1) << 33
 
 // Config tunes the service; zero values select the documented defaults.
 type Config struct {
-	// Workers is the number of generation jobs run concurrently
-	// (default GOMAXPROCS).  This is the max-in-flight half of
-	// admission control.
-	Workers int
-	// QueueDepth is how many submitted jobs may wait beyond the running
-	// set before submissions are answered 429 (default 16).
-	QueueDepth int
 	// MaxEdges rejects any spec whose closed-form |E_C| exceeds it with
-	// 413, before generation starts (default DefaultMaxEdges; negative
-	// disables the budget).
+	// 413, before any work (default DefaultMaxEdges; negative disables
+	// the budget).
 	MaxEdges int64
-	// JobTimeout bounds one job's generation run (default 10m; 0 keeps
-	// the default, negative disables).
-	JobTimeout time.Duration
 	// RequestTimeout bounds the sync endpoints — truth, stats, submit
 	// (default 30s).  Streaming responses are governed by the job
 	// context instead.
@@ -118,18 +102,17 @@ type Config struct {
 	Retention int
 	// CacheSize is the factor-spec product cache capacity (default 128).
 	CacheSize int
-	// Shards is the per-job generation parallelism (default GOMAXPROCS).
-	Shards int
-	// MaxLeases caps concurrently-served block leases (POST /v1/leases);
-	// excess requests are answered 429 + Retry-After so a dist-gen
-	// coordinator routes the block to another replica instead of queueing
-	// (default 2×GOMAXPROCS).
-	MaxLeases int
-	// Audit runs the online ground-truth auditor inside every job
-	// (per-request "audit" fields override per job / per stream).
+	// MaxWalks caps the requests that walk the product at once: edge
+	// streams, block leases (POST /v1/leases) and audited jobs' checks.
+	// One more is answered 429 + Retry-After, so a client backs off and
+	// a dist-gen coordinator routes the block to another replica instead
+	// of queueing (default 2×GOMAXPROCS).
+	MaxWalks int
+	// Audit makes every job audited unless its request says otherwise
+	// (the per-request "audit" field overrides).
 	Audit bool
-	// AuditSample is the auditor's edge-membership sampling stride
-	// (0 = the audit package default).
+	// AuditSample is the edge-membership sampling stride of ?audit=1
+	// streams (0 = the audit package default).
 	AuditSample int
 	// SLOWindow is the rolling span the SLO evaluator judges over
 	// (default 60s).
@@ -151,17 +134,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16
-	}
 	if c.MaxEdges == 0 {
 		c.MaxEdges = DefaultMaxEdges
-	}
-	if c.JobTimeout == 0 {
-		c.JobTimeout = 10 * time.Minute
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
@@ -175,11 +149,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 128
 	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxLeases <= 0 {
-		c.MaxLeases = 2 * runtime.GOMAXPROCS(0)
+	if c.MaxWalks <= 0 {
+		c.MaxWalks = 2 * runtime.GOMAXPROCS(0)
 	}
 	if c.SLOWindow <= 0 {
 		c.SLOWindow = time.Minute
@@ -216,25 +187,38 @@ type Server struct {
 	slo      *obs.SLO
 	draining atomic.Bool
 	logMu    sync.Mutex
-
-	// leaseSem caps concurrent block leases (Config.MaxLeases): a lease
-	// is synchronous generation work, so admission is a semaphore, not
-	// the job queue.
-	leaseSem chan struct{}
 }
 
-// New builds a Server from cfg.  The job manager's workers start
-// immediately; call Shutdown to release them.
+// walkCap is the one admission rule for work that walks the product:
+// an edge stream, a lease and an audited job's checks each hold one
+// slot for as long as they walk.  A request that finds every slot taken
+// is answered 429 + Retry-After instead of queueing — a synchronous
+// walk that waited would only hold its client's connection open.
+type walkCap chan struct{}
+
+// tryAcquire takes a slot if one is free.
+func (c walkCap) tryAcquire() bool {
+	select {
+	case c <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// release frees a slot taken by tryAcquire.
+func (c walkCap) release() { <-c }
+
+// New builds a Server from cfg; call Shutdown to stop it.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		cache:    newProductCache(cfg.CacheSize),
-		mgr:      newManager(cfg),
-		started:  time.Now(),
-		red:      obs.NewRED(obs.Default, "serve.http"),
-		sloHist:  obs.Default.Histogram("serve.slo.seconds"),
-		leaseSem: make(chan struct{}, cfg.MaxLeases),
+		cfg:     cfg,
+		cache:   newProductCache(cfg.CacheSize),
+		mgr:     newManager(cfg),
+		started: time.Now(),
+		red:     obs.NewRED(obs.Default, "serve.http"),
+		sloHist: obs.Default.Histogram("serve.slo.seconds"),
 	}
 	// The evaluator reads the dedicated serve.slo.* traffic counters, not
 	// serve.http.*: probe routes (readyz/healthz/metrics) never reach the
@@ -245,15 +229,6 @@ func New(cfg Config) *Server {
 		P99Max:       cfg.SLOP99,
 		ErrorRateMax: *cfg.SLOErrorRate,
 	})
-	// HELP text for the attribution families: the numbers are models
-	// (busy wall-time as CPU, process-wide alloc deltas), and a scrape
-	// should say so without the reader opening DESIGN.md.
-	obs.Default.SetHelp("serve.job.cpu_seconds",
-		"Attributed CPU per job: busy wall-time summed over its generation shards.")
-	obs.Default.SetHelp("serve.job.allocs",
-		"Approximate heap objects allocated during a job's run (process-wide delta).")
-	obs.Default.SetHelp("serve.job.alloc_bytes",
-		"Approximate heap bytes allocated during a job's run (process-wide delta).")
 	// Pre-resolve the full route-label table so the RED map never grows
 	// on the request path and the exported name set is deterministic
 	// from the first scrape.
@@ -288,7 +263,7 @@ func (s *Server) Addr() string {
 
 // Serve accepts connections until ctx is cancelled (SIGINT in the CLI),
 // then shuts down gracefully within drainTimeout: submissions are
-// refused, running jobs drain to completion, in-flight HTTP responses
+// refused, audited runs drain to completion, in-flight HTTP responses
 // (including edge streams) finish, and the listener closes.  A clean
 // drain returns nil — the CLI maps that to exit 0 — and an overrun
 // drain returns the drain error.
@@ -310,10 +285,10 @@ func (s *Server) Serve(ctx context.Context, drainTimeout time.Duration) error {
 	return s.Shutdown(drainTimeout)
 }
 
-// Shutdown drains the server: new submissions are refused (503), queued
-// jobs are cancelled, running jobs finish, then in-flight HTTP exchanges
-// complete — all bounded by drainTimeout, after which remaining work is
-// cancelled hard.  Safe to call without Serve (httptest usage).
+// Shutdown drains the server: new submissions are refused (503),
+// audited runs finish, then in-flight HTTP exchanges complete — all
+// bounded by drainTimeout, after which remaining work is cancelled
+// hard.  Safe to call without Serve (httptest usage).
 func (s *Server) Shutdown(drainTimeout time.Duration) error {
 	s.draining.Store(true) // /readyz answers 503 for the whole drain
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)

@@ -10,21 +10,18 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"kronbip/internal/audit"
+	"kronbip/internal/obs"
 	"kronbip/internal/spec"
 )
 
 // testServer builds a Server + httptest wrapper with fast test defaults.
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Workers == 0 {
-		cfg.Workers = 2
-	}
-	if cfg.JobTimeout == 0 {
-		cfg.JobTimeout = time.Minute
-	}
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
@@ -204,30 +201,36 @@ func TestNDJSONStreamAndVertexTruth(t *testing.T) {
 	}
 }
 
-func TestSaturationReturns429(t *testing.T) {
-	block := make(chan struct{})
-	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 1})
+// holdAudits makes every audited run wait in its run hook until release
+// closes or the job's context ends.
+func holdAudits(s *Server, release <-chan struct{}) {
 	s.mgr.runHook = func(ctx context.Context, j *Job) error {
 		select {
-		case <-block:
+		case <-release:
 			return nil
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}
+}
+
+// TestSaturationReturns429: an audited job holds the only walk slot
+// while its checks run, so a second audited submit bounces with
+// backpressure.
+func TestSaturationReturns429(t *testing.T) {
+	block := make(chan struct{})
+	s, ts := testServer(t, Config{MaxWalks: 1})
+	holdAudits(s, block)
 	defer close(block)
 
-	// First job occupies the single worker, second fills the queue.
-	first, res := submitJob(t, ts.URL, `{"factor":"crown4"}`)
+	first, res := submitJob(t, ts.URL, `{"factor":"crown4","audit":true}`)
 	if res.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit = %d", res.StatusCode)
 	}
-	waitState(t, ts.URL, first.ID, "running")
-	if _, res = submitJob(t, ts.URL, `{"factor":"crown4"}`); res.StatusCode != http.StatusAccepted {
-		t.Fatalf("second submit = %d", res.StatusCode)
+	if first.State != "running" {
+		t.Fatalf("audited job state = %q, want running while its checks are held", first.State)
 	}
-	// Third must bounce with backpressure.
-	_, res = submitJob(t, ts.URL, `{"factor":"crown4"}`)
+	_, res = submitJob(t, ts.URL, `{"factor":"crown4","audit":true}`)
 	if res.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated submit = %d, want 429", res.StatusCode)
 	}
@@ -263,28 +266,18 @@ func TestRetryAfterSeconds(t *testing.T) {
 }
 
 // TestSaturated429NeverAdvertisesZeroWait: end to end, a server whose
-// RetryAfter rounds to zero still sends Retry-After >= 1.
+// RetryAfter rounds to zero still sends Retry-After >= 1 when the walk
+// cap is full.
 func TestSaturated429NeverAdvertisesZeroWait(t *testing.T) {
 	block := make(chan struct{})
-	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 1, RetryAfter: time.Millisecond})
-	s.mgr.runHook = func(ctx context.Context, j *Job) error {
-		select {
-		case <-block:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
+	s, ts := testServer(t, Config{MaxWalks: 1, RetryAfter: time.Millisecond})
+	holdAudits(s, block)
 	defer close(block)
-	first, res := submitJob(t, ts.URL, `{"factor":"crown4"}`)
-	if res.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit = %d", res.StatusCode)
+	first, res := submitJob(t, ts.URL, `{"factor":"crown4","audit":true}`)
+	if res.StatusCode != http.StatusAccepted || first.State != "running" {
+		t.Fatalf("first submit = %d, state %q", res.StatusCode, first.State)
 	}
-	waitState(t, ts.URL, first.ID, "running")
-	if _, res = submitJob(t, ts.URL, `{"factor":"crown4"}`); res.StatusCode != http.StatusAccepted {
-		t.Fatalf("second submit = %d", res.StatusCode)
-	}
-	_, res = submitJob(t, ts.URL, `{"factor":"crown4"}`)
+	_, res = submitJob(t, ts.URL, `{"factor":"crown4","audit":true}`)
 	if res.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated submit = %d, want 429", res.StatusCode)
 	}
@@ -312,16 +305,17 @@ func TestOversizedSpecReturns413(t *testing.T) {
 
 // TestOversizedChainRejectedBeforeGeneration: admission control prices a
 // k = 4 chain from the closed-form |E_C| recursion alone — the 413 must
-// land without a single generation step running.
+// land without a single audit step running.
 func TestOversizedChainRejectedBeforeGeneration(t *testing.T) {
 	s, ts := testServer(t, Config{MaxEdges: 1000})
 	s.mgr.runHook = func(ctx context.Context, j *Job) error {
-		t.Error("generation started for an over-budget chain")
+		t.Error("audit started for an over-budget chain")
 		return nil
 	}
 	// (crown4+I)⊗crown4 alone has 384 edges; each extra level multiplies
 	// by ≈ 2·|E_B|, so the 4-factor chain is far past the 1000 budget.
-	_, res := submitJob(t, ts.URL, `{"factors":["crown4","crown4","crown4","crown4"]}`)
+	// Audited, so an admitted job would reach the run hook.
+	_, res := submitJob(t, ts.URL, `{"factors":["crown4","crown4","crown4","crown4"],"audit":true}`)
 	if res.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized chain submit = %d, want 413", res.StatusCode)
 	}
@@ -405,28 +399,34 @@ func TestCacheDistinguishesGroupings(t *testing.T) {
 	}
 }
 
-func TestCancelMidStream(t *testing.T) {
-	release := make(chan struct{})
-	s, ts := testServer(t, Config{})
-	// Hold the job in its run hook so it is still running when the
-	// DELETE lands — batched generation finishes real jobs faster than
-	// the request round-trips, which would leave the job "done" (and
-	// only the stream aborted) instead of exercising the
-	// cancelled-while-running transition.
-	s.mgr.runHook = func(ctx context.Context, j *Job) error {
-		select {
-		case <-release:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+// deleteJob DELETEs a job and returns the status the DELETE answers.
+func deleteJob(t *testing.T, baseURL, id string) JobStatus {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, baseURL+"/v1/jobs/"+id, nil)
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer close(release)
+	defer res.Body.Close()
+	var st JobStatus
+	if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
+		t.Fatalf("decode DELETE status: %v", err)
+	}
+	return st
+}
+
+// TestCancelMidStream: DELETE of a done job moves it to cancelled and
+// aborts its in-flight edge stream.
+func TestCancelMidStream(t *testing.T) {
+	_, ts := testServer(t, Config{})
 	// A sizeable spec so the stream is still in flight when we cancel:
 	// sf factor squared ⇒ millions of edges.
 	st, res := submitJob(t, ts.URL, `{"factor":"sf100x100x2000","seed":5}`)
 	if res.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d", res.StatusCode)
+	}
+	if st.State != "done" {
+		t.Fatalf("submitted job state = %q, want done", st.State)
 	}
 	res2, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/edges?format=tsv")
 	if err != nil {
@@ -438,11 +438,8 @@ func TestCancelMidStream(t *testing.T) {
 	if _, err := io.ReadFull(res2.Body, buf); err != nil {
 		t.Fatalf("first chunk: %v", err)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
-	if res3, err := http.DefaultClient.Do(req); err != nil {
-		t.Fatal(err)
-	} else {
-		res3.Body.Close()
+	if got := deleteJob(t, ts.URL, st.ID).State; got != "cancelled" {
+		t.Errorf("DELETE of a done job answered state %q, want cancelled", got)
 	}
 	// The stream must terminate without delivering the full edge set.
 	n, _ := io.Copy(io.Discard, res2.Body)
@@ -458,29 +455,39 @@ func TestCancelMidStream(t *testing.T) {
 	waitState(t, ts.URL, st.ID, "cancelled")
 }
 
+// TestAuditedJobViolationFails: an audited job whose checks report a
+// violation ends failed, with the violation in its error.
+func TestAuditedJobViolationFails(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	s.mgr.runHook = func(ctx context.Context, j *Job) error {
+		return fmt.Errorf("%w: injected", audit.ErrViolation)
+	}
+	st, res := submitJob(t, ts.URL, `{"factor":"crown4","audit":true}`)
+	if res.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d", res.StatusCode)
+	}
+	final := waitState(t, ts.URL, st.ID, "failed")
+	if !strings.Contains(final.Error, "invariant violation") {
+		t.Errorf("failed job error = %q, want the audit violation", final.Error)
+	}
+}
+
+// TestShutdownDrainsRunningJobs: shutdown waits for an audited job's
+// checks to land, then refuses submissions.
 func TestShutdownDrainsRunningJobs(t *testing.T) {
 	release := make(chan struct{})
-	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 4})
-	s.mgr.runHook = func(ctx context.Context, j *Job) error {
-		select {
-		case <-release:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	running, res := submitJob(t, ts.URL, `{"factor":"crown4"}`)
+	s, ts := testServer(t, Config{})
+	holdAudits(s, release)
+	running, res := submitJob(t, ts.URL, `{"factor":"crown4","audit":true}`)
 	if res.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d", res.StatusCode)
 	}
-	waitState(t, ts.URL, running.ID, "running")
-	queued, res := submitJob(t, ts.URL, `{"factor":"crown4"}`)
-	if res.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %d", res.StatusCode)
+	if running.State != "running" {
+		t.Fatalf("audited job state = %q, want running", running.State)
 	}
 
 	// Release the hook shortly after shutdown begins, as a real
-	// finishing job would.
+	// finishing audit would.
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		close(release)
@@ -489,21 +496,13 @@ func TestShutdownDrainsRunningJobs(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 
-	// The running job drained to completion; the queued one was
-	// cancelled without running.
-	if st := running.ID; true {
-		j, ok := s.mgr.get(st)
-		if !ok {
-			t.Fatal("running job evicted")
-		}
-		if got := j.Status().State; got != "done" {
-			t.Errorf("running job state after drain = %q, want done", got)
-		}
+	// The running job drained to completion.
+	j, ok := s.mgr.get(running.ID)
+	if !ok {
+		t.Fatal("running job evicted")
 	}
-	if j, ok := s.mgr.get(queued.ID); ok {
-		if got := j.Status().State; got != "cancelled" {
-			t.Errorf("queued job state after drain = %q, want cancelled", got)
-		}
+	if st := j.Status(); st.State != "done" || st.AuditChecks == 0 {
+		t.Errorf("running job after drain: state %q, %d audit checks; want done with checks", st.State, st.AuditChecks)
 	}
 
 	// Post-shutdown submissions are refused.
@@ -543,7 +542,7 @@ func TestMetricsExposed(t *testing.T) {
 	}
 	defer res.Body.Close()
 	body, _ := io.ReadAll(res.Body)
-	for _, want := range []string{"serve_http_requests", "serve_jobs_queue_depth"} {
+	for _, want := range []string{"serve_http_requests", "serve_jobs_running"} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %s", want)
 		}
@@ -587,26 +586,17 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestCancelledJobEdgesConflict: DELETE of a done job leaves it
+// cancelled, and its edges answer 409 from then on.
 func TestCancelledJobEdgesConflict(t *testing.T) {
-	block := make(chan struct{})
-	s, ts := testServer(t, Config{Workers: 1})
-	s.mgr.runHook = func(ctx context.Context, j *Job) error {
-		select {
-		case <-block:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	defer close(block)
+	_, ts := testServer(t, Config{})
 	st, _ := submitJob(t, ts.URL, `{"factor":"crown4"}`)
-	waitState(t, ts.URL, st.ID, "running")
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
-	res, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if st.State != "done" {
+		t.Fatalf("submitted job state = %q, want done", st.State)
 	}
-	res.Body.Close()
+	if got := deleteJob(t, ts.URL, st.ID).State; got != "cancelled" {
+		t.Errorf("DELETE answered state %q, want cancelled", got)
+	}
 	waitState(t, ts.URL, st.ID, "cancelled")
 	res2, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/edges")
 	if err != nil {
@@ -615,5 +605,143 @@ func TestCancelledJobEdgesConflict(t *testing.T) {
 	res2.Body.Close()
 	if res2.StatusCode != http.StatusConflict {
 		t.Errorf("edges of cancelled job = %d, want 409", res2.StatusCode)
+	}
+}
+
+// TestSubmitIsPriced: an unaudited job is priced, not generated — the
+// submit answers 202 with the job already done and its priced count
+// equal to the closed form, and neither the exec pool nor the edge
+// stream moves across it.
+func TestSubmitIsPriced(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	_, ts := testServer(t, Config{})
+	// Build and cache the spec first, so the submit's own work is the
+	// pricing alone.
+	getJSON(t, ts.URL+"/v1/truth?factor=crown6&mode=selfloop&seed=1", nil)
+	tasks := obs.Default.Counter("exec.pool.tasks")
+	tasks0, streamed0 := tasks.Value(), mStreamEdges.Value()
+	st, res := submitJob(t, ts.URL, `{"factor":"crown6","mode":"selfloop","seed":1}`)
+	if res.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", res.StatusCode)
+	}
+	if st.State != "done" {
+		t.Errorf("submit answered state %q, want done", st.State)
+	}
+	if st.NumEdges <= 0 || st.EdgesStreamed != st.NumEdges {
+		t.Errorf("edges_streamed = %d, num_edges = %d; want the priced count equal to the closed form", st.EdgesStreamed, st.NumEdges)
+	}
+	if d := tasks.Value() - tasks0; d != 0 {
+		t.Errorf("exec.pool.tasks moved by %d across the submit, want 0", d)
+	}
+	if d := mStreamEdges.Value() - streamed0; d != 0 {
+		t.Errorf("serve.stream.edges moved by %d across the submit, want 0", d)
+	}
+}
+
+// TestWalkAdmission: with the only walk slot held, every request that
+// walks the product — an edge stream, a lease, an audited submit —
+// answers 429 with Retry-After >= 1 and binds no idempotency key, while
+// an unaudited submit is still priced.
+func TestWalkAdmission(t *testing.T) {
+	s, ts := testServer(t, Config{MaxWalks: 1})
+	s.mgr.walks <- struct{}{} // hold the only slot
+	priced, res := submitJob(t, ts.URL, `{"factor":"crown4"}`)
+	if res.StatusCode != http.StatusAccepted || priced.State != "done" {
+		t.Fatalf("unaudited submit under a full cap = %d, state %q; want 202 done", res.StatusCode, priced.State)
+	}
+
+	const key = "walk-admission-1"
+	call := func(method, path, body string) *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		req.Header.Set(HeaderIdempotencyKey, key)
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		return res
+	}
+	for _, p := range []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/jobs/" + priced.ID + "/edges", ""},
+		{http.MethodPost, "/v1/leases", `{"factor":"crown4","row":0,"rows":1,"col":0,"cols":1}`},
+		{http.MethodPost, "/v1/jobs", `{"factor":"crown4","audit":true}`},
+	} {
+		res := call(p.method, p.path, p.body)
+		io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		if res.StatusCode != http.StatusTooManyRequests {
+			t.Errorf("%s %s under a full cap = %d, want 429", p.method, p.path, res.StatusCode)
+		}
+		if ra, err := strconv.Atoi(res.Header.Get("Retry-After")); err != nil || ra < 1 {
+			t.Errorf("%s %s: Retry-After %q, want an integer >= 1", p.method, p.path, res.Header.Get("Retry-After"))
+		}
+	}
+
+	// No rejection bound the key: with the slot free, the keyed audited
+	// submit is a fresh admission (202), not a replay (200).
+	s.mgr.walks.release()
+	res = call(http.MethodPost, "/v1/jobs", `{"factor":"crown4","audit":true}`)
+	var st JobStatus
+	err := json.NewDecoder(res.Body).Decode(&st)
+	res.Body.Close()
+	if err != nil || res.StatusCode != http.StatusAccepted || st.ID == priced.ID {
+		t.Fatalf("keyed audited submit after release = %d (job %q, err %v), want 202 with a new job", res.StatusCode, st.ID, err)
+	}
+	if final := waitState(t, ts.URL, st.ID, "done"); final.AuditChecks == 0 {
+		t.Error("audited job finished with no audit checks")
+	}
+}
+
+// TestWalkCapConcurrent drives the walk cap from many goroutines at
+// once — edge streams, leases, and audited submits cancelled as soon as
+// they are admitted — and then requires every slot back: each request
+// is admitted or answered 429, and no path leaks its slot.
+func TestWalkCapConcurrent(t *testing.T) {
+	s, ts := testServer(t, Config{MaxWalks: 2})
+	priced, _ := submitJob(t, ts.URL, `{"factor":"crown4"}`)
+	do := func(method, path, body string) (int, []byte) {
+		req, _ := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return 0, nil
+		}
+		defer res.Body.Close()
+		b, _ := io.ReadAll(res.Body)
+		return res.StatusCode, b
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				var code int
+				var body []byte
+				switch (g + i) % 3 {
+				case 0:
+					code, _ = do(http.MethodGet, "/v1/jobs/"+priced.ID+"/edges?format=bin", "")
+				case 1:
+					code, _ = do(http.MethodPost, "/v1/leases", `{"factor":"crown4","row":0,"rows":2,"col":0,"cols":1}`)
+				default:
+					code, body = do(http.MethodPost, "/v1/jobs", `{"factor":"crown4","audit":true}`)
+					var st JobStatus
+					if code == http.StatusAccepted && json.Unmarshal(body, &st) == nil {
+						do(http.MethodDelete, "/v1/jobs/"+st.ID, "")
+					}
+				}
+				if code != http.StatusOK && code != http.StatusAccepted && code != http.StatusTooManyRequests {
+					t.Errorf("goroutine %d op %d: status %d", g, i, code)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := s.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if n := len(s.mgr.walks); n != 0 {
+		t.Fatalf("%d walk slots still held after every request and audit ended", n)
 	}
 }

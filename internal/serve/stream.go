@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -226,6 +227,10 @@ func (s *Server) handleJobEdges(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "audit requires the full stream; drop offset/limit")
 		return
 	}
+	if !s.admitWalk(w, r, "stream") {
+		return
+	}
+	defer s.mgr.walks.release()
 
 	// The stream runs under the request context AND the job context:
 	// client disconnects and DELETE /v1/jobs/{id} both abort it
@@ -249,7 +254,7 @@ func (s *Server) handleJobEdges(w http.ResponseWriter, r *http.Request) {
 		// Binary streams (full or ranged) take the parallel span encoder:
 		// framing is offset-deterministic, so spans encode concurrently
 		// and concatenate into the exact serial byte stream.
-		sent, err = streamBinParallel(ctx, w, j.product, lo, hi, s.cfg.Workers)
+		sent, err = streamBinParallel(ctx, w, j.product, lo, hi, runtime.GOMAXPROCS(0))
 	default:
 		var out edgeStreamSink
 		if format == "bin" {

@@ -76,7 +76,7 @@ func BenchmarkStreamWire_BinEncode(b *testing.B) {
 // job and returns the edges-stream URL prefix.
 func benchWireServer(b *testing.B) (baseURL string) {
 	b.Helper()
-	s := New(Config{JobTimeout: time.Minute})
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	b.Cleanup(func() {
 		ts.Close()

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -382,7 +383,7 @@ func trailerNames(announce string) []string {
 // the block's Σ◊ on every lease.
 func TestTrailerContract(t *testing.T) {
 	total := wireTestProduct(t).NumEdges()
-	s, ts := testServer(t, Config{Workers: 1})
+	s, ts := testServer(t, Config{})
 	const specBody = `"factors":["biclique8x8","path4"],"mode":"selfloop"`
 	st, res := submitJob(t, ts.URL, `{`+specBody+`}`)
 	if res.StatusCode != http.StatusAccepted {
@@ -809,11 +810,14 @@ func TestEdgesBinParallelSpans(t *testing.T) {
 	wireSpanEdges = int64(2 * WireFrameEdges)
 	t.Cleanup(func() { wireSpanEdges = old })
 
+	// The endpoint runs GOMAXPROCS span encoders; make that four.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+
 	p := wireTestProduct(t)
 	edges := productEdges(p)
 	n := p.NumEdges()
 
-	s, ts := testServer(t, Config{Workers: 4})
+	s, ts := testServer(t, Config{})
 	st, _ := submitJob(t, ts.URL, `{"factors":["biclique8x8","path4"],"mode":"selfloop"}`)
 	waitState(t, ts.URL, st.ID, "done")
 	base := ts.URL + "/v1/jobs/" + st.ID + "/edges"

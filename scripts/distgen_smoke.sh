@@ -77,7 +77,7 @@ go build -o "$tmp/kronbip" ./cmd/kronbip
 # lease traffic is attributable per replica afterwards.
 workers=()
 for i in 1 2 3; do
-  "$tmp/kronbip" serve -addr 127.0.0.1:0 -workers 1 \
+  "$tmp/kronbip" serve -addr 127.0.0.1:0 \
     -access-log "$tmp/access$i.log" 2>"$tmp/serve$i.log" &
   pids+=($!)
 done

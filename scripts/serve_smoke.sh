@@ -8,18 +8,21 @@
 #      /readyz answers ready; every response carries a request id and a
 #      traceparent
 #   3. submit a small selfloop⊗selfloop job (with a client traceparent,
-#      which must propagate), poll it to done
+#      which must propagate); the submit itself answers done, because a
+#      job is priced, not generated; an audited job polls to done with
+#      its audit checks
 #   4. stream the edge list as TSV and verify the line count against
 #      the closed-form /v1/truth edge count for the same spec; kill a
 #      stream mid-flight, resume from ?offset=, and the stitched file
 #      is byte-identical to an uninterrupted fetch; the binary wire
 #      format (format=bin / Accept negotiation) streams deterministically
 #      and beats the text encoding on the wire
-#   5. saturate the 1-worker/1-slot queue with big jobs and verify the
-#      next submission bounces with 429 + Retry-After
+#   5. hold the one walk slot (-max-walks 1) with a rate-limited edge
+#      stream and verify a second stream and a lease each bounce with
+#      429 + Retry-After
 #   6. /metrics exposes the serve counters (incl. a real cache hit), the
-#      windowed SLO gauges (healthy, populated, p99 within target), the
-#      runtime.* telemetry, and the per-job attribution histograms
+#      windowed SLO gauges (healthy, populated, p99 within target) and
+#      the runtime.* telemetry
 #   7. SIGQUIT on the live server writes a flight-recorder dump carrying
 #      the job lifecycle and http trails — and the server keeps serving
 #   8. SIGINT drains and the process exits 0; -metrics-out is written;
@@ -65,9 +68,9 @@ jfield() { # jfield <name> — prints the value of "name": <value>
 echo "serve-smoke: building kronbip"
 go build -o "$tmp/kronbip" ./cmd/kronbip
 
-# 1. Start on an ephemeral port; 1 worker + 1 queue slot makes the
-# saturation check deterministic.
-"$tmp/kronbip" serve -addr 127.0.0.1:0 -workers 1 -queue 1 \
+# 1. Start on an ephemeral port; one walk slot makes the saturation
+# check deterministic.
+"$tmp/kronbip" serve -addr 127.0.0.1:0 -max-walks 1 \
   -metrics-out "$tmp/metrics.json" -access-log "$tmp/access.log" \
   -journal-out "$tmp/journal.log" -flight-dump "$tmp/flight.dump" \
   2>"$tmp/serve.log" &
@@ -95,33 +98,45 @@ curl -fsS "$base/readyz" >"$tmp/rz.json"
 grep -q '"status": "ready"' "$tmp/rz.json" || fail "/readyz not ready: $(cat "$tmp/rz.json")"
 echo "serve-smoke: healthz ok, readyz ready, identity headers present"
 
-# 3. Submit a small selfloop⊗selfloop job with a client trace context
-# and poll it to done; the trace id must propagate to the response and
-# into the job record.
+# 3. Submit a small selfloop⊗selfloop job with a client trace context;
+# the trace id must propagate to the response and into the job record.
+# A job is priced, not generated, so the submit response itself reads
+# done.  The same spec audited runs its checks and polls to done.
 spec_factor=crown6 spec_seed=7
 trace_id=4bf92f3577b34da6a3ce929d0e0e4736
 curl -fsS -X POST -H 'Content-Type: application/json' \
   -H "traceparent: 00-$trace_id-00f067aa0ba902b7-01" \
   -H 'X-Kronbip-Request-Id: smoke-req-1' \
   -D "$tmp/job.hdr" \
-  -d "{\"factor\":\"$spec_factor\",\"mode\":\"selfloop\",\"seed\":$spec_seed,\"audit\":true}" \
+  -d "{\"factor\":\"$spec_factor\",\"mode\":\"selfloop\",\"seed\":$spec_seed}" \
   "$base/v1/jobs" >"$tmp/job.json"
 job_id=$(jfield id <"$tmp/job.json")
 [ -n "$job_id" ] || fail "submit returned no job id: $(cat "$tmp/job.json")"
 grep -qi '^X-Kronbip-Request-Id: smoke-req-1' "$tmp/job.hdr" || fail "submit response did not echo the request id"
 grep -qi "^Traceparent: 00-$trace_id-" "$tmp/job.hdr" || fail "submit response did not propagate the trace id"
 grep -q "\"trace_id\": \"$trace_id\"" "$tmp/job.json" || fail "job record lacks the submitted trace id"
-echo "serve-smoke: submitted $job_id (trace $trace_id propagated)"
+state=$(jfield state <"$tmp/job.json")
+[ "$state" = done ] || fail "submit answered state=$state, want done: $(cat "$tmp/job.json")"
+cp "$tmp/job.json" "$tmp/poll.json"
+echo "serve-smoke: submitted $job_id, done on submit (trace $trace_id propagated)"
 
+curl -fsS -X POST \
+  -d "{\"factor\":\"$spec_factor\",\"mode\":\"selfloop\",\"seed\":$spec_seed,\"audit\":true}" \
+  "$base/v1/jobs" >"$tmp/audit-job.json"
+audit_id=$(jfield id <"$tmp/audit-job.json")
+[ -n "$audit_id" ] || fail "audited submit returned no job id: $(cat "$tmp/audit-job.json")"
 state=
 for _ in $(seq 1 100); do
-  curl -fsS "$base/v1/jobs/$job_id" >"$tmp/poll.json"
-  state=$(jfield state <"$tmp/poll.json")
+  curl -fsS "$base/v1/jobs/$audit_id" >"$tmp/audit-poll.json"
+  state=$(jfield state <"$tmp/audit-poll.json")
   [ "$state" = done ] && break
-  [ "$state" = failed ] && fail "job failed: $(cat "$tmp/poll.json")"
+  [ "$state" = failed ] && fail "audited job failed: $(cat "$tmp/audit-poll.json")"
   sleep 0.1
 done
-[ "$state" = done ] || fail "job never finished (state=$state)"
+[ "$state" = done ] || fail "audited job never finished (state=$state)"
+checks=$(jfield audit_checks <"$tmp/audit-poll.json")
+[ "${checks:-0}" -ge 1 ] || fail "audited job done with audit_checks=$checks"
+echo "serve-smoke: audited $audit_id done with $checks checks"
 
 # 4. Streamed edge count must equal the closed form — twice over: the
 # job status agrees with /v1/truth, and the actual TSV stream agrees
@@ -165,25 +180,54 @@ bin_bytes=$(wc -c <"$tmp/full.bin" | tr -d ' ')
   || fail "bin stream ($bin_bytes B) not smaller than tsv ($tsv_bytes B)"
 echo "serve-smoke: bin wire format deterministic ($bin_bytes B vs $tsv_bytes B tsv), 416 past the end"
 
-# 5. Saturation → 429 + Retry-After.  Two long jobs occupy the single
-# worker and the single queue slot; the probe must bounce.
-curl -fsS -X POST -d '{"factor":"sf500x500x20000","seed":1}' "$base/v1/jobs" >"$tmp/b1.json"
-curl -fsS -X POST -d '{"factor":"sf500x500x20000","seed":2}' "$base/v1/jobs" >"$tmp/b2.json"
-code=$(curl -s -o "$tmp/probe.json" -D "$tmp/probe.hdr" -w '%{http_code}' \
-  -X POST -d '{"factor":"crown4"}' "$base/v1/jobs")
-[ "$code" = 429 ] || fail "saturated submit answered $code, want 429"
-grep -qi '^Retry-After:' "$tmp/probe.hdr" || fail "429 without Retry-After"
-echo "serve-smoke: saturation answered 429 with Retry-After"
-for f in b1 b2; do
-  bid=$(jfield id <"$tmp/$f.json")
-  [ -n "$bid" ] && curl -fsS -X DELETE "$base/v1/jobs/$bid" >/dev/null
+# 5. Saturation → 429 + Retry-After.  A rate-limited stream of a big
+# job holds the one walk slot once its response headers arrive; a
+# second edge stream and a lease must each bounce.  DELETE then aborts
+# the held stream, and the slot must come free again.
+curl -fsS -X POST -d '{"factor":"sf500x500x20000","seed":1}' "$base/v1/jobs" >"$tmp/big.json"
+big_id=$(jfield id <"$tmp/big.json")
+[ -n "$big_id" ] || fail "big submit returned no job id: $(cat "$tmp/big.json")"
+curl -s --limit-rate 1k -D "$tmp/hold.hdr" -o /dev/null \
+  "$base/v1/jobs/$big_id/edges?format=tsv" &
+hold_pid=$!
+for _ in $(seq 1 100); do
+  grep -q '^HTTP/1.1 200' "$tmp/hold.hdr" 2>/dev/null && break
+  sleep 0.1
 done
+grep -q '^HTTP/1.1 200' "$tmp/hold.hdr" || fail "held stream never answered 200"
+code=$(curl -s -o /dev/null -D "$tmp/probe.hdr" -w '%{http_code}' \
+  "$base/v1/jobs/$job_id/edges?format=tsv")
+[ "$code" = 429 ] || fail "second edge stream under a full walk cap answered $code, want 429"
+grep -qi '^Retry-After: [1-9]' "$tmp/probe.hdr" || fail "stream 429 without Retry-After"
+code=$(curl -s -o /dev/null -D "$tmp/lease.hdr" -w '%{http_code}' -X POST \
+  -d "{\"factor\":\"$spec_factor\",\"mode\":\"selfloop\",\"seed\":$spec_seed,\"rows\":1,\"cols\":1}" \
+  "$base/v1/leases")
+[ "$code" = 429 ] || fail "lease under a full walk cap answered $code, want 429"
+grep -qi '^Retry-After: [1-9]' "$tmp/lease.hdr" || fail "lease 429 without Retry-After"
+echo "serve-smoke: a held stream makes a second stream and a lease answer 429 with Retry-After"
+curl -fsS -X DELETE "$base/v1/jobs/$big_id" >/dev/null
+kill "$hold_pid" 2>/dev/null || true
+wait "$hold_pid" 2>/dev/null || true
+code=
+for _ in $(seq 1 100); do
+  code=$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/jobs/$job_id/edges?format=tsv&limit=1")
+  [ "$code" = 200 ] && break
+  sleep 0.1
+done
+[ "$code" = 200 ] || fail "walk slot never came free after the held stream ended (last $code)"
 
 # 6. Serve metrics on /metrics, with a real cache hit first (the truth
 # spec above is re-queried, so it must be warm).
 curl -fsS "$base/v1/truth?factor=$spec_factor&mode=selfloop&seed=$spec_seed" >/dev/null
-curl -fsS "$base/metrics" >"$tmp/metrics.prom"
-for m in serve_http_requests serve_jobs_queue_depth serve_cache_hits; do
+# A scrape ticks the SLO evaluator at most once per second
+# (obs.SLOOptions.MinInterval), and the flow above can finish within a
+# second of step 2's /readyz tick; scrape again until a fresh tick lands.
+for _ in $(seq 1 30); do
+  curl -fsS "$base/metrics" >"$tmp/metrics.prom"
+  awk '$1 == "serve_slo_window_requests" && $2 >= 1 {found=1} END {exit !found}' "$tmp/metrics.prom" && break
+  sleep 0.1
+done
+for m in serve_http_requests serve_jobs_submitted serve_cache_hits; do
   grep -q "$m" "$tmp/metrics.prom" || fail "/metrics missing $m"
 done
 hits=$(awk '$1 == "serve_cache_hits" {print $2}' "$tmp/metrics.prom")
@@ -206,17 +250,14 @@ awk '$1 == "serve_slo_p99_us" {p99=$2} $1 == "serve_slo_p99_target_us" {t=$2}
 grep -q 'serve_http_requests{route="truth"}' "$tmp/metrics.prom" || fail "/metrics missing per-route RED series"
 echo "serve-smoke: SLO gauges populated and within objective (p99 ok, window_requests=$slo_reqs)"
 
-# 6c. Runtime telemetry and per-job resource attribution: the scrape
-# itself samples the runtime collector, and the finished job from step 3
-# must have landed in the attribution histograms.
-for m in runtime_heap_bytes runtime_goroutines serve_job_cpu_seconds; do
+# 6c. Runtime telemetry: the scrape itself samples the runtime
+# collector.
+for m in runtime_heap_bytes runtime_goroutines; do
   grep -q "$m" "$tmp/metrics.prom" || fail "/metrics missing $m"
 done
 heap=$(awk '$1 == "runtime_heap_bytes" {print $2}' "$tmp/metrics.prom")
 [ "${heap:-0}" -ge 1 ] || fail "runtime_heap_bytes=$heap, want > 0"
-cpu_n=$(awk '$1 == "serve_job_cpu_seconds_count" {print $2}' "$tmp/metrics.prom")
-[ "${cpu_n:-0}" -ge 1 ] || fail "serve_job_cpu_seconds_count=$cpu_n after a finished job"
-echo "serve-smoke: runtime telemetry live, $cpu_n job(s) attributed (heap=${heap}B)"
+echo "serve-smoke: runtime telemetry live (heap=${heap}B)"
 
 # 7. SIGQUIT writes a flight-recorder dump — and the server survives it.
 # The dump must carry the job lifecycle and http trails for the traffic
