@@ -8,8 +8,8 @@
 #   make bench-trend- bench-check plus per-family delta roll-up
 #   make serve-smoke- end-to-end smoke test of the kronbip serve service
 #   make distgen-smoke - distributed generation smoke: 3-replica fleet + dist-gen
-#   make fuzz       - bounded fuzzing of the edge-range walkers and the bin
-#                     decoder (30 s each)
+#   make fuzz       - bounded fuzzing of the edge-range walkers, the factor
+#                     statistics pass and the bin decoder (30 s each)
 #   make check      - everything (what CI should run)
 
 GO ?= go
@@ -43,14 +43,17 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # fuzz runs, each for a bounded time, FuzzEdgeRange — every range and
-# block-range walker against the definition-order oracle — and
+# block-range walker against the definition-order oracle —,
+# FuzzFactorStats — the factor statistics wedge pass against the
+# internal/count oracles on graphs of up to 64 vertices — and
 # FuzzDecodeWire — the bin decoder against its pre-rewrite reference on
 # arbitrary bytes, plus decode ∘ encode on ranges and lease blocks.
 # Minimizing a new []byte input reruns the fuzz body for every
-# candidate, so FuzzDecodeWire caps it at 100 calls instead of the
+# candidate, so the []byte targets cap it at 100 calls instead of the
 # default minute, which would eat the whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEdgeRange$$' -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzFactorStats$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/wire
 
 bench:

@@ -395,8 +395,10 @@ func benchWedge(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkAblation_MxMSerial vs ..._Parallel: the SpGEMM behind factor
-// statistics.
+// BenchmarkAblation_MxMSerial vs ..._Parallel: grb's SpGEMM squaring a
+// factor adjacency, the A² that Def. 8 and Def. 9 evaluate verbatim in
+// internal/count's algebraic oracles (core.NewFactor counts wedges
+// instead).
 func BenchmarkAblation_MxMSerial(b *testing.B)   { benchMxM(b, 1) }
 func BenchmarkAblation_MxMParallel(b *testing.B) { benchMxM(b, 0) }
 
@@ -421,7 +423,8 @@ func BenchmarkAblation_GlobalFormula(b *testing.B) {
 }
 
 // BenchmarkAblation_FactorStats isolates the one-time factor preprocessing
-// (degrees, two-walks, per-vertex and per-edge 4-cycles).
+// (degrees, two-walks, per-vertex and per-edge 4-cycles, triangles: one
+// degree-ordered wedge pass) on the Table I factor.
 func BenchmarkAblation_FactorStats(b *testing.B) {
 	a := gen.UnicodeLike(2020)
 	b.ResetTimer()

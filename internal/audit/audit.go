@@ -31,6 +31,7 @@
 package audit
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -38,6 +39,7 @@ import (
 	"sync"
 
 	"kronbip/internal/core"
+	"kronbip/internal/exec"
 	"kronbip/internal/obs"
 	"kronbip/internal/obs/timeline"
 )
@@ -187,6 +189,16 @@ func (a *Auditor) SetEdgeFourSum(sum int64) { a.edgeFour = &sum }
 // stream checks only run when Stream() was attached; the community
 // check only applies to mode (ii) products.
 func (a *Auditor) Finalize() *Report {
+	// A background walk is never cancelled, so it cannot fail.
+	r, _ := a.FinalizeContext(context.Background())
+	return r
+}
+
+// FinalizeContext is Finalize under a context.  Without a supplied
+// SetEdgeFourSum, theorem.four_dual walks every edge's ◊ on the 1×1
+// block grid; that walk stops within one batch of ctx's cancellation,
+// and FinalizeContext then returns ctx's error and no report.
+func (a *Auditor) FinalizeContext(ctx context.Context) (*Report, error) {
 	r := &Report{}
 	p := a.p
 
@@ -226,7 +238,17 @@ func (a *Auditor) Finalize() *Report {
 		r.record("theorem.four_dual", *a.edgeFour == 4*v4,
 			fmt.Sprintf("Σs_v=%d vs supplied Σ◊_e=%d", 4*v4, *a.edgeFour))
 	} else {
-		e4 := p.GlobalFourCyclesViaEdges()
+		var sum int64
+		err := p.EachEdgeFourCycleBlockRangeBatchContext(ctx, 0, 1, 0, 1, 0, p.NumEdges(), func(_ []exec.Edge, sq []int64) bool {
+			for _, s := range sq {
+				sum += s
+			}
+			return true
+		})
+		if err != nil {
+			return nil, err
+		}
+		e4 := sum / 4
 		r.record("theorem.four_dual", v4 == e4,
 			fmt.Sprintf("Σs_v/4=%d vs Σ◊_e/4=%d", v4, e4))
 	}
@@ -243,7 +265,7 @@ func (a *Auditor) Finalize() *Report {
 	if p.Mode() == core.ModeSelfLoopFactor && p.Arity() == 2 {
 		checkCommunity(p, a.opt.CommunityTop, r)
 	}
-	return r
+	return r, nil
 }
 
 // feq compares densities with the same tolerance the Thm. 7 experiment

@@ -101,7 +101,7 @@ type Product struct {
 //
 // Factors must be loop-free; mode (ii) adds the self loops internally.
 func New(a, b *graph.Graph, mode Mode) (*Product, error) {
-	return newChain(a, mode, []*graph.Graph{b}, true)
+	return newChain(a, mode, []*graph.Graph{b}, nil, true)
 }
 
 // NewRelaxed constructs a two-factor Product checking only the structural
@@ -115,7 +115,7 @@ func New(a, b *graph.Graph, mode Mode) (*Product, error) {
 // Connectivity of the product is NOT guaranteed.  The paper's own Table I
 // experiment uses a disconnected unicode factor and needs this constructor.
 func NewRelaxed(a, b *graph.Graph, mode Mode) (*Product, error) {
-	return newChain(a, mode, []*graph.Graph{b}, false)
+	return newChain(a, mode, []*graph.Graph{b}, nil, false)
 }
 
 // NewChain constructs the K-factor chain C = A ⊗ B₁ ⊗ … ⊗ B_K (every
@@ -125,13 +125,13 @@ func NewRelaxed(a, b *graph.Graph, mode Mode) (*Product, error) {
 // level: A as in New, every B_t connected and bipartite.  No intermediate
 // level is ever materialized; memory stays O(Σ factor sizes).
 func NewChain(a *graph.Graph, mode Mode, bs ...*graph.Graph) (*Product, error) {
-	return newChain(a, mode, bs, true)
+	return newChain(a, mode, bs, nil, true)
 }
 
 // NewChainRelaxed is NewChain without the connectivity premises (factors
 // may be disconnected); every counting formula remains exact.
 func NewChainRelaxed(a *graph.Graph, mode Mode, bs ...*graph.Graph) (*Product, error) {
-	return newChain(a, mode, bs, false)
+	return newChain(a, mode, bs, nil, false)
 }
 
 // NewWithParts is New with B supplied as a *graph.Bipartite whose declared
@@ -167,11 +167,11 @@ func newChainWithParts(a *graph.Graph, mode Mode, bs []*graph.Bipartite, strict 
 	for t, b := range bs {
 		gs[t] = b.Graph
 	}
-	p, err := newChain(a, mode, gs, strict)
-	if err != nil {
-		return nil, err
+	var last *graph.Bipartite
+	if len(bs) > 0 {
+		last = bs[len(bs)-1]
 	}
-	return p.withParts(bs[len(bs)-1])
+	return newChain(a, mode, gs, last, strict)
 }
 
 // bName names factor B_t in error messages: "B" for a two-factor product
@@ -183,7 +183,13 @@ func bName(t, k int) string {
 	return fmt.Sprintf("B%d", t+1)
 }
 
-func newChain(a *graph.Graph, mode Mode, bs []*graph.Graph, strict bool) (*Product, error) {
+// newChain builds the chain in two phases.  First come the checks that
+// need no factor statistics: loop-free and bipartite factors, the strict
+// premises, the declared bipartition of the last factor (parts, if
+// non-nil) and the overflow-checked edge-count layout.  Only then are
+// statistics computed, once per distinct graph, so a selfloop chain
+// whose A is B₁'s graph shares one *Factor between the two.
+func newChain(a *graph.Graph, mode Mode, bs []*graph.Graph, parts *graph.Bipartite, strict bool) (*Product, error) {
 	if mode != ModeNonBipartiteFactor && mode != ModeSelfLoopFactor {
 		return nil, fmt.Errorf("core: unknown mode %d", mode)
 	}
@@ -191,11 +197,9 @@ func newChain(a *graph.Graph, mode Mode, bs []*graph.Graph, strict bool) (*Produ
 		return nil, fmt.Errorf("core: chain needs at least one B factor")
 	}
 	k := len(bs)
-	fbs := make([]*Factor, k)
 	var lastPart *graph.Bipartition
 	for t, b := range bs {
-		fb, err := NewFactor(b)
-		if err != nil {
+		if err := loopFree(b); err != nil {
 			return nil, fmt.Errorf("core: factor %s: %w", bName(t, k), err)
 		}
 		// Every right factor must be bipartite: B₁ so C₁ is bipartite, and
@@ -205,13 +209,9 @@ func newChain(a *graph.Graph, mode Mode, bs []*graph.Graph, strict bool) (*Produ
 		if !ok {
 			return nil, fmt.Errorf("core: factor %s must be bipartite for the product to be bipartite", bName(t, k))
 		}
-		fbs[t] = fb
-		if t == k-1 {
-			lastPart = bp
-		}
+		lastPart = bp
 	}
-	fa, err := NewFactor(a)
-	if err != nil {
+	if err := loopFree(a); err != nil {
 		return nil, fmt.Errorf("core: factor A: %w", err)
 	}
 	if mode == ModeSelfLoopFactor && !a.IsBipartite() {
@@ -230,6 +230,12 @@ func newChain(a *graph.Graph, mode Mode, bs []*graph.Graph, strict bool) (*Produ
 			return nil, fmt.Errorf("core: factor A is bipartite; Assumption 1(i) requires a non-bipartite A or the product is disconnected (use ModeSelfLoopFactor or NewRelaxed)")
 		}
 	}
+	if parts != nil {
+		if err := checkParts(parts, bName(k-1, k)); err != nil {
+			return nil, err
+		}
+		lastPart = &parts.Part
+	}
 	sizes := make([]int, 0, k+1)
 	sizes = append(sizes, a.N())
 	for _, b := range bs {
@@ -246,8 +252,6 @@ func newChain(a *graph.Graph, mode Mode, bs []*graph.Graph, strict bool) (*Produ
 	}
 	p := &Product{
 		mode:   mode,
-		a:      fa,
-		bs:     fbs,
 		rad:    rad,
 		mEdges: mEdges,
 		colorB: lastPart.Color,
@@ -258,10 +262,41 @@ func newChain(a *graph.Graph, mode Mode, bs []*graph.Graph, strict bool) (*Produ
 	if err := p.computeLayout(); err != nil {
 		return nil, err
 	}
+	factors := make(map[*graph.Graph]*Factor, k+1)
+	factorOf := func(g *graph.Graph) *Factor {
+		f, ok := factors[g]
+		if !ok {
+			f = newFactor(g)
+			factors[g] = f
+		}
+		return f
+	}
+	p.a = factorOf(a)
+	p.bs = make([]*Factor, k)
+	for t, b := range bs {
+		p.bs[t] = factorOf(b)
+	}
 	if err := p.computeGlobalSums(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// checkParts verifies that a declared bipartition covers its graph and
+// 2-colors every edge of it; name is the factor's name in errors.
+func checkParts(b *graph.Bipartite, name string) error {
+	if len(b.Part.Color) != b.N() {
+		return fmt.Errorf("core: bipartition covers %d vertices, factor %s has %d", len(b.Part.Color), name, b.N())
+	}
+	valid := true
+	b.EachEdge(func(u, v int) bool {
+		valid = b.Part.Color[u] != b.Part.Color[v]
+		return valid
+	})
+	if !valid {
+		return fmt.Errorf("core: declared bipartition does not 2-color factor %s", name)
+	}
+	return nil
 }
 
 // computeLayout fixes the chain's closed-form edge count and shard row
@@ -277,9 +312,9 @@ func newChain(a *graph.Graph, mode Mode, bs []*graph.Graph, strict bool) (*Produ
 // edges; rows of term t are the prefix vertices, each emitting
 // |E_{B_t}|·∏_{u>t} 2|E_{B_u}| edges.
 func (p *Product) computeLayout() error {
-	k := len(p.bs)
+	k := len(p.mEdges) - 1
 	overflow := func(q string) error {
-		return &OverflowError{Quantity: q, Detail: fmt.Sprintf("mode %v, factor sizes %v", p.mode, p.factorSizes())}
+		return &OverflowError{Quantity: q, Detail: fmt.Sprintf("mode %v, factor sizes %v", p.mode, p.rad.sizes)}
 	}
 	// suffix[t] = ∏_{u >= t} 2·|E_{B_u}|, the edge multiplicity of the
 	// both-orientation levels below t.
@@ -296,7 +331,7 @@ func (p *Product) computeLayout() error {
 	per := make([]int64, k+1)
 	rows[0] = int64(p.mEdges[0])
 	per[0] = suffix[1]
-	prefixN := int64(p.a.N()) // N_{t-1} while processing level t
+	prefixN := int64(p.rad.Size(0)) // N_{t-1} while processing level t
 	for t := 1; t <= k; t++ {
 		v, ok := mulInt64(int64(p.mEdges[t]), suffix[t+1])
 		if !ok {
@@ -306,7 +341,7 @@ func (p *Product) computeLayout() error {
 		if t >= 2 || p.mode == ModeSelfLoopFactor {
 			rows[t] = prefixN
 		}
-		prefixN *= int64(p.bs[t-1].N()) // bounded by rad.N(), cannot overflow
+		prefixN *= int64(p.rad.Size(t)) // bounded by rad.N(), cannot overflow
 	}
 	p.termOff = make([]int, k+2)
 	p.termPer = per
@@ -384,42 +419,10 @@ func (p *Product) computeGlobalSums() error {
 		prefixN *= int64(f.N()) // bounded by rad.N(), cannot overflow
 	}
 	if !fits {
-		return &OverflowError{Quantity: "4-cycle count", Detail: fmt.Sprintf("mode %v, factor sizes %v", p.mode, p.factorSizes())}
+		return &OverflowError{Quantity: "4-cycle count", Detail: fmt.Sprintf("mode %v, factor sizes %v", p.mode, p.rad.sizes)}
 	}
 	p.sumD, p.sumD2, p.sumW2, p.sumDiag4 = sD, sD2, sW2, sD4
 	return nil
-}
-
-func (p *Product) factorSizes() []int {
-	sizes := make([]int, 0, len(p.bs)+1)
-	sizes = append(sizes, p.a.N())
-	for _, f := range p.bs {
-		sizes = append(sizes, f.N())
-	}
-	return sizes
-}
-
-func (p *Product) withParts(b *graph.Bipartite) (*Product, error) {
-	last := p.bs[len(p.bs)-1]
-	if len(b.Part.Color) != last.N() {
-		return nil, fmt.Errorf("core: bipartition covers %d vertices, factor %s has %d", len(b.Part.Color), bName(len(p.bs)-1, len(p.bs)), last.N())
-	}
-	// The declared coloring must 2-color every edge of the last factor.
-	valid := true
-	b.EachEdge(func(u, v int) bool {
-		if b.Part.Color[u] == b.Part.Color[v] {
-			valid = false
-			return false
-		}
-		return true
-	})
-	if !valid {
-		return nil, fmt.Errorf("core: declared bipartition does not 2-color factor %s", bName(len(p.bs)-1, len(p.bs)))
-	}
-	p.colorB = b.Part.Color
-	p.nuB = len(b.Part.U)
-	p.nwB = len(b.Part.W)
-	return p, nil
 }
 
 // Mode returns the construction mode.

@@ -1,13 +1,19 @@
 // Package count implements direct (combinatorial) counting of 4-cycles
-// (butterflies) and triangles.  These counters are the validation oracles
-// for the closed-form Kronecker ground truth in package core: the paper's
-// whole premise is that a generator with exact 4-cycle ground truth lets
-// researchers validate counting implementations like these.
+// (butterflies) and triangles.  Its counters are oracles only: they
+// count an explicit graph, to validate the closed-form Kronecker ground
+// truth in package core or to measure a graph that has no closed form
+// (the analysis packages), and no generation or ground-truth path runs
+// them.  core.NewFactor computes factor statistics with its own
+// degree-ordered wedge pass, and its tests hold that pass to these
+// counters.  The paper's whole premise is that a generator with exact
+// 4-cycle ground truth lets researchers validate counting
+// implementations like these.
 //
 // Two independent implementations are provided for each statistic — a
 // wedge-based combinatorial counter and a linear-algebraic counter over
-// package grb — so the test suite can cross-check three ways
-// (combinatorial vs. algebraic vs. Kronecker formula).
+// package grb that evaluates Def. 8 and Def. 9 verbatim — so the test
+// suite can cross-check three ways (combinatorial vs. algebraic vs.
+// Kronecker formula).
 package count
 
 import (

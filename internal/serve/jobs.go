@@ -370,8 +370,8 @@ func (m *manager) running() (n int) {
 
 // drain stops admissions and waits for the audited runs in flight; when
 // ctx expires first, the running jobs are cancelled and the ctx error
-// returned.  An audit's checks watch no context, so a run cut off that
-// way is abandoned, not awaited.
+// returned.  A cancelled audit's ◊ walk stops within one batch and
+// frees its walk slot, but drain returns without waiting for it.
 func (m *manager) drain(ctx context.Context) error {
 	m.mu.Lock()
 	m.closed = true
@@ -406,9 +406,10 @@ func (m *manager) close() {
 }
 
 // audit runs an audited job's checks while the job holds the walk slot
-// taken at admission: audit.Auditor.Finalize without a stream, that is
-// the degree sums, the dual-route 4-cycle count (one ◊ walk of the
-// product), the spot checks and Thm. 7.  The stream checks
+// taken at admission: audit.Auditor.FinalizeContext under the job's
+// context without a stream, that is the degree sums, the dual-route
+// 4-cycle count (one ◊ walk of the product, which DELETE or a drain
+// timeout stops), the spot checks and Thm. 7.  The stream checks
 // (stream.count, stream.membership) belong to the edges that are
 // actually emitted, on ?audit=1 streams.
 func (m *manager) audit(j *Job) {
@@ -431,7 +432,10 @@ func (m *manager) runAudit(j *Job) error {
 			return err
 		}
 	}
-	report := audit.New(j.product, audit.Options{}).Finalize()
+	report, err := audit.New(j.product, audit.Options{}).FinalizeContext(j.ctx)
+	if err != nil {
+		return err
+	}
 	j.mu.Lock()
 	j.auditChecks, j.auditViolations = report.Checks, len(report.Violations)
 	j.mu.Unlock()

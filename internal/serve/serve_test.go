@@ -693,6 +693,49 @@ func TestWalkAdmission(t *testing.T) {
 	}
 }
 
+// TestDeleteStopsAudit: DELETE of a running audited job stops its ◊
+// walk within one batch, so the walk slot the job held comes free at
+// once and another job's edge stream is admitted (200), not 429.
+func TestDeleteStopsAudit(t *testing.T) {
+	s, ts := testServer(t, Config{MaxWalks: 1})
+	started := make(chan struct{})
+	s.mgr.runHook = func(context.Context, *Job) error {
+		close(started)
+		return nil
+	}
+	priced, _ := submitJob(t, ts.URL, `{"factor":"crown4"}`)
+	// 3.36·10⁹ product edges: theorem.four_dual's ◊ walk would run for
+	// minutes.
+	big, res := submitJob(t, ts.URL, `{"factor":"sf2000x2000x40000","audit":true}`)
+	if res.StatusCode != http.StatusAccepted || big.State != "running" {
+		t.Fatalf("audited submit = %d, state %q; want 202 running", res.StatusCode, big.State)
+	}
+	<-started
+	time.Sleep(100 * time.Millisecond) // let the ◊ walk get under way
+	if st := deleteJob(t, ts.URL, big.ID); st.State != "cancelled" {
+		t.Fatalf("DELETE of the running audited job: state %q, want cancelled", st.State)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		res, err := http.Get(ts.URL + "/v1/jobs/" + priced.ID + "/edges?format=tsv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		if res.StatusCode == http.StatusOK {
+			break
+		}
+		if res.StatusCode != http.StatusTooManyRequests || time.Now().After(deadline) {
+			t.Fatalf("edge stream %v after DELETE of the audit = %d, want 200", time.Since(deadline.Add(-2*time.Second)), res.StatusCode)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st := waitState(t, ts.URL, big.ID, "cancelled"); st.AuditChecks != 0 {
+		t.Errorf("deleted audit booked %d checks, want none", st.AuditChecks)
+	}
+}
+
 // TestWalkCapConcurrent drives the walk cap from many goroutines at
 // once — edge streams, leases, and audited submits cancelled as soon as
 // they are admitted — and then requires every slot back: each request

@@ -7,6 +7,7 @@
 package spec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -277,7 +278,7 @@ func splitTopLevel(s string) []string {
 // product of the two (recursively parsed) operand factors, returned as an
 // explicit bipartite graph whose sides come from the product's own
 // ground-truth bipartition.  Strict construction is preferred; relaxed is
-// the fallback for disconnected operands.
+// the fallback for disconnected operands (see buildChain).
 func parseProductFactor(factorSpec string, seed int64) (*graph.Bipartite, error) {
 	inner := factorSpec[len("product(") : len(factorSpec)-1]
 	ops := splitTopLevel(inner)
@@ -292,12 +293,9 @@ func parseProductFactor(factorSpec string, seed int64) (*graph.Bipartite, error)
 	if err != nil {
 		return nil, fmt.Errorf("product operand 2: %w", err)
 	}
-	p, err := core.NewChainWithParts(f1.Graph, core.ModeSelfLoopFactor, f2)
+	p, err := buildChain(f1.Graph, core.ModeSelfLoopFactor, []*graph.Bipartite{f2})
 	if err != nil {
-		p, err = core.NewChainRelaxedWithParts(f1.Graph, core.ModeSelfLoopFactor, f2)
-		if err != nil {
-			return nil, fmt.Errorf("bad product spec %q: %w", factorSpec, err)
-		}
+		return nil, fmt.Errorf("bad product spec %q: %w", factorSpec, err)
 	}
 	if p.N() > MaxFactorSize || p.NumEdges() > MaxFactorSize {
 		return nil, tooLarge(factorSpec)
@@ -337,7 +335,7 @@ func (s Spec) BuildFactors() ([]*graph.Bipartite, error) {
 // Build assembles the chained product the spec names, preferring the
 // strict constructor (which certifies Thm. 1/2 connectivity per level and
 // unlocks the distance ground truth) and falling back to the relaxed one
-// for disconnected factors like the unicode network.
+// for disconnected factors like the unicode network (see buildChain).
 func (s Spec) Build() (*core.Product, error) {
 	s = s.WithDefaults()
 	bs, err := s.BuildFactors()
@@ -354,8 +352,22 @@ func (s Spec) Build() (*core.Product, error) {
 	default:
 		return nil, fmt.Errorf("unknown mode %q (want %s or %s)", s.Mode, ModeSelfLoop, ModeNonBip)
 	}
-	if p, err := core.NewChainWithParts(a, m, bs...); err == nil {
-		return p, nil
+	return buildChain(a, m, bs)
+}
+
+// buildChain runs the strict chain constructor once and the relaxed one
+// only if the strict one failed before computing any statistics.  The
+// constructor makes every check that needs no statistics first, so its
+// only later failure is the 4-cycle *core.OverflowError, which the
+// relaxed constructor would reach again; every *core.OverflowError is
+// returned as is.  Any other strict failure is a strict-only premise
+// (connectivity, or mode (i)'s non-bipartite A), which the relaxed run
+// waives, or a check both share, which fails there again at once.
+func buildChain(a *graph.Graph, m core.Mode, bs []*graph.Bipartite) (*core.Product, error) {
+	p, err := core.NewChainWithParts(a, m, bs...)
+	var overflow *core.OverflowError
+	if err == nil || errors.As(err, &overflow) {
+		return p, err
 	}
 	return core.NewChainRelaxedWithParts(a, m, bs...)
 }

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -339,4 +340,29 @@ func FuzzParseRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBuildSharesSelfloopFactor: a selfloop spec passes B₁'s graph as
+// A, and the chain computes that graph's statistics once.
+func TestBuildSharesSelfloopFactor(t *testing.T) {
+	p, err := Spec{Factors: []string{"crown4", "path3"}, Mode: ModeSelfLoop, Seed: 1}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := p.Factors(); p.FactorA() != fs[1] || fs[1] == fs[2] {
+		t.Fatal("selfloop spec: A and B₁ do not share one *core.Factor")
+	}
+}
+
+// TestBuildOverflowIsTyped: a factor inside MaxFactorSize whose chain
+// 4-cycle count overflows fails with a *core.OverflowError, the error
+// of the one constructor run.
+func TestBuildOverflowIsTyped(t *testing.T) {
+	for _, f := range []string{"crown256", "biclique256x256", "star65536"} {
+		_, err := Spec{Factors: []string{f}}.WithDefaults().Build()
+		var overflow *core.OverflowError
+		if !errors.As(err, &overflow) {
+			t.Errorf("%s: Build error %v, want a *core.OverflowError", f, err)
+		}
+	}
 }

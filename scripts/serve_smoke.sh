@@ -6,7 +6,9 @@
 #      load-bearing "listening on http://ADDR" stderr line)
 #   2. /healthz answers ok and carries the version Server header;
 #      /readyz answers ready; every response carries a request id and a
-#      traceparent
+#      traceparent; cold worst-case factors inside spec.MaxFactorSize
+#      answer /v1/truth within 5 s (star65536: 400 naming the 4-cycle
+#      overflow; sf4000x4000x65536: 200)
 #   3. submit a small selfloop⊗selfloop job (with a client traceparent,
 #      which must propagate); the submit itself answers done, because a
 #      job is priced, not generated; an audited job polls to done with
@@ -97,6 +99,19 @@ grep -qi '^Traceparent: 00-' "$tmp/hz.hdr" || fail "response missing traceparent
 curl -fsS "$base/readyz" >"$tmp/rz.json"
 grep -q '"status": "ready"' "$tmp/rz.json" || fail "/readyz not ready: $(cat "$tmp/rz.json")"
 echo "serve-smoke: healthz ok, readyz ready, identity headers present"
+
+# 2b. Cold worst-case factors: factor statistics are one wedge pass, so
+# the largest specs spec.MaxFactorSize admits answer in well under a
+# second — star65536 with its chain 4-cycle overflow, the largest
+# scale-free factor with its closed forms.
+code=$(curl -sS -m 5 -o "$tmp/star.json" -w '%{http_code}' "$base/v1/truth?factor=star65536") ||
+  fail "/v1/truth?factor=star65536 did not answer within 5 s"
+[ "$code" = 400 ] || fail "/v1/truth?factor=star65536 answered $code, want 400: $(cat "$tmp/star.json")"
+grep -q '4-cycle count overflows' "$tmp/star.json" || fail "star65536 error does not name the 4-cycle overflow: $(cat "$tmp/star.json")"
+code=$(curl -sS -m 5 -o "$tmp/sf.json" -w '%{http_code}' "$base/v1/truth?factor=sf4000x4000x65536") ||
+  fail "/v1/truth?factor=sf4000x4000x65536 did not answer within 5 s"
+[ "$code" = 200 ] || fail "/v1/truth?factor=sf4000x4000x65536 answered $code, want 200: $(cat "$tmp/sf.json")"
+echo "serve-smoke: cold star65536 (400, overflow) and sf4000x4000x65536 (200) answered within 5 s"
 
 # 3. Submit a small selfloop⊗selfloop job with a client trace context;
 # the trace id must propagate to the response and into the job record.
