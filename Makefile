@@ -9,7 +9,8 @@
 #   make serve-smoke- end-to-end smoke test of the kronbip serve service
 #   make distgen-smoke - distributed generation smoke: 3-replica fleet + dist-gen
 #   make fuzz       - bounded fuzzing of the edge-range walkers, the factor
-#                     statistics pass and the bin decoder (30 s each)
+#                     statistics pass, the bin decoder, the text renderers
+#                     and the edges endpoint's query string (30 s each)
 #   make check      - everything (what CI should run)
 
 GO ?= go
@@ -45,16 +46,22 @@ race:
 # fuzz runs, each for a bounded time, FuzzEdgeRange — every range and
 # block-range walker against the definition-order oracle —,
 # FuzzFactorStats — the factor statistics wedge pass against the
-# internal/count oracles on graphs of up to 64 vertices — and
+# internal/count oracles on graphs of up to 64 vertices —,
 # FuzzDecodeWire — the bin decoder against its pre-rewrite reference on
-# arbitrary bytes, plus decode ∘ encode on ranges and lease blocks.
-# Minimizing a new []byte input reruns the fuzz body for every
-# candidate, so the []byte targets cap it at 100 calls instead of the
+# arbitrary bytes, plus decode ∘ encode on ranges and lease blocks —,
+# FuzzAppendText — AppendTSV and AppendNDJSON against their strconv
+# oracle on any two int64 ids, prefix and spare capacity — and
+# FuzzEdgesQuery — GET /v1/jobs/{id}/edges with arbitrary format,
+# offset, limit and audit strings against the canonical walk.
+# Minimizing a new input reruns the fuzz body for every candidate, so
+# the targets with costly bodies cap it at 100 calls instead of the
 # default minute, which would eat the whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEdgeRange$$' -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFactorStats$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendText$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/exec
+	$(GO) test -run '^$$' -fuzz '^FuzzEdgesQuery$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/serve
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkStream_' -benchtime 10x -benchmem .

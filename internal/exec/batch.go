@@ -9,7 +9,7 @@ import "sync"
 // alternative: producers fill pooled []Edge buffers and hand a whole
 // slice downstream in one call, so per-edge costs are paid once per
 // BatchLen edges.  Every composite sink in this package (counting,
-// multi, locked, buffered, TSV, fan-in) speaks both vocabularies, and
+// multi, locked, buffered, text, fan-in) speaks both vocabularies, and
 // DeliverBatch bridges a batch onto a sink that speaks only Edge.
 
 // Edge is one undirected product edge {V, W} in a batch payload.

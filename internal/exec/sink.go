@@ -1,9 +1,6 @@
 package exec
 
 import (
-	"bufio"
-	"io"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -209,72 +206,3 @@ func (b *BufferedSink) Close() error {
 	}
 	return err
 }
-
-// AppendTSV appends each edge as a "v\tw\n" line — the on-disk
-// interchange format of cmd/kronbip and serve's tsv stream — to dst and
-// returns the extended buffer.  It formats with strconv.AppendInt to
-// keep fmt out of the per-edge path.  Every TSV rendering in the
-// repository goes through it, so they agree byte for byte.
-func AppendTSV(dst []byte, edges []Edge) []byte {
-	for _, e := range edges {
-		dst = strconv.AppendInt(dst, int64(e.V), 10)
-		dst = append(dst, '\t')
-		dst = strconv.AppendInt(dst, int64(e.W), 10)
-		dst = append(dst, '\n')
-	}
-	return dst
-}
-
-// AppendNDJSON appends each edge as a {"v":N,"w":M} line — serve's
-// ndjson stream — to dst and returns the extended buffer.
-func AppendNDJSON(dst []byte, edges []Edge) []byte {
-	for _, e := range edges {
-		dst = append(dst, `{"v":`...)
-		dst = strconv.AppendInt(dst, int64(e.V), 10)
-		dst = append(dst, `,"w":`...)
-		dst = strconv.AppendInt(dst, int64(e.W), 10)
-		dst = append(dst, '}', '\n')
-	}
-	return dst
-}
-
-// RenderChunk is how many edges a text sink renders per writer call:
-// enough to amortize the call, few enough that the scratch buffer stays
-// under 64 KiB at the widest vertex ids (an NDJSON line is at most 52
-// bytes).
-const RenderChunk = 1024
-
-// TSVSink renders edges with AppendTSV through an internal buffered
-// writer.
-type TSVSink struct {
-	bw      *bufio.Writer
-	scratch []byte
-}
-
-// NewTSVSink returns a TSVSink writing to w.
-func NewTSVSink(w io.Writer) *TSVSink {
-	return &TSVSink{bw: bufio.NewWriterSize(w, 1<<20)}
-}
-
-// Edge writes one tab-separated line through EdgeBatch.
-func (t *TSVSink) Edge(v, w int) error {
-	e := [1]Edge{{V: v, W: w}}
-	return t.EdgeBatch(e[:])
-}
-
-// EdgeBatch renders the batch RenderChunk edges at a time, paying the
-// writer call once per chunk instead of once per edge.
-func (t *TSVSink) EdgeBatch(edges []Edge) error {
-	for len(edges) > 0 {
-		n := min(len(edges), RenderChunk)
-		t.scratch = AppendTSV(t.scratch[:0], edges[:n])
-		if _, err := t.bw.Write(t.scratch); err != nil {
-			return err
-		}
-		edges = edges[n:]
-	}
-	return nil
-}
-
-// Flush flushes the underlying buffered writer.
-func (t *TSVSink) Flush() error { return t.bw.Flush() }

@@ -1,8 +1,9 @@
 package grb
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates coordinate-format (COO) entries and converts them to a
@@ -41,44 +42,50 @@ func (b *Builder[T]) AddSym(i, j int, v T) {
 // Len returns the number of accumulated (pre-deduplication) entries.
 func (b *Builder[T]) Len() int { return len(b.ent) }
 
-// Build sorts, range-checks and duplicate-sums the accumulated entries and
-// returns the CSR matrix.  The builder may be reused afterwards; it keeps
-// its entries.
+// Build range-checks, sorts and duplicate-sums the accumulated entries
+// and returns the CSR matrix.  One counting pass buckets the entries by
+// row; each row is then stably sorted by column, so duplicates sum in
+// insertion order.  The builder may be reused afterwards; it keeps its
+// entries.
 func (b *Builder[T]) Build() (*Matrix[T], error) {
+	rowPtr := make([]int, b.nr+1)
 	for _, e := range b.ent {
 		if e.i < 0 || e.i >= b.nr || e.j < 0 || e.j >= b.nc {
 			return nil, fmt.Errorf("grb: entry (%d,%d) out of range for %dx%d matrix", e.i, e.j, b.nr, b.nc)
 		}
-	}
-	ent := append([]entry[T](nil), b.ent...)
-	sort.Slice(ent, func(x, y int) bool {
-		if ent[x].i != ent[y].i {
-			return ent[x].i < ent[y].i
-		}
-		return ent[x].j < ent[y].j
-	})
-	// Combine duplicates with addition.
-	w := 0
-	for r := 0; r < len(ent); r++ {
-		if w > 0 && ent[w-1].i == ent[r].i && ent[w-1].j == ent[r].j {
-			ent[w-1].v += ent[r].v
-		} else {
-			ent[w] = ent[r]
-			w++
-		}
-	}
-	ent = ent[:w]
-
-	rowPtr := make([]int, b.nr+1)
-	colIdx := make([]int, len(ent))
-	val := make([]T, len(ent))
-	for _, e := range ent {
 		rowPtr[e.i+1]++
 	}
 	for i := 0; i < b.nr; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	for k, e := range ent {
+	ent := make([]entry[T], len(b.ent))
+	next := append([]int(nil), rowPtr[:b.nr]...)
+	for _, e := range b.ent {
+		ent[next[e.i]] = e
+		next[e.i]++
+	}
+	// Sort each row by column and combine duplicates with addition,
+	// compacting in place: row i's entries move to ent[rowPtr[i]:w].
+	w, lo := 0, 0
+	for i := 0; i < b.nr; i++ {
+		hi := rowPtr[i+1]
+		row := ent[lo:hi]
+		slices.SortStableFunc(row, func(x, y entry[T]) int { return cmp.Compare(x.j, y.j) })
+		for k, e := range row {
+			if k > 0 && ent[w-1].j == e.j {
+				ent[w-1].v += e.v
+			} else {
+				ent[w] = e
+				w++
+			}
+		}
+		rowPtr[i+1] = w
+		lo = hi
+	}
+
+	colIdx := make([]int, w)
+	val := make([]T, w)
+	for k, e := range ent[:w] {
 		colIdx[k] = e.j
 		val[k] = e.v
 	}

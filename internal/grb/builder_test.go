@@ -1,7 +1,10 @@
 package grb
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -97,4 +100,84 @@ func TestBuilderUnsortedInput(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestBuilderMatchesReference compares Build with a map-summed, sorted
+// reference on random COO inputs: duplicates (few columns), empty rows
+// (a random subset of rows used), zero sums, and in a quarter of the
+// trials out-of-range entries, which must fail with the first bad
+// entry's error.
+func TestBuilderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	type coord struct{ i, j int }
+	for trial := 0; trial < 500; trial++ {
+		nr, nc := rng.Intn(12), 1+rng.Intn(8)
+		b := NewBuilder[int64](nr, nc)
+		sum := map[coord]int64{}
+		var wantErr string
+		for k := rng.Intn(80); nr > 0 && k > 0; k-- {
+			c := coord{rng.Intn(1 + nr/2), rng.Intn(nc)}
+			if trial%4 == 0 && rng.Intn(20) == 0 {
+				c = [...]coord{{-1, 0}, {0, -1}, {nr, 0}, {0, nc}}[rng.Intn(4)]
+				if wantErr == "" {
+					wantErr = fmt.Sprintf("grb: entry (%d,%d) out of range for %dx%d matrix", c.i, c.j, nr, nc)
+				}
+			}
+			v := int64(rng.Intn(7) - 3)
+			b.Add(c.i, c.j, v)
+			sum[c] += v
+		}
+		m, err := b.Build()
+		if wantErr != "" {
+			if err == nil || err.Error() != wantErr {
+				t.Fatalf("trial %d: error %v, want %q", trial, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		keys := make([]coord, 0, len(sum))
+		for c := range sum {
+			keys = append(keys, c)
+		}
+		sort.Slice(keys, func(x, y int) bool {
+			return keys[x].i < keys[y].i || keys[x].i == keys[y].i && keys[x].j < keys[y].j
+		})
+		rowPtr := make([]int, nr+1)
+		colIdx := make([]int, len(keys))
+		val := make([]int64, len(keys))
+		for k, c := range keys {
+			rowPtr[c.i+1]++
+			colIdx[k], val[k] = c.j, sum[c]
+		}
+		for i := 0; i < nr; i++ {
+			rowPtr[i+1] += rowPtr[i]
+		}
+		if !slices.Equal(m.rowPtr, rowPtr) || !slices.Equal(m.colIdx, colIdx) || !slices.Equal(m.val, val) {
+			t.Fatalf("trial %d: CSR (%v, %v, %v), want (%v, %v, %v)", trial, m.rowPtr, m.colIdx, m.val, rowPtr, colIdx, val)
+		}
+	}
+}
+
+// TestBuilderSumsDuplicatesInInsertionOrder: float duplicates sum in the
+// order they were added.  Row 0 interleaves two columns, 64 entries in
+// all, so an unstable sort would reorder them; in insertion order column
+// 0 sums 1e16, then 30 ones that each round away, then −1e16, to 0.
+func TestBuilderSumsDuplicatesInInsertionOrder(t *testing.T) {
+	b := NewBuilder[float64](1, 2)
+	for k := 0; k < 32; k++ {
+		v := 1.0
+		switch k {
+		case 0:
+			v = 1e16
+		case 31:
+			v = -1e16
+		}
+		b.Add(0, 0, v)
+		b.Add(0, 1, 5)
+	}
+	if got := b.MustBuild().At(0, 0); got != 0 {
+		t.Fatalf("duplicate sum %v, want 0 (insertion order)", got)
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"kronbip/internal/exec"
 	"kronbip/internal/graph"
 	"kronbip/internal/grb"
 )
@@ -154,18 +155,19 @@ func ReadMatrixMarket(r io.Reader) (*grb.Matrix[int64], error) {
 	return b.Build()
 }
 
-// WriteEdgeList writes one "u<TAB>v" line per undirected edge (u <= v).
+// WriteEdgeList writes one "u<TAB>v" line per undirected edge (u <= v),
+// rendered by exec's TSV sink like every other edge list.
 func WriteEdgeList(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriter(w)
+	tsv := exec.NewTSVSink(w)
 	var werr error
 	g.EachEdge(func(u, v int) bool {
-		_, werr = fmt.Fprintf(bw, "%d\t%d\n", u, v)
+		werr = tsv.Edge(u, v)
 		return werr == nil
 	})
 	if werr != nil {
 		return werr
 	}
-	return bw.Flush()
+	return tsv.Flush()
 }
 
 // ReadEdgeList parses whitespace-separated vertex pairs into a graph on n

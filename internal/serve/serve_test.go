@@ -736,6 +736,62 @@ func TestDeleteStopsAudit(t *testing.T) {
 	}
 }
 
+// TestDeleteStopsStreamAudit: DELETE of a job whose audited stream has
+// sent its last edge stops the stream's audit before its ◊ walk ends:
+// the trailers read aborted with the partial tallies, and the walk slot
+// the stream held comes free for the next stream (200, not 429).
+func TestDeleteStopsStreamAudit(t *testing.T) {
+	_, ts := testServer(t, Config{MaxWalks: 1})
+	reached, release := make(chan struct{}), make(chan struct{})
+	streamFinalizing = func(ctx context.Context) {
+		close(reached)
+		<-release
+		select { // the DELETE cancels the stream through an AfterFunc
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
+		}
+	}
+	t.Cleanup(func() { streamFinalizing = nil })
+	audited, _ := submitJob(t, ts.URL, `{"factor":"crown6"}`)
+	next, _ := submitJob(t, ts.URL, `{"factor":"crown4"}`)
+
+	res, err := http.Get(ts.URL + "/v1/jobs/" + audited.ID + "/edges?format=tsv&audit=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := make(chan error, 1)
+	go func() { // drain concurrently: the handler must not block on the socket
+		_, err := io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		body <- err
+	}()
+	<-reached
+	if st := deleteJob(t, ts.URL, audited.ID); st.State != "cancelled" {
+		t.Fatalf("DELETE: state %q, want cancelled", st.State)
+	}
+	close(release)
+	if err := <-body; err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Trailer.Get(TrailerStatus); got != "aborted" {
+		t.Errorf("trailer status %q (audit checks %q), want aborted", got, res.Trailer.Get(TrailerAuditChecks))
+	}
+	for _, name := range []string{TrailerAuditChecks, TrailerAuditViolations} {
+		if _, err := strconv.ParseInt(res.Trailer.Get(name), 10, 64); err != nil {
+			t.Errorf("trailer %s = %q, want the partial tally", name, res.Trailer.Get(name))
+		}
+	}
+	res, err = http.Get(ts.URL + "/v1/jobs/" + next.ID + "/edges?format=tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("next stream after the aborted audit = %d, want 200", res.StatusCode)
+	}
+}
+
 // TestWalkCapConcurrent drives the walk cap from many goroutines at
 // once — edge streams, leases, and audited submits cancelled as soon as
 // they are admitted — and then requires every slot back: each request

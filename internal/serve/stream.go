@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net/http"
@@ -31,6 +30,11 @@ import (
 // slow consumer sees progress every few hundred KB.
 const streamFlushEdges = 16384
 
+// streamFinalizing, when non-nil, runs with the stream's context after
+// an audited stream's last edge is out and before its audit finalizes:
+// a test seam for holding a stream there.
+var streamFinalizing func(ctx context.Context)
+
 // Trailer names for the streaming endpoint.  The Trailer header
 // announces exactly the set that will be sent: status and edge count
 // always, the audit pair only on audited streams (an aborted audited
@@ -52,22 +56,24 @@ const (
 	HeaderStreamOffset = "X-Kronbip-Stream-Offset"
 )
 
-// streamSink writes edges in a text rendering (exec.AppendNDJSON or
-// exec.AppendTSV) through a buffered writer, flushing the HTTP chunk
-// every streamFlushEdges edges.  It is used from a single goroutine (the
-// stream runs one shard, because an HTTP response is one ordered byte
-// stream).
+// streamSink is an HTTP text stream: exec's TextSink renders the edges
+// (ndjson or tsv) straight into its own write buffer, and the HTTP chunk
+// is flushed every streamFlushEdges edges.  It is used from a single
+// goroutine (the stream runs one shard, because an HTTP response is one
+// ordered byte stream).
 type streamSink struct {
-	bw      *bufio.Writer
+	text    *exec.TextSink
 	flusher http.Flusher
-	ndjson  bool
-	scratch []byte
 	n       int64 // edges written
 	batch   int   // edges since the last flush
 }
 
 func newStreamSink(w http.ResponseWriter, ndjson bool) *streamSink {
-	s := &streamSink{bw: bufio.NewWriterSize(w, 1<<16), ndjson: ndjson}
+	text := exec.NewTSVSink
+	if ndjson {
+		text = exec.NewNDJSONSink
+	}
+	s := &streamSink{text: text(w)}
 	if f, ok := w.(http.Flusher); ok {
 		s.flusher = f
 	}
@@ -80,19 +86,13 @@ func (s *streamSink) Edge(v, w int) error {
 	return s.EdgeBatch(e[:])
 }
 
-// EdgeBatch renders the batch exec.RenderChunk edges at a time, paying
-// the writer call once per chunk instead of once per edge.  The chunk
-// also ends at every streamFlushEdges-th edge, where the HTTP chunk goes
-// out and the edge counter advances, wherever that falls in a batch.
+// EdgeBatch renders the batch, cut at every streamFlushEdges-th edge,
+// where the rendered bytes and the HTTP chunk go out and the edge
+// counter advances, wherever that falls in a batch.
 func (s *streamSink) EdgeBatch(edges []exec.Edge) error {
 	for len(edges) > 0 {
-		n := min(len(edges), exec.RenderChunk, streamFlushEdges-s.batch)
-		if s.ndjson {
-			s.scratch = exec.AppendNDJSON(s.scratch[:0], edges[:n])
-		} else {
-			s.scratch = exec.AppendTSV(s.scratch[:0], edges[:n])
-		}
-		if _, err := s.bw.Write(s.scratch); err != nil {
+		n := min(len(edges), streamFlushEdges-s.batch)
+		if err := s.text.EdgeBatch(edges[:n]); err != nil {
 			return err
 		}
 		edges = edges[n:]
@@ -101,7 +101,7 @@ func (s *streamSink) EdgeBatch(edges []exec.Edge) error {
 		if s.batch == streamFlushEdges {
 			s.batch = 0
 			mStreamEdges.Add(streamFlushEdges)
-			if err := s.bw.Flush(); err != nil {
+			if err := s.text.Flush(); err != nil {
 				return err
 			}
 			if s.flusher != nil {
@@ -115,7 +115,7 @@ func (s *streamSink) EdgeBatch(edges []exec.Edge) error {
 func (s *streamSink) Flush() error {
 	mStreamEdges.Add(int64(s.batch))
 	s.batch = 0
-	return s.bw.Flush()
+	return s.text.Flush()
 }
 
 func (s *streamSink) count() int64 { return s.n }
@@ -289,23 +289,32 @@ func (s *Server) handleJobEdges(w http.ResponseWriter, r *http.Request) {
 		sent = out.count()
 	}
 
+	var report *audit.Report
+	if auditor != nil && err == nil {
+		if streamFinalizing != nil {
+			streamFinalizing(ctx)
+		}
+		// theorem.four_dual's ◊ walk runs under the stream's context, so
+		// a DELETE, a departed client or a drain stops it within a batch
+		// and the walk slot comes free.
+		report, err = auditor.FinalizeContext(ctx)
+	}
 	status := "complete"
 	if err != nil {
 		status = "aborted"
 		mStreamAborts.Inc()
 	}
 	if auditor != nil {
-		if err == nil {
-			report := auditor.Finalize()
+		if report != nil {
 			w.Header().Set(TrailerAuditChecks, strconv.Itoa(report.Checks))
 			w.Header().Set(TrailerAuditViolations, strconv.Itoa(len(report.Violations)))
 			if !report.OK() {
 				status = "audit-violation"
 			}
 		} else {
-			// Aborted audited stream: fold the shard child's tallies and
-			// report the partial membership verdicts — announced
-			// trailers always arrive.
+			// Aborted audited stream or audit: fold the shard child's
+			// tallies and report the partial membership verdicts —
+			// announced trailers always arrive.
 			_ = exec.Finish(auditCh)
 			checks, violations := auditor.Stream().Partial()
 			w.Header().Set(TrailerAuditChecks, strconv.FormatInt(checks, 10))

@@ -37,39 +37,53 @@ func (w nopFlushWriter) WriteHeader(int)             {}
 func (w nopFlushWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w nopFlushWriter) Flush()                      {}
 
-// BenchmarkStreamWire_BinEncode isolates the binary encoder: canonical
-// edges pre-collected, batches fed straight to a binSink over a no-op
-// writer.  This is the per-edge cost the format adds on top of
-// generation — the number to hold against BenchmarkStream_ShardedBatch.
-func BenchmarkStreamWire_BinEncode(b *testing.B) {
-	p := benchWireProduct(b)
-	edges := make([]exec.Edge, 0, p.NumEdges())
-	p.EachEdge(func(v, w int) bool {
-		edges = append(edges, exec.Edge{V: v, W: w})
-		return true
-	})
-	cuts := p.TermEdgeStarts()
+// benchEncode feeds edges to a fresh stream sink per iteration, batch by
+// batch as the walker hands them over, and reports the cost per edge.
+func benchEncode(b *testing.B, edges []exec.Edge, newSink func() edgeStreamSink) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink := newBinSink(nopFlushWriter{h: make(http.Header)}, cuts, 0)
+		sink := newSink()
 		for lo := 0; lo < len(edges); lo += exec.BatchLen {
-			hi := lo + exec.BatchLen
-			if hi > len(edges) {
-				hi = len(edges)
-			}
-			if err := sink.EdgeBatch(edges[lo:hi]); err != nil {
+			if err := sink.EdgeBatch(edges[lo:min(lo+exec.BatchLen, len(edges))]); err != nil {
 				b.Fatal(err)
 			}
 		}
 		if err := sink.Flush(); err != nil {
 			b.Fatal(err)
 		}
-		if sink.count() != p.NumEdges() {
-			b.Fatalf("encoded %d edges, want %d", sink.count(), p.NumEdges())
+		if sink.count() != int64(len(edges)) {
+			b.Fatalf("encoded %d edges, want %d", sink.count(), len(edges))
 		}
 	}
-	b.ReportMetric(float64(p.NumEdges()), "edges/op")
+	b.ReportMetric(float64(len(edges)), "edges/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(edges)), "ns/edge")
+}
+
+// BenchmarkStreamWire_BinEncode isolates the binary encoder: canonical
+// edges pre-collected, batches fed straight to a binSink over a no-op
+// writer.  This is the per-edge cost the format adds on top of
+// generation — the number to hold against BenchmarkStream_ShardedBatch.
+func BenchmarkStreamWire_BinEncode(b *testing.B) {
+	p := benchWireProduct(b)
+	cuts := p.TermEdgeStarts()
+	benchEncode(b, productEdges(p), func() edgeStreamSink {
+		return newBinSink(nopFlushWriter{h: make(http.Header)}, cuts, 0)
+	})
+}
+
+// BenchmarkStreamWire_TextEncode is BinEncode's text twin: the same
+// canonical edges fed to the ndjson or tsv stream sink over a no-op
+// writer, so it reads the rendering cost alone.
+func BenchmarkStreamWire_TextEncode(b *testing.B) {
+	edges := productEdges(benchWireProduct(b))
+	for _, format := range []string{"ndjson", "tsv"} {
+		b.Run(format, func(b *testing.B) {
+			benchEncode(b, edges, func() edgeStreamSink {
+				return newStreamSink(nopFlushWriter{h: make(http.Header)}, format == "ndjson")
+			})
+		})
+	}
 }
 
 // benchWireServer stands up a serve instance with one finished unicode
