@@ -9,8 +9,9 @@
 #   make serve-smoke- end-to-end smoke test of the kronbip serve service
 #   make distgen-smoke - distributed generation smoke: 3-replica fleet + dist-gen
 #   make fuzz       - bounded fuzzing of the edge-range walkers, the factor
-#                     statistics pass, the bin decoder, the text renderers
-#                     and the edges endpoint's query string (30 s each)
+#                     statistics pass, the bin decoder, the text renderers,
+#                     the edges endpoint's query string and the lease body
+#                     (30 s each)
 #   make check      - everything (what CI should run)
 
 GO ?= go
@@ -50,9 +51,12 @@ race:
 # FuzzDecodeWire — the bin decoder against its pre-rewrite reference on
 # arbitrary bytes, plus decode ∘ encode on ranges and lease blocks —,
 # FuzzAppendText — AppendTSV and AppendNDJSON against their strconv
-# oracle on any two int64 ids, prefix and spare capacity — and
+# oracle on any two int64 ids, prefix and spare capacity —,
 # FuzzEdgesQuery — GET /v1/jobs/{id}/edges with arbitrary format,
-# offset, limit and audit strings against the canonical walk.
+# offset, limit and audit strings against the canonical walk — and
+# FuzzLeaseBody — POST /v1/leases with arbitrary block coordinates,
+# offset and format, or raw body bytes, against the block walk and its
+# Σ◊.
 # Minimizing a new input reruns the fuzz body for every candidate, so
 # the targets with costly bodies cap it at 100 calls instead of the
 # default minute, which would eat the whole budget.
@@ -62,6 +66,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendText$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/exec
 	$(GO) test -run '^$$' -fuzz '^FuzzEdgesQuery$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzLeaseBody$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/serve
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkStream_' -benchtime 10x -benchmem .

@@ -779,14 +779,16 @@ func BenchmarkStream_Chain_ShardedBatch(b *testing.B) {
 	b.ReportMetric(float64(p.NumEdges()), "edges/op")
 }
 
-// chainSpanEdges is the span size of serve's parallel bin encoder
-// (wireSpanEdges, 64 frames): every span is one range walk.
+// chainSpanEdges is 64 wire frames, the span size of the parallel bin
+// encoder serve used to run: every span is one range walk.  Serve's
+// streams are serial now; the size stays so the benchmark's records
+// stay comparable.
 const chainSpanEdges = 64 * serve.WireFrameEdges
 
 // BenchmarkStream_Chain_Range walks the chain as consecutive
-// chainSpanEdges ranges, the way the parallel bin encoder's span
-// workers do: each span pays its own seek, a mid-row start and the
-// per-walk factor setup.
+// chainSpanEdges ranges, each the walk of one ranged stream or resumed
+// lease: each range pays its own seek, a mid-row start and the per-walk
+// factor setup.
 func BenchmarkStream_Chain_Range(b *testing.B) {
 	b.ReportAllocs()
 	p := chainProduct(b)

@@ -555,7 +555,7 @@ func (c *countBatchSink) EdgeBatch(batch []exec.Edge) error {
 }
 
 // TestWalkAllocsBounded: every walk shape — a full range, a span that
-// starts mid-row (as the parallel encoder's spans do), a 2×3 block
+// starts mid-row (as a ranged stream or a resumed lease does), a 2×3 block
 // sweep, a block range from a mid-row offset, the parallel batch stream
 // and the ◊ sum — allocates a fixed, small number of times, on a K = 1
 // product and a K = 2 chain, and the same bound holds for products 4×

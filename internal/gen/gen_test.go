@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kronbip/internal/graph"
@@ -314,6 +315,80 @@ func TestConnectedBipartiteScaleFree(t *testing.T) {
 	}
 	if !b.IsBipartite() {
 		t.Fatal("stitching broke bipartiteness")
+	}
+}
+
+// stitchByBFS is the stitching pass as it ran before the union-find:
+// components by graph.ConnectedComponents on the built graph, which is
+// then rebuilt from its edges plus one stitch edge per component.  It
+// is the oracle for ConnectedBipartiteScaleFree.
+func stitchByBFS(b *graph.Bipartite) *graph.Bipartite {
+	label, count := b.ConnectedComponents()
+	if count == 1 {
+		return b
+	}
+	repU := make([]int, count)
+	repW := make([]int, count)
+	for i := range repU {
+		repU[i], repW[i] = -1, -1
+	}
+	size := make([]int, count)
+	for v, c := range label {
+		size[c]++
+		if b.Part.Color[v] == graph.SideU && repU[c] == -1 {
+			repU[c] = v
+		}
+		if b.Part.Color[v] == graph.SideW && repW[c] == -1 {
+			repW[c] = v
+		}
+	}
+	largest := 0
+	for c, s := range size {
+		if s > size[largest] {
+			largest = c
+		}
+	}
+	pairs := make([][2]int, 0, b.NumEdges()+count)
+	for _, e := range b.Edges() {
+		u, w := e.U, e.V
+		if b.Part.Color[u] == graph.SideW {
+			u, w = w, u
+		}
+		pairs = append(pairs, [2]int{u, w - b.NU()})
+	}
+	for c := 0; c < count; c++ {
+		if c == largest {
+			continue
+		}
+		switch {
+		case repU[c] != -1 && repW[largest] != -1:
+			pairs = append(pairs, [2]int{repU[c], repW[largest] - b.NU()})
+		case repW[c] != -1 && repU[largest] != -1:
+			pairs = append(pairs, [2]int{repU[largest], repW[c] - b.NU()})
+		}
+	}
+	return mustBipartite(b.NU(), b.NW(), pairs)
+}
+
+// TestConnectedBipartiteScaleFreeMatchesBFS: the union-find stitching
+// builds exactly the graph the BFS stitching built — same components,
+// same labels, same representatives, same stitch edges — on sparse
+// draws with many components, saturated ones and one-sided ones.
+func TestConnectedBipartiteScaleFreeMatchesBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	type params struct{ nu, nw, m int }
+	cases := []params{{48, 96, 240}, {40, 60, 90}, {200, 10, 30}, {1, 50, 40}, {50, 1, 40}, {5, 5, 100}, {3, 3, 0}}
+	for len(cases) < 300 {
+		nu, nw := 1+rng.Intn(60), 1+rng.Intn(60)
+		cases = append(cases, params{nu, nw, rng.Intn(nu*nw/2 + 2)})
+	}
+	for i, c := range cases {
+		seed := int64(i)
+		got := ConnectedBipartiteScaleFree(c.nu, c.nw, c.m, seed)
+		want := stitchByBFS(BipartiteScaleFree(c.nu, c.nw, c.m, seed))
+		if got.NU() != want.NU() || got.NW() != want.NW() || !slices.Equal(got.Edges(), want.Edges()) {
+			t.Fatalf("%dx%dx%d seed %d: union-find stitching differs from the BFS stitching", c.nu, c.nw, c.m, seed)
+		}
 	}
 }
 

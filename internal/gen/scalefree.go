@@ -61,6 +61,12 @@ func scaleFreeFrom(n, m int, seed int64, core *graph.Graph) *graph.Graph {
 // disconnected (as the paper's unicode factor is); isolated vertices are
 // possible on either side.
 func BipartiteScaleFree(nu, nw, targetEdges int, seed int64) *graph.Bipartite {
+	return mustBipartite(nu, nw, drawBipartiteScaleFree(nu, nw, targetEdges, seed))
+}
+
+// drawBipartiteScaleFree draws BipartiteScaleFree's distinct (u, w)
+// pairs, in draw order.
+func drawBipartiteScaleFree(nu, nw, targetEdges int, seed int64) [][2]int {
 	rng := rand.New(rand.NewSource(seed))
 	seen := map[[2]int]bool{}
 	var pairs [][2]int
@@ -85,9 +91,15 @@ func BipartiteScaleFree(nu, nw, targetEdges int, seed int64) *graph.Bipartite {
 		totalU++
 		totalW++
 	}
+	return pairs
+}
+
+// mustBipartite builds the graph of pairs, which are in range by
+// construction.
+func mustBipartite(nu, nw int, pairs [][2]int) *graph.Bipartite {
 	b, err := graph.NewBipartite(nu, nw, pairs)
 	if err != nil {
-		panic(err) // pairs are in range by construction
+		panic(err)
 	}
 	return b
 }
@@ -130,26 +142,43 @@ func (f fenwick) search(t int) int {
 // ConnectedBipartiteScaleFree is BipartiteScaleFree followed by a stitching
 // pass that connects every component to the largest one with a single extra
 // edge, yielding a connected bipartite factor (the shape Assumption 1
-// requires of factor B).
+// requires of factor B).  The components come from the drawn pairs, so
+// the graph is built once.
 func ConnectedBipartiteScaleFree(nu, nw, targetEdges int, seed int64) *graph.Bipartite {
-	b := BipartiteScaleFree(nu, nw, targetEdges, seed)
-	label, count := b.ConnectedComponents()
-	if count == 1 {
-		return b
+	pairs := drawBipartiteScaleFree(nu, nw, targetEdges, seed)
+	// Union-find over the vertices (u on the U side, nu+w on the W side),
+	// by path halving.
+	parent := make([]int, nu+nw)
+	for v := range parent {
+		parent[v] = v
 	}
-	// Representative U- and W-side vertices per component.
-	repU := make([]int, count)
-	repW := make([]int, count)
-	for i := range repU {
-		repU[i], repW[i] = -1, -1
+	find := func(v int) int {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]]
+			v = parent[v]
+		}
+		return v
 	}
-	size := make([]int, count)
-	for v, c := range label {
+	for _, p := range pairs {
+		parent[find(nu+p[1])] = find(p[0])
+	}
+	// Label components in ascending order of their smallest vertex, as
+	// graph.ConnectedComponents does, with each one's size and its
+	// smallest U- and W-side vertex as representatives.
+	label := make([]int, nu+nw) // root → label+1; 0 while unlabelled
+	var size, repU, repW []int
+	for v := range parent {
+		r := find(v)
+		if label[r] == 0 {
+			size, repU, repW = append(size, 0), append(repU, -1), append(repW, -1)
+			label[r] = len(size)
+		}
+		c := label[r] - 1
 		size[c]++
-		if b.Part.Color[v] == graph.SideU && repU[c] == -1 {
+		if v < nu && repU[c] == -1 {
 			repU[c] = v
 		}
-		if b.Part.Color[v] == graph.SideW && repW[c] == -1 {
+		if v >= nu && repW[c] == -1 {
 			repW[c] = v
 		}
 	}
@@ -159,15 +188,7 @@ func ConnectedBipartiteScaleFree(nu, nw, targetEdges int, seed int64) *graph.Bip
 			largest = c
 		}
 	}
-	pairs := make([][2]int, 0, b.NumEdges()+count)
-	for _, e := range b.Edges() {
-		u, w := e.U, e.V
-		if b.Part.Color[u] == graph.SideW {
-			u, w = w, u
-		}
-		pairs = append(pairs, [2]int{u, w - b.NU()})
-	}
-	for c := 0; c < count; c++ {
+	for c := range size {
 		if c == largest {
 			continue
 		}
@@ -175,14 +196,10 @@ func ConnectedBipartiteScaleFree(nu, nw, targetEdges int, seed int64) *graph.Bip
 		// or vice versa; at least one side of each component is non-empty.
 		switch {
 		case repU[c] != -1 && repW[largest] != -1:
-			pairs = append(pairs, [2]int{repU[c], repW[largest] - b.NU()})
+			pairs = append(pairs, [2]int{repU[c], repW[largest] - nu})
 		case repW[c] != -1 && repU[largest] != -1:
-			pairs = append(pairs, [2]int{repU[largest], repW[c] - b.NU()})
+			pairs = append(pairs, [2]int{repU[largest], repW[c] - nu})
 		}
 	}
-	nb, err := graph.NewBipartite(b.NU(), b.NW(), pairs)
-	if err != nil {
-		panic(err)
-	}
-	return nb
+	return mustBipartite(nu, nw, pairs)
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"kronbip/internal/exec"
+	"kronbip/internal/spec"
 	"kronbip/internal/wire"
 )
 
@@ -131,6 +133,132 @@ func FuzzEdgesQuery(f *testing.F) {
 			if !bytes.Equal(body, ndjson[ndjsonAt[lo]:ndjsonAt[hi]]) {
 				t.Fatalf("%s: body differs from the strconv rendering of [%d, %d)", q.Encode(), lo, hi)
 			}
+		}
+	})
+}
+
+// FuzzLeaseBody drives POST /v1/leases with the body built from the
+// biclique8x8⊗path4 selfloop spec at fuzzed block coordinates, offset
+// and format, or with the raw bytes instead when there are any.  Every
+// answer is 200, 400, 413 or 416.  A 200 body wire-decodes from the
+// offset to exactly edges [offset, want) of the block's
+// EachEdgeBlockRangeBatchContext walk, with want − offset in the
+// edge-count trailer and the ◊ walk's Σ over the whole block in the Σ◊
+// trailer.
+func FuzzLeaseBody(f *testing.F) {
+	total := wireTestProduct(f).NumEdges()
+	// The budget admits the whole product as one block, so a raw body
+	// naming a bigger block answers 413 instead of a long walk.
+	s := New(Config{MaxEdges: total})
+	f.Cleanup(func() { _ = s.Shutdown(5 * time.Second) })
+	h := s.Handler()
+
+	type block struct {
+		row, rows, col, cols int
+		offset               int64
+		format               string
+	}
+	for _, b := range []block{
+		{0, 1, 0, 1, 0, "bin"},
+		{0, 2, 1, 3, 8192, "bin"},
+		{1, 2, 2, 3, 4095, ""},
+		{0, 1, 0, 1, total, "bin"},
+		{0, 1, 0, 1, total + 1, "bin"},
+		{0, 1, 0, 1, -1, "bin"},
+		{2, 2, 0, 1, 0, "bin"},
+		{0, 0, 0, 1, 0, "bin"},
+		{0, 1, 0, 1, 0, "tsv"},
+		{3, 1 << 40, 5, 1 << 20, 0, "bin"},
+	} {
+		f.Add(b.row, b.rows, b.col, b.cols, b.offset, b.format, []byte(nil))
+	}
+	for _, raw := range []string{
+		`{"factor":"crown4","row":0,"rows":1,"col":0,"cols":1}`,
+		`{"factors":["biclique8x8","path4"],"mode":"selfloop","seed":7,"row":1,"rows":3,"col":1,"cols":2,"offset":4097}`,
+		`{"factor":"crown4","factors":["crown4"],"rows":1,"cols":1}`,
+		`{"factor":"crown400","rows":1,"cols":1}`,
+		`{"factor":"unicode","mode":"selfloop","rows":1,"cols":1}`,
+		`{"rows":1e400}`,
+		`not json`,
+	} {
+		f.Add(0, 0, 0, 0, int64(0), "", []byte(raw))
+	}
+	f.Fuzz(func(t *testing.T, row, rows, col, cols int, offset int64, format string, raw []byte) {
+		body := raw
+		if len(body) == 0 {
+			body, _ = json.Marshal(map[string]any{
+				"factors": []string{"biclique8x8", "path4"}, "mode": "selfloop",
+				"row": row, "rows": rows, "col": col, "cols": cols, "offset": offset, "format": format,
+			})
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/leases", bytes.NewReader(body)))
+		res := rec.Result()
+		switch res.StatusCode {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusRequestedRangeNotSatisfiable:
+			return
+		default:
+			t.Fatalf("%s: status %d: %s", body, res.StatusCode, rec.Body.Bytes())
+		}
+
+		// A 200 means the body parsed: resolve its spec and block the
+		// way the lease contract states them.
+		var req leaseRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("%s: 200 for a body that does not parse: %v", body, err)
+		}
+		sp := spec.Spec{Factors: req.Factors, Mode: req.Mode, Seed: spec.DefaultSeed}
+		if req.Factor != "" {
+			sp.Factors = []string{req.Factor}
+		}
+		if req.Seed != nil {
+			sp.Seed = *req.Seed
+		}
+		p, err := sp.WithDefaults().Build()
+		if err != nil {
+			t.Fatalf("%s: 200 for a spec that does not build: %v", body, err)
+		}
+		want, err := p.BlockEdgeCount(req.Row, req.Rows, req.Col, req.Cols)
+		if err != nil {
+			t.Fatalf("%s: 200 for a bad block: %v", body, err)
+		}
+		ctx := context.Background()
+		var edges []exec.Edge
+		if err := p.EachEdgeBlockRangeBatchContext(ctx, req.Row, req.Rows, req.Col, req.Cols, req.Offset, want, func(b []exec.Edge) bool {
+			edges = append(edges, b...)
+			return true
+		}); err != nil {
+			t.Fatalf("%s: block walk: %v", body, err)
+		}
+		var fourSum int64
+		if err := p.EachEdgeFourCycleBlockRangeBatchContext(ctx, req.Row, req.Rows, req.Col, req.Cols, 0, want, func(_ []exec.Edge, sq []int64) bool {
+			for _, s := range sq {
+				fourSum += s
+			}
+			return true
+		}); err != nil {
+			t.Fatalf("%s: ◊ walk: %v", body, err)
+		}
+
+		if st := res.Trailer.Get(TrailerStatus); st != "complete" {
+			t.Fatalf("%s: trailer status %q, want complete", body, st)
+		}
+		if got := res.Trailer.Get(TrailerEdges); got != strconv.FormatInt(want-req.Offset, 10) {
+			t.Fatalf("%s: trailer edges %q, want %d", body, got, want-req.Offset)
+		}
+		if got := res.Trailer.Get(wire.TrailerFourSum); got != strconv.FormatInt(fourSum, 10) {
+			t.Fatalf("%s: Σ◊ trailer %q, want %d", body, got, fourSum)
+		}
+		var got []exec.Edge
+		n, next, trailing, err := wire.Decode(rec.Body.Bytes(), req.Offset, func(frame []exec.Edge) {
+			got = append(got, frame...)
+		})
+		if err != nil || trailing != 0 || n != want-req.Offset || next != want {
+			t.Fatalf("%s: decode: %d edges, next %d, %d trailing bytes, err %v", body, n, next, trailing, err)
+		}
+		if !slices.Equal(got, edges) {
+			t.Fatalf("%s: decoded edges differ from the block walk of [%d, %d)", body, req.Offset, want)
 		}
 	})
 }

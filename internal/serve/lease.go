@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"kronbip/internal/exec"
 	"kronbip/internal/obs"
 	"kronbip/internal/spec"
 	"kronbip/internal/wire"
@@ -161,34 +160,16 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		cuts = []int64{want}
 	}
 	out := newBinSink(w, cuts, req.Offset)
-	// The lease rides the ◊ batch walk, which prices every edge with its
+	// The lease rides the ◊ walk, which prices every edge with its
 	// 4-cycle count.  A fresh lease covers the whole block; a resumed one
 	// first ◊-sums the skipped prefix [0, offset) without emitting it,
 	// then seeks to its offset in closed form and batches the tail.
 	var fourSum int64
-	var sinkErr error
-	walk := func(lo, hi int64, emit bool) error {
-		return p.EachEdgeFourCycleBlockRangeBatchContext(r.Context(), req.Row, req.Rows, req.Col, req.Cols, lo, hi,
-			func(batch []exec.Edge, sq []int64) bool {
-				for _, s := range sq {
-					fourSum += s
-				}
-				if emit {
-					sinkErr = out.EdgeBatch(batch)
-				}
-				return sinkErr == nil
-			})
-	}
-	if req.Offset > 0 {
-		err = walk(0, req.Offset, false)
-	}
+	err = walkWindow(r.Context(), p, req.Row, req.Rows, req.Col, req.Cols, 0, req.Offset, nil, nil, &fourSum)
 	if err == nil {
-		err = walk(req.Offset, want, true)
+		err = walkWindow(r.Context(), p, req.Row, req.Rows, req.Col, req.Cols, req.Offset, want, out, nil, &fourSum)
 	}
-	if err == nil {
-		err = sinkErr
-	}
-	if ferr := out.Flush(); err == nil && ferr != nil {
+	if ferr := out.Flush(); err == nil {
 		err = ferr
 	}
 

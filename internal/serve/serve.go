@@ -40,13 +40,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"kronbip/internal/exec"
 	"kronbip/internal/obs"
 )
 
@@ -106,7 +107,8 @@ type Config struct {
 	// streams, block leases (POST /v1/leases) and audited jobs' checks.
 	// One more is answered 429 + Retry-After, so a client backs off and
 	// a dist-gen coordinator routes the block to another replica instead
-	// of queueing (default 2×GOMAXPROCS).
+	// of queueing (default twice the exec engine's default worker
+	// count, exec.Workers(0, ·)).
 	MaxWalks int
 	// Audit makes every job audited unless its request says otherwise
 	// (the per-request "audit" field overrides).
@@ -150,7 +152,7 @@ func (c Config) withDefaults() Config {
 		c.CacheSize = 128
 	}
 	if c.MaxWalks <= 0 {
-		c.MaxWalks = 2 * runtime.GOMAXPROCS(0)
+		c.MaxWalks = 2 * exec.Workers(0, math.MaxInt)
 	}
 	if c.SLOWindow <= 0 {
 		c.SLOWindow = time.Minute

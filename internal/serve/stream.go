@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"runtime"
 	"strconv"
 	"strings"
 
 	"kronbip/internal/audit"
+	"kronbip/internal/core"
 	"kronbip/internal/exec"
 	"kronbip/internal/wire"
 )
@@ -58,9 +58,9 @@ const (
 
 // streamSink is an HTTP text stream: exec's TextSink renders the edges
 // (ndjson or tsv) straight into its own write buffer, and the HTTP chunk
-// is flushed every streamFlushEdges edges.  It is used from a single
-// goroutine (the stream runs one shard, because an HTTP response is one
-// ordered byte stream).
+// is flushed every streamFlushEdges edges.  It is used from the one
+// goroutine that walks the stream (walkWindow), because an HTTP
+// response is one ordered byte stream.
 type streamSink struct {
 	text    *exec.TextSink
 	flusher http.Flusher
@@ -78,12 +78,6 @@ func newStreamSink(w http.ResponseWriter, ndjson bool) *streamSink {
 		s.flusher = f
 	}
 	return s
-}
-
-// Edge writes one line through EdgeBatch.
-func (s *streamSink) Edge(v, w int) error {
-	e := [1]exec.Edge{{V: v, W: w}}
-	return s.EdgeBatch(e[:])
 }
 
 // EdgeBatch renders the batch, cut at every streamFlushEdges-th edge,
@@ -121,13 +115,54 @@ func (s *streamSink) Flush() error {
 func (s *streamSink) count() int64 { return s.n }
 
 // edgeStreamSink is what the streaming handlers need from a rendering:
-// the batched sink vocabulary, a flush, and the sent-edge count for the
-// trailers.  streamSink (ndjson/tsv) and binSink (bin) implement it.
+// batches in, a flush, and the sent-edge count for the trailers.
+// streamSink (ndjson/tsv) and binSink (bin) implement it.
 type edgeStreamSink interface {
-	exec.Sink
 	EdgeBatch(edges []exec.Edge) error
 	Flush() error
 	count() int64
+}
+
+// walkWindow is serve's one walk of the product.  It walks edges
+// [lo, hi) of block (row, col) of a rows×cols grid of p's canonical
+// order (block-local offsets; a job stream is block (0,0) of 1×1) in
+// the walker's batches, on the calling goroutine.  Each batch goes to
+// out, the stream's encoder, when out is non-nil, and then to tap, the
+// stream's auditor, when tap is non-nil.  Given a non-nil fourSum it
+// walks the ◊ walker instead of the plain one and adds every walked
+// edge's 4-cycle count to *fourSum.  It returns the walk's error (bad
+// coordinates, a cancelled ctx) or else out's first error, which stops
+// the walk.
+func walkWindow(ctx context.Context, p *core.Product, row, rows, col, cols int, lo, hi int64,
+	out edgeStreamSink, tap *audit.StreamAuditor, fourSum *int64) error {
+	var outErr error
+	emit := func(batch []exec.Edge) bool {
+		if out != nil {
+			if outErr = out.EdgeBatch(batch); outErr != nil {
+				return false
+			}
+		}
+		if tap != nil {
+			_ = tap.EdgeBatch(batch) // a finding, never an error
+		}
+		return true
+	}
+	var err error
+	if fourSum != nil {
+		err = p.EachEdgeFourCycleBlockRangeBatchContext(ctx, row, rows, col, cols, lo, hi,
+			func(batch []exec.Edge, sq []int64) bool {
+				for _, s := range sq {
+					*fourSum += s
+				}
+				return emit(batch)
+			})
+	} else {
+		err = p.EachEdgeBlockRangeBatchContext(ctx, row, rows, col, cols, lo, hi, emit)
+	}
+	if err == nil {
+		err = outErr
+	}
+	return err
 }
 
 // parseStreamFormat resolves the requested rendering: the explicit
@@ -234,7 +269,7 @@ func (s *Server) handleJobEdges(w http.ResponseWriter, r *http.Request) {
 
 	// The stream runs under the request context AND the job context:
 	// client disconnects and DELETE /v1/jobs/{id} both abort it
-	// mid-flight through the exec engine's cancellation contract.
+	// mid-flight through the walker's batch cancellation contract.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	stop := context.AfterFunc(j.ctx, cancel)
@@ -246,48 +281,24 @@ func (s *Server) handleJobEdges(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Trailer", streamTrailers(auditOn))
 	w.WriteHeader(http.StatusOK)
 
-	var auditor *audit.Auditor
-	var auditCh exec.Sink
-	var sent int64
-	switch {
-	case format == "bin" && !auditOn:
-		// Binary streams (full or ranged) take the parallel span encoder:
-		// framing is offset-deterministic, so spans encode concurrently
-		// and concatenate into the exact serial byte stream.
-		sent, err = streamBinParallel(ctx, w, j.product, lo, hi, runtime.GOMAXPROCS(0))
-	default:
-		var out edgeStreamSink
-		if format == "bin" {
-			out = newBinSink(w, j.product.TermEdgeStarts(), lo)
-		} else {
-			out = newStreamSink(w, format == "ndjson")
-		}
-		if ranged {
-			// Range streams take the closed-form seek: no prefix work, no
-			// audit (rejected above), one ordered walk of [lo, hi).
-			var sinkErr error
-			err = j.product.EachEdgeRangeBatchContext(ctx, lo, hi, func(batch []exec.Edge) bool {
-				if e := out.EdgeBatch(batch); e != nil {
-					sinkErr = e
-					return false
-				}
-				return true
-			})
-			if err == nil {
-				err = sinkErr
-			}
-		} else {
-			sink := exec.Sink(out)
-			if auditOn {
-				auditor = audit.New(j.product, audit.Options{SampleEvery: s.cfg.AuditSample})
-				auditCh = auditor.Stream().ForShard()
-				sink = exec.MultiSink{out, auditCh}
-			}
-			err = j.product.StreamEdgesParallelContext(ctx, 1, func(int) exec.Sink { return sink })
-		}
-		_ = out.Flush() // deliver the tail even on an aborted stream
-		sent = out.count()
+	var out edgeStreamSink
+	if format == "bin" {
+		out = newBinSink(w, j.product.TermEdgeStarts(), lo)
+	} else {
+		out = newStreamSink(w, format == "ndjson")
 	}
+	var auditor *audit.Auditor
+	var tap *audit.StreamAuditor
+	if auditOn {
+		auditor = audit.New(j.product, audit.Options{SampleEvery: s.cfg.AuditSample})
+		tap = auditor.Stream()
+	}
+	err = walkWindow(ctx, j.product, 0, 1, 0, 1, lo, hi, out, tap, nil)
+	// Deliver the tail even on an aborted stream.
+	if ferr := out.Flush(); err == nil {
+		err = ferr
+	}
+	sent := out.count()
 
 	var report *audit.Report
 	if auditor != nil && err == nil {
@@ -312,11 +323,9 @@ func (s *Server) handleJobEdges(w http.ResponseWriter, r *http.Request) {
 				status = "audit-violation"
 			}
 		} else {
-			// Aborted audited stream or audit: fold the shard child's
-			// tallies and report the partial membership verdicts —
-			// announced trailers always arrive.
-			_ = exec.Finish(auditCh)
-			checks, violations := auditor.Stream().Partial()
+			// Aborted audited stream or audit: report the partial
+			// membership verdicts — announced trailers always arrive.
+			checks, violations := tap.Partial()
 			w.Header().Set(TrailerAuditChecks, strconv.FormatInt(checks, 10))
 			w.Header().Set(TrailerAuditViolations, strconv.FormatInt(violations, 10))
 		}

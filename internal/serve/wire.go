@@ -2,6 +2,7 @@ package serve
 
 import (
 	"io"
+	"net/http"
 
 	"kronbip/internal/exec"
 	"kronbip/internal/wire"
@@ -19,16 +20,14 @@ const (
 	WireFrameEdges = wire.FrameEdges
 )
 
-// binSink renders edges into binary wire frames, with the same
-// flush-every-streamFlushEdges cadence as the text streamSink.  It
-// implements exec.Sink and exec.BatchSink, so it rides the batched
-// generation hot path wherever streamSink does.  Frames accumulate in
-// the sink's own scratch and reach the writer in wireWriteTarget-sized
-// writes — the encoder is its own buffered writer, so no byte is
-// copied twice on the way to the socket.
+// binSink renders edge batches into binary wire frames, with the same
+// flush-every-streamFlushEdges cadence as the text streamSink.  Frames
+// accumulate in the sink's own scratch and reach the writer in
+// wireWriteTarget-sized writes — the encoder is its own buffered
+// writer, so no byte is copied twice on the way to the socket.
 type binSink struct {
 	w       io.Writer
-	flusher httpFlusher
+	flusher http.Flusher
 	frame   []exec.Edge // open frame, emitted when it reaches `end`
 	start   int64       // stream offset of frame[0]
 	end     int64       // target exclusive end of the open frame
@@ -43,11 +42,6 @@ type binSink struct {
 // encoded bytes are pending, they go to the writer in one Write.
 const wireWriteTarget = 1 << 17
 
-// httpFlusher is http.Flusher without the net/http dependency — the
-// encoder also writes into plain buffers (parallel span encoding, the
-// distgen consumer's tests), where no flusher exists.
-type httpFlusher interface{ Flush() }
-
 // newBinSink builds the encoder for a stream starting at offset start
 // of the space the hard-cut schedule describes (TermEdgeStarts for the
 // canonical order, BlockTermEdgeStarts for a block lease).
@@ -61,19 +55,11 @@ func newBinSink(w io.Writer, cuts []int64, start int64) *binSink {
 		// the encode loop never grows or bounds-trips mid-frame.
 		scratch: make([]byte, wireWriteTarget+wire.MaxFrameLen),
 	}
-	if f, ok := w.(httpFlusher); ok {
+	if f, ok := w.(http.Flusher); ok {
 		s.flusher = f
 	}
 	_, s.end = wire.FrameBounds(cuts, start)
 	return s
-}
-
-func (s *binSink) Edge(v, w int) error {
-	s.frame = append(s.frame, exec.Edge{V: v, W: w})
-	if s.start+int64(len(s.frame)) == s.end {
-		return s.emitFrame()
-	}
-	return nil
 }
 
 func (s *binSink) EdgeBatch(edges []exec.Edge) error {

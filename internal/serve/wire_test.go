@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
@@ -10,11 +9,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"kronbip/internal/core"
 	"kronbip/internal/exec"
@@ -98,17 +95,17 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireBatchMatchesPerEdge: feeding the encoder per-edge and in
-// arbitrary batch sizes produces identical bytes — framing depends only
-// on the stream offset, not on delivery granularity.
+// TestWireBatchMatchesPerEdge: feeding the encoder one-edge batches and
+// batches of arbitrary size produces identical bytes — framing depends
+// only on the stream offset, not on delivery granularity.
 func TestWireBatchMatchesPerEdge(t *testing.T) {
 	p := wireTestProduct(t)
 	edges := productEdges(p)[:10000]
 
 	rec := httptest.NewRecorder()
 	sink := newBinSink(rec, p.TermEdgeStarts(), 0)
-	for _, e := range edges {
-		if err := sink.Edge(e.V, e.W); err != nil {
+	for i := range edges {
+		if err := sink.EdgeBatch(edges[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,9 +272,10 @@ func TestDecodeWireMalformed(t *testing.T) {
 }
 
 // TestWireBytesPinned pins the bin bytes themselves, which no round trip
-// can see: the length and CRC-64 (ECMA) of three bodies the server
+// can see: the length and CRC-64 (ECMA) of four bodies the server
 // sends.  A change to the frame layout, the frame grid or the encoder
-// fails here even while encoder and decoder still agree.
+// fails here even while encoder and decoder still agree.  An audited
+// stream sends the unaudited stream's bytes.
 func TestWireBytesPinned(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	const specBody = `"factors":["biclique8x8","path4"],"mode":"selfloop"`
@@ -287,6 +285,7 @@ func TestWireBytesPinned(t *testing.T) {
 
 	full, _ := fetchBody(t, edges)
 	ranged, _ := fetchBody(t, edges+"&offset=5000&limit=20000")
+	audited, _ := fetchBody(t, edges+"&audit=1")
 	// Block (0,1) of a 2×3 grid holds 18520 edges in one term up to
 	// 16384; 8192 is a grid boundary inside it.
 	res := postLease(t, ts.URL, `{`+specBody+`,"row":0,"rows":2,"col":1,"cols":3,"format":"bin","offset":8192}`)
@@ -306,6 +305,7 @@ func TestWireBytesPinned(t *testing.T) {
 		{"full stream", full, 112281, 0x0a8b5b1ec140a686},
 		{"offset=5000&limit=20000", ranged, 40061, 0xa4f22a09ead88cc0},
 		{"lease (0,1) of 2x3 resumed at 8192", resumed, 20707, 0xddb404bc33056c0e},
+		{"audit=1", audited, 112281, 0x0a8b5b1ec140a686},
 	} {
 		if sum := crc64.Checksum(c.body, tab); len(c.body) != c.size || sum != c.sum {
 			t.Errorf("%s: %d bytes, CRC-64 %#016x; pinned %d bytes, %#016x", c.name, len(c.body), sum, c.size, c.sum)
@@ -315,9 +315,10 @@ func TestWireBytesPinned(t *testing.T) {
 
 // TestTextBytesPinned pins the text renderings the way
 // TestWireBytesPinned pins bin: the length and CRC-64 (ECMA) of the tsv
-// and ndjson job-stream bodies of wireTestProduct, whole and ranged.
-// Every text sink renders through exec.AppendTSV and exec.AppendNDJSON,
-// so a change to either, or to the sink's chunking, fails here.
+// and ndjson job-stream bodies of wireTestProduct, whole, ranged and
+// audited (the whole body's bytes).  Every text sink renders through
+// exec.AppendTSV and exec.AppendNDJSON, so a change to either, or to
+// the sink's chunking, fails here.
 func TestTextBytesPinned(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	st, _ := submitJob(t, ts.URL, `{"factors":["biclique8x8","path4"],"mode":"selfloop"}`)
@@ -334,6 +335,8 @@ func TestTextBytesPinned(t *testing.T) {
 		{"tsv&offset=5000&limit=20000", 156432, 0xa74a5dd1d927410a},
 		{"ndjson", 999735, 0x4e81c39fd300fd53},
 		{"ndjson&offset=5000&limit=20000", 356432, 0x9f9e83555aa1c394},
+		{"tsv&audit=1", 439095, 0xbfcacbd5351fadf2},
+		{"ndjson&audit=1", 999735, 0x4e81c39fd300fd53},
 	} {
 		body, _ := fetchBody(t, edges+c.query)
 		if sum := crc64.Checksum(body, tab); len(body) != c.size || sum != c.sum {
@@ -745,74 +748,12 @@ func parseFrame(t *testing.T, b []byte) (count int64, length int) {
 	return int64(cnt), length
 }
 
-// TestStreamBinParallelStalledWorker stalls the worker holding span 0
-// right after its claim while the other worker runs ahead.  The ordered
-// writer needs span 0 first, so the run must neither deadlock on the
-// span window nor change a byte of the serial encoding.
-func TestStreamBinParallelStalledWorker(t *testing.T) {
-	const workers = 2
-	old := wireSpanEdges
-	wireSpanEdges = int64(WireFrameEdges)
-	t.Cleanup(func() { wireSpanEdges, spanClaimed = old, nil })
-	p := wireTestProduct(t)
-	n := p.NumEdges()
-	nspans := len(wireSpans(p.TermEdgeStarts(), 0, n)) - 1
-	if nspans < 2*workers+2 {
-		t.Fatalf("only %d spans; the stall needs more than the window", nspans)
-	}
-	claimed := make(chan int, nspans)
-	spanClaimed = func(i int) {
-		claimed <- i
-		if i != 0 {
-			return
-		}
-		// Hold span 0 until the other worker has claimed a window's worth
-		// of later spans, or cannot claim more.
-		timeout := time.After(500 * time.Millisecond)
-		for {
-			select {
-			case j := <-claimed:
-				if j >= 2*workers {
-					return
-				}
-			case <-timeout:
-				return
-			}
-		}
-	}
-
-	done := make(chan error, 1)
-	rec := httptest.NewRecorder()
-	go func() {
-		_, err := streamBinParallel(context.Background(), rec, p, 0, n, workers)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("parallel span encoder deadlocked behind a stalled worker")
-	}
-	if want := encodeWire(t, p, productEdges(p), 0, n); !bytes.Equal(rec.Body.Bytes(), want) {
-		t.Fatal("stalled-worker stream differs from serial encoding")
-	}
-}
-
-// TestEdgesBinParallelSpans forces the multi-span parallel encoder
-// (span target lowered below the product size) and checks that the
-// endpoint's byte stream is identical to the serial encoder's — full,
-// at an unaligned offset — and that an aborted parallel stream still
-// honors the trailer contract.
+// TestEdgesBinParallelSpans checks that the endpoint's bin byte stream
+// is identical to a binSink fed the canonical order — full, and from
+// an unaligned offset — and that an aborted bin stream still honors
+// the trailer contract.  (The name predates the serial stream; it once
+// forced the parallel span encoder.)
 func TestEdgesBinParallelSpans(t *testing.T) {
-	old := wireSpanEdges
-	wireSpanEdges = int64(2 * WireFrameEdges)
-	t.Cleanup(func() { wireSpanEdges = old })
-
-	// The endpoint runs GOMAXPROCS span encoders; make that four.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-
 	p := wireTestProduct(t)
 	edges := productEdges(p)
 	n := p.NumEdges()
@@ -830,15 +771,15 @@ func TestEdgesBinParallelSpans(t *testing.T) {
 		t.Fatalf("trailer edges %q, want %d", sent, n)
 	}
 	if want := encodeWire(t, p, edges, 0, n); !bytes.Equal(got, want) {
-		t.Fatalf("parallel stream differs from serial encoding (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("stream differs from serial encoding (%d vs %d bytes)", len(got), len(want))
 	}
 
-	// An unaligned resume offset: the parallel path's first span starts
-	// off the frame grid, later boundaries snap back onto it.
+	// An unaligned resume offset: the first frame is short, later frame
+	// boundaries snap back onto the grid.
 	lo := int64(5000)
 	got, _ = fetchBody(t, base+fmt.Sprintf("?format=bin&offset=%d", lo))
 	if want := encodeWire(t, p, edges, lo, n); !bytes.Equal(got, want) {
-		t.Fatalf("parallel ranged stream from %d differs from serial encoding", lo)
+		t.Fatalf("ranged stream from %d differs from serial encoding", lo)
 	}
 
 	// Aborting mid-stream must still deliver the announced trailers.
@@ -847,9 +788,9 @@ func TestEdgesBinParallelSpans(t *testing.T) {
 	s.Handler().ServeHTTP(&abortWriter{ResponseRecorder: rec, allow: 64}, req)
 	resp := rec.Result()
 	if status := resp.Trailer.Get(TrailerStatus); status != "aborted" {
-		t.Fatalf("aborted parallel stream trailer status %q", status)
+		t.Fatalf("aborted stream trailer status %q", status)
 	}
 	if resp.Trailer.Get(TrailerEdges) == "" {
-		t.Fatal("aborted parallel stream sent no edge-count trailer")
+		t.Fatal("aborted stream sent no edge-count trailer")
 	}
 }
