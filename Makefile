@@ -10,8 +10,8 @@
 #   make distgen-smoke - distributed generation smoke: 3-replica fleet + dist-gen
 #   make fuzz       - bounded fuzzing of the edge-range walkers, the factor
 #                     statistics pass, the bin decoder, the text renderers,
-#                     the edges endpoint's query string and the lease body
-#                     (30 s each)
+#                     the edges endpoint's query string, the lease body and
+#                     the job body (30 s each)
 #   make check      - everything (what CI should run)
 
 GO ?= go
@@ -53,10 +53,12 @@ race:
 # FuzzAppendText — AppendTSV and AppendNDJSON against their strconv
 # oracle on any two int64 ids, prefix and spare capacity —,
 # FuzzEdgesQuery — GET /v1/jobs/{id}/edges with arbitrary format,
-# offset, limit and audit strings against the canonical walk — and
+# offset, limit and audit strings against the canonical walk —,
 # FuzzLeaseBody — POST /v1/leases with arbitrary block coordinates,
 # offset and format, or raw body bytes, against the block walk and its
-# Σ◊.
+# Σ◊ — and FuzzSubmitBody — raw POST /v1/jobs bodies and idempotency
+# keys, and GET /v1/truth factor, mode and seed strings, against the
+# locally built spec's edge count.
 # Minimizing a new input reruns the fuzz body for every candidate, so
 # the targets with costly bodies cap it at 100 calls instead of the
 # default minute, which would eat the whole budget.
@@ -67,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendText$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/exec
 	$(GO) test -run '^$$' -fuzz '^FuzzEdgesQuery$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzLeaseBody$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/serve
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkStream_' -benchtime 10x -benchmem .

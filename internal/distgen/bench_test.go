@@ -1,6 +1,8 @@
 package distgen
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"kronbip/internal/core"
+	"kronbip/internal/exec"
 	"kronbip/internal/serve"
 	"kronbip/internal/spec"
 )
@@ -54,8 +57,9 @@ func leasePayloads(tb testing.TB, sp spec.Spec, rows, cols int) (*core.Product, 
 }
 
 // benchMerge runs the coordinator's side of a run over pre-leased
-// payloads: each block decoded by coordinator.parseEdges (into its audit child when
-// opts.Audit, rendered when the output is text), then accepted and
+// payloads: each block received from a bytes.Reader by
+// coordinator.receive, which decodes it into its audit child when
+// opts.Audit and renders it when the output is text, then accepted and
 // merged.  No network inside the loop.
 func benchMerge(b *testing.B, sp spec.Spec, opts Options) {
 	const rows, cols = 4, 2
@@ -74,17 +78,23 @@ func benchMerge(b *testing.B, sp spec.Spec, opts Options) {
 		}
 		w := c.workers[0]
 		for bi, payload := range payloads {
-			res := &leaseResult{}
+			var auditCh exec.Sink
 			if c.auditStream != nil {
-				res.auditCh = c.auditStream.ForShard()
+				auditCh = c.auditStream.ForShard()
 			}
-			res.edges, res.buf, err = c.parseEdges(payload, res.auditCh, c.blocks[bi].want)
+			want := c.blocks[bi].want
+			rx, err := c.receive(bytes.NewReader(payload), nil, leaseBytesPerEdge*want, want, auditCh)
+			if err == nil {
+				err = rx.bad
+			}
 			if err != nil {
 				b.Fatal(err)
 			}
-			if want := c.blocks[bi].want; res.edges != want {
-				b.Fatalf("block %d parsed %d edges, want %d", bi, res.edges, want)
+			if rx.edges != want {
+				b.Fatalf("block %d parsed %d edges, want %d", bi, rx.edges, want)
 			}
+			res := c.result(rx)
+			res.auditCh = auditCh
 			c.complete(w, bi, false, res, nil)
 		}
 		if c.merged != p.NumEdges() {
@@ -108,4 +118,42 @@ func BenchmarkDistGenMerge(b *testing.B) {
 // merged as leased.
 func BenchmarkDistGenMergeBin(b *testing.B) {
 	benchMerge(b, spec.Spec{Factors: []string{"unicode"}, Mode: "selfloop"}, Options{Format: "bin", Audit: true})
+}
+
+// BenchmarkDistGenRun is one whole dist-gen run the way perfbench's
+// distgen-audit workload makes it: an audited bin Run of Table I's spec
+// over two in-process serve replicas on the default 2×3 plan — lease
+// transfer, receive, decode, audit and ordered merge — after one untimed
+// run that warms the replicas' spec caches.  It calls the package's
+// public API only, so the same function times any commit.
+func BenchmarkDistGenRun(b *testing.B) {
+	sp := spec.Spec{Factors: []string{"unicode"}, Mode: "selfloop"}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		s := serve.New(serve.Config{})
+		ts := httptest.NewServer(s.Handler())
+		b.Cleanup(func() {
+			ts.Close()
+			_ = s.Shutdown(5 * time.Second)
+		})
+		urls = append(urls, ts.URL)
+	}
+	opts := Options{Workers: urls, Format: "bin", Audit: true}
+	run := func() *Result {
+		res, err := Run(context.Background(), sp, discardWriter{}, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Rows != 2 || res.Cols != 3 || res.AuditViolations != 0 {
+			b.Fatalf("run: %dx%d grid, %d audit violations; want a clean 2x3 run", res.Rows, res.Cols, res.AuditViolations)
+		}
+		return res
+	}
+	edges := run().Edges
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
 }

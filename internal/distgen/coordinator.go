@@ -55,8 +55,9 @@ func failureBackoff(consec int) time.Duration {
 // blockState tracks one grid cell through the lease lifecycle.
 type blockState struct {
 	row, col int
-	want     int64  // closed-form edge count
-	buf      []byte // accepted block in the output rendering, held until merged in order
+	want     int64   // closed-form edge count
+	buf      []byte  // accepted block in the output rendering, held until merged in order
+	bp       *[]byte // buf's pooled block buffer (bin output), released once merged
 	done     bool
 	merged   bool
 	inflight int       // outstanding leases (1 normally, 2 with a speculative duplicate)
@@ -81,7 +82,8 @@ type workerState struct {
 
 // leaseResult is one finished lease attempt before acceptance.
 type leaseResult struct {
-	buf     []byte // the block in the output rendering
+	buf     []byte  // the block in the output rendering
+	bp      *[]byte // buf's pooled block buffer for a bin output; nil for text
 	edges   int64
 	four    int64 // the block's Σ◊, from the worker's TrailerFourSum
 	dur     time.Duration
@@ -106,6 +108,9 @@ type coordinator struct {
 	cols    int
 	traceID string
 	spanSeq atomic.Uint64
+	// stop cancels the run's context once the merge is decided, so no
+	// outstanding lease outlives it.
+	stop context.CancelFunc
 
 	auditor *audit.Auditor
 	// auditStream is materialized once here: Auditor.Stream()'s lazy init
@@ -133,6 +138,7 @@ func newCoordinator(p *core.Product, sp spec.Spec, out io.Writer, rows, cols int
 		rows:    rows,
 		cols:    cols,
 		traceID: randHex(16),
+		stop:    func() {}, // run replaces it with its context's cancel
 	}
 	// Every vertex id has at most the d digits of N−1, so a TSV line
 	// ("v\tw\n") is at most 2d+2 bytes and an NDJSON line
@@ -176,15 +182,19 @@ func newCoordinator(p *core.Product, sp spec.Spec, out io.Writer, rows, cols int
 }
 
 // run drives the worker loops to completion and assembles the Result.
+// The loops run under a context of their own, cancelled as soon as the
+// merge is decided (every block merged, or the run failed), so an
+// outstanding twin or a stalled replica never holds the result back.
 func (c *coordinator) run(ctx context.Context) (*Result, error) {
-	// Nothing pending at all (every block empty, e.g. an all-empty grid)
-	// still flushes the zero-length ordered merge below.
+	rctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	c.stop = cancel
 	var wg sync.WaitGroup
 	for _, w := range c.workers {
 		wg.Add(1)
 		go func(w *workerState) {
 			defer wg.Done()
-			c.workerLoop(ctx, w)
+			c.workerLoop(rctx, w)
 		}(w)
 	}
 	wg.Wait()
@@ -192,7 +202,7 @@ func (c *coordinator) run(ctx context.Context) (*Result, error) {
 	c.mu.Lock()
 	err := c.failed
 	if err == nil {
-		err = ctx.Err()
+		err = ctx.Err() // the caller's, not the run's own cancellation
 	}
 	fourSum := c.fourSum
 	res := &Result{
@@ -367,17 +377,35 @@ func parseRetryAfter(h string, now time.Time) time.Duration {
 // leaseBytesPerEdge bounds an honest lease body per edge.  A frame of
 // c ≤ wire.FrameEdges edges encodes to at most 12 + 20c bytes (a
 // two-byte count, a ten-byte start, two ten-byte varints per edge), so
-// at most 32 bytes an edge; 40 leaves room for a per-frame checksum.
+// at most 32 bytes an edge; 40 is that worst case plus slack.
 const leaseBytesPerEdge = 40
 
+// decodeStep is how many body bytes the receive loop lets arrive between
+// two decodes: enough to amortize a wire.Decode call, few enough that
+// decoding overlaps the transfer.
+const decodeStep = 64 << 10
+
+// blockPool recycles block buffers across leases and runs.  A lease body
+// is received into one, which goes back once its block is merged (bin)
+// or rendered (text), so a warm run allocates no body bytes.
+var blockPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// releaseBlock returns a block buffer to blockPool; nil is a no-op.
+func releaseBlock(bp *[]byte) {
+	if bp != nil {
+		*bp = (*bp)[:0]
+		blockPool.Put(bp)
+	}
+}
+
 // lease executes one POST /v1/leases round trip for block b against w:
-// issue with the run's correlation identity, read the payload (at most
-// its closed-form ceiling), verify the trailer, decode every frame —
-// feeding the un-merged audit child when auditing and rendering the
-// output when it is text — check the closed-form count, and read the
-// block's Σ◊ trailer.  Any discrepancy is an error — the worker is not
-// trusted, the closed forms are; a missing or malformed Σ◊ fails the
-// lease, and a wrong one fails the run's final 4·□ check.
+// issue with the run's correlation identity, receive the payload (at
+// most its closed-form ceiling) while decoding its frames — feeding the
+// un-merged audit child when auditing and rendering the output when it
+// is text — then verify the trailer, check the closed-form count, and
+// read the block's Σ◊ trailer.  Any discrepancy is an error — the
+// worker is not trusted, the closed forms are; a missing or malformed
+// Σ◊ fails the lease, and a wrong one fails the run's final 4·□ check.
 //
 // base/banked are the block's resume snapshot: the worker is asked for
 // the tail from block-local offset base, and the accepted payload is
@@ -410,7 +438,9 @@ func (c *coordinator) lease(ctx context.Context, w *workerState, b *blockState, 
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusTooManyRequests:
-		io.Copy(io.Discard, resp.Body)
+		// Bounded like the error path below: a 429 body that never ends
+		// must not hold the worker.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
 		now := time.Now()
 		d := parseRetryAfter(resp.Header.Get("Retry-After"), now)
 		// The floor only raises the park; a server asking for longer is
@@ -425,63 +455,41 @@ func (c *coordinator) lease(ctx context.Context, w *workerState, b *blockState, 
 			w.url, b.row, b.col, resp.StatusCode, bytes.TrimSpace(msg))
 	}
 	n := b.want - base
-	ceiling := leaseBytesPerEdge * n
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, ceiling+1))
-	if err == nil && int64(len(payload)) > ceiling {
-		payload = payload[:ceiling]
-		err = fmt.Errorf("body exceeds the %d-byte ceiling of %d edges", ceiling, n)
-	}
-	if err != nil {
-		return salvage(base, n, payload),
-			fmt.Errorf("distgen: worker %s: lease (%d,%d): read: %w", w.url, b.row, b.col, err)
-	}
-	if st := resp.Trailer.Get(wire.TrailerStatus); st != "complete" {
-		return salvage(base, n, payload),
-			fmt.Errorf("distgen: worker %s: lease (%d,%d): trailer status %q", w.url, b.row, b.col, st)
-	}
-	res := &leaseResult{dur: time.Since(start), base: base}
-	if base > 0 {
-		// Reassemble the whole block: banked complete frames + resumed
-		// tail.  Frame boundaries are a pure function of the offset, so
-		// this is the byte stream an uninterrupted lease would have sent,
-		// and the decode below re-verifies every frame of it (bank
-		// included) before acceptance.
-		assembled := make([]byte, 0, len(banked)+len(payload))
-		assembled = append(assembled, banked...)
-		payload = append(assembled, payload...)
-	}
+	var auditCh exec.Sink
 	if c.auditStream != nil {
-		res.auditCh = c.auditStream.ForShard()
+		auditCh = c.auditStream.ForShard()
 	}
-	res.edges, res.buf, err = c.parseEdges(payload, res.auditCh, b.want)
+	rx, err := c.receive(resp.Body, banked, leaseBytesPerEdge*n, b.want, auditCh)
+	st := resp.Trailer.Get(wire.TrailerStatus)
+	switch {
+	case rx.bad != nil:
+		err = rx.bad // a malformed frame banks nothing
+	case err != nil:
+		return rx.salvage(len(banked), base, n),
+			fmt.Errorf("distgen: worker %s: lease (%d,%d): read: %w", w.url, b.row, b.col, err)
+	case st != "complete":
+		return rx.salvage(len(banked), base, n),
+			fmt.Errorf("distgen: worker %s: lease (%d,%d): trailer status %q", w.url, b.row, b.col, st)
+	case rx.done != len(*rx.bp):
+		// A complete lease frames its whole block from offset 0; the
+		// truncated tail a dropped lease may leave is an error here.
+		err = fmt.Errorf("truncated payload: %d trailing bytes after the last complete frame", len(*rx.bp)-rx.done)
+	case rx.edges != b.want:
+		err = fmt.Errorf("streamed %d edges, closed form says %d", rx.edges, b.want)
+	}
+	var four int64
+	if err == nil {
+		if four, err = strconv.ParseInt(resp.Trailer.Get(wire.TrailerFourSum), 10, 64); err != nil {
+			err = fmt.Errorf("trailer %s: %w", wire.TrailerFourSum, err)
+		}
+	}
 	if err != nil {
+		releaseBlock(rx.bp)
 		return nil, fmt.Errorf("distgen: worker %s: lease (%d,%d): %w", w.url, b.row, b.col, err)
 	}
-	if res.edges != b.want {
-		return nil, fmt.Errorf("distgen: worker %s: lease (%d,%d): streamed %d edges, closed form says %d",
-			w.url, b.row, b.col, res.edges, b.want)
-	}
-	if res.four, err = strconv.ParseInt(resp.Trailer.Get(wire.TrailerFourSum), 10, 64); err != nil {
-		return nil, fmt.Errorf("distgen: worker %s: lease (%d,%d): trailer %s: %w",
-			w.url, b.row, b.col, wire.TrailerFourSum, err)
-	}
+	res := c.result(rx)
+	res.four, res.dur, res.base, res.auditCh = four, time.Since(start), base, auditCh
 	return res, nil
-}
-
-// salvage extracts the complete-frame prefix of a failed lease's
-// payload, issued at block-local offset base for n edges.  A payload
-// whose framing does not decode cleanly from base, or whose frames carry
-// more than n edges, is dropped wholesale — resume only trusts bytes the
-// wire format and the closed form can vouch for.
-func salvage(base, n int64, payload []byte) *leaseResult {
-	if len(payload) == 0 {
-		return nil
-	}
-	edges, _, trailing, err := wire.Decode(payload, base, nil)
-	if err != nil || edges == 0 || edges > n {
-		return nil
-	}
-	return &leaseResult{base: base, partial: payload[:len(payload)-trailing], partialEdges: edges}
 }
 
 // factorsJSON renders a factor list as a JSON string array (factor specs
@@ -499,58 +507,121 @@ func factorsJSON(fs []string) string {
 	return sb.String()
 }
 
-// parseEdges decodes a whole-block lease payload, validating its
-// framing and counting its edges.  Each frame goes to the audit child
-// when one is supplied and, for a text output, is appended to the
-// returned text; for bin the returned output is the payload itself.
-// The text is allocated once, at want (the block's closed-form count)
-// widest lines, so it never regrows and an untrusted payload cannot
-// size it.
-func (c *coordinator) parseEdges(payload []byte, auditCh exec.Sink, want int64) (n int64, out []byte, err error) {
-	var text []byte
+// received is one lease body as the receive loop left it.
+type received struct {
+	bp    *[]byte // pooled block buffer: the banked frames, then the body
+	done  int     // length of its complete-frame prefix
+	edges int64   // edges in that prefix, from block offset 0
+	text  []byte  // their rendering, for a text output
+	bad   error   // malformed framing, which stopped the read
+}
+
+// receive reads a lease body into a pooled block buffer headed by the
+// banked frames, and decodes the buffer's complete frames with
+// wire.Decode as it fills — once decodeStep bytes have arrived since the
+// last decode, and at the end — into auditCh when non-nil and, for a
+// text output, into a rendering presized for want edges.  Decoding
+// starts at block offset 0, so the same pass re-verifies the bank and
+// enforces frame contiguity.  The buffer grows by doubling, never past
+// the bank plus ceiling+1 bytes.  err is the read's error, or the
+// ceiling's once the body passes it (the byte past the ceiling is
+// dropped); a malformed frame stops the read and lands in rx.bad.
+func (c *coordinator) receive(body io.Reader, banked []byte, ceiling, want int64, auditCh exec.Sink) (rx received, err error) {
+	rx.bp = blockPool.Get().(*[]byte)
+	buf := append((*rx.bp)[:0], banked...)
+	limit := len(banked) + int(ceiling) + 1
 	if c.render != nil {
-		text = make([]byte, 0, want*c.lineMax)
+		rx.text = make([]byte, 0, want*c.lineMax)
 	}
 	var yield func(frame []exec.Edge)
 	if auditCh != nil || c.render != nil {
+		fed := int64(0)
 		yield = func(frame []exec.Edge) {
+			// Frames past the closed form fail the lease anyway: audit
+			// and render none of them, so the rendering never regrows.
+			if fed += int64(len(frame)); fed > want {
+				return
+			}
 			if auditCh != nil {
 				// The audit child samples a batch at the per-edge cadence.
 				_ = exec.DeliverBatch(auditCh, frame)
 			}
 			if c.render != nil {
-				text = c.render(text, frame)
+				rx.text = c.render(rx.text, frame)
 			}
 		}
 	}
-	// A whole-block payload frames from block-local offset 0; the
-	// decoder enforces contiguity, and a truncated tail — tolerated on
-	// the salvage path — is a hard error here.
-	n, _, trailing, err := wire.Decode(payload, 0, yield)
-	if err != nil {
-		return n, nil, err
+	next, fresh := int64(0), len(buf)
+	for rx.bad == nil {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(max(2*cap(buf), decodeStep), limit))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, rerr := body.Read(buf[len(buf):min(cap(buf), limit)])
+		buf, fresh = buf[:len(buf)+n], fresh+n
+		if len(buf) == limit {
+			buf = buf[:limit-1]
+			rerr = fmt.Errorf("body exceeds the %d-byte ceiling of %d edges", ceiling, ceiling/leaseBytesPerEdge)
+		}
+		if rerr == nil && fresh < decodeStep {
+			continue
+		}
+		var edges int64
+		var trailing int
+		edges, next, trailing, rx.bad = wire.Decode(buf[rx.done:], next, yield)
+		rx.edges += edges
+		rx.done, fresh = len(buf)-trailing, 0
+		if rerr != nil {
+			if rerr != io.EOF {
+				err = rerr
+			}
+			break
+		}
 	}
-	if trailing != 0 {
-		return n, nil, fmt.Errorf("truncated payload: %d trailing bytes after the last complete frame", trailing)
+	*rx.bp = buf
+	return rx, err
+}
+
+// salvage releases a failed lease's block buffer and returns a copy of
+// the complete frames its body added after the bank's head bytes, which
+// the lease was issued for at block offset base.  Frames carrying more
+// than the lease's n edges are dropped wholesale — resume only trusts
+// bytes the wire format and the closed form can vouch for.
+func (rx received) salvage(head int, base, n int64) *leaseResult {
+	defer releaseBlock(rx.bp)
+	edges := rx.edges - base
+	if edges <= 0 || edges > n {
+		return nil
 	}
+	return &leaseResult{base: base, partial: append([]byte(nil), (*rx.bp)[head:rx.done]...), partialEdges: edges}
+}
+
+// result hands a verified block over as a lease result.  A bin output
+// is the block buffer itself, which goes back to the pool once merged;
+// a text output is the rendering, and the buffer goes back now.
+func (c *coordinator) result(rx received) *leaseResult {
 	if c.render == nil {
-		return n, payload, nil
+		return &leaseResult{buf: *rx.bp, bp: rx.bp, edges: rx.edges}
 	}
-	return n, text, nil
+	releaseBlock(rx.bp)
+	return &leaseResult{buf: rx.text, edges: rx.edges}
 }
 
 // complete books one lease outcome: accept the first result for a block
 // (dedup — later duplicates are dropped before output, audit or the Σ◊
 // tally), merge accepted blocks in (row, col)-major order, re-queue
-// failed blocks, and park 429'd workers.
+// failed blocks, and park 429'd workers.  Once the merge is decided it
+// stops the run, cancelling every outstanding lease.
 func (c *coordinator) complete(w *workerState, bi int, speculative bool, res *leaseResult, err error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	b := c.blocks[bi]
 	b.inflight--
 	switch {
 	case err == nil && !b.done:
 		b.done = true
-		b.buf = res.buf
+		b.buf, b.bp = res.buf, res.bp
 		c.fourSum += res.four
 		b.part, b.partEdges = nil, 0 // the bank is folded into buf
 		c.doneCount++
@@ -573,6 +644,7 @@ func (c *coordinator) complete(w *workerState, bi int, speculative bool, res *le
 		// A duplicate (speculative or post-timeout) finishing second:
 		// verified fine, but its twin already delivered the block.
 		w.consecFails = 0
+		releaseBlock(res.bp)
 		mDuplicatesDrop.Inc()
 	default:
 		var be *backoffError
@@ -583,12 +655,17 @@ func (c *coordinator) complete(w *workerState, bi int, speculative bool, res *le
 			// A 429 never reached generation: re-queue without charging
 			// the block an attempt.
 			c.requeueLocked(bi)
+		} else if b.done {
+			// A twin failing after the block was delivered — often
+			// cancelled because the merge was decided — is dropped like a
+			// duplicate, charging neither the block nor the worker.
+			mDuplicatesDrop.Inc()
 		} else {
-			if res != nil && res.partialEdges > 0 && !b.done && b.partEdges == res.base {
+			if res != nil && res.partialEdges > 0 && b.partEdges == res.base {
 				// Bank the failed lease's complete frames.  The base guard
 				// keeps the bank contiguous: a speculative twin that banked
-				// (or delivered) first makes this salvage stale, and stale
-				// partials are simply dropped.
+				// first makes this salvage stale, and stale partials are
+				// simply dropped.
 				b.part = append(b.part, res.partial...)
 				b.partEdges += res.partialEdges
 			}
@@ -611,7 +688,9 @@ func (c *coordinator) complete(w *workerState, bi int, speculative bool, res *le
 			}
 		}
 	}
-	c.mu.Unlock()
+	if c.failed != nil || c.nextWrite == len(c.blocks) {
+		c.stop()
+	}
 }
 
 // requeueLocked puts a block back on the pending queue unless it is done
@@ -641,7 +720,8 @@ func (c *coordinator) flushLocked() {
 		}
 		c.merged += b.want
 		mEdgesMerged.Add(b.want)
-		b.buf = nil
+		releaseBlock(b.bp)
+		b.buf, b.bp = nil, nil
 		b.merged = true
 		c.nextWrite++
 	}

@@ -36,7 +36,8 @@
 // results for a block (speculative re-issue, a slow worker finishing
 // after its replacement) are discarded before they reach the output or
 // the auditor, so the merged stream carries each block exactly once, in
-// deterministic (row, col)-major block order.
+// deterministic (row, col)-major block order.  A run ends as soon as its
+// merge is decided, cancelling any lease still outstanding.
 //
 // Scheduling is pull-based: each replica's loop takes the next pending
 // block when it is free, so fast workers naturally take more of the
@@ -233,9 +234,12 @@ func plan(p *core.Product, o Options) (rows, cols int) {
 // Run generates sp's product across the worker fleet and writes the
 // merged edge stream to out in (row, col)-major block order — a
 // deterministic permutation of the canonical order (identical to it
-// when the grid is 1×1).  The spec is built locally too: the coordinator
-// needs only the O(|E_C|^(1/2)) factor state to price, verify and audit
-// everything the fleet produces.
+// when the grid is 1×1), one Write per non-empty block; out must not
+// keep the slice a Write is given.  The spec is built locally too: the
+// coordinator needs only the O(|E_C|^(1/2)) factor state to price,
+// verify and audit everything the fleet produces.  Run returns once
+// every block is merged or the run has failed, without waiting for
+// outstanding speculative twins.
 func Run(ctx context.Context, sp spec.Spec, out io.Writer, opts Options) (*Result, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {

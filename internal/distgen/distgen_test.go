@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -333,6 +334,216 @@ func TestRunHonors429Backoff(t *testing.T) {
 	}
 	if satStats.Leases != 0 {
 		t.Fatalf("saturated worker somehow completed a lease: %+v", satStats)
+	}
+}
+
+// cleanRun is one tsv run of testSpec over a fresh healthy fleet on a
+// rows×cols grid: the bytes every faulted run of that grid must merge.
+func cleanRun(t *testing.T, rows, cols int) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if _, err := Run(context.Background(), testSpec, &out, Options{
+		Workers: newFleet(t, 2, nil), Rows: rows, Cols: cols,
+	}); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	return out.Bytes()
+}
+
+// workerStats finds one replica's share of a run.
+func workerStats(t *testing.T, res *Result, url string) WorkerStats {
+	t.Helper()
+	for _, w := range res.Workers {
+		if w.URL == url {
+			return w
+		}
+	}
+	t.Fatalf("no stats for worker %s in %+v", url, res.Workers)
+	return WorkerStats{}
+}
+
+// TestRunReturnsOnceTwinDelivers: one replica sends the headers of its
+// first lease and then stalls.  A speculative twin on the other replica
+// delivers the block, and Run returns at once, not after the default
+// two-minute lease timeout, with the clean run's bytes; the cancelled
+// twin is neither a failure nor a retry.
+func TestRunReturnsOnceTwinDelivers(t *testing.T) {
+	var stalled atomic.Bool
+	release := make(chan struct{})
+	urls := newFleet(t, 2, func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/leases" || !stalled.CompareAndSwap(false, true) {
+				h.ServeHTTP(w, r)
+				return
+			}
+			io.Copy(io.Discard, r.Body) // so the server notices the client leave
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+		})
+	})
+	t.Cleanup(func() { close(release) }) // runs before the fleet closes
+	want := cleanRun(t, 2, 2)
+
+	start := time.Now()
+	var out bytes.Buffer
+	res, err := Run(context.Background(), testSpec, &out, Options{Workers: urls, Rows: 2, Cols: 2})
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("Run took %v after the twin delivered", took)
+	}
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !stalled.Load() {
+		t.Fatal("the stalling replica was never leased a block")
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("merged %d bytes that differ from the clean run's %d", out.Len(), len(want))
+	}
+	if res.Retries != 1 {
+		t.Fatalf("%d retries, want 1: the speculative twin only", res.Retries)
+	}
+	if st := workerStats(t, res, urls[0]); st.Failures != 0 {
+		t.Fatalf("the cancelled twin counted as a failure: %+v", st)
+	}
+}
+
+// TestRunReturnsDespiteEndless429: one replica answers every lease 429
+// with a body that never ends.  The coordinator drains at most 512
+// bytes of it and parks the replica, the other replica delivers every
+// block, and Run returns at once with the clean run's bytes and without
+// a retry or a failure.
+func TestRunReturnsDespiteEndless429(t *testing.T) {
+	var hits atomic.Int64
+	release := make(chan struct{})
+	urls := newFleet(t, 2, func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/leases" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			hits.Add(1)
+			io.Copy(io.Discard, r.Body)
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			chunk := bytes.Repeat([]byte("saturated\n"), 100)
+			tick := time.NewTicker(10 * time.Millisecond)
+			defer tick.Stop()
+			for {
+				if _, err := w.Write(chunk); err != nil {
+					return
+				}
+				w.(http.Flusher).Flush()
+				select {
+				case <-r.Context().Done():
+					return
+				case <-release:
+					return
+				case <-tick.C:
+				}
+			}
+		})
+	})
+	t.Cleanup(func() { close(release) }) // runs before the fleet closes
+	want := cleanRun(t, 4, 2)
+
+	start := time.Now()
+	var out bytes.Buffer
+	res, err := Run(context.Background(), testSpec, &out, Options{Workers: urls, Rows: 4, Cols: 2})
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("Run took %v", took)
+	}
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if hits.Load() == 0 {
+		t.Fatal("the saturated replica was never asked for a lease")
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("merged %d bytes that differ from the clean run's %d", out.Len(), len(want))
+	}
+	st := workerStats(t, res, urls[0])
+	if res.Retries != 0 || st.Failures != 0 || st.Backoffs == 0 {
+		t.Fatalf("retries %d, saturated replica %+v: want no retry or failure, and a backoff", res.Retries, st)
+	}
+}
+
+// blockWriter keeps every Write it is given as one block.
+type blockWriter struct{ writes [][]byte }
+
+func (w *blockWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestRunWritesOneBlockPerWrite pins the merge's contract with its
+// writer, on which perfbench's reference op relies: one Write per
+// non-empty block, in (row, col) order, holding the whole block in the
+// output rendering — and never data the writer must not retain, so the
+// block buffer may be reused once Write returns.
+func TestRunWritesOneBlockPerWrite(t *testing.T) {
+	const rows, cols = 3, 2
+	urls := newFleet(t, 2, nil)
+	p := testProduct(t)
+	for _, format := range []string{"bin", "tsv", "ndjson"} {
+		var w blockWriter
+		if _, err := Run(context.Background(), testSpec, &w, Options{
+			Workers: urls, Rows: rows, Cols: cols, Format: format, Audit: true,
+		}); err != nil {
+			t.Fatalf("%s run: %v", format, err)
+		}
+		i := 0
+		for r := 0; r < rows; r++ {
+			for col := 0; col < cols; col++ {
+				want, err := p.BlockEdgeCount(r, rows, col, cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == 0 {
+					continue
+				}
+				var edges []exec.Edge
+				if err := p.EachEdgeBlockRangeBatchContext(context.Background(), r, rows, col, cols, 0, want, func(b []exec.Edge) bool {
+					edges = append(edges, b...)
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if i == len(w.writes) {
+					t.Fatalf("%s: %d writes, block (%d,%d) never written", format, len(w.writes), r, col)
+				}
+				got := w.writes[i]
+				i++
+				switch format {
+				case "bin":
+					var dec []exec.Edge
+					n, _, trailing, err := wire.Decode(got, 0, func(f []exec.Edge) { dec = append(dec, f...) })
+					if err != nil || trailing != 0 || n != want || !slices.Equal(dec, edges) {
+						t.Fatalf("bin write %d is not block (%d,%d): %d edges, %d trailing bytes, err %v", i, r, col, n, trailing, err)
+					}
+				case "tsv":
+					if !bytes.Equal(got, exec.AppendTSV(nil, edges)) {
+						t.Fatalf("tsv write %d is not block (%d,%d)", i, r, col)
+					}
+				default:
+					if !bytes.Equal(got, exec.AppendNDJSON(nil, edges)) {
+						t.Fatalf("ndjson write %d is not block (%d,%d)", i, r, col)
+					}
+				}
+			}
+		}
+		if i != len(w.writes) {
+			t.Fatalf("%s: %d writes for %d non-empty blocks", format, len(w.writes), i)
+		}
 	}
 }
 

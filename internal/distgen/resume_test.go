@@ -4,19 +4,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"kronbip/internal/exec"
 	"kronbip/internal/serve"
+	"kronbip/internal/spec"
 	"kronbip/internal/wire"
 )
 
@@ -226,7 +230,8 @@ func TestRunTextRendersBin(t *testing.T) {
 
 // TestParseEdgesTextNeverRegrows: a block's text rendering is allocated
 // once, at its closed-form count times the widest line, and never
-// regrows; the widest line is the rendering of the largest vertex ids.
+// regrows while the receive loop decodes the block into it; the widest
+// line is the rendering of the largest vertex ids.
 func TestParseEdgesTextNeverRegrows(t *testing.T) {
 	const rows, cols = 3, 2
 	p, payloads, _ := leasePayloads(t, testSpec, rows, cols)
@@ -245,7 +250,12 @@ func TestParseEdgesTextNeverRegrows(t *testing.T) {
 		}
 		for bi, payload := range payloads {
 			b := c.blocks[bi]
-			n, text, err := c.parseEdges(payload, nil, b.want)
+			rx, err := c.receive(bytes.NewReader(payload), nil, leaseBytesPerEdge*b.want, b.want, nil)
+			if err == nil {
+				err = rx.bad
+			}
+			n, text := rx.edges, rx.text
+			releaseBlock(rx.bp)
 			if err != nil || n != b.want {
 				t.Fatalf("%s block (%d,%d): parsed %d of %d edges: %v", format, b.row, b.col, n, b.want, err)
 			}
@@ -295,11 +305,13 @@ func frameLen(b []byte) int {
 	return off
 }
 
-// truncatingHandler cuts its first lease response mid-frame: the first
-// complete frame plus a few bytes of the second reach the wire, then
-// the connection drops with no trailers.  Every lease body is recorded.
+// truncatingHandler cuts its first lease response: the first cutAt
+// bytes of the body reach the wire — by default the first complete
+// frame plus a few bytes of the second — then the connection drops
+// with no trailers.  Every lease body is recorded.
 type truncatingHandler struct {
 	h     http.Handler
+	cutAt func(payload []byte) int // bytes of the first lease to send; nil for the default cut
 	fired atomic.Bool
 	mu    sync.Mutex
 	offs  []int64 // block-local offsets of every lease request, in order
@@ -322,14 +334,20 @@ func (th *truncatingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec := httptest.NewRecorder()
 	th.h.ServeHTTP(rec, r)
 	payload := rec.Body.Bytes()
-	cut := frameLen(payload)
-	if cut == 0 || cut+5 >= len(payload) {
-		// The harness depends on the block spanning at least two frames;
-		// flag a bad spec choice instead of silently passing through.
-		panic(fmt.Sprintf("truncation point %d of %d: test spec does not produce a multi-frame block", cut, len(payload)))
+	var cut int
+	if th.cutAt != nil {
+		cut = th.cutAt(payload)
+	} else {
+		cut = frameLen(payload)
+		if cut == 0 || cut+5 >= len(payload) {
+			// The harness depends on the block spanning at least two frames;
+			// flag a bad spec choice instead of silently passing through.
+			panic(fmt.Sprintf("truncation point %d of %d: test spec does not produce a multi-frame block", cut, len(payload)))
+		}
+		cut += 5
 	}
 	w.WriteHeader(http.StatusOK)
-	w.Write(payload[:cut+5])
+	w.Write(payload[:cut])
 	if f, ok := w.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -416,5 +434,211 @@ func TestRunBinResumeAfterTruncation(t *testing.T) {
 					faulted.Len(), clean.Len())
 			}
 		})
+	}
+}
+
+// cutSpec is the cut matrix's product: its one-block lease spans 15
+// frames and 112,281 bytes, so every cut below is a distinct place in
+// the body and the receive loop decodes it in more than one step.
+var cutSpec = spec.Spec{Factors: []string{"biclique8x8", "path4"}, Mode: "selfloop"}
+
+// frameEnds lists, for every complete frame at the head of a block
+// payload, the byte offset just past it and the block-local edge offset
+// after it.
+func frameEnds(b []byte) (at []int, next []int64) {
+	for off := 0; ; {
+		n := frameLen(b[off:])
+		if n == 0 {
+			return at, next
+		}
+		count, _ := binary.Uvarint(b[off:])
+		off += n
+		e := int64(count)
+		if len(next) > 0 {
+			e += next[len(next)-1]
+		}
+		at, next = append(at, off), append(next, e)
+	}
+}
+
+// TestRunResumeCutMatrix: whichever byte the first lease of a block is
+// cut at, the coordinator banks exactly the complete frames that
+// arrived, resumes from the last complete frame boundary, and merges
+// the bytes of a run that never saw the fault — for every output
+// rendering.  The cuts: nothing; each of the first frame's count,
+// start and v0 varints missing its last byte; exactly at each of the
+// first three frame boundaries and one byte past each; the body minus
+// its last byte; and the whole body with the connection dropped before
+// the trailers, which resumes at offset == want.
+func TestRunResumeCutMatrix(t *testing.T) {
+	_, payloads, _ := leasePayloads(t, cutSpec, 1, 1)
+	payload := payloads[0]
+	at, next := frameEnds(payload)
+	if len(at) < 4 || at[len(at)-1] != len(payload) {
+		t.Fatalf("cut spec frames end at %v of %d bytes: want at least four whole frames", at, len(payload))
+	}
+	var hdr [3]int // byte offsets past the first frame's count, start and v0
+	for i, off := 0, 0; i < len(hdr); i++ {
+		_, n := binary.Uvarint(payload[off:])
+		off += n
+		hdr[i] = off
+	}
+	cuts := []struct {
+		name string
+		at   int
+	}{
+		{"nothing", 0},
+		{"in count", hdr[0] - 1},
+		{"in start", hdr[1] - 1},
+		{"in v0", hdr[2] - 1},
+		{"at frame 1", at[0]}, {"past frame 1", at[0] + 1},
+		{"at frame 2", at[1]}, {"past frame 2", at[1] + 1},
+		{"at frame 3", at[2]}, {"past frame 3", at[2] + 1},
+		{"all but a byte", len(payload) - 1},
+		{"no trailers", len(payload)},
+	}
+	for _, format := range []string{"bin", "tsv", "ndjson"} {
+		var clean bytes.Buffer
+		if _, err := Run(context.Background(), cutSpec, &clean, Options{
+			Workers: newFleet(t, 1, nil), Rows: 1, Cols: 1, Format: format,
+		}); err != nil {
+			t.Fatalf("%s clean run: %v", format, err)
+		}
+		for _, cut := range cuts {
+			// The retry resumes at the last frame boundary the cut kept.
+			resume := int64(0)
+			for i := range at {
+				if at[i] <= cut.at {
+					resume = next[i]
+				}
+			}
+			t.Run(format+"/"+cut.name, func(t *testing.T) {
+				var th *truncatingHandler
+				urls := newFleet(t, 1, func(i int, h http.Handler) http.Handler {
+					th = &truncatingHandler{h: h, cutAt: func([]byte) int { return cut.at }}
+					return th
+				})
+				var out bytes.Buffer
+				res, err := Run(context.Background(), cutSpec, &out, Options{
+					Workers: urls, Rows: 1, Cols: 1, Format: format, Audit: true,
+				})
+				if err != nil {
+					t.Fatalf("cut at byte %d: %v", cut.at, err)
+				}
+				if res.AuditChecks == 0 || res.AuditViolations != 0 {
+					t.Fatalf("audit checks=%d violations=%d", res.AuditChecks, res.AuditViolations)
+				}
+				th.mu.Lock()
+				offs := append([]int64(nil), th.offs...)
+				th.mu.Unlock()
+				if !th.fired.Load() || len(offs) != 2 || offs[0] != 0 || offs[1] != resume {
+					t.Fatalf("cut at byte %d: lease offsets %v, want [0 %d]", cut.at, offs, resume)
+				}
+				if !bytes.Equal(out.Bytes(), clean.Bytes()) {
+					t.Fatalf("cut at byte %d: merged %d bytes that differ from the clean run's %d", cut.at, out.Len(), clean.Len())
+				}
+			})
+		}
+	}
+}
+
+// edgeLog is an audit child that keeps every edge it is fed.
+type edgeLog struct{ edges []exec.Edge }
+
+func (l *edgeLog) Edge(v, w int) error {
+	l.edges = append(l.edges, exec.Edge{V: v, W: w})
+	return nil
+}
+
+func (l *edgeLog) EdgeBatch(edges []exec.Edge) error {
+	l.edges = append(l.edges, edges...)
+	return nil
+}
+
+// TestReceiveMatchesWholeRead: the receive loop yields the same edges,
+// keeps the same bytes and complete-frame prefix, and reports the same
+// error as one whole read — io.ReadAll of the body capped at ceiling+1
+// bytes, then one wire.Decode of bank + body — whatever sizes its reads
+// come in.  A malformed frame stops the read early, so there only the
+// prefix before it is compared.
+func TestReceiveMatchesWholeRead(t *testing.T) {
+	p, payloads, _ := leasePayloads(t, cutSpec, 1, 1)
+	payload, want := payloads[0], p.NumEdges()
+	at, next := frameEnds(payload)
+	opts, err := Options{Workers: []string{"test"}, Format: "tsv"}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := newCoordinator(p, cutSpec.WithDefaults(), io.Discard, 1, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errBoom := errors.New("connection reset")
+	bodies := []struct {
+		name    string
+		banked  []byte
+		body    func() io.Reader
+		ceiling int64
+	}{
+		{"whole", nil, func() io.Reader { return bytes.NewReader(payload) }, leaseBytesPerEdge * want},
+		{"bank and tail", payload[:at[1]], func() io.Reader { return bytes.NewReader(payload[at[1]:]) }, leaseBytesPerEdge * (want - next[1])},
+		{"ceiling bytes", nil, func() io.Reader { return bytes.NewReader(payload) }, int64(len(payload))},
+		{"ceiling+1 bytes", nil, func() io.Reader { return bytes.NewReader(payload) }, int64(len(payload)) - 1},
+		{"bank and ceiling+1 bytes", payload[:at[1]], func() io.Reader { return bytes.NewReader(payload[at[1]:]) }, int64(len(payload)-at[1]) - 1},
+		{"truncated", nil, func() io.Reader { return bytes.NewReader(payload[:len(payload)-3]) }, leaseBytesPerEdge * want},
+		{"read error", nil, func() io.Reader {
+			return io.MultiReader(bytes.NewReader(payload[:at[8]+100]), iotest.ErrReader(errBoom))
+		}, leaseBytesPerEdge * want},
+		{"malformed", nil, func() io.Reader {
+			// Frame 2 dropped: frame 3 breaks contiguity.
+			return io.MultiReader(bytes.NewReader(payload[:at[0]]), bytes.NewReader(payload[at[1]:]))
+		}, leaseBytesPerEdge * want},
+	}
+	readers := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"as is", func(r io.Reader) io.Reader { return r }},
+		{"OneByteReader", iotest.OneByteReader},
+		{"HalfReader", iotest.HalfReader},
+		{"DataErrReader", iotest.DataErrReader},
+		{"OneByteReader over DataErrReader", func(r io.Reader) io.Reader { return iotest.OneByteReader(iotest.DataErrReader(r)) }},
+	}
+	for _, bd := range bodies {
+		// One whole read, the way the coordinator read a lease body
+		// before it decoded on arrival.
+		whole, rerr := io.ReadAll(io.LimitReader(bd.body(), bd.ceiling+1))
+		if rerr == nil && int64(len(whole)) > bd.ceiling {
+			whole = whole[:bd.ceiling]
+			rerr = fmt.Errorf("body exceeds the %d-byte ceiling of %d edges", bd.ceiling, bd.ceiling/leaseBytesPerEdge)
+		}
+		whole = append(append([]byte(nil), bd.banked...), whole...)
+		var ref edgeLog
+		n, _, trailing, bad := wire.Decode(whole, 0, func(frame []exec.Edge) { ref.edges = append(ref.edges, frame...) })
+		done := len(whole) - trailing
+		text := c.render(nil, ref.edges)
+
+		for _, rd := range readers {
+			var log edgeLog
+			rx, err := c.receive(rd.wrap(bd.body()), bd.banked, bd.ceiling, want, &log)
+			got := *rx.bp
+			name := bd.name + " via " + rd.name
+			if fmt.Sprint(rx.bad) != fmt.Sprint(bad) {
+				t.Errorf("%s: malformed %v, whole read %v", name, rx.bad, bad)
+			}
+			if bad == nil && fmt.Sprint(err) != fmt.Sprint(rerr) {
+				t.Errorf("%s: error %v, whole read %v", name, err, rerr)
+			}
+			if rx.edges != n || rx.done != done || !bytes.Equal(got[:rx.done], whole[:done]) {
+				t.Errorf("%s: %d edges in a %d-byte prefix, whole read %d in %d", name, rx.edges, rx.done, n, done)
+			}
+			if bad == nil && !bytes.Equal(got, whole) {
+				t.Errorf("%s: kept %d bytes, whole read %d", name, len(got), len(whole))
+			}
+			if !slices.Equal(log.edges, ref.edges) || !bytes.Equal(rx.text, text) {
+				t.Errorf("%s: yielded %d edges (%d text bytes), whole read %d (%d)", name, len(log.edges), len(rx.text), len(ref.edges), len(text))
+			}
+			releaseBlock(rx.bp)
+		}
 	}
 }
