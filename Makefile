@@ -45,7 +45,8 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # fuzz runs, each for a bounded time, FuzzEdgeRange — every range and
-# block-range walker against the definition-order oracle —,
+# block-range walker and the Σ◊ pricer against the definition-order
+# oracle —,
 # FuzzFactorStats — the factor statistics wedge pass against the
 # internal/count oracles on graphs of up to 64 vertices —,
 # FuzzDecodeWire — the bin decoder against its pre-rewrite reference on
@@ -57,8 +58,9 @@ race:
 # FuzzLeaseBody — POST /v1/leases with arbitrary block coordinates,
 # offset and format, or raw body bytes, against the block walk and its
 # Σ◊ — and FuzzSubmitBody — raw POST /v1/jobs bodies and idempotency
-# keys, and GET /v1/truth factor, mode and seed strings, against the
-# locally built spec's edge count.
+# keys, GET /v1/truth factor, mode, seed, vertex and edge strings and
+# GET /v1/stats with the same spec, against the locally built spec's
+# edge count and point queries.
 # Minimizing a new input reruns the fuzz body for every candidate, so
 # the targets with costly bodies cap it at 100 calls instead of the
 # default minute, which would eat the whole budget.

@@ -413,7 +413,8 @@ func benchMxM(b *testing.B, workers int) {
 }
 
 // BenchmarkAblation_GlobalFormula times the O(n_A+n_B) global count; its
-// O(|E_C|) edge-sum counterpart (both exact) is BenchmarkStream_FourCycleSum.
+// O(|E_C|) edge-sum counterpart (both exact) is BenchmarkStream_FourCycleSum,
+// and its O(prefix pairs) one BenchmarkStream_FourCyclePriced.
 func BenchmarkAblation_GlobalFormula(b *testing.B) {
 	p := unicodeProduct(b)
 	b.ResetTimer()
@@ -813,8 +814,7 @@ func BenchmarkStream_Chain_Range(b *testing.B) {
 
 // BenchmarkStream_FourCycleSum sums the per-edge 4-cycle counts of the
 // Table I product (GlobalFourCyclesViaEdges): the ◊ walk, which prices
-// every edge by Thm. 5 as it streams — the route the audit's dual
-// 4-cycle check takes.
+// every edge by Thm. 5 as it streams — the oracle of the priced walk.
 func BenchmarkStream_FourCycleSum(b *testing.B) {
 	b.ReportAllocs()
 	p := unicodeProduct(b)
@@ -826,6 +826,55 @@ func BenchmarkStream_FourCycleSum(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(p.NumEdges()), "edges/op")
+}
+
+// BenchmarkStream_FourCyclePriced prices the same sum without walking
+// the edges: PriceBlockRangeContext, sum-only, over every block of a
+// grid, each block's Σ◊ one closed form per prefix pair.  The 1×1 grid
+// is the audit's theorem.four_dual, 2×3 and 3×3 are dist-gen lease
+// plans; the blocks must add up to 4·□.  Table I's stripes hold
+// hundreds of edges, chain-bin's spec's (sf48x96x240 ⊗ crown4) four,
+// so there the prefix pairs cost about what a plain walk of their
+// edges does (BenchmarkStream_Block2x3, BenchmarkStream_Chain_Block2x3).
+func BenchmarkStream_FourCyclePriced(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		p          func(*testing.B) *core.Product
+		rows, cols int
+	}{
+		{"table1_1x1", unicodeProduct, 1, 1},
+		{"table1_2x3", unicodeProduct, 2, 3},
+		{"chain-bin_1x1", chainProduct, 1, 1},
+		{"chain-bin_3x3", chainProduct, 3, 3},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			p := c.p(b)
+			want := 4 * p.GlobalFourCycles()
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var sum int64
+				for r := 0; r < c.rows; r++ {
+					for col := 0; col < c.cols; col++ {
+						n, err := p.BlockEdgeCount(r, c.rows, col, c.cols)
+						if err != nil {
+							b.Fatal(err)
+						}
+						s, err := p.PriceBlockRangeContext(ctx, r, c.rows, col, c.cols, 0, n, nil)
+						if err != nil {
+							b.Fatal(err)
+						}
+						sum += s
+					}
+				}
+				if sum != want {
+					b.Fatalf("priced Σ◊ %d, 4·□ %d", sum, want)
+				}
+			}
+			b.ReportMetric(float64(p.NumEdges()), "edges/op")
+		})
+	}
 }
 
 // benchBlockSweep walks every block of a rows×cols grid in turn through

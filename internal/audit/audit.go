@@ -10,11 +10,13 @@
 //   - dual-route 4-cycle counts: Σ s_v (Thm. 3/4 route) must equal
 //     Σ ◊_e (Thm. 5 route) — two different formula families over
 //     different index sets agreeing on one number.  By default the edge
-//     route is one ◊ walk of the whole product on one core: every
-//     edge's ◊ is folded into the walk, a few nanoseconds per edge.  A
-//     caller whose generators already priced every edge hands the sum
-//     in instead (SetEdgeFourSum): distgen adds up its leases' Σ◊
-//     trailers, each computed by a worker as it walked its block;
+//     route prices the whole product (core's PriceBlockRangeContext):
+//     within one prefix pair Thm. 5's anchor terms are constant, so the
+//     sum costs one closed form per prefix pair, not a walk of every
+//     edge.  A caller whose generators already priced every edge hands
+//     the sum in instead (SetEdgeFourSum): distgen adds up its leases'
+//     Σ◊ trailers, each priced by a worker in the pass that walked its
+//     block;
 //   - streamed edges: the stream must carry exactly NumEdges() edges,
 //     each a real product edge crossing the bipartition (sampled
 //     membership checks against HasEdge);
@@ -39,7 +41,6 @@ import (
 	"sync"
 
 	"kronbip/internal/core"
-	"kronbip/internal/exec"
 	"kronbip/internal/obs"
 	"kronbip/internal/obs/timeline"
 )
@@ -195,9 +196,10 @@ func (a *Auditor) Finalize() *Report {
 }
 
 // FinalizeContext is Finalize under a context.  Without a supplied
-// SetEdgeFourSum, theorem.four_dual walks every edge's ◊ on the 1×1
-// block grid; that walk stops within one batch of ctx's cancellation,
-// and FinalizeContext then returns ctx's error and no report.
+// SetEdgeFourSum, theorem.four_dual prices Σ◊ over the 1×1 block grid,
+// in time proportional to the product's prefix pairs; that pricing
+// stops within 1024 prefix pairs of ctx's cancellation, and
+// FinalizeContext then returns ctx's error and no report.
 func (a *Auditor) FinalizeContext(ctx context.Context) (*Report, error) {
 	r := &Report{}
 	p := a.p
@@ -230,28 +232,20 @@ func (a *Auditor) FinalizeContext(ctx context.Context) (*Report, error) {
 	r.record("theorem.degree_sum", 2*p.NumEdges() == degSum,
 		fmt.Sprintf("2|E_C|=%d vs folded Σd_C=%d over %d factors", 2*p.NumEdges(), degSum, p.Arity()))
 
-	// Dual-route global 4-cycles: Σ s_v/4 (vertex route, Thm. 3/4) vs
-	// Σ ◊_e/4 (edge route, Thm. 5).  A supplied sum is compared whole:
-	// dividing it first would accept a sum off by less than 4.
-	v4 := p.GlobalFourCycles()
+	// Dual-route global 4-cycles: Σ s_v (vertex route, Thm. 3/4) vs
+	// Σ ◊_e (edge route, Thm. 5), each 4·□.  The sums are compared
+	// whole: dividing first would accept one off by less than 4.
+	v4 := 4 * p.GlobalFourCycles()
+	e4, how := int64(0), "priced"
 	if a.edgeFour != nil {
-		r.record("theorem.four_dual", *a.edgeFour == 4*v4,
-			fmt.Sprintf("Σs_v=%d vs supplied Σ◊_e=%d", 4*v4, *a.edgeFour))
+		e4, how = *a.edgeFour, "supplied"
 	} else {
-		var sum int64
-		err := p.EachEdgeFourCycleBlockRangeBatchContext(ctx, 0, 1, 0, 1, 0, p.NumEdges(), func(_ []exec.Edge, sq []int64) bool {
-			for _, s := range sq {
-				sum += s
-			}
-			return true
-		})
-		if err != nil {
+		var err error
+		if e4, err = p.PriceBlockRangeContext(ctx, 0, 1, 0, 1, 0, p.NumEdges(), nil); err != nil {
 			return nil, err
 		}
-		e4 := sum / 4
-		r.record("theorem.four_dual", v4 == e4,
-			fmt.Sprintf("Σs_v/4=%d vs Σ◊_e/4=%d", v4, e4))
 	}
+	r.record("theorem.four_dual", e4 == v4, fmt.Sprintf("Σs_v=%d vs %s Σ◊_e=%d", v4, how, e4))
 
 	if a.stream != nil {
 		a.stream.finalize(r)

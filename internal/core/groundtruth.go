@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"kronbip/internal/exec"
@@ -196,8 +195,7 @@ func (p *Product) EdgeFourCyclesAt(v, w int) (int64, error) {
 // edge: the walk folds Thm. 5 per prefix pair, so an edge costs three
 // multiplies, not a point query.  Stops early if yield returns false.
 func (p *Product) EachEdgeFourCycle(yield func(v, w int, squares int64) bool) {
-	// A background walk is never cancelled, so it cannot fail.
-	_ = p.walkFour(context.Background(), p.whole(), func(batch []exec.Edge, sq []int64) bool {
+	p.walkFour(func(batch []exec.Edge, sq []int64) bool {
 		for i, e := range batch {
 			if !yield(e.V, e.W, sq[i]) {
 				return false
@@ -246,11 +244,11 @@ func (p *Product) DegreeHistogram() map[int64]int64 {
 // GlobalFourCyclesViaEdges recomputes □(C) from the edge stream:
 // Σ_{edges} ◊ = 4·□(C) since each 4-cycle has four edges.  One ◊ walk,
 // O(|E_C|) at a few nanoseconds per edge; used as an internal
-// consistency check (must equal GlobalFourCycles).
+// consistency check (must equal GlobalFourCycles) and as the oracle of
+// PriceBlockRangeContext, which reaches the same sum per prefix pair.
 func (p *Product) GlobalFourCyclesViaEdges() int64 {
 	var sum int64
-	// A background walk is never cancelled, so it cannot fail.
-	_ = p.walkFour(context.Background(), p.whole(), func(_ []exec.Edge, sq []int64) bool {
+	p.walkFour(func(_ []exec.Edge, sq []int64) bool {
 		for _, s := range sq {
 			sum += s
 		}

@@ -44,22 +44,32 @@ func (p *Product) EachEdgeBlockRangeBatchContext(ctx context.Context, row, nrows
 	return p.walkBatch(ctx, win, yield)
 }
 
-// EachEdgeFourCycleBlockRangeBatchContext is EachEdgeBlockRangeBatchContext
-// with ground truth: each batch comes with a parallel slice of its edges'
-// 4-cycle counts ◊ (EdgeFourCyclesAt), folded into the walk by Thm. 5 at
-// a few nanoseconds per edge.  Both slices are reused between calls;
-// the edges, their order and the cancellation contract are the plain
-// walk's.  A distgen lease walks its block through it to report the
-// block's Σ◊.
-func (p *Product) EachEdgeFourCycleBlockRangeBatchContext(ctx context.Context, row, nrows, col, ncols int, lo, hi int64, yield func(batch []exec.Edge, sq []int64) bool) error {
+// PriceBlockRangeContext prices edges [lo, hi) of block (row, col)'s
+// canonical-restricted order (block-local offsets, as
+// EachEdgeBlockRangeBatchContext takes them): it returns their Σ◊, the
+// sum of their 4-cycle counts (EdgeFourCyclesAt), in time proportional
+// to the window's prefix pairs, not its edges.  Within a prefix pair the
+// Thm. 5 anchor terms are constant, so a whole pair's Σ◊ is one closed
+// form over the last factor's stripe sums; only a cut first or last pair
+// is priced edge by edge.
+//
+// With a non-nil yield the same pass also streams the window's edges
+// exactly as EachEdgeBlockRangeBatchContext does, under its cancellation
+// contract; with a nil yield it emits nothing.  Either way the context
+// is also checked every 1024 prefix pairs, and a cancelled walk
+// returns ctx.Err().  Only a walk that ran to the end returns the
+// window's Σ◊: one that yield or a cancellation stopped returns the sum
+// of the prefix pairs it had priced.  A distgen lease prices its block
+// through it, and an audit's theorem.four_dual prices the whole product.
+func (p *Product) PriceBlockRangeContext(ctx context.Context, row, nrows, col, ncols int, lo, hi int64, yield func(batch []exec.Edge) bool) (int64, error) {
 	win, err := p.blockWindow(row, nrows, col, ncols)
 	if err == nil {
 		win, err = win.sub(lo, hi)
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return p.walkFour(ctx, win, yield)
+	return p.walkPriced(ctx, win, yield)
 }
 
 // EachEdgeRangeBatchContext streams edges [lo, hi) of the canonical

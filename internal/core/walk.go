@@ -22,6 +22,12 @@
 // pair, level by level as the odometer descends, and resolves the last
 // factor's stripe once per walk; each edge's ◊ is then three multiplies
 // in its own leaf loop.
+//
+// A priced walk folds the same anchor terms but adds each prefix pair's
+// whole Σ◊ in closed form from stripe sums resolved once per walk, so
+// its sum costs O(prefix pairs), not O(edges); only a cut first or last
+// prefix pair is priced edge by edge.  In the same pass it emits the
+// window's plain batches, or nothing when only the sum is wanted.
 package core
 
 import (
@@ -120,10 +126,11 @@ func (p *Product) termStarts(win window) []int64 {
 
 // walker is one walk's factor state, resolved once per walk.  Slices
 // are indexed by chain level: level 0 is A, level u >= 1 is B_u.  A
-// walk delivers through exactly one of emit, yield and four: a batch
-// walk appends to a buffer and hands full batches to emit, a per-edge
-// walk hands every edge straight to yield, and a ◊ walk hands batches
-// with their edges' ◊ to four.emit.
+// batch walk appends to a buffer and hands full batches to emit, a
+// per-edge walk hands every edge straight to yield, and a ◊ walk hands
+// batches with their edges' ◊ to four.emit.  A priced walk (four set,
+// four.emit nil) sums Σ◊ into four.sum and hands its plain batches to
+// emit, or to nobody when emit is nil too.
 type walker struct {
 	p      *Product
 	ea     []graph.Edge   // A's edges, the prefix pairs of term-0 rows
@@ -135,21 +142,46 @@ type walker struct {
 	four   *fourWalk
 }
 
-// fourWalk is a ◊ walk's state.  at[u] holds the Thm. 5 anchor terms
-// entering level u for the odometer's current prefix pair; last holds
-// the last factor's terms for each stripe edge, resolved once per walk.
-// An edge (x, y) of stripe edge i under the last level's anchor s has
+// fourWalk is a ◊ or priced walk's state.  at[u] holds the Thm. 5
+// anchor terms entering level u for the odometer's current prefix pair.
+// terms[u] holds B_u's terms for each of its edges the walk expands,
+// resolved once per walk so that fold reads them instead of searching
+// the factor; last is terms[k], the stripe's, and tot their sums.  An
+// edge (x, y) of stripe edge i under the last level's anchor s has
 //
 //	◊ = s.m3·last[i].w3 + 1 − s.mv·d_x − s.mw·d_y,
 //
 // d_x and d_y being last[i].du and last[i].dv, swapped when the edge is
-// the flipped orientation (V, U).
+// the flipped orientation (V, U).  Summed over the n stripe edges of
+// a whole prefix pair, that is
+//
+//	m3·ΣW3 + n − mv·ΣDU − mw·ΣDV                 in one orientation,
+//	2·m3·ΣW3 + 2n − (mv+mw)·(ΣDU+ΣDV)            in both.
+//
+// The terms wrap like the ◊ walk's; every window's Σ◊ is at most 4·□,
+// which construction proves fits in int64, so the sum comes out exact.
 type fourWalk struct {
-	at   []anchor
-	last []fourEdge
-	sq   []int64 // ◊ of each buffered edge, at its batch index
+	at    []anchor
+	terms [][]fourEdge
+	last  []fourEdge
+	tot   fourEdge // ΣW3, ΣDU, ΣDV over the stripe
+	// A ◊ walk's batch sink and the ◊ of each buffered edge, at its
+	// batch index.
+	sq   []int64
 	emit func(batch []exec.Edge, sq []int64) bool
+	// A priced walk's Σ◊ so far, and its context's done channel, polled
+	// every pricePoll prefix pairs (nil: never cancelled), with the
+	// walk's flag to raise once it is closed.
+	sum       int64
+	done      <-chan struct{}
+	pairs     int
+	cancelled *bool
 }
+
+// pricePoll is how many prefix pairs a priced walk prices between two
+// looks at its context: about 45 µs of work at the ~43 ns a pair that
+// one-edge stripes cost on a 2-vCPU Xeon, and more under -race.
+const pricePoll = 1 << 10
 
 // anchor is the state EdgeFourCyclesAt carries into a level: m3 is the
 // (M³∘M) entry of the prefix pair through the level above, and mv, mw
@@ -157,8 +189,8 @@ type fourWalk struct {
 // prefix plus I, or A itself at a mode-(i) A edge.
 type anchor struct{ m3, mv, mw int64 }
 
-// fourEdge is a last-factor edge {U, V}'s part of Thm. 5: the 3-walk
-// count walk3(U, V) and the endpoint degrees d_U, d_V.
+// fourEdge is a factor edge {U, V}'s part of Thm. 5: the 3-walk count
+// walk3(U, V) and the endpoint degrees d_U, d_V.
 type fourEdge struct{ w3, du, dv int64 }
 
 // radix is level u's digit count in a term-t row: its edge count,
@@ -171,14 +203,20 @@ func (w *walker) radix(u, t int) int {
 	return len(w.eb[u])
 }
 
-// edge is level u's factor edge under its digit, oriented: edge d/2 in
-// orientation d%2 where both are emitted, else edge d.
-func (w *walker) edge(u, t int) (x, y int) {
-	d, flip := w.dig[u], false
+// digit is level u's digit as an edge index and orientation: edge d/2
+// in orientation d%2 (flip: (V, U)) where both are emitted, else edge d.
+func (w *walker) digit(u, t int) (i int, flip bool) {
+	d := w.dig[u]
 	if t == 0 || u > t {
-		d, flip = d>>1, d&1 == 1
+		return d >> 1, d&1 == 1
 	}
-	e := w.eb[u][d]
+	return d, false
+}
+
+// edge is level u's factor edge under its digit, oriented.
+func (w *walker) edge(u, t int) (x, y int) {
+	i, flip := w.digit(u, t)
+	e := w.eb[u][i]
 	if flip {
 		return e.V, e.U
 	}
@@ -193,9 +231,9 @@ func (w *walker) descend(u, t int) {
 	w.pv[u], w.pw[u] = w.pv[u-1]*n+x, w.pw[u-1]*n+y
 }
 
-// run walks the window through the sink w names (see walker).  A batch
-// or ◊ walk starts from buf empty with capacity >= 2; each full batch,
-// then the final partial one, is delivered.
+// run walks the window through the sink w names (see walker).  A walk
+// that emits batches starts from buf empty with capacity >= 2; each full
+// batch, then the final partial one, is delivered.
 func (p *Product) run(win window, buf []exec.Edge, w walker) {
 	remaining := win.hi - win.lo
 	if remaining <= 0 {
@@ -214,7 +252,7 @@ func (p *Product) run(win window, buf []exec.Edge, w walker) {
 	}
 	w.eb[k] = w.eb[k][win.clo:win.chi]
 	if w.four != nil {
-		w.four.resolve(p, w.eb[k], cap(buf))
+		w.four.resolve(p, w.eb[max(t, 1):], cap(buf))
 	}
 	for u := k; u >= max(t, 1); u-- {
 		r := int64(w.radix(u, t))
@@ -233,23 +271,80 @@ func (p *Product) run(win window, buf []exec.Edge, w walker) {
 	}
 	switch {
 	case len(buf) == 0:
-	case w.four != nil:
+	case w.four != nil && w.four.emit != nil:
 		w.four.emit(buf, w.four.sq[:len(buf)])
 	default:
 		w.emit(buf)
 	}
 }
 
-// resolve sets up a ◊ walk over the last-factor stripe: its per-edge
-// terms and a ◊ buffer parallel to a batch buffer of capacity n.
-func (f *fourWalk) resolve(p *Product, stripe []graph.Edge, n int) {
-	b := p.bs[len(p.bs)-1]
-	f.at = make([]anchor, len(p.bs)+1)
-	f.last = make([]fourEdge, len(stripe))
-	for i, e := range stripe {
-		f.last[i] = fourEdge{w3: b.walk3(e.U, e.V), du: b.D[e.U], dv: b.D[e.V]}
+// resolve sets up a ◊ or priced walk whose rows expand levels
+// len(p.bs)-len(eb)+1 .. len(p.bs) over the edge lists eb (the last one
+// the stripe): each walked edge's terms, the stripe's sums, and for a ◊
+// walk a ◊ buffer parallel to a batch buffer of capacity n.
+func (f *fourWalk) resolve(p *Product, eb [][]graph.Edge, n int) {
+	k := len(p.bs)
+	f.at = make([]anchor, k+1)
+	f.terms = make([][]fourEdge, k+1)
+	var all int
+	for _, es := range eb {
+		all += len(es)
 	}
-	f.sq = make([]int64, n)
+	flat := make([]fourEdge, all)
+	for j, es := range eb {
+		u := k - len(eb) + 1 + j
+		b := p.bs[u-1]
+		f.terms[u], flat = flat[:len(es):len(es)], flat[len(es):]
+		for i, e := range es {
+			f.terms[u][i] = fourEdge{w3: b.walk3(e.U, e.V), du: b.D[e.U], dv: b.D[e.V]}
+		}
+	}
+	f.last = f.terms[k]
+	for _, le := range f.last {
+		f.tot.w3, f.tot.du, f.tot.dv = f.tot.w3+le.w3, f.tot.du+le.du, f.tot.dv+le.dv
+	}
+	if f.emit != nil {
+		f.sq = make([]int64, n)
+	}
+}
+
+// price adds the Σ◊ of last-level digits [s, e) of the current prefix
+// pair, of per digits in all: the closed form for a whole pair, edge by
+// edge for a cut one.  Every pricePoll pairs it looks at the context and
+// returns false once it is done.
+func (f *fourWalk) price(s, e, per int64, both bool) bool {
+	if f.done != nil {
+		if f.pairs++; f.pairs == pricePoll {
+			f.pairs = 0
+			select {
+			case <-f.done:
+				*f.cancelled = true
+				return false
+			default:
+			}
+		}
+	}
+	a, t := f.at[len(f.at)-1], f.tot
+	switch {
+	case e-s < per:
+		for d := s; d < e; d++ {
+			i, flip := int(d), false
+			if both {
+				i, flip = int(d>>1), d&1 == 1
+			}
+			le := f.last[i]
+			dx, dy := le.du, le.dv
+			if flip {
+				dx, dy = dy, dx
+			}
+			f.sum += a.m3*le.w3 + 1 - a.mv*dx - a.mw*dy
+		}
+	case both:
+		f.sum += 2*(a.m3*t.w3+int64(len(f.last))) - (a.mv+a.mw)*(t.du+t.dv)
+	default:
+		f.sum += a.m3*t.w3 + int64(len(f.last)) - a.mv*t.du - a.mw*t.dv
+	}
+	return true
 }
 
 // row emits row r of term t from the odometer's current digits, at most
@@ -282,11 +377,7 @@ func (w *walker) row(t, r int, buf []exec.Edge, remaining int64) ([]exec.Edge, i
 		switch {
 		case w.four != nil:
 			w.fold(t, r, from)
-			if c < per {
-				buf, ok = w.partialFour(buf, av, aw, s, s+c, both)
-			} else {
-				buf, ok = w.appendFour(buf, av, aw, both)
-			}
+			buf, ok = w.fourPair(buf, av, aw, s, s+c, per, both)
 		case c < per: // the walk's first or last prefix pair
 			buf, ok = w.partial(buf, av, aw, s, s+c, both)
 		case w.yield != nil:
@@ -317,10 +408,29 @@ func (w *walker) row(t, r int, buf []exec.Edge, remaining int64) ([]exec.Edge, i
 	}
 }
 
-// fold brings a ◊ walk's anchor terms down to the last level after the
-// odometer re-descended levels [from, k) of row r of term t; from below
-// the anchor level a first seeds level a from the row.  Entering level
-// u+1 through oriented edge (x, y) of B_u,
+// fourPair is row's step for a ◊ or priced walk once fold has set the
+// prefix pair's anchor terms: a ◊ walk, which covers whole prefix pairs,
+// emits the pair with each edge's ◊; a priced walk adds the Σ◊ of
+// last-level digits [s, e) of per and emits them plain, if it emits.
+func (w *walker) fourPair(buf []exec.Edge, av, aw int, s, e, per int64, both bool) ([]exec.Edge, bool) {
+	switch f := w.four; {
+	case f.emit != nil:
+		return w.appendFour(buf, av, aw, both)
+	case !f.price(s, e, per, both):
+		return nil, false
+	case w.emit == nil:
+		return buf, true
+	case e-s < per:
+		return w.partial(buf, av, aw, s, e, both)
+	}
+	return w.appendRun(buf, av, aw, both)
+}
+
+// fold brings a ◊ or priced walk's anchor terms down to the last level
+// after the odometer re-descended levels [from, k) of row r of term t;
+// from below the anchor level a first seeds level a from the row.
+// Entering level u+1 through oriented edge (x, y) of B_u, whose terms
+// the walk resolved,
 //
 //	m3' = m3·walk3(x, y) + 3,   mv' = mv·d_x + 1,   mw' = mw·d_y + 1,
 //
@@ -333,9 +443,13 @@ func (w *walker) fold(t, r, from int) {
 		from = a
 	}
 	for u := from; u < len(p.bs); u++ {
-		x, y := w.edge(u, t)
-		f, s := p.bs[u-1], at[u]
-		at[u+1] = anchor{m3: s.m3*f.walk3(x, y) + 3, mv: s.mv*f.D[x] + 1, mw: s.mw*f.D[y] + 1}
+		i, flip := w.digit(u, t)
+		le, s := w.four.terms[u][i], at[u]
+		dx, dy := le.du, le.dv
+		if flip {
+			dx, dy = dy, dx
+		}
+		at[u+1] = anchor{m3: s.m3*le.w3 + 3, mv: s.mv*dx + 1, mw: s.mw*dy + 1}
 	}
 }
 
@@ -406,7 +520,8 @@ func (w *walker) yieldRun(av, aw int, both bool) bool {
 
 // partial emits last-level digits [s, e) of prefix pair (av, aw): the
 // part of a prefix pair a walk's seek or limit cuts.  Only batch walks
-// are cut: the per-edge walk (EachEdge) always covers whole prefix pairs.
+// are cut: the per-edge walk (EachEdge) and the ◊ walk always cover
+// whole prefix pairs.
 func (w *walker) partial(buf []exec.Edge, av, aw int, s, e int64, both bool) ([]exec.Edge, bool) {
 	last := w.eb[len(w.eb)-1]
 	for d := s; d < e; d++ {
@@ -463,61 +578,23 @@ func (w *walker) appendFour(buf []exec.Edge, av, aw int, both bool) ([]exec.Edge
 	return buf, true
 }
 
-// partialFour is partial for a ◊ walk, pricing each edge as appendFour
-// does.
-func (w *walker) partialFour(buf []exec.Edge, av, aw int, s, e int64, both bool) ([]exec.Edge, bool) {
-	f := w.four
-	last, sq, st := w.eb[len(w.eb)-1], f.sq, f.at[len(f.at)-1]
-	for d := s; d < e; d++ {
-		i, flip := int(d), false
-		if both {
-			i, flip = int(d>>1), d&1 == 1
-		}
-		x, y := last[i].U, last[i].V
-		le := f.last[i]
-		dx, dy := le.du, le.dv
-		if flip {
-			x, y, dx, dy = y, x, dy, dx
-		}
-		sq[len(buf)] = st.m3*le.w3 + 1 - st.mv*dx - st.mw*dy
-		buf = append(buf, exec.Edge{V: av + x, W: aw + y})
-		if cap(buf)-len(buf) < 2 {
-			if !f.emit(buf, sq[:len(buf)]) {
-				return nil, false
-			}
-			buf = buf[:0]
-		}
-	}
-	return buf, true
-}
-
-// walkFour is walkBatch for a ◊ walk: each batch comes with a parallel
-// slice of its edges' ◊ (EdgeFourCyclesAt), under the same cancellation
-// contract.  Both slices are reused between calls.
-func (p *Product) walkFour(ctx context.Context, win window, yield func(batch []exec.Edge, sq []int64) bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+// walkFour walks the whole product in batches, each with a parallel
+// slice of its edges' ◊ (EdgeFourCyclesAt).  Both slices are reused
+// between calls; the walk stops early if yield returns false.
+func (p *Product) walkFour(yield func(batch []exec.Edge, sq []int64) bool) {
 	bufp := exec.GetEdgeBuf()
 	defer exec.PutEdgeBuf(bufp)
-	f := &fourWalk{emit: yield}
-	cancelled := false
-	if done := ctx.Done(); done != nil {
-		f.emit = func(batch []exec.Edge, sq []int64) bool {
-			select {
-			case <-done:
-				cancelled = true
-				return false
-			default:
-			}
-			return yield(batch, sq)
-		}
-	}
-	p.run(win, (*bufp)[:0], walker{four: f})
-	if cancelled {
-		return ctx.Err()
-	}
-	return nil
+	p.run(p.whole(), (*bufp)[:0], walker{four: &fourWalk{emit: yield}})
+}
+
+// walkPriced prices win: it returns the Σ◊ of its edges, and with a
+// non-nil yield delivers them in the same pass under walkBatch's
+// contract.  A walk that yield or a cancellation stopped returns the sum
+// of what it priced so far.
+func (p *Product) walkPriced(ctx context.Context, win window, yield func(batch []exec.Edge) bool) (int64, error) {
+	f := &fourWalk{}
+	err := p.walkContext(ctx, win, f, yield)
+	return f.sum, err
 }
 
 // walkBatch delivers win in batches of up to exec.BatchLen edges under
@@ -526,26 +603,43 @@ func (p *Product) walkFour(ctx context.Context, win window, yield func(batch []e
 // walk then returns ctx.Err().  The yielded slice is reused between
 // calls.  A non-cancellable context skips the check.
 func (p *Product) walkBatch(ctx context.Context, win window, yield func(batch []exec.Edge) bool) error {
+	return p.walkContext(ctx, win, nil, yield)
+}
+
+// walkContext runs a batch walk, or with f set a priced walk, over win
+// under ctx: its batches, if yield takes any, fill a pooled buffer and
+// go out under walkBatch's contract, and a priced walk also looks at ctx
+// every pricePoll prefix pairs.  A sum-only walk leaves the buffer
+// unused.
+func (p *Product) walkContext(ctx context.Context, win window, f *fourWalk, yield func(batch []exec.Edge) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	bufp := exec.GetEdgeBuf()
 	defer exec.PutEdgeBuf(bufp)
+	buf := (*bufp)[:0]
 	done := ctx.Done()
 	if done == nil {
-		p.run(win, (*bufp)[:0], walker{emit: yield})
+		p.run(win, buf, walker{four: f, emit: yield})
 		return nil
 	}
 	cancelled := false
-	p.run(win, (*bufp)[:0], walker{emit: func(batch []exec.Edge) bool {
-		select {
-		case <-done:
-			cancelled = true
-			return false
-		default:
+	if f != nil {
+		f.done, f.cancelled = done, &cancelled
+	}
+	emit := yield
+	if yield != nil {
+		emit = func(batch []exec.Edge) bool {
+			select {
+			case <-done:
+				cancelled = true
+				return false
+			default:
+			}
+			return yield(batch)
 		}
-		return yield(batch)
-	}})
+	}
+	p.run(win, buf, walker{four: f, emit: emit})
 	if cancelled {
 		return ctx.Err()
 	}

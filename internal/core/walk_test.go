@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"kronbip/internal/exec"
 	"kronbip/internal/gen"
@@ -126,81 +128,163 @@ func TestEachEdgeMatchesCanonicalOrder(t *testing.T) {
 	}
 }
 
-// fourWalkOf runs the public ◊ walk of edges [lo, hi) of block (r, c)
-// of an R×C grid under a cancellable and a background context, and
-// fails unless each yields exactly want, in order, with every edge's ◊
-// equal to the EdgeFourCyclesAt point query and every batch of legal
-// size with a ◊ per edge.  Callers pass the slice of the canonical
-// order the plain walkers of the same window are checked against, so
-// the ◊ walk's edge sequence is the plain walk's.
+// fourWalkOf runs the priced walk (PriceBlockRangeContext) of edges
+// [lo, hi) of block (r, c) of an R×C grid, emitting and sum-only, under
+// a cancellable and a background context.  It fails unless each
+// emitting walk yields exactly want, in order, in batches of legal size,
+// and every walk's sum is Σ EdgeFourCyclesAt over want.  Callers pass
+// the slice of the canonical order the plain walkers of the same window
+// are checked against, so the priced walk's edge sequence is the plain
+// walk's.
 func fourWalkOf(t *testing.T, what string, p *Product, r, R, c, C int, lo, hi int64, want []oracleEdge) {
 	t.Helper()
+	var sum int64
+	for _, e := range want {
+		d, err := p.EdgeFourCyclesAt(e.v, e.w)
+		if err != nil {
+			t.Fatalf("%s: EdgeFourCyclesAt(%d,%d): %v", what, e.v, e.w, err)
+		}
+		sum += d
+	}
 	live, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for name, ctx := range map[string]context.Context{"cancellable": live, "background": context.Background()} {
 		i := 0
-		err := p.EachEdgeFourCycleBlockRangeBatchContext(ctx, r, R, c, C, lo, hi, func(batch []exec.Edge, sq []int64) bool {
-			if len(batch) == 0 || len(batch) > exec.BatchLen || len(sq) != len(batch) {
-				t.Fatalf("%s %s: batch of %d edges with %d ◊", what, name, len(batch), len(sq))
+		got, err := p.PriceBlockRangeContext(ctx, r, R, c, C, lo, hi, func(batch []exec.Edge) bool {
+			if len(batch) == 0 || len(batch) > exec.BatchLen {
+				t.Fatalf("%s %s: batch of %d edges", what, name, len(batch))
 			}
-			for j, e := range batch {
+			for _, e := range batch {
 				if i >= len(want) || want[i].v != e.V || want[i].w != e.W {
 					t.Fatalf("%s %s: edge %d is (%d,%d), oracle has %d edges", what, name, i, e.V, e.W, len(want))
-				}
-				if d, err := p.EdgeFourCyclesAt(e.V, e.W); err != nil || d != sq[j] {
-					t.Fatalf("%s %s: edge %d (%d,%d) has ◊ %d, EdgeFourCyclesAt %d, %v", what, name, i, e.V, e.W, sq[j], d, err)
 				}
 				i++
 			}
 			return true
 		})
-		if err != nil {
-			t.Fatalf("%s %s: %v", what, name, err)
+		if err != nil || got != sum {
+			t.Fatalf("%s %s: priced Σ◊ %d, %v; Σ EdgeFourCyclesAt %d", what, name, got, err, sum)
 		}
 		if i != len(want) {
 			t.Fatalf("%s %s: %d edges, oracle %d", what, name, i, len(want))
 		}
+		if got, err := p.PriceBlockRangeContext(ctx, r, R, c, C, lo, hi, nil); err != nil || got != sum {
+			t.Fatalf("%s %s sum-only: priced Σ◊ %d, %v; Σ EdgeFourCyclesAt %d", what, name, got, err, sum)
+		}
 	}
 }
 
-// TestFourWalkPreCancelled: like the plain walkers, the ◊ walk under a
-// dead context yields nothing and returns ctx.Err().
+// TestFourWalkPreCancelled: like the plain walkers, the priced walk under
+// a dead context, emitting or sum-only, yields nothing and returns
+// ctx.Err().
 func TestFourWalkPreCancelled(t *testing.T) {
 	p := testProducts(t)["mode2"]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := p.EachEdgeFourCycleBlockRangeBatchContext(ctx, 0, 1, 0, 1, 0, p.NumEdges(), func([]exec.Edge, []int64) bool {
-		t.Fatal("◊ batch yielded under a pre-cancelled context")
-		return true
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for name, yield := range map[string]func([]exec.Edge) bool{
+		"emitting": func([]exec.Edge) bool {
+			t.Fatal("priced batch yielded under a pre-cancelled context")
+			return true
+		},
+		"sum-only": nil,
+	} {
+		sum, err := p.PriceBlockRangeContext(ctx, 0, 1, 0, 1, 0, p.NumEdges(), yield)
+		if !errors.Is(err, context.Canceled) || sum != 0 {
+			t.Fatalf("%s: Σ◊ %d, err %v; want 0, context.Canceled", name, sum, err)
+		}
+	}
+}
+
+// TestPricedCancelMidWindow: the priced walk of a product whose pricing
+// runs for minutes — sf2000x2000x40000 chained with path2, 6.8·10⁹ edges
+// in ~3.4·10⁹ prefix pairs of one stripe edge each — returns ctx.Err()
+// promptly when its context is cancelled mid-window, sum-only (which
+// only the every-pricePoll-pairs look at the context can stop) and
+// emitting.
+func TestPricedCancelMidWindow(t *testing.T) {
+	sf := gen.ConnectedBipartiteScaleFree(2000, 2000, 40000, 7)
+	path2, err := graph.AsBipartite(gen.Path(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewChainWithParts(sf.Graph, ModeSelfLoopFactor, sf, path2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, yield := range map[string]func([]exec.Edge) bool{
+		"sum-only": nil,
+		"emitting": func([]exec.Edge) bool { return true },
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		at := make(chan time.Time, 1)
+		time.AfterFunc(50*time.Millisecond, func() {
+			at <- time.Now()
+			cancel()
+		})
+		_, err := p.PriceBlockRangeContext(ctx, 0, 1, 0, 1, 0, p.NumEdges(), yield)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err %v, want context.Canceled mid-window", name, err)
+		}
+		if d := time.Since(<-at); d > 250*time.Millisecond {
+			t.Errorf("%s: returned %v after the cancellation", name, d)
+		}
 	}
 }
 
 // TestFourWalkMatchesPointQueries: on every oracle chain, mode (i) and
-// mode (ii), the ◊ walk yields EachEdge's sequence with every ◊ equal
-// to EdgeFourCyclesAt, through the batch walk and through its per-edge
-// replay EachEdgeFourCycle, which also stops when told to.
+// mode (ii), the priced walk of the whole product yields EachEdge's
+// sequence and its Σ EdgeFourCyclesAt; the ◊ walk's per-edge replay
+// EachEdgeFourCycle yields the same sequence with every ◊ equal to
+// EdgeFourCyclesAt, and stops when told to; and the sum-only priced Σ◊
+// of random block × range windows equals the ◊ walk's sum over the
+// same edges.
 func TestFourWalkMatchesPointQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
 	for _, c := range chainOracleCases() {
 		p := buildChainCase(t, c)
-		var order []oracleEdge
-		p.EachEdge(func(v, w int) bool {
-			order = append(order, oracleEdge{v: v, w: w})
+		order := canonicalOrder(p)
+		fourWalkOf(t, c.name, p, 0, 1, 0, 1, 0, p.NumEdges(), order)
+		var sq []int64
+		p.EachEdgeFourCycle(func(v, w int, s int64) bool {
+			i := len(sq)
+			if d, err := p.EdgeFourCyclesAt(v, w); i >= len(order) || order[i].v != v || order[i].w != w || err != nil || d != s {
+				t.Fatalf("%s: EachEdgeFourCycle edge %d is (%d,%d) ◊ %d; EdgeFourCyclesAt %d, %v", c.name, i, v, w, s, d, err)
+			}
+			sq = append(sq, s)
 			return true
 		})
-		fourWalkOf(t, c.name, p, 0, 1, 0, 1, 0, p.NumEdges(), order)
-		i := 0
-		p.EachEdgeFourCycle(func(v, w int, sq int64) bool {
-			if d, err := p.EdgeFourCyclesAt(v, w); order[i].v != v || order[i].w != w || err != nil || d != sq {
-				t.Fatalf("%s: EachEdgeFourCycle edge %d is (%d,%d) ◊ %d; EachEdge %v, EdgeFourCyclesAt %d, %v", c.name, i, v, w, sq, order[i], d, err)
-			}
-			i++
-			return i < len(order)/2
+		if len(sq) != len(order) {
+			t.Fatalf("%s: EachEdgeFourCycle yielded %d edges, EachEdge %d", c.name, len(sq), len(order))
+		}
+		n := 0
+		p.EachEdgeFourCycle(func(int, int, int64) bool {
+			n++
+			return n < len(order)/2
 		})
-		if i != len(order)/2 {
-			t.Fatalf("%s: EachEdgeFourCycle stopped after %d edges, yield said stop at %d", c.name, i, len(order)/2)
+		if n != len(order)/2 {
+			t.Fatalf("%s: EachEdgeFourCycle stopped after %d edges, yield said stop at %d", c.name, n, len(order)/2)
+		}
+		for range 50 {
+			R, C := 1+rng.Intn(4), 1+rng.Intn(5)
+			r, col := rng.Intn(R), rng.Intn(C)
+			rlo, rhi := exec.Stripe(r, R, p.numRows())
+			clo, chi := exec.Stripe(col, C, p.lastEdges())
+			var block []int64
+			for i, e := range order {
+				if e.row >= rlo && e.row < rhi && e.col >= clo && e.col < chi {
+					block = append(block, sq[i])
+				}
+			}
+			lo := rng.Int63n(int64(len(block)) + 1)
+			hi := lo + rng.Int63n(int64(len(block))-lo+1)
+			var want int64
+			for _, s := range block[lo:hi] {
+				want += s
+			}
+			got, err := p.PriceBlockRangeContext(context.Background(), r, R, col, C, lo, hi, nil)
+			if err != nil || got != want {
+				t.Fatalf("%s block (%d,%d) of %d×%d [%d,%d): priced Σ◊ %d, %v; ◊ walk %d", c.name, r, col, R, C, lo, hi, got, err, want)
+			}
 		}
 	}
 }
@@ -216,7 +300,6 @@ func TestWalkerSurface(t *testing.T) {
 		"EachEdgeBlockBatchContext",
 		"EachEdgeBlockRangeBatchContext",
 		"EachEdgeFourCycle",
-		"EachEdgeFourCycleBlockRangeBatchContext",
 		"EachEdgeRangeBatchContext",
 		"StreamEdgesParallelContext",
 	}
@@ -404,10 +487,10 @@ func blockRangeEdges(p *Product, r, R, c, C int, lo, hi int64, yield func(v, w i
 // block-range walk the matching slice of the block's restriction and
 // the block walk the whole restriction, each under a cancellable and a
 // background context; the closed-form counts (NumEdges, BlockEdgeCount)
-// must equal the oracle's lengths.  The public ◊ walk
-// (EachEdgeFourCycleBlockRangeBatchContext) of each of the three
-// windows, under both contexts, must yield the same edges, each priced
-// as EdgeFourCyclesAt prices it.
+// must equal the oracle's lengths.  The priced walk
+// (PriceBlockRangeContext) of each of the three windows, emitting and
+// sum-only under both contexts, must yield the same edges and price them
+// as Σ EdgeFourCyclesAt does.
 func FuzzEdgeRange(f *testing.F) {
 	f.Add(uint8(0), uint32(0), uint32(1<<31), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(uint8(3), uint32(17), uint32(40), uint8(1), uint8(2), uint8(1), uint8(1))
@@ -464,8 +547,9 @@ func FuzzEdgeRange(f *testing.F) {
 // walkAllocBound caps the allocations of one walk of each shape.  A walk
 // resolves its factor state once, so the count is a small constant:
 // independent of the product's size and of how many rows it walks.  The
-// ◊ walk ("four") resolves its stripe and anchor state once too, never
-// per row or per prefix pair.
+// ◊ walk ("four") and the priced walk ("priced", a sum-only pricing of
+// the whole product and an emitting one of a block range) resolve their
+// stripe and anchor state once too, never per row or per prefix pair.
 var walkAllocBound = map[string]float64{
 	"range":       12,
 	"mid-row":     12,
@@ -473,6 +557,7 @@ var walkAllocBound = map[string]float64{
 	"block-range": 12,
 	"parallel":    32,
 	"four":        16,
+	"priced":      24,
 }
 
 // walkAllocs measures each walk shape's allocations on p.
@@ -536,6 +621,16 @@ func walkAllocs(t *testing.T, p *Product) map[string]float64 {
 			got = n // the sum covers every edge or it would not match
 			return n
 		},
+		"priced": func() int64 {
+			sum, err := p.PriceBlockRangeContext(ctx, 0, 1, 0, 1, 0, n, nil)
+			if want := 4 * p.GlobalFourCycles(); err != nil || sum != want {
+				t.Fatalf("priced Σ◊ %d, %v; 4·□ %d", sum, err, want)
+			}
+			if _, err := p.PriceBlockRangeContext(ctx, 1, 2, 2, 3, blo, bcount, count); err != nil {
+				t.Fatal(err)
+			}
+			return bcount - blo
+		},
 	}
 	out := map[string]float64{}
 	for shape, walk := range walks {
@@ -556,8 +651,8 @@ func (c *countBatchSink) EdgeBatch(batch []exec.Edge) error {
 
 // TestWalkAllocsBounded: every walk shape — a full range, a span that
 // starts mid-row (as a ranged stream or a resumed lease does), a 2×3 block
-// sweep, a block range from a mid-row offset, the parallel batch stream
-// and the ◊ sum — allocates a fixed, small number of times, on a K = 1
+// sweep, a block range from a mid-row offset, the parallel batch stream,
+// the ◊ sum and the priced walk — allocates a fixed, small number of times, on a K = 1
 // product and a K = 2 chain, and the same bound holds for products 4×
 // larger.
 // Rebuilding a factor's edge list per row or per prefix pair instead of

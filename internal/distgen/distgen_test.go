@@ -152,10 +152,12 @@ func TestRunHappyPath(t *testing.T) {
 
 // killerHandler simulates a replica dying mid-lease: the first lease
 // response is cut off after a few bytes reach the wire, and every
-// request after that has its connection dropped immediately.
+// request after that has its connection dropped immediately.  fired is
+// closed once it has died.
 type killerHandler struct {
 	h      http.Handler
 	killed atomic.Bool
+	fired  chan struct{}
 }
 
 func (k *killerHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -198,7 +200,9 @@ func (kw *killWriter) Write(b []byte) (int, error) {
 			f.Flush()
 		}
 	}
-	kw.k.killed.Store(true)
+	if !kw.k.killed.Swap(true) {
+		close(kw.k.fired)
+	}
 	hijackClose(kw.ResponseWriter)
 	return 0, net.ErrClosed
 }
@@ -219,13 +223,25 @@ func (kw *killWriter) Flush() {
 // equals the closed-form |E_C|, and the online audit (degree sums + dual
 // 4-cycle routes + membership) reports clean on the merged stream.
 func TestRunWorkerKilledMidLease(t *testing.T) {
-	var killer *killerHandler
+	killer := &killerHandler{fired: make(chan struct{})}
 	urls := newFleet(t, 3, func(i int, h http.Handler) http.Handler {
 		if i == 1 {
-			killer = &killerHandler{h: h}
+			killer.h = h
 			return killer
 		}
-		return h
+		// The healthy replicas answer no lease until the doomed one has
+		// died (or 5 s have passed), so its failure is booked before a
+		// speculative twin can deliver its block: a failed lease of a
+		// delivered block counts as no failure.
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/leases" {
+				select {
+				case <-killer.fired:
+				case <-time.After(5 * time.Second):
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
 	})
 	want, total := localEdgeSet(t, testSpec)
 

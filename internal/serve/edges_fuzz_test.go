@@ -143,8 +143,8 @@ func FuzzEdgesQuery(f *testing.F) {
 // answer is 200, 400, 413 or 416.  A 200 body wire-decodes from the
 // offset to exactly edges [offset, want) of the block's
 // EachEdgeBlockRangeBatchContext walk, with want − offset in the
-// edge-count trailer and the ◊ walk's Σ over the whole block in the Σ◊
-// trailer.
+// edge-count trailer and, in the Σ◊ trailer, the sum of EdgeFourCyclesAt
+// over the whole block's plain walk.
 func FuzzLeaseBody(f *testing.F) {
 	total := wireTestProduct(f).NumEdges()
 	// The budget admits the whole product as one block, so a raw body
@@ -231,14 +231,20 @@ func FuzzLeaseBody(f *testing.F) {
 		}); err != nil {
 			t.Fatalf("%s: block walk: %v", body, err)
 		}
+		// The trailer's Σ◊ covers the whole block, resumed or not: the
+		// plain block walk priced edge by edge with the point query.
 		var fourSum int64
-		if err := p.EachEdgeFourCycleBlockRangeBatchContext(ctx, req.Row, req.Rows, req.Col, req.Cols, 0, want, func(_ []exec.Edge, sq []int64) bool {
-			for _, s := range sq {
-				fourSum += s
+		if err := p.EachEdgeBlockBatchContext(ctx, req.Row, req.Rows, req.Col, req.Cols, func(b []exec.Edge) bool {
+			for _, e := range b {
+				sq, err := p.EdgeFourCyclesAt(e.V, e.W)
+				if err != nil {
+					t.Fatalf("%s: EdgeFourCyclesAt(%d,%d): %v", body, e.V, e.W, err)
+				}
+				fourSum += sq
 			}
 			return true
 		}); err != nil {
-			t.Fatalf("%s: ◊ walk: %v", body, err)
+			t.Fatalf("%s: block walk: %v", body, err)
 		}
 
 		if st := res.Trailer.Get(TrailerStatus); st != "complete" {

@@ -370,8 +370,9 @@ func (m *manager) running() (n int) {
 
 // drain stops admissions and waits for the audited runs in flight; when
 // ctx expires first, the running jobs are cancelled and the ctx error
-// returned.  A cancelled audit's ◊ walk stops within one batch and
-// frees its walk slot, but drain returns without waiting for it.
+// returned.  A cancelled audit's pricing stops within 1024 prefix
+// pairs and frees its walk slot, but drain returns without waiting for
+// it.
 func (m *manager) drain(ctx context.Context) error {
 	m.mu.Lock()
 	m.closed = true
@@ -408,8 +409,8 @@ func (m *manager) close() {
 // audit runs an audited job's checks while the job holds the walk slot
 // taken at admission: audit.Auditor.FinalizeContext under the job's
 // context without a stream, that is the degree sums, the dual-route
-// 4-cycle count (one ◊ walk of the product, which DELETE or a drain
-// timeout stops), the spot checks and Thm. 7.  The stream checks
+// 4-cycle count (the product's Σ◊ priced per prefix pair, which DELETE
+// or a drain timeout stops), the spot checks and Thm. 7.  The stream checks
 // (stream.count, stream.membership) belong to the edges that are
 // actually emitted, on ?audit=1 streams.
 func (m *manager) audit(j *Job) {

@@ -24,8 +24,8 @@ import (
 // block, so admission is the walk cap it shares with edge streams and
 // audited jobs (Config.MaxWalks), and a full server answers 429 +
 // Retry-After so the coordinator backs off and routes the block to
-// another replica.  Every lease prices its edges with their 4-cycle
-// counts as it walks (Thm. 5) and sends the block's Σ◊ in a trailer;
+// another replica.  Every lease prices its block's Σ◊ (Thm. 5) per
+// prefix pair in the pass that walks it and sends the sum in a trailer;
 // summed over the grid that is 4·□(C), which the coordinator checks
 // against the closed form without walking the product.  The other
 // invariants (degree sums, membership) it audits on the merged stream,
@@ -39,8 +39,9 @@ const HeaderBlockEdges = "X-Kronbip-Block-Edges"
 
 // The block's Σ◊ travels in the wire.TrailerFourSum trailer.  A resumed
 // lease reports the whole block too, so its trailer equals the fresh
-// lease's; on an aborted lease the value covers only the edges walked
-// before the abort.
+// lease's.  On an aborted lease the value is whatever the walk had
+// priced when it stopped, which matches no set of sent edges; the
+// coordinator fails such a lease on its status and never reads it.
 
 // Lease metrics (request/latency/error series come from the shared RED
 // "leases" route; these cover the lease-specific lifecycle).
@@ -160,12 +161,12 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		cuts = []int64{want}
 	}
 	out := newBinSink(w, cuts, req.Offset)
-	// The lease rides the ◊ walk, which prices every edge with its
-	// 4-cycle count.  A fresh lease covers the whole block; a resumed one
-	// first ◊-sums the skipped prefix [0, offset) without emitting it,
-	// then seeks to its offset in closed form and batches the tail.
-	var fourSum int64
-	err = walkWindow(r.Context(), p, req.Row, req.Rows, req.Col, req.Cols, 0, req.Offset, nil, nil, &fourSum)
+	// The lease rides the priced walk, which sums the 4-cycle counts per
+	// prefix pair as it emits.  A fresh lease covers the whole block; a
+	// resumed one first prices the skipped prefix [0, offset) without
+	// walking its edges, then seeks to its offset in closed form and
+	// batches the tail.
+	fourSum, err := p.PriceBlockRangeContext(r.Context(), req.Row, req.Rows, req.Col, req.Cols, 0, req.Offset, nil)
 	if err == nil {
 		err = walkWindow(r.Context(), p, req.Row, req.Rows, req.Col, req.Cols, req.Offset, want, out, nil, &fourSum)
 	}

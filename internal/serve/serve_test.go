@@ -693,9 +693,10 @@ func TestWalkAdmission(t *testing.T) {
 	}
 }
 
-// TestDeleteStopsAudit: DELETE of a running audited job stops its ◊
-// walk within one batch, so the walk slot the job held comes free at
-// once and another job's edge stream is admitted (200), not 429.
+// TestDeleteStopsAudit: DELETE of a running audited job stops its
+// theorem.four_dual pricing within 1024 prefix pairs, so the
+// walk slot the job held comes free at once and another job's edge
+// stream is admitted (200), not 429.
 func TestDeleteStopsAudit(t *testing.T) {
 	s, ts := testServer(t, Config{MaxWalks: 1})
 	started := make(chan struct{})
@@ -704,14 +705,16 @@ func TestDeleteStopsAudit(t *testing.T) {
 		return nil
 	}
 	priced, _ := submitJob(t, ts.URL, `{"factor":"crown4"}`)
-	// 3.36·10⁹ product edges: theorem.four_dual's ◊ walk would run for
-	// minutes.
-	big, res := submitJob(t, ts.URL, `{"factor":"sf2000x2000x40000","audit":true}`)
+	// 6.8·10⁹ product edges in ~3.4·10⁹ prefix pairs of one path2 edge
+	// each: theorem.four_dual's pricing would run for minutes.  (Alone,
+	// sf2000x2000x40000 has only ~44,000 prefix pairs and prices in
+	// milliseconds, so its audit could finish before the DELETE.)
+	big, res := submitJob(t, ts.URL, `{"factors":["sf2000x2000x40000","path2"],"audit":true}`)
 	if res.StatusCode != http.StatusAccepted || big.State != "running" {
 		t.Fatalf("audited submit = %d, state %q; want 202 running", res.StatusCode, big.State)
 	}
 	<-started
-	time.Sleep(100 * time.Millisecond) // let the ◊ walk get under way
+	time.Sleep(100 * time.Millisecond) // let the pricing get under way
 	if st := deleteJob(t, ts.URL, big.ID); st.State != "cancelled" {
 		t.Fatalf("DELETE of the running audited job: state %q, want cancelled", st.State)
 	}

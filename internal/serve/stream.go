@@ -129,10 +129,10 @@ type edgeStreamSink interface {
 // the walker's batches, on the calling goroutine.  Each batch goes to
 // out, the stream's encoder, when out is non-nil, and then to tap, the
 // stream's auditor, when tap is non-nil.  Given a non-nil fourSum it
-// walks the ◊ walker instead of the plain one and adds every walked
-// edge's 4-cycle count to *fourSum.  It returns the walk's error (bad
-// coordinates, a cancelled ctx) or else out's first error, which stops
-// the walk.
+// walks the priced walker instead of the plain one and adds the
+// window's Σ◊, priced per prefix pair, to *fourSum.  It returns the
+// walk's error (bad coordinates, a cancelled ctx) or else out's first
+// error, which stops the walk.
 func walkWindow(ctx context.Context, p *core.Product, row, rows, col, cols int, lo, hi int64,
 	out edgeStreamSink, tap *audit.StreamAuditor, fourSum *int64) error {
 	var outErr error
@@ -149,13 +149,9 @@ func walkWindow(ctx context.Context, p *core.Product, row, rows, col, cols int, 
 	}
 	var err error
 	if fourSum != nil {
-		err = p.EachEdgeFourCycleBlockRangeBatchContext(ctx, row, rows, col, cols, lo, hi,
-			func(batch []exec.Edge, sq []int64) bool {
-				for _, s := range sq {
-					*fourSum += s
-				}
-				return emit(batch)
-			})
+		var sum int64
+		sum, err = p.PriceBlockRangeContext(ctx, row, rows, col, cols, lo, hi, emit)
+		*fourSum += sum
 	} else {
 		err = p.EachEdgeBlockRangeBatchContext(ctx, row, rows, col, cols, lo, hi, emit)
 	}
@@ -305,9 +301,9 @@ func (s *Server) handleJobEdges(w http.ResponseWriter, r *http.Request) {
 		if streamFinalizing != nil {
 			streamFinalizing(ctx)
 		}
-		// theorem.four_dual's ◊ walk runs under the stream's context, so
-		// a DELETE, a departed client or a drain stops it within a batch
-		// and the walk slot comes free.
+		// theorem.four_dual's pricing runs under the stream's context, so
+		// a DELETE, a departed client or a drain stops it within 1024
+		// prefix pairs and the walk slot comes free.
 		report, err = auditor.FinalizeContext(ctx)
 	}
 	status := "complete"

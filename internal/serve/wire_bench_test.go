@@ -3,9 +3,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"kronbip/internal/core"
 	"kronbip/internal/exec"
 	"kronbip/internal/spec"
+	"kronbip/internal/wire"
 )
 
 // benchWireProduct builds the repo-wide benchmark product (the paper's
@@ -255,4 +258,64 @@ func BenchmarkStreamWire_DecodeChain(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.NumEdges()), "ns/edge")
 	b.ReportMetric(float64(len(payload))/float64(p.NumEdges()), "B/edge")
+}
+
+// BenchmarkStream_Lease serves POST /v1/leases in process for every
+// block of a grid, the replica's half of a dist-gen run: the block walk
+// with its Σ◊ priced per prefix pair, the bin encoding and the trailers,
+// into a no-op writer.  The blocks' Σ◊ trailers must add up to 4·□.
+// Table I runs on dist-gen's default 2×3 plan; chain-bin's spec
+// (sf48x96x240 ⊗ crown4, selfloop) on 3×3, where crown4's 4-edge
+// stripes make the per-prefix-pair work count.
+func BenchmarkStream_Lease(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		factors    []string
+		rows, cols int
+	}{
+		{"table1_2x3", []string{"unicode"}, 2, 3},
+		{"chain-bin_3x3", []string{"sf48x96x240", "crown4"}, 3, 3},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sp := spec.Spec{Factors: c.factors, Mode: spec.ModeSelfLoop, Seed: spec.DefaultSeed}
+			p, err := sp.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := New(Config{})
+			b.Cleanup(func() { _ = s.Shutdown(5 * time.Second) })
+			h := s.Handler()
+			factors, _ := json.Marshal(sp.Factors)
+			var bodies []string
+			for r := 0; r < c.rows; r++ {
+				for col := 0; col < c.cols; col++ {
+					bodies = append(bodies, fmt.Sprintf(`{"factors":%s,"mode":%q,"seed":%d,"row":%d,"rows":%d,"col":%d,"cols":%d}`,
+						factors, sp.Mode, sp.Seed, r, c.rows, col, c.cols))
+				}
+			}
+			lease := func() {
+				var four int64
+				for _, body := range bodies {
+					w := nopFlushWriter{h: make(http.Header)}
+					h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/leases", strings.NewReader(body)))
+					sum, err := strconv.ParseInt(w.h.Get(wire.TrailerFourSum), 10, 64)
+					if st := w.h.Get(TrailerStatus); st != "complete" || err != nil {
+						b.Fatalf("%s: status %q, Σ◊ trailer %v", body, st, err)
+					}
+					four += sum
+				}
+				if want := 4 * p.GlobalFourCycles(); four != want {
+					b.Fatalf("Σ◊ over the blocks %d, 4·□ %d", four, want)
+				}
+			}
+			lease() // builds the server's cached product
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lease()
+			}
+			b.ReportMetric(float64(p.NumEdges()), "edges/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.NumEdges()), "ns/edge")
+		})
+	}
 }
