@@ -9,9 +9,9 @@
 #   make serve-smoke- end-to-end smoke test of the kronbip serve service
 #   make distgen-smoke - distributed generation smoke: 3-replica fleet + dist-gen
 #   make fuzz       - bounded fuzzing of the edge-range walkers, the factor
-#                     statistics pass, the bin decoder, the text renderers,
-#                     the edges endpoint's query string, the lease body and
-#                     the job body (30 s each)
+#                     statistics pass, the bin run writer, the bin decoder,
+#                     the text renderers, the edges endpoint's query string,
+#                     the lease body and the job body (30 s each)
 #   make check      - everything (what CI should run)
 
 GO ?= go
@@ -49,6 +49,8 @@ race:
 # oracle —,
 # FuzzFactorStats — the factor statistics wedge pass against the
 # internal/count oracles on graphs of up to 64 vertices —,
+# FuzzRunFrames — the bin run writer over the run walk against PutFrame
+# over the batch walk, on block × range windows stopped anywhere —,
 # FuzzDecodeWire — the bin decoder against its pre-rewrite reference on
 # arbitrary bytes, plus decode ∘ encode on ranges and lease blocks —,
 # FuzzAppendText — AppendTSV and AppendNDJSON against their strconv
@@ -67,6 +69,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEdgeRange$$' -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFactorStats$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRunFrames$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWire$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendText$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/exec
 	$(GO) test -run '^$$' -fuzz '^FuzzEdgesQuery$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/serve

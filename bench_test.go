@@ -861,7 +861,7 @@ func BenchmarkStream_FourCyclePriced(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						s, err := p.PriceBlockRangeContext(ctx, r, c.rows, col, c.cols, 0, n, nil)
+						s, err := p.PriceBlockRangeContext(ctx, r, c.rows, col, c.cols, 0, n)
 						if err != nil {
 							b.Fatal(err)
 						}

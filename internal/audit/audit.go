@@ -241,7 +241,7 @@ func (a *Auditor) FinalizeContext(ctx context.Context) (*Report, error) {
 		e4, how = *a.edgeFour, "supplied"
 	} else {
 		var err error
-		if e4, err = p.PriceBlockRangeContext(ctx, 0, 1, 0, 1, 0, p.NumEdges(), nil); err != nil {
+		if e4, err = p.PriceBlockRangeContext(ctx, 0, 1, 0, 1, 0, p.NumEdges()); err != nil {
 			return nil, err
 		}
 	}

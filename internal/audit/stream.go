@@ -74,6 +74,26 @@ func (s *StreamAuditor) EdgeBatch(batch []exec.Edge) error {
 	return nil
 }
 
+// EdgeRun audits one run of a run walk (core.Run) as EdgeBatch audits
+// the same edges: one atomic add for the count, then membership checks
+// only at the sampled ordinals inside the run, each edge rebuilt from
+// the run's stripe.
+func (s *StreamAuditor) EdgeRun(r core.Run) {
+	n := int64(r.Hi - r.Lo)
+	hi := s.edges.Add(n)
+	base := hi - n
+	var sampled int64
+	for i := s.sampleEvery - base%s.sampleEvery - 1; i < n; i += s.sampleEvery {
+		x, y := r.Stripe.Edge(r.Lo + int(i))
+		sampled++
+		s.checkEdge(r.V+x, r.W+y)
+	}
+	if sampled > 0 {
+		s.sampled.Add(sampled)
+		mSampled.Add(sampled)
+	}
+}
+
 // Edges returns the number of edges seen so far (before InjectDrop
 // adjustment).
 func (s *StreamAuditor) Edges() int64 { return s.edges.Load() }

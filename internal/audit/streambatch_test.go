@@ -6,6 +6,7 @@ import (
 
 	"kronbip/internal/core"
 	"kronbip/internal/exec"
+	"kronbip/internal/graph"
 )
 
 // collectProductEdges materializes the edge stream once so batch tests
@@ -37,9 +38,20 @@ func replayBatches(t *testing.T, bs exec.BatchSink, edges []exec.Edge) {
 	}
 }
 
-// TestStreamAuditorBatchMatchesPerEdge: the batched auditor must land
-// on the identical edge count, sampled count, and verdicts as per-edge
-// delivery of the same stream, regardless of batch boundaries.
+// replayRuns feeds edges to s as runs: each edge (v, w) is the one
+// digit of a stripe holding the edge (0, 0) under prefix pair (v, w).
+func replayRuns(s *StreamAuditor, edges []exec.Edge) {
+	origin := &core.Stripe{Edges: []graph.Edge{{U: 0, V: 0}}}
+	for _, e := range edges {
+		s.EdgeRun(core.Run{V: e.V, W: e.W, Stripe: origin, Lo: 0, Hi: 1})
+	}
+}
+
+// TestStreamAuditorBatchMatchesPerEdge: the batched auditor, and the
+// run auditor fed the run walk in pieces of at most three digits, must
+// land on the identical edge count, sampled count, and verdicts as
+// per-edge delivery of the same stream, regardless of batch and run
+// boundaries.
 func TestStreamAuditorBatchMatchesPerEdge(t *testing.T) {
 	for name, p := range products(t) {
 		t.Run(name, func(t *testing.T) {
@@ -64,14 +76,28 @@ func TestStreamAuditorBatchMatchesPerEdge(t *testing.T) {
 				if batched.bad.Load() != 0 {
 					t.Fatalf("sampleEvery=%d: clean stream flagged %d bad edges", sampleEvery, batched.bad.Load())
 				}
+				runs := NewStream(p, sampleEvery)
+				if err := p.EachEdgeBlockRangeRunContext(context.Background(), 0, 1, 0, 1, 0, p.NumEdges(), nil, func(r core.Run) bool {
+					for hi := r.Hi; r.Lo < hi; r.Lo = r.Hi {
+						r.Hi = min(hi, r.Lo+3)
+						runs.EdgeRun(r)
+					}
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if runs.edges.Load() != perEdge.edges.Load() || runs.sampled.Load() != perEdge.sampled.Load() || runs.bad.Load() != 0 {
+					t.Fatalf("sampleEvery=%d: runs counted %d edges, sampled %d, %d bad; per-edge %d, %d",
+						sampleEvery, runs.edges.Load(), runs.sampled.Load(), runs.bad.Load(), perEdge.edges.Load(), perEdge.sampled.Load())
+				}
 			}
 		})
 	}
 }
 
 // TestStreamAuditorBatchCatchesForeignEdge: a fabricated edge planted
-// at a sampled ordinal is flagged by batch delivery exactly as by
-// per-edge delivery.
+// at a sampled ordinal is flagged by batch and by run delivery exactly
+// as by per-edge delivery.
 func TestStreamAuditorBatchCatchesForeignEdge(t *testing.T) {
 	p := products(t)["mode2"]
 	edges := collectProductEdges(t, p)
@@ -82,6 +108,11 @@ func TestStreamAuditorBatchCatchesForeignEdge(t *testing.T) {
 	replayBatches(t, s, edges)
 	if s.bad.Load() != 1 {
 		t.Fatalf("flagged %d bad edges, want exactly 1", s.bad.Load())
+	}
+	r := NewStream(p, sampleEvery)
+	replayRuns(r, edges)
+	if r.bad.Load() != 1 || r.firstBad != s.firstBad {
+		t.Fatalf("runs flagged %d bad edges, first %q; want 1, %q", r.bad.Load(), r.firstBad, s.firstBad)
 	}
 }
 

@@ -23,11 +23,17 @@
 // factor's stripe once per walk; each edge's ◊ is then three multiplies
 // in its own leaf loop.
 //
+// A run walk hands each prefix pair's stretch of the window to its
+// consumer whole, as a Run: the pair, the stripe it expands and the
+// digits it covers.  Nothing is appended per edge, so a consumer that
+// can treat a stripe once per walk (the bin frame writer copies its
+// delta bytes) pays per prefix pair, not per edge.
+//
 // A priced walk folds the same anchor terms but adds each prefix pair's
 // whole Σ◊ in closed form from stripe sums resolved once per walk, so
 // its sum costs O(prefix pairs), not O(edges); only a cut first or last
-// prefix pair is priced edge by edge.  In the same pass it emits the
-// window's plain batches, or nothing when only the sum is wanted.
+// prefix pair is priced edge by edge.  In the same pass it delivers the
+// window's runs, or nothing when only the sum is wanted.
 package core
 
 import (
@@ -127,10 +133,11 @@ func (p *Product) termStarts(win window) []int64 {
 // walker is one walk's factor state, resolved once per walk.  Slices
 // are indexed by chain level: level 0 is A, level u >= 1 is B_u.  A
 // batch walk appends to a buffer and hands full batches to emit, a
-// per-edge walk hands every edge straight to yield, and a ◊ walk hands
-// batches with their edges' ◊ to four.emit.  A priced walk (four set,
-// four.emit nil) sums Σ◊ into four.sum and hands its plain batches to
-// emit, or to nobody when emit is nil too.
+// per-edge walk hands every edge straight to yield, a run walk hands
+// every prefix pair's run to runs, and a ◊ walk hands batches with their
+// edges' ◊ to four.emit.  A priced walk (four set, four.emit nil) sums
+// Σ◊ into four.sum and hands its runs to runs, or to nobody when runs
+// is nil too.
 type walker struct {
 	p      *Product
 	ea     []graph.Edge   // A's edges, the prefix pairs of term-0 rows
@@ -139,7 +146,17 @@ type walker struct {
 	pv, pw []int          // prefix pair through each level
 	emit   func(batch []exec.Edge) bool
 	yield  func(v, w int) bool
+	runs   func(r Run) bool
 	four   *fourWalk
+	// A run walk's two stripes, one orientation and both, resolved once
+	// per walk, and the edges it may still deliver before it next looks
+	// at its context.
+	stripes *[2]Stripe
+	left    int
+	// A run or priced walk's context's done channel (nil: never
+	// cancelled), with the walk's flag to raise once it is closed.
+	done      <-chan struct{}
+	cancelled *bool
 }
 
 // fourWalk is a ◊ or priced walk's state.  at[u] holds the Thm. 5
@@ -169,13 +186,10 @@ type fourWalk struct {
 	// batch index.
 	sq   []int64
 	emit func(batch []exec.Edge, sq []int64) bool
-	// A priced walk's Σ◊ so far, and its context's done channel, polled
-	// every pricePoll prefix pairs (nil: never cancelled), with the
-	// walk's flag to raise once it is closed.
-	sum       int64
-	done      <-chan struct{}
-	pairs     int
-	cancelled *bool
+	// A priced walk's Σ◊ so far, and the prefix pairs it priced since it
+	// last looked at the walk's context.
+	sum   int64
+	pairs int
 }
 
 // pricePoll is how many prefix pairs a priced walk prices between two
@@ -251,6 +265,9 @@ func (p *Product) run(win window, buf []exec.Edge, w walker) {
 		w.eb[u] = p.bs[u-1].G.Edges()
 	}
 	w.eb[k] = w.eb[k][win.clo:win.chi]
+	if w.runs != nil {
+		w.stripes = &[2]Stripe{{Edges: w.eb[k]}, {Edges: w.eb[k], Both: true}}
+	}
 	if w.four != nil {
 		w.four.resolve(p, w.eb[max(t, 1):], cap(buf))
 	}
@@ -312,15 +329,13 @@ func (f *fourWalk) resolve(p *Product, eb [][]graph.Edge, n int) {
 // pair, of per digits in all: the closed form for a whole pair, edge by
 // edge for a cut one.  Every pricePoll pairs it looks at the context and
 // returns false once it is done.
-func (f *fourWalk) price(s, e, per int64, both bool) bool {
-	if f.done != nil {
+func (w *walker) price(s, e, per int64, both bool) bool {
+	f := w.four
+	if w.done != nil {
 		if f.pairs++; f.pairs == pricePoll {
 			f.pairs = 0
-			select {
-			case <-f.done:
-				*f.cancelled = true
+			if !w.live() {
 				return false
-			default:
 			}
 		}
 	}
@@ -378,6 +393,8 @@ func (w *walker) row(t, r int, buf []exec.Edge, remaining int64) ([]exec.Edge, i
 		case w.four != nil:
 			w.fold(t, r, from)
 			buf, ok = w.fourPair(buf, av, aw, s, s+c, per, both)
+		case w.runs != nil:
+			ok = w.deliver(av, aw, s, s+c, both)
 		case c < per: // the walk's first or last prefix pair
 			buf, ok = w.partial(buf, av, aw, s, s+c, both)
 		case w.yield != nil:
@@ -411,19 +428,60 @@ func (w *walker) row(t, r int, buf []exec.Edge, remaining int64) ([]exec.Edge, i
 // fourPair is row's step for a ◊ or priced walk once fold has set the
 // prefix pair's anchor terms: a ◊ walk, which covers whole prefix pairs,
 // emits the pair with each edge's ◊; a priced walk adds the Σ◊ of
-// last-level digits [s, e) of per and emits them plain, if it emits.
+// last-level digits [s, e) of per and delivers them as a run, if it
+// delivers anything.
 func (w *walker) fourPair(buf []exec.Edge, av, aw int, s, e, per int64, both bool) ([]exec.Edge, bool) {
-	switch f := w.four; {
-	case f.emit != nil:
+	switch {
+	case w.four.emit != nil:
 		return w.appendFour(buf, av, aw, both)
-	case !f.price(s, e, per, both):
+	case !w.price(s, e, per, both):
 		return nil, false
-	case w.emit == nil:
+	case w.runs == nil:
 		return buf, true
-	case e-s < per:
-		return w.partial(buf, av, aw, s, e, both)
 	}
-	return w.appendRun(buf, av, aw, both)
+	return buf, w.deliver(av, aw, s, e, both)
+}
+
+// deliver hands last-level digits [s, e) of prefix pair (av, aw) to a
+// run walk's consumer.  Under a cancellable context it cuts the run
+// wherever the walk has delivered another exec.BatchLen edges and looks
+// at the context there, so a run walk stops where a batch walk would:
+// nothing is delivered once a cancellation is seen, and at most
+// exec.BatchLen edges are delivered past it.
+func (w *walker) deliver(av, aw int, s, e int64, both bool) bool {
+	r := Run{V: av, W: aw, Stripe: &w.stripes[0], Lo: int(s), Hi: int(e)}
+	if both {
+		r.Stripe = &w.stripes[1]
+	}
+	if w.done == nil {
+		return w.runs(r)
+	}
+	for hi := r.Hi; r.Lo < hi; r.Lo = r.Hi {
+		if w.left == 0 {
+			if !w.live() {
+				return false
+			}
+			w.left = exec.BatchLen
+		}
+		r.Hi = min(hi, r.Lo+w.left)
+		w.left -= r.Hi - r.Lo
+		if !w.runs(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// live looks at the walk's context, raising the walk's cancelled flag
+// and returning false once it is done.
+func (w *walker) live() bool {
+	select {
+	case <-w.done:
+		*w.cancelled = true
+		return false
+	default:
+		return true
+	}
 }
 
 // fold brings a ◊ or priced walk's anchor terms down to the last level
@@ -587,14 +645,29 @@ func (p *Product) walkFour(yield func(batch []exec.Edge, sq []int64) bool) {
 	p.run(p.whole(), (*bufp)[:0], walker{four: &fourWalk{emit: yield}})
 }
 
-// walkPriced prices win: it returns the Σ◊ of its edges, and with a
-// non-nil yield delivers them in the same pass under walkBatch's
-// contract.  A walk that yield or a cancellation stopped returns the sum
-// of what it priced so far.
-func (p *Product) walkPriced(ctx context.Context, win window, yield func(batch []exec.Edge) bool) (int64, error) {
+// walkPriced prices win sum-only: it returns the Σ◊ of its edges,
+// delivering nothing.  A walk a cancellation stopped returns the sum of
+// what it priced so far.
+func (p *Product) walkPriced(ctx context.Context, win window) (int64, error) {
 	f := &fourWalk{}
-	err := p.walkContext(ctx, win, f, yield)
+	err := p.walkRuns(ctx, win, f, nil)
 	return f.sum, err
+}
+
+// walkRuns delivers win as runs under walkBatch's contract, run by run
+// (see deliver), or with f set prices it too, looking at ctx every
+// pricePoll prefix pairs; a priced walk with a nil yield delivers
+// nothing.  A non-cancellable context skips every look.
+func (p *Product) walkRuns(ctx context.Context, win window, f *fourWalk, yield func(r Run) bool) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	cancelled := false
+	p.run(win, nil, walker{four: f, runs: yield, done: ctx.Done(), cancelled: &cancelled})
+	if cancelled {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // walkBatch delivers win in batches of up to exec.BatchLen edges under
@@ -603,15 +676,6 @@ func (p *Product) walkPriced(ctx context.Context, win window, yield func(batch [
 // walk then returns ctx.Err().  The yielded slice is reused between
 // calls.  A non-cancellable context skips the check.
 func (p *Product) walkBatch(ctx context.Context, win window, yield func(batch []exec.Edge) bool) error {
-	return p.walkContext(ctx, win, nil, yield)
-}
-
-// walkContext runs a batch walk, or with f set a priced walk, over win
-// under ctx: its batches, if yield takes any, fill a pooled buffer and
-// go out under walkBatch's contract, and a priced walk also looks at ctx
-// every pricePoll prefix pairs.  A sum-only walk leaves the buffer
-// unused.
-func (p *Product) walkContext(ctx context.Context, win window, f *fourWalk, yield func(batch []exec.Edge) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -620,26 +684,19 @@ func (p *Product) walkContext(ctx context.Context, win window, f *fourWalk, yiel
 	buf := (*bufp)[:0]
 	done := ctx.Done()
 	if done == nil {
-		p.run(win, buf, walker{four: f, emit: yield})
+		p.run(win, buf, walker{emit: yield})
 		return nil
 	}
 	cancelled := false
-	if f != nil {
-		f.done, f.cancelled = done, &cancelled
-	}
-	emit := yield
-	if yield != nil {
-		emit = func(batch []exec.Edge) bool {
-			select {
-			case <-done:
-				cancelled = true
-				return false
-			default:
-			}
-			return yield(batch)
+	p.run(win, buf, walker{emit: func(batch []exec.Edge) bool {
+		select {
+		case <-done:
+			cancelled = true
+			return false
+		default:
 		}
-	}
-	p.run(win, buf, walker{four: f, emit: emit})
+		return yield(batch)
+	}})
 	if cancelled {
 		return ctx.Err()
 	}

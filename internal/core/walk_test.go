@@ -128,14 +128,14 @@ func TestEachEdgeMatchesCanonicalOrder(t *testing.T) {
 	}
 }
 
-// fourWalkOf runs the priced walk (PriceBlockRangeContext) of edges
-// [lo, hi) of block (r, c) of an R×C grid, emitting and sum-only, under
-// a cancellable and a background context.  It fails unless each
-// emitting walk yields exactly want, in order, in batches of legal size,
-// and every walk's sum is Σ EdgeFourCyclesAt over want.  Callers pass
-// the slice of the canonical order the plain walkers of the same window
-// are checked against, so the priced walk's edge sequence is the plain
-// walk's.
+// fourWalkOf runs the priced run walk (EachEdgeBlockRangeRunContext
+// with a Σ◊ accumulator) and the sum-only pricer
+// (PriceBlockRangeContext) of edges [lo, hi) of block (r, c) of an R×C
+// grid, under a cancellable and a background context.  It fails unless
+// the run walk yields exactly want, in order, in legal runs, and every
+// sum is Σ EdgeFourCyclesAt over want.  Callers pass the slice of the
+// canonical order the plain walkers of the same window are checked
+// against, so the priced walk's edge sequence is the plain walk's.
 func fourWalkOf(t *testing.T, what string, p *Product, r, R, c, C int, lo, hi int64, want []oracleEdge) {
 	t.Helper()
 	var sum int64
@@ -150,13 +150,13 @@ func fourWalkOf(t *testing.T, what string, p *Product, r, R, c, C int, lo, hi in
 	defer cancel()
 	for name, ctx := range map[string]context.Context{"cancellable": live, "background": context.Background()} {
 		i := 0
-		got, err := p.PriceBlockRangeContext(ctx, r, R, c, C, lo, hi, func(batch []exec.Edge) bool {
-			if len(batch) == 0 || len(batch) > exec.BatchLen {
-				t.Fatalf("%s %s: batch of %d edges", what, name, len(batch))
-			}
-			for _, e := range batch {
-				if i >= len(want) || want[i].v != e.V || want[i].w != e.W {
-					t.Fatalf("%s %s: edge %d is (%d,%d), oracle has %d edges", what, name, i, e.V, e.W, len(want))
+		var got int64
+		err := p.EachEdgeBlockRangeRunContext(ctx, r, R, c, C, lo, hi, &got, func(run Run) bool {
+			checkRun(t, what+" "+name, run, ctx == live)
+			for d := run.Lo; d < run.Hi; d++ {
+				x, y := run.Stripe.Edge(d)
+				if i >= len(want) || want[i].v != run.V+x || want[i].w != run.W+y {
+					t.Fatalf("%s %s: edge %d is (%d,%d), oracle has %d edges", what, name, i, run.V+x, run.W+y, len(want))
 				}
 				i++
 			}
@@ -168,29 +168,115 @@ func fourWalkOf(t *testing.T, what string, p *Product, r, R, c, C int, lo, hi in
 		if i != len(want) {
 			t.Fatalf("%s %s: %d edges, oracle %d", what, name, i, len(want))
 		}
-		if got, err := p.PriceBlockRangeContext(ctx, r, R, c, C, lo, hi, nil); err != nil || got != sum {
+		if got, err := p.PriceBlockRangeContext(ctx, r, R, c, C, lo, hi); err != nil || got != sum {
 			t.Fatalf("%s %s sum-only: priced Σ◊ %d, %v; Σ EdgeFourCyclesAt %d", what, name, got, err, sum)
 		}
 	}
 }
 
+// checkRun fails unless run is a legal run: a non-empty digit range of
+// its stripe, at most exec.BatchLen digits long under a cancellable
+// context, whose stripe is the last factor's edges in one of the two
+// orientations.
+func checkRun(t *testing.T, what string, run Run, cancellable bool) {
+	t.Helper()
+	if run.Stripe == nil || run.Lo < 0 || run.Lo >= run.Hi || run.Hi > run.Stripe.Len() {
+		t.Fatalf("%s: run [%d,%d) of a stripe of %d digits", what, run.Lo, run.Hi, run.Stripe.Len())
+	}
+	if cancellable && run.Hi-run.Lo > exec.BatchLen {
+		t.Fatalf("%s: run of %d digits under a cancellable context", what, run.Hi-run.Lo)
+	}
+}
+
+// runEdges adapts a run walk to checkWalks' per-edge vocabulary.
+func runEdges(t *testing.T, what string, cancellable bool, walk func(yield func(Run) bool) error) func(yield func(v, w int) bool) error {
+	return func(yield func(v, w int) bool) error {
+		return walk(func(run Run) bool {
+			checkRun(t, what, run, cancellable)
+			for d := run.Lo; d < run.Hi; d++ {
+				x, y := run.Stripe.Edge(d)
+				if !yield(run.V+x, run.W+y) {
+					return false
+				}
+			}
+			return true
+		})
+	}
+}
+
 // TestFourWalkPreCancelled: like the plain walkers, the priced walk under
-// a dead context, emitting or sum-only, yields nothing and returns
-// ctx.Err().
+// a dead context, streaming runs or sum-only, yields nothing, prices
+// nothing and returns ctx.Err().
 func TestFourWalkPreCancelled(t *testing.T) {
 	p := testProducts(t)["mode2"]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, yield := range map[string]func([]exec.Edge) bool{
-		"emitting": func([]exec.Edge) bool {
-			t.Fatal("priced batch yielded under a pre-cancelled context")
-			return true
-		},
-		"sum-only": nil,
-	} {
-		sum, err := p.PriceBlockRangeContext(ctx, 0, 1, 0, 1, 0, p.NumEdges(), yield)
-		if !errors.Is(err, context.Canceled) || sum != 0 {
-			t.Fatalf("%s: Σ◊ %d, err %v; want 0, context.Canceled", name, sum, err)
+	var sum int64
+	err := p.EachEdgeBlockRangeRunContext(ctx, 0, 1, 0, 1, 0, p.NumEdges(), &sum, func(Run) bool {
+		t.Fatal("priced run yielded under a pre-cancelled context")
+		return true
+	})
+	if !errors.Is(err, context.Canceled) || sum != 0 {
+		t.Fatalf("runs: Σ◊ %d, err %v; want 0, context.Canceled", sum, err)
+	}
+	sum, err = p.PriceBlockRangeContext(ctx, 0, 1, 0, 1, 0, p.NumEdges())
+	if !errors.Is(err, context.Canceled) || sum != 0 {
+		t.Fatalf("sum-only: Σ◊ %d, err %v; want 0, context.Canceled", sum, err)
+	}
+}
+
+// TestRunWalkCancelContract: a run walk, plain and priced, whose yield
+// cancels its context after at edges stops as a batch walk does: it
+// returns ctx.Err() having delivered the canonical prefix and at most
+// exec.BatchLen edges past the cancellation, in runs no longer than
+// exec.BatchLen, although the same walk under a background context
+// delivers longer ones.  Starts on and off the batch grid.
+func TestRunWalkCancelContract(t *testing.T) {
+	p, err := New(gen.Star(3), gen.CompleteBipartite(50, 50).Graph, ModeSelfLoopFactor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := canonicalOrder(p)
+	n := p.NumEdges()
+	longest := 0
+	if err := p.EachEdgeBlockRangeRunContext(context.Background(), 0, 1, 0, 1, 0, n, nil, func(r Run) bool {
+		longest = max(longest, r.Hi-r.Lo)
+		return true
+	}); err != nil || longest <= exec.BatchLen {
+		t.Fatalf("background run walk: longest run %d, %v; want one over %d", longest, err, exec.BatchLen)
+	}
+	for _, lo := range []int64{0, 1234} {
+		for _, at := range []int64{1, exec.BatchLen, 7000} {
+			for _, priced := range []bool{false, true} {
+				ctx, cancel := context.WithCancel(context.Background())
+				var sum *int64
+				if priced {
+					sum = new(int64)
+				}
+				delivered, cancelled := int64(0), int64(-1)
+				err := p.EachEdgeBlockRangeRunContext(ctx, 0, 1, 0, 1, lo, n, sum, func(r Run) bool {
+					checkRun(t, "cancelled run walk", r, true)
+					for d := r.Lo; d < r.Hi; d++ {
+						x, y := r.Stripe.Edge(d)
+						if e := order[lo+delivered]; e.v != r.V+x || e.w != r.W+y {
+							t.Fatalf("lo %d: edge %d is (%d,%d), canonical (%d,%d)", lo, delivered, r.V+x, r.W+y, e.v, e.w)
+						}
+						delivered++
+					}
+					if cancelled < 0 && delivered >= at {
+						cancel()
+						cancelled = delivered
+					}
+					return true
+				})
+				cancel()
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("lo %d at %d priced=%v: err %v, want context.Canceled", lo, at, priced, err)
+				}
+				if past := delivered - cancelled; past > exec.BatchLen {
+					t.Fatalf("lo %d at %d priced=%v: %d edges delivered past the cancellation", lo, at, priced, past)
+				}
+			}
 		}
 	}
 }
@@ -200,7 +286,7 @@ func TestFourWalkPreCancelled(t *testing.T) {
 // in ~3.4·10⁹ prefix pairs of one stripe edge each — returns ctx.Err()
 // promptly when its context is cancelled mid-window, sum-only (which
 // only the every-pricePoll-pairs look at the context can stop) and
-// emitting.
+// streaming runs.
 func TestPricedCancelMidWindow(t *testing.T) {
 	sf := gen.ConnectedBipartiteScaleFree(2000, 2000, 40000, 7)
 	path2, err := graph.AsBipartite(gen.Path(2))
@@ -211,9 +297,15 @@ func TestPricedCancelMidWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, yield := range map[string]func([]exec.Edge) bool{
-		"sum-only": nil,
-		"emitting": func([]exec.Edge) bool { return true },
+	for name, walk := range map[string]func(ctx context.Context) error{
+		"sum-only": func(ctx context.Context) error {
+			_, err := p.PriceBlockRangeContext(ctx, 0, 1, 0, 1, 0, p.NumEdges())
+			return err
+		},
+		"runs": func(ctx context.Context) error {
+			var sum int64
+			return p.EachEdgeBlockRangeRunContext(ctx, 0, 1, 0, 1, 0, p.NumEdges(), &sum, func(Run) bool { return true })
+		},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		at := make(chan time.Time, 1)
@@ -221,7 +313,7 @@ func TestPricedCancelMidWindow(t *testing.T) {
 			at <- time.Now()
 			cancel()
 		})
-		_, err := p.PriceBlockRangeContext(ctx, 0, 1, 0, 1, 0, p.NumEdges(), yield)
+		err := walk(ctx)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err %v, want context.Canceled mid-window", name, err)
 		}
@@ -281,7 +373,7 @@ func TestFourWalkMatchesPointQueries(t *testing.T) {
 			for _, s := range block[lo:hi] {
 				want += s
 			}
-			got, err := p.PriceBlockRangeContext(context.Background(), r, R, col, C, lo, hi, nil)
+			got, err := p.PriceBlockRangeContext(context.Background(), r, R, col, C, lo, hi)
 			if err != nil || got != want {
 				t.Fatalf("%s block (%d,%d) of %d×%d [%d,%d): priced Σ◊ %d, %v; ◊ walk %d", c.name, r, col, R, C, lo, hi, got, err, want)
 			}
@@ -290,7 +382,7 @@ func TestFourWalkMatchesPointQueries(t *testing.T) {
 }
 
 // TestWalkerSurface pins the public walk API: among *Product's exported
-// methods, the EachEdge*/StreamEdges* walkers are exactly these six.
+// methods, the EachEdge*/StreamEdges* walkers are exactly these seven.
 // Every stream shape is a window of the one kernel, so a new shape is a
 // new window behind the block × range walk, not a new entry point;
 // adding a walker means editing this list.
@@ -299,6 +391,7 @@ func TestWalkerSurface(t *testing.T) {
 		"EachEdge",
 		"EachEdgeBlockBatchContext",
 		"EachEdgeBlockRangeBatchContext",
+		"EachEdgeBlockRangeRunContext",
 		"EachEdgeFourCycle",
 		"EachEdgeRangeBatchContext",
 		"StreamEdgesParallelContext",
@@ -487,10 +580,11 @@ func blockRangeEdges(p *Product, r, R, c, C int, lo, hi int64, yield func(v, w i
 // block-range walk the matching slice of the block's restriction and
 // the block walk the whole restriction, each under a cancellable and a
 // background context; the closed-form counts (NumEdges, BlockEdgeCount)
-// must equal the oracle's lengths.  The priced walk
-// (PriceBlockRangeContext) of each of the three windows, emitting and
-// sum-only under both contexts, must yield the same edges and price them
-// as Σ EdgeFourCyclesAt does.
+// must equal the oracle's lengths.  The run walk
+// (EachEdgeBlockRangeRunContext) of the block range must yield the same
+// edges as the batch walk, and priced, with the sum-only pricer
+// (PriceBlockRangeContext) beside it, on each of the three windows under
+// both contexts, it must also price them as Σ EdgeFourCyclesAt does.
 func FuzzEdgeRange(f *testing.F) {
 	f.Add(uint8(0), uint32(0), uint32(1<<31), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(uint8(3), uint32(17), uint32(40), uint8(1), uint8(2), uint8(1), uint8(1))
@@ -536,6 +630,13 @@ func FuzzEdgeRange(f *testing.F) {
 		checkWalks(t, "EachEdgeBlockRangeBatchContext", block[blo:bhi], both(func(ctx context.Context, y func([]exec.Edge) bool) error {
 			return p.EachEdgeBlockRangeBatchContext(ctx, r, R, c, C, blo, bhi, y)
 		}))
+		runs := map[string]func(yield func(v, w int) bool) error{}
+		for name, ctx := range map[string]context.Context{"cancellable": live, "background": context.Background()} {
+			runs[name] = runEdges(t, "EachEdgeBlockRangeRunContext "+name, ctx == live, func(y func(Run) bool) error {
+				return p.EachEdgeBlockRangeRunContext(ctx, r, R, c, C, blo, bhi, nil, y)
+			})
+		}
+		checkWalks(t, "EachEdgeBlockRangeRunContext", block[blo:bhi], runs)
 		checkWalks(t, "EachEdgeBlockBatchContext", block, both(func(ctx context.Context, y func([]exec.Edge) bool) error {
 			return p.EachEdgeBlockBatchContext(ctx, r, R, c, C, y)
 		}))
@@ -548,8 +649,9 @@ func FuzzEdgeRange(f *testing.F) {
 // resolves its factor state once, so the count is a small constant:
 // independent of the product's size and of how many rows it walks.  The
 // ◊ walk ("four") and the priced walk ("priced", a sum-only pricing of
-// the whole product and an emitting one of a block range) resolve their
-// stripe and anchor state once too, never per row or per prefix pair.
+// the whole product and a priced run walk of a block range) resolve
+// their stripe and anchor state once too, never per row or per prefix
+// pair.
 var walkAllocBound = map[string]float64{
 	"range":       12,
 	"mid-row":     12,
@@ -558,6 +660,7 @@ var walkAllocBound = map[string]float64{
 	"parallel":    32,
 	"four":        16,
 	"priced":      24,
+	"runs":        12,
 }
 
 // walkAllocs measures each walk shape's allocations on p.
@@ -621,12 +724,24 @@ func walkAllocs(t *testing.T, p *Product) map[string]float64 {
 			got = n // the sum covers every edge or it would not match
 			return n
 		},
+		"runs": func() int64 {
+			if err := p.EachEdgeBlockRangeRunContext(ctx, 0, 1, 0, 1, 0, n, nil, func(r Run) bool {
+				got += int64(r.Hi - r.Lo)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return n
+		},
 		"priced": func() int64 {
-			sum, err := p.PriceBlockRangeContext(ctx, 0, 1, 0, 1, 0, n, nil)
+			sum, err := p.PriceBlockRangeContext(ctx, 0, 1, 0, 1, 0, n)
 			if want := 4 * p.GlobalFourCycles(); err != nil || sum != want {
 				t.Fatalf("priced Σ◊ %d, %v; 4·□ %d", sum, err, want)
 			}
-			if _, err := p.PriceBlockRangeContext(ctx, 1, 2, 2, 3, blo, bcount, count); err != nil {
+			if err := p.EachEdgeBlockRangeRunContext(ctx, 1, 2, 2, 3, blo, bcount, &sum, func(r Run) bool {
+				got += int64(r.Hi - r.Lo)
+				return true
+			}); err != nil {
 				t.Fatal(err)
 			}
 			return bcount - blo
@@ -652,7 +767,7 @@ func (c *countBatchSink) EdgeBatch(batch []exec.Edge) error {
 // TestWalkAllocsBounded: every walk shape — a full range, a span that
 // starts mid-row (as a ranged stream or a resumed lease does), a 2×3 block
 // sweep, a block range from a mid-row offset, the parallel batch stream,
-// the ◊ sum and the priced walk — allocates a fixed, small number of times, on a K = 1
+// the ◊ sum, the run walk and the priced walk — allocates a fixed, small number of times, on a K = 1
 // product and a K = 2 chain, and the same bound holds for products 4×
 // larger.
 // Rebuilding a factor's edge list per row or per prefix pair instead of

@@ -642,3 +642,116 @@ func TestReceiveMatchesWholeRead(t *testing.T) {
 		}
 	}
 }
+
+// faultyLeases wraps a replica so that its lease responses are replayed
+// with edit applied to the body and the trailers — every lease, or with
+// once only the first.  It models a worker that replays, reorders or
+// drops frames, or lies in a trailer.
+func faultyLeases(h http.Handler, once bool, edit func(body []byte, trailer http.Header) []byte) http.Handler {
+	var fired atomic.Bool
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/leases" || (once && !fired.CompareAndSwap(false, true)) {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		res := rec.Result()
+		for k, v := range res.Header {
+			w.Header()[k] = v // includes the Trailer announcement
+		}
+		w.WriteHeader(res.StatusCode)
+		w.Write(edit(rec.Body.Bytes(), res.Trailer))
+		for k, v := range res.Trailer {
+			w.Header()[k] = v
+		}
+	})
+}
+
+// TestRunFaultMatrix is distgen's fault matrix beyond truncation and
+// stalls: a lease body with a frame replayed, with two frames swapped,
+// a complete lease whose status trailer says aborted, an aborted one
+// (whole frames, short of the block) whose status says complete, and an
+// edge-count trailer one too high or too low.  Each fault hits either
+// the first lease only or every lease of the one replica, and every run
+// must end in the clean run's bytes or a typed error: a one-off fault is
+// retried into the clean bytes, and a fault on every lease exhausts the
+// block, except a lying edge count, which the coordinator never reads
+// (it counts the decoded frames against the closed form), so every
+// such run merges the clean bytes.
+func TestRunFaultMatrix(t *testing.T) {
+	want := func() int64 {
+		p, err := cutSpec.WithDefaults().Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.NumEdges()
+	}()
+	var clean bytes.Buffer
+	if _, err := Run(context.Background(), cutSpec, &clean, Options{
+		Workers: newFleet(t, 1, nil), Rows: 1, Cols: 1,
+	}); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	frames := func(b []byte) []int {
+		at, _ := frameEnds(b)
+		if len(at) < 3 || at[len(at)-1] != len(b) {
+			panic(fmt.Sprintf("lease body of %d bytes has frames ending at %v: want three or more whole frames", len(b), at))
+		}
+		return at
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	cells := []struct {
+		name  string
+		edit  func(body []byte, tr http.Header) []byte
+		every error // the outcome when every lease is faulty: nil (the clean bytes) or the typed error
+	}{
+		{"replayed frame", func(b []byte, _ http.Header) []byte {
+			at := frames(b)
+			return cat(b[:at[1]], b[at[0]:at[1]], b[at[1]:])
+		}, ErrExhausted},
+		{"reordered frames", func(b []byte, _ http.Header) []byte {
+			at := frames(b)
+			return cat(b[:at[0]], b[at[1]:at[2]], b[at[0]:at[1]], b[at[2]:])
+		}, ErrExhausted},
+		{"complete says aborted", func(b []byte, tr http.Header) []byte {
+			tr.Set(wire.TrailerStatus, "aborted")
+			return b
+		}, ErrExhausted},
+		{"aborted says complete", func(b []byte, tr http.Header) []byte {
+			at := frames(b)
+			n, _, _, _ := wire.Decode(b[:at[1]], 0, nil)
+			tr.Set(wire.TrailerStatus, "complete")
+			tr.Set(wire.TrailerEdges, strconv.FormatInt(n, 10))
+			return b[:at[1]]
+		}, ErrExhausted},
+		{"edges trailer high", func(b []byte, tr http.Header) []byte {
+			tr.Set(wire.TrailerEdges, strconv.FormatInt(want+1, 10))
+			return b
+		}, nil},
+		{"edges trailer low", func(b []byte, tr http.Header) []byte {
+			tr.Set(wire.TrailerEdges, strconv.FormatInt(want-1, 10))
+			return b
+		}, nil},
+	}
+	for _, c := range cells {
+		for _, once := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/once=%v", c.name, once), func(t *testing.T) {
+				urls := newFleet(t, 1, func(_ int, h http.Handler) http.Handler { return faultyLeases(h, once, c.edit) })
+				var out bytes.Buffer
+				_, err := Run(context.Background(), cutSpec, &out, Options{
+					Workers: urls, Rows: 1, Cols: 1, Audit: true, MaxAttempts: 2,
+				})
+				if wantErr := c.every; !once && wantErr != nil {
+					if !errors.Is(err, wantErr) || out.Len() != 0 {
+						t.Fatalf("err %v with %d bytes merged; want %v and nothing merged", err, out.Len(), wantErr)
+					}
+					return
+				}
+				if err != nil || !bytes.Equal(out.Bytes(), clean.Bytes()) {
+					t.Fatalf("err %v, merged %d bytes; want the clean run's %d", err, out.Len(), clean.Len())
+				}
+			})
+		}
+	}
+}

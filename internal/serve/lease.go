@@ -160,13 +160,14 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		// Unreachable: the coordinates validated above.
 		cuts = []int64{want}
 	}
-	out := newBinSink(w, cuts, req.Offset)
-	// The lease rides the priced walk, which sums the 4-cycle counts per
-	// prefix pair as it emits.  A fresh lease covers the whole block; a
-	// resumed one first prices the skipped prefix [0, offset) without
-	// walking its edges, then seeks to its offset in closed form and
-	// batches the tail.
-	fourSum, err := p.PriceBlockRangeContext(r.Context(), req.Row, req.Rows, req.Col, req.Cols, 0, req.Offset, nil)
+	out := newBinSink(w, cuts, req.Offset, want)
+	defer out.release()
+	// The lease rides the priced run walk, which sums the 4-cycle counts
+	// per prefix pair as it frames the pair's run.  A fresh lease covers
+	// the whole block; a resumed one first prices the skipped prefix
+	// [0, offset) without walking its edges, then seeks to its offset in
+	// closed form and walks the tail.
+	fourSum, err := p.PriceBlockRangeContext(r.Context(), req.Row, req.Rows, req.Col, req.Cols, 0, req.Offset)
 	if err == nil {
 		err = walkWindow(r.Context(), p, req.Row, req.Rows, req.Col, req.Cols, req.Offset, want, out, nil, &fourSum)
 	}

@@ -114,46 +114,53 @@ func (s *streamSink) Flush() error {
 
 func (s *streamSink) count() int64 { return s.n }
 
-// edgeStreamSink is what the streaming handlers need from a rendering:
-// batches in, a flush, and the sent-edge count for the trailers.
-// streamSink (ndjson/tsv) and binSink (bin) implement it.
+// edgeStreamSink is what the streaming handlers need from a rendering
+// besides its walk: a flush, and the sent-edge count for the trailers.
+// streamSink (ndjson/tsv) takes batches and binSink (bin) runs.
 type edgeStreamSink interface {
-	EdgeBatch(edges []exec.Edge) error
 	Flush() error
 	count() int64
 }
 
 // walkWindow is serve's one walk of the product.  It walks edges
 // [lo, hi) of block (row, col) of a rows×cols grid of p's canonical
-// order (block-local offsets; a job stream is block (0,0) of 1×1) in
-// the walker's batches, on the calling goroutine.  Each batch goes to
-// out, the stream's encoder, when out is non-nil, and then to tap, the
-// stream's auditor, when tap is non-nil.  Given a non-nil fourSum it
-// walks the priced walker instead of the plain one and adds the
-// window's Σ◊, priced per prefix pair, to *fourSum.  It returns the
+// order (block-local offsets; a job stream is block (0,0) of 1×1) on
+// the calling goroutine, into out, the stream's encoder, and then into
+// tap, the stream's auditor, when tap is non-nil.  A bin stream walks
+// runs, one per prefix pair, which its encoder frames by copying
+// delta bytes; a text stream walks the walker's batches.  Given a
+// non-nil fourSum, which needs a bin out, the run walk also prices the
+// window per prefix pair and adds its Σ◊ to *fourSum.  It returns the
 // walk's error (bad coordinates, a cancelled ctx) or else out's first
 // error, which stops the walk.
 func walkWindow(ctx context.Context, p *core.Product, row, rows, col, cols int, lo, hi int64,
 	out edgeStreamSink, tap *audit.StreamAuditor, fourSum *int64) error {
 	var outErr error
-	emit := func(batch []exec.Edge) bool {
-		if out != nil {
+	var err error
+	switch out := out.(type) {
+	case *binSink:
+		err = p.EachEdgeBlockRangeRunContext(ctx, row, rows, col, cols, lo, hi, fourSum, func(r core.Run) bool {
+			if outErr = out.Run(r); outErr != nil {
+				return false
+			}
+			if tap != nil {
+				tap.EdgeRun(r) // a finding, never an error
+			}
+			return true
+		})
+	case *streamSink:
+		if fourSum != nil {
+			return fmt.Errorf("serve: a priced walk needs a bin stream")
+		}
+		err = p.EachEdgeBlockRangeBatchContext(ctx, row, rows, col, cols, lo, hi, func(batch []exec.Edge) bool {
 			if outErr = out.EdgeBatch(batch); outErr != nil {
 				return false
 			}
-		}
-		if tap != nil {
-			_ = tap.EdgeBatch(batch) // a finding, never an error
-		}
-		return true
-	}
-	var err error
-	if fourSum != nil {
-		var sum int64
-		sum, err = p.PriceBlockRangeContext(ctx, row, rows, col, cols, lo, hi, emit)
-		*fourSum += sum
-	} else {
-		err = p.EachEdgeBlockRangeBatchContext(ctx, row, rows, col, cols, lo, hi, emit)
+			if tap != nil {
+				_ = tap.EdgeBatch(batch) // a finding, never an error
+			}
+			return true
+		})
 	}
 	if err == nil {
 		err = outErr
@@ -279,7 +286,9 @@ func (s *Server) handleJobEdges(w http.ResponseWriter, r *http.Request) {
 
 	var out edgeStreamSink
 	if format == "bin" {
-		out = newBinSink(w, j.product.TermEdgeStarts(), lo)
+		bin := newBinSink(w, j.product.TermEdgeStarts(), lo, hi)
+		defer bin.release()
+		out = bin
 	} else {
 		out = newStreamSink(w, format == "ndjson")
 	}

@@ -40,9 +40,9 @@ func (w nopFlushWriter) WriteHeader(int)             {}
 func (w nopFlushWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w nopFlushWriter) Flush()                      {}
 
-// benchEncode feeds edges to a fresh stream sink per iteration, batch by
+// benchEncode feeds edges to a fresh text sink per iteration, batch by
 // batch as the walker hands them over, and reports the cost per edge.
-func benchEncode(b *testing.B, edges []exec.Edge, newSink func() edgeStreamSink) {
+func benchEncode(b *testing.B, edges []exec.Edge, newSink func() *streamSink) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -63,26 +63,41 @@ func benchEncode(b *testing.B, edges []exec.Edge, newSink func() edgeStreamSink)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(edges)), "ns/edge")
 }
 
-// BenchmarkStreamWire_BinEncode isolates the binary encoder: canonical
-// edges pre-collected, batches fed straight to a binSink over a no-op
-// writer.  This is the per-edge cost the format adds on top of
-// generation — the number to hold against BenchmarkStream_ShardedBatch.
+// BenchmarkStreamWire_BinEncode times the bin encoding the way a job
+// stream runs it: the run walk of the whole canonical order framed by a
+// fresh binSink over a no-op writer per iteration.  The bin path never
+// materializes edges, so the walk is part of the number; its runs are
+// the product's prefix pairs, whose stripes the writer copies as delta
+// bytes.  Hold it against BenchmarkStream_ShardedBatch.
 func BenchmarkStreamWire_BinEncode(b *testing.B) {
 	p := benchWireProduct(b)
 	cuts := p.TermEdgeStarts()
-	benchEncode(b, productEdges(p), func() edgeStreamSink {
-		return newBinSink(nopFlushWriter{h: make(http.Header)}, cuts, 0)
-	})
+	n := p.NumEdges()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink := newBinSink(nopFlushWriter{h: make(http.Header)}, cuts, 0, n)
+		err := walkWindow(context.Background(), p, 0, 1, 0, 1, 0, n, sink, nil, nil)
+		if ferr := sink.Flush(); err == nil {
+			err = ferr
+		}
+		if err != nil || sink.count() != n {
+			b.Fatalf("encoded %d edges, want %d: %v", sink.count(), n, err)
+		}
+		sink.release()
+	}
+	b.ReportMetric(float64(n), "edges/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/edge")
 }
 
-// BenchmarkStreamWire_TextEncode is BinEncode's text twin: the same
-// canonical edges fed to the ndjson or tsv stream sink over a no-op
-// writer, so it reads the rendering cost alone.
+// BenchmarkStreamWire_TextEncode is the text rendering alone: the
+// canonical edges pre-collected and fed to the ndjson or tsv stream sink
+// over a no-op writer.
 func BenchmarkStreamWire_TextEncode(b *testing.B) {
 	edges := productEdges(benchWireProduct(b))
 	for _, format := range []string{"ndjson", "tsv"} {
 		b.Run(format, func(b *testing.B) {
-			benchEncode(b, edges, func() edgeStreamSink {
+			benchEncode(b, edges, func() *streamSink {
 				return newStreamSink(nopFlushWriter{h: make(http.Header)}, format == "ndjson")
 			})
 		})
@@ -173,17 +188,13 @@ func BenchmarkStreamWire_NDJSONSocket(b *testing.B) {
 }
 
 // benchWirePayload encodes p's whole canonical stream the way the
-// edges endpoint does, batch by batch.
+// edges endpoint does.
 func benchWirePayload(b *testing.B, p *core.Product) []byte {
 	b.Helper()
 	rec := httptest.NewRecorder()
-	sink := newBinSink(rec, p.TermEdgeStarts(), 0)
-	if err := p.EachEdgeRangeBatchContext(context.Background(), 0, p.NumEdges(), func(batch []exec.Edge) bool {
-		if err := sink.EdgeBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-		return true
-	}); err != nil {
+	sink := newBinSink(rec, p.TermEdgeStarts(), 0, p.NumEdges())
+	defer sink.release()
+	if err := walkWindow(context.Background(), p, 0, 1, 0, 1, 0, p.NumEdges(), sink, nil, nil); err != nil {
 		b.Fatal(err)
 	}
 	if err := sink.Flush(); err != nil {

@@ -2,13 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc64"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -46,20 +49,27 @@ func productEdges(p *core.Product) []exec.Edge {
 	return out
 }
 
-// encodeWire renders edges[lo:hi) of the canonical order through a
-// binSink opened at stream offset lo with the product's hard cuts.
+// encodeWire renders edges[lo:hi) of the canonical order as a job
+// stream does — the run walk of [lo, hi) framed by a binSink opened at
+// stream offset lo with the product's hard cuts — and fails unless the
+// bytes decode to exactly those edges.
 func encodeWire(t *testing.T, p *core.Product, edges []exec.Edge, lo, hi int64) []byte {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	sink := newBinSink(rec, p.TermEdgeStarts(), lo)
-	if err := sink.EdgeBatch(edges[lo:hi]); err != nil {
+	sink := newBinSink(rec, p.TermEdgeStarts(), lo, hi)
+	defer sink.release()
+	if err := walkWindow(context.Background(), p, 0, 1, 0, 1, lo, hi, sink, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if sink.count() != hi-lo {
-		t.Fatalf("encoder counted %d edges, fed %d", sink.count(), hi-lo)
+		t.Fatalf("encoder counted %d edges, walked %d", sink.count(), hi-lo)
+	}
+	var got []exec.Edge
+	if _, _, trailing, err := wire.Decode(rec.Body.Bytes(), lo, func(f []exec.Edge) { got = append(got, f...) }); err != nil || trailing != 0 || !slices.Equal(got, edges[lo:hi]) {
+		t.Fatalf("[%d,%d): %d bytes decode to %d edges, %d trailing, %v; not the canonical range", lo, hi, rec.Body.Len(), len(got), trailing, err)
 	}
 	return rec.Body.Bytes()
 }
@@ -95,42 +105,44 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireBatchMatchesPerEdge: feeding the encoder one-edge batches and
-// batches of arbitrary size produces identical bytes — framing depends
-// only on the stream offset, not on delivery granularity.
+// TestWireBatchMatchesPerEdge: feeding the encoder one-edge runs and
+// runs cut at arbitrary points produces the bytes of the walk's own
+// runs — framing depends only on the stream offset, not on delivery
+// granularity.
 func TestWireBatchMatchesPerEdge(t *testing.T) {
 	p := wireTestProduct(t)
-	edges := productEdges(p)[:10000]
-
-	rec := httptest.NewRecorder()
-	sink := newBinSink(rec, p.TermEdgeStarts(), 0)
-	for i := range edges {
-		if err := sink.EdgeBatch(edges[i : i+1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sink.Flush(); err != nil {
+	const n = 10000
+	var runs []core.Run
+	if err := p.EachEdgeBlockRangeRunContext(context.Background(), 0, 1, 0, 1, 0, n, nil, func(r core.Run) bool {
+		runs = append(runs, r)
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	perEdge := rec.Body.Bytes()
-
-	rec2 := httptest.NewRecorder()
-	sink2 := newBinSink(rec2, p.TermEdgeStarts(), 0)
-	for lo := 0; lo < len(edges); {
-		hi := lo + 1 + (lo*2879+7)%701 // deterministic ragged batch sizes
-		if hi > len(edges) {
-			hi = len(edges)
+	encode := func(cut func(i, lo, hi int) int) []byte {
+		rec := httptest.NewRecorder()
+		sink := newBinSink(rec, p.TermEdgeStarts(), 0, n)
+		defer sink.release()
+		for i, r := range runs {
+			for hi := r.Hi; r.Lo < hi; r.Lo = r.Hi {
+				r.Hi = cut(i, r.Lo, hi)
+				if err := sink.Run(r); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		if err := sink2.EdgeBatch(edges[lo:hi]); err != nil {
+		if err := sink.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		lo = hi
+		return rec.Body.Bytes()
 	}
-	if err := sink2.Flush(); err != nil {
-		t.Fatal(err)
+	whole := encode(func(_, _, hi int) int { return hi })
+	if !bytes.Equal(whole, encode(func(_, lo, _ int) int { return lo + 1 })) {
+		t.Fatal("one-edge runs differ from whole runs")
 	}
-	if !bytes.Equal(perEdge, rec2.Body.Bytes()) {
-		t.Fatal("batched encoding differs from per-edge encoding")
+	ragged := encode(func(i, lo, hi int) int { return min(hi, lo+1+(lo*2879+i*7)%701) })
+	if !bytes.Equal(whole, ragged) {
+		t.Fatal("ragged runs differ from whole runs")
 	}
 }
 
@@ -792,5 +804,72 @@ func TestEdgesBinParallelSpans(t *testing.T) {
 	}
 	if resp.Trailer.Get(TrailerEdges) == "" {
 		t.Fatal("aborted stream sent no edge-count trailer")
+	}
+}
+
+// cancelWriter cancels its request's context on its first body write
+// and never fails one: a stream stopped by a DELETE, a drain or a
+// departed client, not by a write error.
+type cancelWriter struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+}
+
+func (c *cancelWriter) Write(b []byte) (int, error) {
+	c.cancel()
+	return c.ResponseRecorder.Write(b)
+}
+
+// TestBinCancelMidFrame: a bin job stream and a lease whose context is
+// cancelled at their first write stop mid-frame, with status aborted,
+// and their bodies decode with wire.Decode to exactly the
+// X-Kronbip-Edges count with no trailing byte, those edges being the
+// canonical order from the stream's offset.  The walk looks at its
+// context every exec.BatchLen edges from the offset, off the frame grid,
+// so the stream stops inside a frame and Flush must rewrite that
+// frame's count.
+func TestBinCancelMidFrame(t *testing.T) {
+	p := wireTestProduct(t)
+	edges := productEdges(p)
+	cuts := p.TermEdgeStarts()
+	s, _ := testServer(t, Config{})
+	const specBody = `"factors":["biclique8x8","path4"],"mode":"selfloop"`
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(`{`+specBody+`}`)))
+	var st JobStatus
+	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil || rec.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", rec.Code, err)
+	}
+	const lo = 5000
+	for _, c := range []struct{ name, method, target, body string }{
+		{"job", http.MethodGet, fmt.Sprintf("/v1/jobs/%s/edges?format=bin&offset=%d", st.ID, lo), ""},
+		{"lease", http.MethodPost, "/v1/leases", fmt.Sprintf(`{%s,"row":0,"rows":1,"col":0,"cols":1,"offset":%d}`, specBody, lo)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(c.method, c.target, strings.NewReader(c.body)).WithContext(ctx)
+			s.Handler().ServeHTTP(&cancelWriter{ResponseRecorder: rec, cancel: cancel}, req)
+			res := rec.Result()
+			if res.StatusCode != http.StatusOK || res.Trailer.Get(TrailerStatus) != "aborted" {
+				t.Fatalf("status %d, trailer status %q; want 200, aborted", res.StatusCode, res.Trailer.Get(TrailerStatus))
+			}
+			sent, err := strconv.ParseInt(res.Trailer.Get(TrailerEdges), 10, 64)
+			if err != nil || sent == 0 || lo+sent >= p.NumEdges() {
+				t.Fatalf("trailer edges %q: the cancellation did not cut the stream", res.Trailer.Get(TrailerEdges))
+			}
+			if _, end := wire.FrameBounds(cuts, lo+sent-1); end == lo+sent {
+				t.Fatalf("stopped at %d, a frame boundary: the short-frame rewrite went untested", lo+sent)
+			}
+			var got []exec.Edge
+			n, next, trailing, err := wire.Decode(rec.Body.Bytes(), lo, func(f []exec.Edge) { got = append(got, f...) })
+			if err != nil || trailing != 0 || n != sent || next != lo+sent {
+				t.Fatalf("decode: %d edges to %d, %d trailing bytes, %v; trailer says %d", n, next, trailing, err, sent)
+			}
+			if !slices.Equal(got, edges[lo:lo+sent]) {
+				t.Fatal("decoded edges are not the canonical order from the offset")
+			}
+		})
 	}
 }

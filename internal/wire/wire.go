@@ -1,7 +1,10 @@
 // Package wire is the binary edge-stream format ("bin") that
 // `kronbip serve` sends and its consumers read: the frame layout, the
-// frame grid, the frame writer and the decoder, plus the HTTP header and
-// trailer names a consumer of a stream or a lease needs.  The server
+// frame grid, the frame writers and the decoder, plus the HTTP header
+// and trailer names a consumer of a stream or a lease needs.  The server
+// frames its walks with Writer, which copies each stripe's delta bytes
+// per prefix pair; PutFrame frames one slice of edges and is Writer's
+// per-edge oracle.  The server
 // (internal/serve) and its clients (internal/distgen, perfbench) share
 // this one codec, so a client never imports the server.
 //
