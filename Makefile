@@ -1,6 +1,7 @@
 # Development workflow for kronbip.  Pure Go 1.22+, no dependencies.
 #
-#   make            - vet (incl. a gofmt gate) + build + full test suite
+#   make            - vet (incl. a gofmt gate and the perfbench module's
+#                     vet and tests) + build + full test suite
 #   make race       - race-detector pass over the concurrent packages
 #   make bench      - streaming + engine benchmarks
 #   make bench-json - same benchmarks as a dated BENCH_<date>.json record
@@ -30,10 +31,13 @@ RACE_PKGS = ./internal/exec ./internal/core ./internal/count ./internal/grb ./in
 
 all: vet build test
 
-# vet also fails on any tracked Go file gofmt would rewrite.
+# vet also fails on any tracked Go file gofmt would rewrite, and vets
+# and tests the perfbench module, which ./... does not reach, so a root
+# API change cannot break the benchmark harness unseen.
 vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...

@@ -582,53 +582,21 @@ func BenchmarkStream_SeedHandRolled(b *testing.B) {
 	b.ReportMetric(float64(p.NumEdges()), "edges/op")
 }
 
-// BenchmarkStream_ShardedEngine streams all shards concurrently on the
-// exec engine, each shard counting into its own plain local counter —
-// the same sink shape the seed's StreamEdgesParallel callers used.
-func BenchmarkStream_ShardedEngine(b *testing.B) {
-	b.ReportAllocs()
-	p := unicodeProduct(b)
-	ctx := context.Background()
-	nshards := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		counts := make([]int64, nshards)
-		err := p.StreamEdgesParallelContext(ctx, nshards, func(s int) exec.Sink {
-			return exec.SinkFunc(func(v, w int) error { counts[s]++; return nil })
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var n int64
-		for _, c := range counts {
-			n += c
-		}
-		if n != p.NumEdges() {
-			b.Fatalf("streamed %d edges, want %d", n, p.NumEdges())
-		}
-	}
-	b.ReportMetric(float64(p.NumEdges()), "edges/op")
-}
-
-// batchCounter is a Sink+BatchSink pair counting edges without
-// synchronization: the batch-capable analogue of the plain per-shard
-// counter closures above.
+// batchCounter is a per-shard exec.Sink counting edges without
+// synchronization, one add per batch.
 type batchCounter struct{ n int64 }
-
-func (c *batchCounter) Edge(v, w int) error { c.n++; return nil }
 
 func (c *batchCounter) EdgeBatch(batch []exec.Edge) error {
 	c.n += int64(len(batch))
 	return nil
 }
 
-// BenchmarkStream_ShardedBatch is the tentpole number: the same sharded
-// stream as BenchmarkStream_ShardedEngine, but through BatchSink-capable
-// per-shard counters so the engine takes the batched hot loop (one
-// dispatch per exec.BatchLen edges instead of one per edge).  The
-// acceptance bar is beating BenchmarkStream_EachEdgeSerial.  At least
-// 2 shards even on one core: the win under measure is batch dispatch
-// amortization, which does not need OS parallelism to show.
+// BenchmarkStream_ShardedBatch streams all shards concurrently on the
+// exec engine into per-shard batch counters (one dispatch per
+// exec.BatchLen edges).  The acceptance bar is beating
+// BenchmarkStream_EachEdgeSerial.  At least 2 shards even on one core:
+// the win under measure is batch dispatch amortization, which does not
+// need OS parallelism to show.
 func BenchmarkStream_ShardedBatch(b *testing.B) {
 	b.ReportAllocs()
 	p := unicodeProduct(b)
@@ -655,9 +623,9 @@ func BenchmarkStream_ShardedBatch(b *testing.B) {
 }
 
 // BenchmarkStream_ShardedInstrumented is the obs-enabled variant of
-// BenchmarkStream_ShardedBatch: it guards the per-shard labeled counter
-// cache — shard counters are resolved once per stream from a lock-free
-// table, so enabling obs must cost atomics, not registry lookups.
+// BenchmarkStream_ShardedBatch: each shard resolves its labeled counter
+// once before its walk, so enabling obs must cost atomics per batch,
+// not registry lookups per batch.
 func BenchmarkStream_ShardedInstrumented(b *testing.B) {
 	b.ReportAllocs()
 	p := unicodeProduct(b)
@@ -680,35 +648,6 @@ func BenchmarkStream_ShardedInstrumented(b *testing.B) {
 		}
 		if n != p.NumEdges() {
 			b.Fatalf("streamed %d edges, want %d", n, p.NumEdges())
-		}
-	}
-	b.ReportMetric(float64(p.NumEdges()), "edges/op")
-}
-
-// BenchmarkStream_BatchFanIn is the rewritten many-writers-one-consumer
-// shape: per-shard batch buffers handing whole pooled slices over a
-// channel to a single consumer goroutine, replacing the lock-per-drain
-// BufferedSink+LockedSink stack benchmarked below.
-func BenchmarkStream_BatchFanIn(b *testing.B) {
-	b.ReportAllocs()
-	p := unicodeProduct(b)
-	ctx := context.Background()
-	nshards := max(2, runtime.GOMAXPROCS(0))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var total exec.CountingSink
-		f := exec.NewFanIn(&total, 0)
-		err := p.StreamEdgesParallelContext(ctx, nshards, func(s int) exec.Sink {
-			return f.ForShard()
-		})
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		if total.Count() != p.NumEdges() {
-			b.Fatalf("streamed %d edges, want %d", total.Count(), p.NumEdges())
 		}
 	}
 	b.ReportMetric(float64(p.NumEdges()), "edges/op")
@@ -912,29 +851,4 @@ func BenchmarkStream_Block2x3(b *testing.B) {
 func BenchmarkStream_Chain_Block2x3(b *testing.B) {
 	b.ReportAllocs()
 	benchBlockSweep(b, chainProduct(b), 2, 3)
-}
-
-// BenchmarkStream_ShardedBufferedFanIn streams all shards through pooled
-// per-shard buffers into one shared locked sink — the multi-writer shape
-// cmd/kronbip uses when several shards feed one consumer.
-func BenchmarkStream_ShardedBufferedFanIn(b *testing.B) {
-	b.ReportAllocs()
-	p := unicodeProduct(b)
-	ctx := context.Background()
-	nshards := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var total exec.CountingSink
-		shared := exec.NewLockedSink(&total)
-		err := p.StreamEdgesParallelContext(ctx, nshards, func(s int) exec.Sink {
-			return exec.NewBufferedSink(shared)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if total.Count() != p.NumEdges() {
-			b.Fatalf("streamed %d edges, want %d", total.Count(), p.NumEdges())
-		}
-	}
-	b.ReportMetric(float64(p.NumEdges()), "edges/op")
 }

@@ -299,9 +299,8 @@ func cmdGenerate(ctx context.Context, args []string) error {
 // stdout) through the engine's TSV sink, cancellably.  It runs as a
 // one-shard parallel stream so the single-file path shares the sharded
 // path's instrumentation (edge counters, span timing, shard completion).
-// Every sink in the chain (TSV, counting, audit, and the MultiSink
-// joining them) speaks exec.BatchSink, so the stream takes the batched
-// hot loop: edges reach the encoders as whole pooled buffers.
+// The MultiSink hands each pooled batch whole to the TSV, counting and
+// audit sinks.
 func generateSingle(ctx context.Context, p *core.Product, out string, auditor *audit.Auditor, verb *cli.Verbosity) error {
 	w := os.Stdout
 	if out != "-" {

@@ -171,10 +171,10 @@ func New(p *core.Product, opt Options) *Auditor {
 }
 
 // Stream returns the auditor's shared edge sink, creating it on first
-// call.  Feed it every generated edge (compose with exec.MultiSink);
-// for sharded streams give each shard its own ForShard child.  Safe to
-// call from concurrent shard goroutines, as a StreamEdgesParallelContext
-// sinkFor does.
+// call.  Feed it every generated edge, as batches (EdgeBatch) or as a
+// run walk's runs (EdgeRun); a sharded stream gives each shard its own
+// ForShard child instead.  Safe to call from concurrent shard
+// goroutines, as a StreamEdgesParallelContext sinkFor does.
 func (a *Auditor) Stream() *StreamAuditor {
 	a.streamOnce.Do(func() { a.stream = NewStream(a.p, a.opt.SampleEvery) })
 	return a.stream

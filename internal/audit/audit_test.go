@@ -155,10 +155,7 @@ func TestAuditDetectsForeignEdges(t *testing.T) {
 	// Stream the real edges, then append fabricated ones: a same-side
 	// non-edge pair and an out-of-range vertex.
 	streamInto(t, p, a, 1)
-	if err := s.Edge(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Edge(-1, p.N()+7); err != nil {
+	if err := s.EdgeBatch([]exec.Edge{{V: 0, W: 0}, {V: -1, W: p.N() + 7}}); err != nil {
 		t.Fatal(err)
 	}
 	s.InjectDrop(2) // keep the count check clean; membership must fail alone

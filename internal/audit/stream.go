@@ -40,22 +40,11 @@ func NewStream(p *core.Product, sampleEvery int) *StreamAuditor {
 	return &StreamAuditor{p: p, sampleEvery: int64(sampleEvery)}
 }
 
-// Edge audits one streamed edge.  It never returns an error: a bad edge
-// is a finding to report at Finalize, not a reason to abort the stream
-// mid-run.
-func (s *StreamAuditor) Edge(v, w int) error {
-	n := s.edges.Add(1)
-	if n%s.sampleEvery == 0 {
-		s.sampled.Add(1)
-		mSampled.Inc()
-		s.checkEdge(v, w)
-	}
-	return nil
-}
-
 // EdgeBatch audits a whole batch: one atomic add for the count, then
-// membership checks only at the sampled ordinals inside the batch —
-// the same every-sampleEvery-th-edge cadence as per-edge delivery.
+// membership checks only at the sampled ordinals inside the batch, the
+// stream's sampleEvery-th, 2·sampleEvery-th, … edges wherever the batch
+// boundaries fall.  It never returns an error: a bad edge is a finding
+// to report at Finalize, not a reason to abort the stream mid-run.
 func (s *StreamAuditor) EdgeBatch(batch []exec.Edge) error {
 	n := int64(len(batch))
 	hi := s.edges.Add(n)
@@ -157,19 +146,9 @@ type shardAuditor struct {
 	firstBad string
 }
 
-// Edge audits one edge with shard-local accounting.
-func (s *shardAuditor) Edge(v, w int) error {
-	s.edges++
-	if s.edges%s.parent.sampleEvery == 0 {
-		s.sampled++
-		s.checkEdge(v, w)
-	}
-	return nil
-}
-
 // EdgeBatch audits a whole batch with shard-local accounting: count the
-// batch in one add, membership-check only the sampled ordinals — the
-// identical cadence to per-edge delivery on the same shard stream.
+// batch in one add, membership-check only the sampled ordinals of the
+// shard's stream, at the parent's cadence.
 func (s *shardAuditor) EdgeBatch(batch []exec.Edge) error {
 	se := s.parent.sampleEvery
 	for i := int(se - s.edges%se - 1); i < len(batch); i += int(se) {

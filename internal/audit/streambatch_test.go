@@ -2,6 +2,7 @@ package audit
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"kronbip/internal/core"
@@ -10,7 +11,7 @@ import (
 )
 
 // collectProductEdges materializes the edge stream once so batch tests
-// can replay the identical sequence through both delivery vocabularies.
+// can replay the identical sequence at chosen boundaries.
 func collectProductEdges(t *testing.T, p *core.Product) []exec.Edge {
 	t.Helper()
 	var edges []exec.Edge
@@ -21,62 +22,94 @@ func collectProductEdges(t *testing.T, p *core.Product) []exec.Edge {
 	return edges
 }
 
-// replayBatches slices edges at irregular boundaries (coprime to any
-// power-of-two sampling cadence) and feeds them to bs.
-func replayBatches(t *testing.T, bs exec.BatchSink, edges []exec.Edge) {
-	t.Helper()
+// irregular cuts n items into pieces at irregular boundaries (coprime
+// to any power-of-two sampling cadence) and calls take on each [lo, hi).
+func irregular(n int, take func(lo, hi int)) {
 	sizes := []int{3, 7, 1, 13, 64, 5}
-	for i, n := 0, 0; n < len(edges); i++ {
-		take := sizes[i%len(sizes)]
-		if take > len(edges)-n {
-			take = len(edges) - n
-		}
-		if err := bs.EdgeBatch(edges[n : n+take]); err != nil {
-			t.Fatal(err)
-		}
-		n += take
+	for i, lo := 0, 0; lo < n; i++ {
+		hi := min(n, lo+sizes[i%len(sizes)])
+		take(lo, hi)
+		lo = hi
 	}
 }
 
-// replayRuns feeds edges to s as runs: each edge (v, w) is the one
-// digit of a stripe holding the edge (0, 0) under prefix pair (v, w).
+// replayBatches feeds edges to s in irregular batches.
+func replayBatches(t *testing.T, s exec.Sink, edges []exec.Edge) {
+	t.Helper()
+	irregular(len(edges), func(lo, hi int) {
+		if err := s.EdgeBatch(edges[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// replayRuns feeds edges to s as irregular runs over one stripe whose
+// digits are the edges themselves, under prefix pair (0, 0).
 func replayRuns(s *StreamAuditor, edges []exec.Edge) {
-	origin := &core.Stripe{Edges: []graph.Edge{{U: 0, V: 0}}}
-	for _, e := range edges {
-		s.EdgeRun(core.Run{V: e.V, W: e.W, Stripe: origin, Lo: 0, Hi: 1})
+	stripe := &core.Stripe{Edges: make([]graph.Edge, len(edges))}
+	for i, e := range edges {
+		stripe.Edges[i] = graph.Edge{U: e.V, V: e.W}
+	}
+	irregular(len(edges), func(lo, hi int) {
+		s.EdgeRun(core.Run{Stripe: stripe, Lo: lo, Hi: hi})
+	})
+}
+
+// cadenceStream makes the sampling rule visible at stride k: it copies
+// edges with every ordinal off the cadence (1-based, not a multiple of
+// k) replaced by a foreign edge {-j, -j}, and ordinal 2k, when the
+// stream has one, replaced by the foreign edge {-1, -2k}.  An auditor
+// that samples exactly ordinals k, 2k, … checks n/k edges of it, flags
+// one (none when n < 2k), and records {-1, -2k} as the first offender.
+func cadenceStream(edges []exec.Edge, k int) []exec.Edge {
+	out := append([]exec.Edge(nil), edges...)
+	for j := 1; j <= len(out); j++ {
+		if j%k != 0 {
+			out[j-1] = exec.Edge{V: -j, W: -j}
+		}
+	}
+	if 2*k <= len(out) {
+		out[2*k-1] = exec.Edge{V: -1, W: -2 * k}
+	}
+	return out
+}
+
+// checkCadence requires an auditor fed cadenceStream(edges, k) of n
+// edges to have counted n, checked n/k, and flagged exactly the planted
+// sampled ordinal.
+func checkCadence(t *testing.T, how string, s *StreamAuditor, n, k int) {
+	t.Helper()
+	var wantBad int64
+	wantFirst := ""
+	if 2*k <= n {
+		wantBad = 1
+		wantFirst = fmt.Sprintf("edge {-1,%d} is not a bipartition-crossing product edge", -2*k)
+	}
+	if s.edges.Load() != int64(n) || s.sampled.Load() != int64(n/k) {
+		t.Fatalf("k=%d %s: counted %d edges, checked %d; want %d, %d",
+			k, how, s.edges.Load(), s.sampled.Load(), n, n/k)
+	}
+	if s.bad.Load() != wantBad || s.firstBad != wantFirst {
+		t.Fatalf("k=%d %s: flagged %d, first %q; want %d, %q", k, how, s.bad.Load(), s.firstBad, wantBad, wantFirst)
 	}
 }
 
 // TestStreamAuditorBatchMatchesPerEdge: the batched auditor, and the
-// run auditor fed the run walk in pieces of at most three digits, must
-// land on the identical edge count, sampled count, and verdicts as
-// per-edge delivery of the same stream, regardless of batch and run
-// boundaries.
+// run auditor, sample exactly the per-edge cadence, the stream's k-th,
+// 2k-th, … edges, whatever the batch and run boundaries.  A clean
+// stream, in irregular batches and as the run walk cut into pieces of
+// at most three digits, counts n edges, checks n/k and flags none; the
+// cadence stream, in irregular batches and runs, flags only its planted
+// sampled edge and never a foreign edge off the cadence.
 func TestStreamAuditorBatchMatchesPerEdge(t *testing.T) {
 	for name, p := range products(t) {
 		t.Run(name, func(t *testing.T) {
 			edges := collectProductEdges(t, p)
-			for _, sampleEvery := range []int{1, 5, 1024} {
-				perEdge := NewStream(p, sampleEvery)
-				for _, e := range edges {
-					if err := perEdge.Edge(e.V, e.W); err != nil {
-						t.Fatal(err)
-					}
-				}
-				batched := NewStream(p, sampleEvery)
+			n := len(edges)
+			for _, k := range []int{1, 5, 7, 1024} {
+				batched := NewStream(p, k)
 				replayBatches(t, batched, edges)
-				if batched.edges.Load() != perEdge.edges.Load() {
-					t.Fatalf("sampleEvery=%d: batched counted %d edges, per-edge %d",
-						sampleEvery, batched.edges.Load(), perEdge.edges.Load())
-				}
-				if batched.sampled.Load() != perEdge.sampled.Load() {
-					t.Fatalf("sampleEvery=%d: batched sampled %d, per-edge %d",
-						sampleEvery, batched.sampled.Load(), perEdge.sampled.Load())
-				}
-				if batched.bad.Load() != 0 {
-					t.Fatalf("sampleEvery=%d: clean stream flagged %d bad edges", sampleEvery, batched.bad.Load())
-				}
-				runs := NewStream(p, sampleEvery)
+				runs := NewStream(p, k)
 				if err := p.EachEdgeBlockRangeRunContext(context.Background(), 0, 1, 0, 1, 0, p.NumEdges(), nil, func(r core.Run) bool {
 					for hi := r.Hi; r.Lo < hi; r.Lo = r.Hi {
 						r.Hi = min(hi, r.Lo+3)
@@ -86,18 +119,26 @@ func TestStreamAuditorBatchMatchesPerEdge(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if runs.edges.Load() != perEdge.edges.Load() || runs.sampled.Load() != perEdge.sampled.Load() || runs.bad.Load() != 0 {
-					t.Fatalf("sampleEvery=%d: runs counted %d edges, sampled %d, %d bad; per-edge %d, %d",
-						sampleEvery, runs.edges.Load(), runs.sampled.Load(), runs.bad.Load(), perEdge.edges.Load(), perEdge.sampled.Load())
+				for how, s := range map[string]*StreamAuditor{"batches": batched, "runs": runs} {
+					if s.edges.Load() != int64(n) || s.sampled.Load() != int64(n/k) || s.bad.Load() != 0 {
+						t.Fatalf("k=%d %s: counted %d edges, checked %d, %d bad; want %d, %d, 0",
+							k, how, s.edges.Load(), s.sampled.Load(), s.bad.Load(), n, n/k)
+					}
 				}
+				cadence := cadenceStream(edges, k)
+				batched = NewStream(p, k)
+				replayBatches(t, batched, cadence)
+				checkCadence(t, "cadence batches", batched, n, k)
+				runs = NewStream(p, k)
+				replayRuns(runs, cadence)
+				checkCadence(t, "cadence runs", runs, n, k)
 			}
 		})
 	}
 }
 
 // TestStreamAuditorBatchCatchesForeignEdge: a fabricated edge planted
-// at a sampled ordinal is flagged by batch and by run delivery exactly
-// as by per-edge delivery.
+// at a sampled ordinal is flagged by batch and by run delivery alike.
 func TestStreamAuditorBatchCatchesForeignEdge(t *testing.T) {
 	p := products(t)["mode2"]
 	edges := collectProductEdges(t, p)
@@ -116,41 +157,39 @@ func TestStreamAuditorBatchCatchesForeignEdge(t *testing.T) {
 	}
 }
 
-// TestShardAuditorBatchMatchesPerEdge: same equivalence for the
-// per-shard child, including the Flush merge into the parent.
+// TestShardAuditorBatchMatchesPerEdge: the per-shard child samples the
+// same per-edge cadence over its shard's stream in irregular batches,
+// and its Flush merges the tallies and the first offender into the
+// parent.
 func TestShardAuditorBatchMatchesPerEdge(t *testing.T) {
 	p := products(t)["mode1"]
 	edges := collectProductEdges(t, p)
-	const sampleEvery = 7
-
-	viaEdge := NewStream(p, sampleEvery)
-	se := viaEdge.ForShard()
-	for _, e := range edges {
-		if err := se.Edge(e.V, e.W); err != nil {
+	const k = 7
+	n := len(edges)
+	// viaShard feeds stream to a fresh parent's shard child and returns
+	// the parent once the child has flushed.
+	viaShard := func(stream []exec.Edge) *StreamAuditor {
+		parent := NewStream(p, k)
+		child := parent.ForShard()
+		replayBatches(t, child, stream)
+		if parent.edges.Load() != 0 || parent.sampled.Load() != 0 || parent.bad.Load() != 0 {
+			t.Fatal("shard child reached the parent before Flush")
+		}
+		if err := exec.Finish(child); err != nil {
 			t.Fatal(err)
 		}
+		return parent
 	}
-	if err := exec.Finish(se); err != nil {
-		t.Fatal(err)
+	clean := viaShard(edges)
+	if clean.edges.Load() != int64(n) || clean.sampled.Load() != int64(n/k) || clean.bad.Load() != 0 {
+		t.Fatalf("batch shard merged (edges=%d sampled=%d bad=%d), want (edges=%d sampled=%d bad=0)",
+			clean.edges.Load(), clean.sampled.Load(), clean.bad.Load(), n, n/k)
 	}
-
-	viaBatch := NewStream(p, sampleEvery)
-	sb := viaBatch.ForShard()
-	replayBatches(t, sb.(exec.BatchSink), edges)
-	if err := exec.Finish(sb); err != nil {
-		t.Fatal(err)
-	}
-
-	if viaBatch.edges.Load() != viaEdge.edges.Load() || viaBatch.sampled.Load() != viaEdge.sampled.Load() {
-		t.Fatalf("batch shard merged (edges=%d sampled=%d), per-edge (edges=%d sampled=%d)",
-			viaBatch.edges.Load(), viaBatch.sampled.Load(), viaEdge.edges.Load(), viaEdge.sampled.Load())
-	}
+	checkCadence(t, "cadence shard", viaShard(cadenceStream(edges, k)), n, k)
 }
 
 // TestAuditCleanRunBatchSinks: the full auditor pipeline stays clean
-// when the parallel stream takes the batch path end to end (the shard
-// children implement BatchSink, so StreamEdgesParallelContext routes
-// batches through them automatically).
+// when the parallel stream hands its batches to the shard children.
 func TestAuditCleanRunBatchSinks(t *testing.T) {
 	for name, p := range products(t) {
 		t.Run(name, func(t *testing.T) {

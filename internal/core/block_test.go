@@ -142,7 +142,7 @@ func TestEachEdgeBlockCanonicalOrder(t *testing.T) {
 		// Full-width column == the parallel stream's shard, for every row band.
 		shards := make([][][2]int, 3)
 		if err := p.StreamEdgesParallelContext(context.Background(), 3, func(s int) exec.Sink {
-			return exec.SinkFunc(func(v, w int) error {
+			return edgeFunc(func(v, w int) error {
 				shards[s] = append(shards[s], [2]int{v, w})
 				return nil
 			})

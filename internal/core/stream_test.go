@@ -29,6 +29,37 @@ func collectEdges(p *Product) []graph.Edge {
 	return out
 }
 
+// edgeFunc adapts a per-edge callback to an exec.Sink: it hands each
+// batch over edge by edge, stopping at the first error.
+type edgeFunc func(v, w int) error
+
+func (f edgeFunc) EdgeBatch(batch []exec.Edge) error {
+	for _, e := range batch {
+		if err := f(e.V, e.W); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// heldSink holds its batches' edges until Flush hands them to deliver,
+// so only a flushed sink's edges are ever delivered.
+type heldSink struct {
+	held    []exec.Edge
+	deliver edgeFunc
+}
+
+func (h *heldSink) EdgeBatch(batch []exec.Edge) error {
+	h.held = append(h.held, batch...)
+	return nil
+}
+
+func (h *heldSink) Flush() error {
+	err := h.deliver.EdgeBatch(h.held)
+	h.held = h.held[:0]
+	return err
+}
+
 func sortEdges(e []graph.Edge) {
 	sort.Slice(e, func(a, b int) bool {
 		if e[a].U != e[b].U {
@@ -147,7 +178,7 @@ func TestStreamEdgesParallel(t *testing.T) {
 		var mu sync.Mutex
 		perShard := make([][]graph.Edge, nshards)
 		err := p.StreamEdgesParallelContext(context.Background(), nshards, func(s int) exec.Sink {
-			return exec.SinkFunc(func(v, w int) error {
+			return edgeFunc(func(v, w int) error {
 				if v > w {
 					v, w = w, v
 				}
@@ -240,7 +271,7 @@ func TestEachEdgeShardContextCancelMidStream(t *testing.T) {
 	emitted := 0
 	seen := map[graph.Edge]bool{}
 	err := p.StreamEdgesParallelContext(ctx, 1, func(int) exec.Sink {
-		return exec.SinkFunc(func(v, w int) error {
+		return edgeFunc(func(v, w int) error {
 			if v > w {
 				v, w = w, v
 			}
@@ -291,7 +322,7 @@ func TestStreamEdgesParallelContextCancel(t *testing.T) {
 	defer cancel()
 	var total atomic.Int64
 	err := p.StreamEdgesParallelContext(ctx, 4, func(s int) exec.Sink {
-		return exec.SinkFunc(func(v, w int) error {
+		return edgeFunc(func(v, w int) error {
 			if total.Add(1) == 25 {
 				cancel()
 			}
@@ -313,7 +344,7 @@ func TestStreamEdgesParallelContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
 	err := p.StreamEdgesParallelContext(ctx, 3, func(s int) exec.Sink {
-		return exec.SinkFunc(func(v, w int) error {
+		return edgeFunc(func(v, w int) error {
 			t.Error("edge generated after deadline")
 			return nil
 		})
@@ -332,12 +363,12 @@ func TestStreamEdgesParallelContextFlushes(t *testing.T) {
 	delivered := 0
 	sinks := make([]exec.Sink, nshards)
 	for s := range sinks {
-		sinks[s] = exec.NewBufferedSink(exec.SinkFunc(func(v, w int) error {
+		sinks[s] = &heldSink{deliver: func(v, w int) error {
 			mu.Lock()
 			delivered++
 			mu.Unlock()
 			return nil
-		}))
+		}}
 	}
 	if err := p.StreamEdgesParallelContext(context.Background(), nshards, func(s int) exec.Sink {
 		return sinks[s]
@@ -354,7 +385,7 @@ func TestStreamEdgesParallelSinkError(t *testing.T) {
 	boom := fmt.Errorf("sink exploded")
 	err := p.StreamEdgesParallelContext(context.Background(), 3, func(s int) exec.Sink {
 		n := 0
-		return exec.SinkFunc(func(_, _ int) error {
+		return edgeFunc(func(_, _ int) error {
 			n++
 			if s == 1 && n == 5 {
 				return boom

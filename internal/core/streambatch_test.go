@@ -172,34 +172,28 @@ func TestEachEdgeBatchContextWholeStream(t *testing.T) {
 	}
 }
 
-// shardRecorder is a per-shard Sink+BatchSink that normalizes and
-// stores every edge; used from one goroutine (its own shard).
+// shardRecorder is a per-shard sink that normalizes and stores every
+// edge; used from one goroutine (its own shard).
 type shardRecorder struct {
 	edges   []graph.Edge
 	batches int
 }
 
-func (r *shardRecorder) Edge(v, w int) error {
-	if v > w {
-		v, w = w, v
-	}
-	r.edges = append(r.edges, graph.Edge{U: v, V: w})
-	return nil
-}
-
 func (r *shardRecorder) EdgeBatch(batch []exec.Edge) error {
 	r.batches++
 	for _, e := range batch {
-		if err := r.Edge(e.V, e.W); err != nil {
-			return err
+		v, w := e.V, e.W
+		if v > w {
+			v, w = w, v
 		}
+		r.edges = append(r.edges, graph.Edge{U: v, V: w})
 	}
 	return nil
 }
 
-// TestStreamEdgesParallelContextBatchPath: a BatchSink-capable sink
-// routes through the batch shard path and still yields exactly the
-// EachEdge multiset, instrumented or not.
+// TestStreamEdgesParallelContextBatchPath: a sink takes the shard walk's
+// batches and still yields exactly the EachEdge multiset, instrumented
+// or not.
 func TestStreamEdgesParallelContextBatchPath(t *testing.T) {
 	for _, instrumented := range []bool{false, true} {
 		if instrumented {
@@ -246,8 +240,6 @@ type failingBatchSink struct {
 	boom error
 }
 
-func (f *failingBatchSink) Edge(v, w int) error { return f.EdgeBatch(nil) }
-
 func (f *failingBatchSink) EdgeBatch([]exec.Edge) error {
 	f.n--
 	if f.n <= 0 {
@@ -280,8 +272,8 @@ func TestStreamEdgesParallelContextBatchSinkError(t *testing.T) {
 
 // TestEmptyShards: with more shards than rows, the trailing shards are
 // empty ranges.  Every path — the shard walk under a background and a
-// cancellable context, and the parallel stream with per-edge and batch
-// sinks — must treat them as clean no-ops for both modes.
+// cancellable context, and the parallel stream into a per-edge callback
+// and a batch counter — must treat them as clean no-ops for both modes.
 func TestEmptyShards(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -327,12 +319,12 @@ func TestEmptyShards(t *testing.T) {
 			t.Fatalf("%s: shards total %d edges, want %d", name, total, p.NumEdges())
 		}
 
-		// The parallel engine over the same oversharded split, per-edge
-		// and batch sinks both.
+		// The parallel engine over the same oversharded split, into a
+		// per-edge callback and a batch counter both.
 		var mu sync.Mutex
 		perEdgeTotal := 0
 		if err := p.StreamEdgesParallelContext(context.Background(), nshards, func(s int) exec.Sink {
-			return exec.SinkFunc(func(v, w int) error {
+			return edgeFunc(func(v, w int) error {
 				mu.Lock()
 				perEdgeTotal++
 				mu.Unlock()

@@ -754,10 +754,8 @@ func walkAllocs(t *testing.T, p *Product) map[string]float64 {
 	return out
 }
 
-// countBatchSink counts edges through the batch vocabulary.
+// countBatchSink counts a stream's edges, one add per batch.
 type countBatchSink struct{ n int64 }
-
-func (c *countBatchSink) Edge(v, w int) error { c.n++; return nil }
 
 func (c *countBatchSink) EdgeBatch(batch []exec.Edge) error {
 	c.n += int64(len(batch))

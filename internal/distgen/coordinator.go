@@ -543,8 +543,7 @@ func (c *coordinator) receive(body io.Reader, banked []byte, ceiling, want int64
 				return
 			}
 			if auditCh != nil {
-				// The audit child samples a batch at the per-edge cadence.
-				_ = exec.DeliverBatch(auditCh, frame)
+				_ = auditCh.EdgeBatch(frame) // an audit finding never aborts
 			}
 			if c.render != nil {
 				rx.text = c.render(rx.text, frame)

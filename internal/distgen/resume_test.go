@@ -545,11 +545,6 @@ func TestRunResumeCutMatrix(t *testing.T) {
 // edgeLog is an audit child that keeps every edge it is fed.
 type edgeLog struct{ edges []exec.Edge }
 
-func (l *edgeLog) Edge(v, w int) error {
-	l.edges = append(l.edges, exec.Edge{V: v, W: w})
-	return nil
-}
-
 func (l *edgeLog) EdgeBatch(edges []exec.Edge) error {
 	l.edges = append(l.edges, edges...)
 	return nil

@@ -69,31 +69,6 @@ func BenchmarkPollerCancelled(b *testing.B) {
 	}
 }
 
-// BenchmarkBufferedVsLockedSink shows what the per-shard buffer buys when
-// many workers feed one shared consumer.
-func BenchmarkBufferedVsLockedSink(b *testing.B) {
-	const edges = 1 << 16
-	b.Run("locked-direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var c CountingSink
-			l := NewLockedSink(&c)
-			for e := 0; e < edges; e++ {
-				l.Edge(e, e)
-			}
-		}
-	})
-	b.Run("buffered-batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var c CountingSink
-			bs := NewBufferedSink(NewLockedSink(&c))
-			for e := 0; e < edges; e++ {
-				bs.Edge(e, e)
-			}
-			bs.Close()
-		}
-	})
-}
-
 // BenchmarkScratchPool compares pooled scratch acquisition against fresh
 // allocation at the size the butterfly counters use per worker.
 func BenchmarkScratchPool(b *testing.B) {

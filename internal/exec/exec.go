@@ -14,8 +14,9 @@
 //     cancellation (a failing or cancelled shard aborts its siblings);
 //   - Stripe: overflow-safe contiguous partitioning of [0, n);
 //   - Poller: a cheap per-worker cancellation probe for tight loops;
-//   - Sink: the common edge-consumer abstraction (counting, buffered,
-//     multi-writer, locked, TSV, null) with sync.Pool-backed buffers.
+//   - Sink: the one edge-consumer interface, which takes whole batches
+//     of edges (counting, multi, TSV and NDJSON sinks), with
+//     sync.Pool-backed batch buffers.
 //
 // Cancellation contract: when the caller's context is cancelled or its
 // deadline passes, every function here stops within one polling stride,

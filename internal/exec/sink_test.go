@@ -8,39 +8,27 @@ import (
 	"testing"
 )
 
-// recordSink remembers every edge and whether Flush ran.
+// recordSink remembers every edge, the batch sizes it arrived in, and
+// whether Flush ran.
 type recordSink struct {
-	edges   [][2]int
+	edges   []Edge
+	batches []int
 	flushed bool
-	failAt  int // fail on the failAt-th edge (1-based); 0 = never
+	failAt  int // fail on the batch containing the failAt-th edge (1-based); 0 = never
 }
 
-func (r *recordSink) Edge(v, w int) error {
-	if r.failAt > 0 && len(r.edges)+1 == r.failAt {
+func (r *recordSink) EdgeBatch(batch []Edge) error {
+	if r.failAt > 0 && len(r.edges)+len(batch) >= r.failAt {
 		return errors.New("sink failure")
 	}
-	r.edges = append(r.edges, [2]int{v, w})
+	r.edges = append(r.edges, batch...)
+	r.batches = append(r.batches, len(batch))
 	return nil
 }
 
 func (r *recordSink) Flush() error {
 	r.flushed = true
 	return nil
-}
-
-func TestSinkFuncAndNull(t *testing.T) {
-	n := 0
-	s := SinkFunc(func(v, w int) error { n += v + w; return nil })
-	if err := s.Edge(2, 3); err != nil || n != 5 {
-		t.Fatalf("SinkFunc: err=%v n=%d", err, n)
-	}
-	if err := (NullSink{}).Edge(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	// Finish on a non-flusher is a no-op.
-	if err := Finish(NullSink{}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestCountingSinkConcurrent(t *testing.T) {
@@ -51,7 +39,7 @@ func TestCountingSinkConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.Edge(j, j)
+				c.EdgeBatch(batchOf(1, j))
 			}
 		}()
 	}
@@ -64,93 +52,32 @@ func TestCountingSinkConcurrent(t *testing.T) {
 func TestMultiSink(t *testing.T) {
 	a, b := &recordSink{}, &recordSink{}
 	m := MultiSink{a, b}
-	if err := m.Edge(1, 2); err != nil {
+	if err := m.EdgeBatch(batchOf(6, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := Finish(m); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.edges) != 1 || len(b.edges) != 1 || !a.flushed || !b.flushed {
+	if len(a.edges) != 6 || len(b.edges) != 6 || !a.flushed || !b.flushed {
 		t.Fatalf("multi sink state: %+v %+v", a, b)
 	}
+	if len(a.batches) != 1 || a.batches[0] != 6 {
+		t.Fatalf("member got batches %v, want one wholesale delivery of 6", a.batches)
+	}
 	bad := MultiSink{&recordSink{failAt: 1}, a}
-	if err := bad.Edge(3, 4); err == nil {
+	if err := bad.EdgeBatch(batchOf(1, 3)); err == nil {
 		t.Fatal("multi sink swallowed member error")
 	}
-	if len(a.edges) != 1 {
+	if len(a.edges) != 6 {
 		t.Fatal("multi sink continued past failing member")
 	}
-}
-
-func TestLockedSink(t *testing.T) {
-	var c CountingSink
-	l := NewLockedSink(&c)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				if err := l.Edge(j, j); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := Finish(l); err != nil {
-		t.Fatal(err)
-	}
-	if c.Count() != 2000 {
-		t.Fatalf("count = %d, want 2000", c.Count())
-	}
-}
-
-func TestBufferedSinkDeliversInOrder(t *testing.T) {
-	rec := &recordSink{}
-	b := NewBufferedSink(rec)
-	const total = bufferedSinkCap*2 + 17 // forces two in-flight drains plus a flush
-	for i := 0; i < total; i++ {
-		if err := b.Edge(i, i+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.edges) != total {
-		t.Fatalf("delivered %d edges, want %d", len(rec.edges), total)
-	}
-	for i, e := range rec.edges {
-		if e != [2]int{i, i + 1} {
-			t.Fatalf("edge %d = %v, out of order", i, e)
-		}
-	}
-	if !rec.flushed {
-		t.Fatal("inner sink not flushed")
-	}
-}
-
-func TestBufferedSinkPropagatesError(t *testing.T) {
-	rec := &recordSink{failAt: 3}
-	b := NewBufferedSink(rec)
-	for i := 0; i < 5; i++ {
-		if err := b.Edge(i, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Flush(); err == nil {
-		t.Fatal("flush swallowed inner error")
-	}
-	b.Close()
 }
 
 func TestTSVSink(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewTSVSink(&buf)
 	for i := 0; i < 3; i++ {
-		if err := s.Edge(i*10, i*10+1); err != nil {
+		if err := s.EdgeBatch([]Edge{{i * 10, i*10 + 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,44 +140,11 @@ func TestScratchPools(t *testing.T) {
 	}
 }
 
-func TestBufferedOverLockedFanIn(t *testing.T) {
-	// The intended sharded-stream composition: per-worker BufferedSink in
-	// front of one LockedSink over a shared counter.
-	var c CountingSink
-	shared := NewLockedSink(&c)
-	var wg sync.WaitGroup
-	const workers, per = 4, 10000
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			b := NewBufferedSink(shared)
-			for i := 0; i < per; i++ {
-				if err := b.Edge(i, w); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-			errs[w] = b.Close()
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", w, err)
-		}
-	}
-	if c.Count() != workers*per {
-		t.Fatalf("count = %d, want %d", c.Count(), workers*per)
-	}
-}
-
 func ExampleCountingSink() {
 	var c CountingSink
-	s := MultiSink{NullSink{}, &c}
+	s := MultiSink{&c}
 	for i := 0; i < 3; i++ {
-		s.Edge(i, i+1)
+		s.EdgeBatch([]Edge{{i, i + 1}})
 	}
 	fmt.Println(c.Count())
 	// Output: 3

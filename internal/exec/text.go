@@ -185,12 +185,6 @@ func newTextSink(w io.Writer, ndjson bool) *TextSink {
 		buf: make([]byte, 0, textWriteTarget+RenderChunk*ndjsonLineMax+storeSlack)}
 }
 
-// Edge writes one line through EdgeBatch.
-func (t *TextSink) Edge(v, w int) error {
-	e := [1]Edge{{V: v, W: w}}
-	return t.EdgeBatch(e[:])
-}
-
 // EdgeBatch renders the batch RenderChunk edges at a time, writing the
 // buffer out whenever it passes textWriteTarget.
 func (t *TextSink) EdgeBatch(edges []Edge) error {

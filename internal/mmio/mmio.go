@@ -159,11 +159,18 @@ func ReadMatrixMarket(r io.Reader) (*grb.Matrix[int64], error) {
 // rendered by exec's TSV sink like every other edge list.
 func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 	tsv := exec.NewTSVSink(w)
+	batch := make([]exec.Edge, 0, exec.RenderChunk)
 	var werr error
 	g.EachEdge(func(u, v int) bool {
-		werr = tsv.Edge(u, v)
+		if batch = append(batch, exec.Edge{V: u, W: v}); len(batch) == cap(batch) {
+			werr = tsv.EdgeBatch(batch)
+			batch = batch[:0]
+		}
 		return werr == nil
 	})
+	if werr == nil {
+		werr = tsv.EdgeBatch(batch)
+	}
 	if werr != nil {
 		return werr
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kronbip/internal/gen"
+	"kronbip/internal/graph"
 	"kronbip/internal/grb"
 )
 
@@ -97,21 +98,27 @@ func TestMatrixMarketMalformed(t *testing.T) {
 }
 
 func TestEdgeListRoundTrip(t *testing.T) {
-	g := gen.Cycle(8)
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadEdgeList(&buf, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumEdges() != g.NumEdges() {
-		t.Fatalf("edge count %d, want %d", back.NumEdges(), g.NumEdges())
-	}
-	for _, e := range g.Edges() {
-		if !back.HasEdge(e.U, e.V) {
-			t.Fatalf("edge %v lost in round trip", e)
+	// K_{40,40}'s 1,600 edges span more than one of WriteEdgeList's
+	// batches.
+	for _, g := range []*graph.Graph{gen.Cycle(8), gen.CompleteBipartite(40, 40).Graph} {
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if lines := strings.Count(buf.String(), "\n"); lines != g.NumEdges() {
+			t.Fatalf("%d lines, want one per edge (%d)", lines, g.NumEdges())
+		}
+		back, err := ReadEdgeList(&buf, g.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.NumEdges() != g.NumEdges() {
+			t.Fatalf("edge count %d, want %d", back.NumEdges(), g.NumEdges())
+		}
+		for _, e := range g.Edges() {
+			if !back.HasEdge(e.U, e.V) {
+				t.Fatalf("edge %v lost in round trip", e)
+			}
 		}
 	}
 }

@@ -12,10 +12,9 @@ import (
 // exposition groups them into per-family tables
 // (`serve.http.requests{route="truth"}`, …).
 //
-// The handle table uses the same copy-on-write trick as the per-shard
-// counter table in internal/core: the hot path is one atomic pointer
-// load plus a read-only map lookup, and table growth (new routes)
-// copies the map under a mutex.  Services pre-resolve their full route
+// The handle table is copy-on-write: the hot path is one atomic
+// pointer load plus a read-only map lookup, and table growth (new
+// routes) copies the map under a mutex.  Services pre-resolve their full route
 // set at startup, so steady-state request handling never takes the
 // slow path.
 
