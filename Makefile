@@ -9,6 +9,7 @@
 #   make bench-trend- bench-check plus per-family delta roll-up
 #   make serve-smoke- end-to-end smoke test of the kronbip serve service
 #   make distgen-smoke - distributed generation smoke: 3-replica fleet + dist-gen
+#   make examples   - build and run every examples/* program
 #   make fuzz       - bounded fuzzing of the edge-range walkers, the factor
 #                     statistics pass, the bin run writer, the bin decoder,
 #                     the text renderers, the edges endpoint's query string,
@@ -27,7 +28,7 @@ BENCH_DATE := $(shell date +%Y-%m-%dT%H%M%S)
 # and walk cap.
 RACE_PKGS = ./internal/exec ./internal/core ./internal/count ./internal/grb ./internal/obs ./internal/obs/timeline ./internal/audit ./internal/serve ./internal/distgen
 
-.PHONY: all vet build test race fuzz bench bench-json bench-check bench-trend serve-smoke distgen-smoke check
+.PHONY: all vet build test race fuzz bench bench-json bench-check bench-trend serve-smoke distgen-smoke examples check
 
 all: vet build test
 
@@ -132,4 +133,16 @@ serve-smoke:
 distgen-smoke:
 	scripts/distgen_smoke.sh
 
-check: vet build test race serve-smoke distgen-smoke
+# examples builds each examples/* program into a temporary directory and
+# runs it; a non-zero exit prints the program's output and fails.
+examples:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for d in examples/*/; do \
+	  name=$$(basename "$$d"); \
+	  $(GO) build -o "$$tmp/$$name" "./$${d%/}" || exit 1; \
+	  "$$tmp/$$name" > "$$tmp/$$name.out" 2>&1 || \
+	  { cat "$$tmp/$$name.out" >&2; echo "examples/$$name failed" >&2; exit 1; }; \
+	  echo "ok   examples/$$name"; \
+	done
+
+check: vet build test examples race serve-smoke distgen-smoke

@@ -122,38 +122,32 @@ func (r *Report) record(check string, ok bool, detail string) {
 	}
 }
 
-// Options tune the auditor's sampling rates; the zero value selects the
-// defaults noted per field.
+// Options tune the auditor's sampling rate; the zero value selects the
+// default.
 type Options struct {
 	// SampleEvery checks every Nth streamed edge against HasEdge and
 	// the bipartition (default 1024; 1 checks every edge).
 	SampleEvery int
-	// SpotVertices is how many product vertices get the brute-force
-	// Thm. 3/4 spot check (default 8).
-	SpotVertices int
-	// SpotBudget caps the per-vertex brute-force work, measured in
-	// two-walks (default 1<<20); over-budget vertices are skipped.
-	SpotBudget int64
-	// CommunityTop is how many top-degree vertices per factor side seed
-	// the Thm. 7 community sets (default 2).
-	CommunityTop int
 }
 
 func (o Options) withDefaults() Options {
 	if o.SampleEvery <= 0 {
 		o.SampleEvery = 1024
 	}
-	if o.SpotVertices <= 0 {
-		o.SpotVertices = 8
-	}
-	if o.SpotBudget <= 0 {
-		o.SpotBudget = 1 << 20
-	}
-	if o.CommunityTop <= 0 {
-		o.CommunityTop = 2
-	}
 	return o
 }
+
+const (
+	// spotVertices is how many product vertices get the brute-force
+	// Thm. 3/4 spot check.
+	spotVertices = 8
+	// spotBudget caps the per-vertex brute-force work, measured in
+	// two-walks; over-budget vertices are skipped.
+	spotBudget = 1 << 20
+	// communityTop is how many top-degree vertices per factor side seed
+	// the Thm. 7 community sets.
+	communityTop = 2
+)
 
 // Auditor audits one product's generation run: attach Stream() as an
 // edge sink (optional), then call Finalize for the full check suite.
@@ -251,13 +245,13 @@ func (a *Auditor) FinalizeContext(ctx context.Context) (*Report, error) {
 		a.stream.finalize(r)
 	}
 
-	spotCheckVertices(p, a.opt.SpotVertices, a.opt.SpotBudget, r)
+	spotCheckVertices(p, spotVertices, spotBudget, r)
 
 	// Thm. 7 is stated for the two-factor mode-(ii) product; longer
 	// chains have no community ground truth to audit (yet), so the check
 	// is skipped rather than failed.
 	if p.Mode() == core.ModeSelfLoopFactor && p.Arity() == 2 {
-		checkCommunity(p, a.opt.CommunityTop, r)
+		checkCommunity(p, communityTop, r)
 	}
 	return r, nil
 }

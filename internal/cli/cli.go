@@ -68,48 +68,31 @@ func failTo(w io.Writer, cmd string, err error) int {
 	return code
 }
 
-// Verbosity is the -quiet/-v pair gating stderr chatter.  Summaries
-// (the one-per-run result lines) print unless -quiet; Debugf detail
-// prints only under -v.  When both flags are set, -v wins.
+// Verbosity is the -quiet flag gating stderr chatter: summaries (the
+// one-per-run result lines) print unless -quiet.
 type Verbosity struct {
-	quiet   *bool
-	verbose *bool
+	quiet *bool
 	// Err receives the gated output; nil selects os.Stderr.  Set in
 	// tests to capture.
 	Err io.Writer
 }
 
-// RegisterVerbosity binds -quiet and -v onto fs.
+// RegisterVerbosity binds -quiet onto fs.
 func RegisterVerbosity(fs *flag.FlagSet) *Verbosity {
-	v := &Verbosity{}
-	v.quiet = fs.Bool("quiet", false, "suppress the stderr summary lines")
-	v.verbose = fs.Bool("v", false, "extra stderr detail (overrides -quiet)")
-	return v
+	return &Verbosity{quiet: fs.Bool("quiet", false, "suppress the stderr summary lines")}
 }
 
 // Quiet reports whether summaries are suppressed.
-func (v *Verbosity) Quiet() bool { return *v.quiet && !*v.verbose }
-
-// Verbose reports whether debug detail is requested.
-func (v *Verbosity) Verbose() bool { return *v.verbose }
-
-func (v *Verbosity) out() io.Writer {
-	if v.Err != nil {
-		return v.Err
-	}
-	return os.Stderr
-}
+func (v *Verbosity) Quiet() bool { return *v.quiet }
 
 // Summaryf prints a result summary line unless -quiet.
 func (v *Verbosity) Summaryf(format string, args ...any) {
-	if !v.Quiet() {
-		fmt.Fprintf(v.out(), format, args...)
+	if v.Quiet() {
+		return
 	}
-}
-
-// Debugf prints extra detail only under -v.
-func (v *Verbosity) Debugf(format string, args ...any) {
-	if v.Verbose() {
-		fmt.Fprintf(v.out(), format, args...)
+	w := v.Err
+	if w == nil {
+		w = os.Stderr
 	}
+	fmt.Fprintf(w, format, args...)
 }

@@ -53,7 +53,7 @@ func TestFailFormatting(t *testing.T) {
 }
 
 func TestVerbosityGating(t *testing.T) {
-	run := func(args ...string) (string, *Verbosity) {
+	run := func(args ...string) string {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		v := RegisterVerbosity(fs)
 		if err := fs.Parse(args); err != nil {
@@ -62,21 +62,13 @@ func TestVerbosityGating(t *testing.T) {
 		var buf bytes.Buffer
 		v.Err = &buf
 		v.Summaryf("summary\n")
-		v.Debugf("debug\n")
-		return buf.String(), v
+		return buf.String()
 	}
 
-	if got, _ := run(); got != "summary\n" {
+	if got := run(); got != "summary\n" {
 		t.Fatalf("default: %q", got)
 	}
-	if got, _ := run("-quiet"); got != "" {
+	if got := run("-quiet"); got != "" {
 		t.Fatalf("-quiet: %q", got)
-	}
-	if got, _ := run("-v"); got != "summary\ndebug\n" {
-		t.Fatalf("-v: %q", got)
-	}
-	// -v overrides -quiet.
-	if got, v := run("-quiet", "-v"); got != "summary\ndebug\n" || v.Quiet() {
-		t.Fatalf("-quiet -v: %q quiet=%v", got, v.Quiet())
 	}
 }

@@ -2,7 +2,6 @@ package cli
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"sync"
@@ -117,7 +116,3 @@ func FlightDumpOnPanic() {
 		panic(p)
 	}
 }
-
-// flightDumpTo is the test seam: like writeFlightDump but to one
-// writer.
-func flightDumpTo(w io.Writer) error { return obs.DumpFlight(w) }

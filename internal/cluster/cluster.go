@@ -1,51 +1,14 @@
-// Package cluster implements bipartite clustering coefficients on explicit
-// graphs: the per-edge coefficient of Def. 10 (the "metamorphosis
-// coefficient" of Aksoy–Kolda–Pinar), the global Robins–Alexander
-// coefficient, and degree-binned averages used when comparing against
+// Package cluster implements the global Robins–Alexander bipartite
+// clustering coefficient on explicit graphs, used when comparing against
 // stochastic baseline generators.
 package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"kronbip/internal/count"
 	"kronbip/internal/graph"
 )
-
-// EdgeCoefficient returns Γ(u,v) = ◊_uv / ((d_u−1)(d_v−1)) for an edge of
-// g (Def. 10).  Edges with a degree-1 endpoint have no possible 4-cycles
-// and report 0.
-func EdgeCoefficient(g *graph.Graph, u, v int) (float64, error) {
-	sq, err := count.EdgeButterfliesAt(g, u, v)
-	if err != nil {
-		return 0, err
-	}
-	du, dv := int64(g.Degree(u)), int64(g.Degree(v))
-	if du <= 1 || dv <= 1 {
-		return 0, nil
-	}
-	return float64(sq) / float64((du-1)*(dv-1)), nil
-}
-
-// AllEdgeCoefficients returns Γ for every undirected edge, computed from a
-// single edge-butterfly pass.
-func AllEdgeCoefficients(g *graph.Graph) (map[graph.Edge]float64, error) {
-	sqs, err := count.EdgeButterflies(g)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[graph.Edge]float64, len(sqs))
-	for e, sq := range sqs {
-		du, dv := int64(g.Degree(e.U)), int64(g.Degree(e.V))
-		if du <= 1 || dv <= 1 {
-			out[e] = 0
-			continue
-		}
-		out[e] = float64(sq) / float64((du-1)*(dv-1))
-	}
-	return out, nil
-}
 
 // ThreePaths returns the number of 3-edge paths (P₄ subgraphs) in a
 // bipartite graph: Σ_{(u,v)∈E} (d_u−1)(d_v−1).  The formula requires a
@@ -79,56 +42,4 @@ func GlobalRobinsAlexander(g *graph.Graph) (float64, error) {
 		return 0, err
 	}
 	return 4 * float64(c4) / float64(l3), nil
-}
-
-// DegreeBin is one row of a degree-binned coefficient profile.
-type DegreeBin struct {
-	MinDegree, MaxDegree int     // inclusive bin bounds (powers of two)
-	Edges                int     // edges whose min endpoint degree lands here
-	MeanGamma            float64 // average Γ over those edges
-}
-
-// DegreeBinnedCoefficients groups edges by the smaller endpoint degree into
-// power-of-two bins and averages Γ per bin — the profile bipartite BTER is
-// designed to match, reproduced here for the §I baseline comparison.
-func DegreeBinnedCoefficients(g *graph.Graph) ([]DegreeBin, error) {
-	gammas, err := AllEdgeCoefficients(g)
-	if err != nil {
-		return nil, err
-	}
-	type acc struct {
-		n   int
-		sum float64
-	}
-	bins := map[int]*acc{}
-	for e, gamma := range gammas {
-		d := g.Degree(e.U)
-		if dv := g.Degree(e.V); dv < d {
-			d = dv
-		}
-		b := 0
-		for 1<<(b+1) <= d {
-			b++
-		}
-		if bins[b] == nil {
-			bins[b] = &acc{}
-		}
-		bins[b].n++
-		bins[b].sum += gamma
-	}
-	keys := make([]int, 0, len(bins))
-	for k := range bins {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]DegreeBin, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, DegreeBin{
-			MinDegree: 1 << k,
-			MaxDegree: 1<<(k+1) - 1,
-			Edges:     bins[k].n,
-			MeanGamma: bins[k].sum / float64(bins[k].n),
-		})
-	}
-	return out, nil
 }

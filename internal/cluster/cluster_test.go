@@ -2,78 +2,10 @@ package cluster
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"kronbip/internal/gen"
-	"kronbip/internal/graph"
 )
-
-func TestEdgeCoefficientKnown(t *testing.T) {
-	// Bicliques saturate: every possible 4-cycle exists, Γ = 1.
-	g := gen.CompleteBipartite(3, 3).Graph
-	gamma, err := EdgeCoefficient(g, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gamma != 1 {
-		t.Fatalf("K33 Γ = %g, want 1", gamma)
-	}
-	// C6 has no 4-cycles.
-	gamma, err = EdgeCoefficient(gen.Cycle(6), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gamma != 0 {
-		t.Fatalf("C6 Γ = %g, want 0", gamma)
-	}
-	// Degree-1 endpoint → 0 by convention.
-	gamma, err = EdgeCoefficient(gen.Star(4), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gamma != 0 {
-		t.Fatalf("star Γ = %g, want 0", gamma)
-	}
-	if _, err := EdgeCoefficient(g, 0, 1); err == nil {
-		t.Fatal("EdgeCoefficient accepted non-edge")
-	}
-}
-
-func TestAllEdgeCoefficientsMatchPointwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	var pairs [][2]int
-	for u := 0; u < 6; u++ {
-		for w := 0; w < 7; w++ {
-			if rng.Float64() < 0.4 {
-				pairs = append(pairs, [2]int{u, w})
-			}
-		}
-	}
-	b, err := graph.NewBipartite(6, 7, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := AllEdgeCoefficients(b.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != b.NumEdges() {
-		t.Fatalf("coefficient map has %d edges, graph has %d", len(all), b.NumEdges())
-	}
-	for e, gamma := range all {
-		point, err := EdgeCoefficient(b.Graph, e.U, e.V)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(gamma-point) > 1e-12 {
-			t.Fatalf("edge %v: map %g, pointwise %g", e, gamma, point)
-		}
-		if gamma < 0 || gamma > 1 {
-			t.Fatalf("Γ out of [0,1]: %g", gamma)
-		}
-	}
-}
 
 func TestThreePaths(t *testing.T) {
 	got, err := ThreePaths(gen.Path(4))
@@ -116,23 +48,5 @@ func TestGlobalRobinsAlexander(t *testing.T) {
 	got, _ = GlobalRobinsAlexander(gen.Path(2))
 	if got != 0 {
 		t.Fatal("single edge RA coefficient should be 0")
-	}
-}
-
-func TestDegreeBinnedCoefficients(t *testing.T) {
-	g := gen.CompleteBipartite(4, 6).Graph
-	bins, err := DegreeBinnedCoefficients(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Min endpoint degree is 4 or 6 → bin [4,7]; all Γ = 1.
-	if len(bins) != 1 {
-		t.Fatalf("bins = %+v, want a single [4,7] bin", bins)
-	}
-	if bins[0].MinDegree != 4 || bins[0].MaxDegree != 7 {
-		t.Fatalf("bin bounds [%d,%d], want [4,7]", bins[0].MinDegree, bins[0].MaxDegree)
-	}
-	if bins[0].Edges != 24 || math.Abs(bins[0].MeanGamma-1) > 1e-12 {
-		t.Fatalf("bin = %+v", bins[0])
 	}
 }

@@ -19,12 +19,12 @@ func blockTestProducts(t *testing.T) map[string]*Product {
 	for name, p := range testProducts(t) {
 		out[name] = p
 	}
-	chain, err := Chain(gen.Path(3), ModeSelfLoopFactor, gen.Path(2), gen.Star(3))
+	chain, err := NewChain(gen.Path(3), ModeSelfLoopFactor, gen.Path(2), gen.Star(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["chain"] = chain
-	chainNB, err := Chain(gen.Complete(3), ModeNonBipartiteFactor, gen.Crown(3).Graph, gen.Path(3))
+	chainNB, err := NewChain(gen.Complete(3), ModeNonBipartiteFactor, gen.Crown(3).Graph, gen.Path(3))
 	if err != nil {
 		t.Fatal(err)
 	}

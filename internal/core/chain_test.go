@@ -10,7 +10,7 @@ import (
 
 func TestChainThreeFactors(t *testing.T) {
 	// ((P3+I) ⊗ P2) then (· + I) ⊗ P3: 3·2·3 = 18 vertices.
-	p, err := Chain(gen.Path(3), ModeSelfLoopFactor, gen.Path(2), gen.Path(3))
+	p, err := NewChain(gen.Path(3), ModeSelfLoopFactor, gen.Path(2), gen.Path(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestChainThreeFactors(t *testing.T) {
 
 func TestChainMode1First(t *testing.T) {
 	// First level mode (i): K3 ⊗ P2 = C6, then (C6+I) ⊗ star3.
-	p, err := Chain(gen.Complete(3), ModeNonBipartiteFactor, gen.Path(2), gen.Star(3))
+	p, err := NewChain(gen.Complete(3), ModeNonBipartiteFactor, gen.Path(2), gen.Star(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,21 +71,21 @@ func TestChainMode1First(t *testing.T) {
 }
 
 func TestChainValidation(t *testing.T) {
-	if _, err := Chain(gen.Path(3), ModeSelfLoopFactor); err == nil {
+	if _, err := NewChain(gen.Path(3), ModeSelfLoopFactor); err == nil {
 		t.Fatal("accepted empty chain")
 	}
-	if _, err := ChainRelaxed(gen.Path(3), ModeSelfLoopFactor); err == nil {
+	if _, err := NewChainRelaxed(gen.Path(3), ModeSelfLoopFactor); err == nil {
 		t.Fatal("relaxed accepted empty chain")
 	}
 	// Non-bipartite later factor breaks level-2 premises.
-	if _, err := Chain(gen.Path(3), ModeSelfLoopFactor, gen.Path(2), gen.Cycle(5)); err == nil {
+	if _, err := NewChain(gen.Path(3), ModeSelfLoopFactor, gen.Path(2), gen.Cycle(5)); err == nil {
 		t.Fatal("accepted non-bipartite chained factor")
 	}
 }
 
 func TestChainRelaxedDisconnectedFactor(t *testing.T) {
 	disc := gen.DisjointUnion(gen.Path(2), gen.Path(2))
-	p, err := ChainRelaxed(gen.Path(2), ModeSelfLoopFactor, disc, gen.Path(2))
+	p, err := NewChainRelaxed(gen.Path(2), ModeSelfLoopFactor, disc, gen.Path(2))
 	if err != nil {
 		t.Fatal(err)
 	}

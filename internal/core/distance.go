@@ -37,7 +37,7 @@ type distanceIndex struct {
 	hopsB   [][][]int               // per chain level: plain BFS distances in B_t
 }
 
-var errRelaxedDistances = fmt.Errorf("core: eccentricity/diameter ground truth requires the strict Assumption 1 premises (construct with New/NewWithParts); relaxed products may be disconnected")
+var errRelaxedDistances = fmt.Errorf("core: eccentricity/diameter ground truth requires the strict Assumption 1 premises (construct with New, NewChain or NewChainWithParts); relaxed products may be disconnected")
 
 func (p *Product) distances() *distanceIndex {
 	idx, _ := p.distancesContext(context.Background()) // background ctx: cannot fail

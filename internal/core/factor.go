@@ -226,15 +226,6 @@ func (f *Factor) diag4(i int) int64 {
 	return 2*f.S[i] + f.D[i]*f.D[i] + f.W2[i] - f.D[i]
 }
 
-// diag4Vec returns diag(A⁴) as a vector.
-func (f *Factor) diag4Vec() []int64 {
-	out := make([]int64, f.N())
-	for i := range out {
-		out[i] = f.diag4(i)
-	}
-	return out
-}
-
 // walk3 returns W^(3)(i,j) = (A³)_ij at a factor edge:
 // ◊_ij + d_i + d_j − 1 (Fig. 4).  Callers must pass an edge.
 func (f *Factor) walk3(i, j int) int64 {

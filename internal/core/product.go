@@ -134,15 +134,6 @@ func NewChainRelaxed(a *graph.Graph, mode Mode, bs ...*graph.Graph) (*Product, e
 	return newChain(a, mode, bs, nil, false)
 }
 
-// NewWithParts is New with B supplied as a *graph.Bipartite whose declared
-// bipartition (rather than a fresh 2-coloring) fixes the product's U_C/W_C
-// split.  For disconnected B the two can differ: a BFS 2-coloring picks
-// arbitrary sides per component, while datasets such as the paper's unicode
-// network carry a semantic side assignment.
-func NewWithParts(a *graph.Graph, b *graph.Bipartite, mode Mode) (*Product, error) {
-	return NewChainWithParts(a, mode, b)
-}
-
 // NewRelaxedWithParts is NewRelaxed honoring B's declared bipartition.
 func NewRelaxedWithParts(a *graph.Graph, b *graph.Bipartite, mode Mode) (*Product, error) {
 	return NewChainRelaxedWithParts(a, mode, b)
@@ -470,9 +461,6 @@ func (p *Product) IndexOf(i, k int) int { return i*p.FactorB().N() + k }
 func (p *Product) DigitsOf(v int) []int {
 	return p.rad.AppendDecode(make([]int, 0, p.rad.K()), v)
 }
-
-// VertexOf is the inverse of DigitsOf.
-func (p *Product) VertexOf(digits ...int) int { return p.rad.Encode(digits...) }
 
 // NumEdges returns |E_C| in closed form; for K = 1:
 //

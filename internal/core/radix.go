@@ -103,9 +103,6 @@ func (r Radix) N() int { return r.n }
 // Size returns the size of digit t.
 func (r Radix) Size(t int) int { return r.sizes[t] }
 
-// Stride returns the positional weight of digit t.
-func (r Radix) Stride(t int) int { return r.strides[t] }
-
 // Digit extracts digit t of vertex v without decoding the rest.
 func (r Radix) Digit(v, t int) int { return v / r.strides[t] % r.sizes[t] }
 

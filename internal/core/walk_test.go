@@ -497,8 +497,8 @@ var fuzzPool = sync.OnceValue(func() []fuzzCase {
 		}
 		add(mk(c.a, c.mode, c.bs...))
 	}
-	add(Chain(gen.Path(3), ModeSelfLoopFactor, gen.Path(2), gen.Star(3)))
-	add(Chain(gen.Complete(3), ModeNonBipartiteFactor, gen.Crown(3).Graph, gen.Path(3)))
+	add(NewChain(gen.Path(3), ModeSelfLoopFactor, gen.Path(2), gen.Star(3)))
+	add(NewChain(gen.Complete(3), ModeNonBipartiteFactor, gen.Crown(3).Graph, gen.Path(3)))
 	add(New(gen.Complete(4), gen.Crown(3).Graph, ModeNonBipartiteFactor))
 	add(New(gen.Path(4), gen.Crown(3).Graph, ModeSelfLoopFactor))
 	return pool

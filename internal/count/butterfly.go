@@ -156,59 +156,6 @@ func VertexButterfliesAt(g *graph.Graph, u int) int64 {
 	return total
 }
 
-// GlobalButterfliesBestSide counts butterflies in a bipartite graph by
-// enumerating wedges from one side only — the standard work-saving choice
-// (Sanei-Mehri et al.): iterating side S costs Σ_{v ∈ other} d_v², so the
-// side whose *opposite* wedge mass is smaller wins.  Each butterfly has
-// exactly one unordered diagonal pair on the chosen side, so the ordered
-// enumeration counts it twice.
-func GlobalButterfliesBestSide(b *graph.Bipartite) (int64, error) {
-	if b.NumSelfLoops() > 0 {
-		return 0, fmt.Errorf("count: graph has self loops; remove them first")
-	}
-	// Wedge mass through each side's vertices as centers.
-	var massU, massW int64
-	for _, v := range b.Part.U {
-		d := int64(b.Degree(v))
-		massU += d * d
-	}
-	for _, v := range b.Part.W {
-		d := int64(b.Degree(v))
-		massW += d * d
-	}
-	// Iterating side S walks wedges centered on the OTHER side.
-	side := b.Part.U
-	if massU < massW {
-		side = b.Part.W
-	}
-	n := b.N()
-	c := make([]int64, n)
-	touched := make([]int, 0, 64)
-	var total int64
-	for _, u := range side {
-		touched = touched[:0]
-		for _, v := range b.Neighbors(u) {
-			for _, w := range b.Neighbors(v) {
-				if w == u {
-					continue
-				}
-				if c[w] == 0 {
-					touched = append(touched, w)
-				}
-				c[w]++
-			}
-		}
-		for _, w := range touched {
-			total += c[w] * (c[w] - 1) / 2
-			c[w] = 0
-		}
-	}
-	if total%2 != 0 {
-		return 0, fmt.Errorf("count: one-side wedge total %d not divisible by 2", total)
-	}
-	return total / 2, nil
-}
-
 // GlobalButterflies returns the total number of distinct 4-cycles in g.
 // Each 4-cycle contains exactly four vertices, so the total is Σ s_v / 4.
 func GlobalButterflies(g *graph.Graph) (int64, error) {
@@ -266,87 +213,6 @@ func EdgeButterflies(g *graph.Graph) (map[graph.Edge]int64, error) {
 		}
 	}
 	return out, nil
-}
-
-// EdgeButterfliesParallel is EdgeButterflies with the low-endpoint vertices
-// partitioned across workers; each worker owns a disjoint slice of edges
-// (those whose smaller endpoint falls in its range) and writes into its own
-// map, merged at the end.  workers <= 0 selects GOMAXPROCS.
-func EdgeButterfliesParallel(g *graph.Graph, workers int) (map[graph.Edge]int64, error) {
-	return EdgeButterfliesParallelContext(context.Background(), g, workers)
-}
-
-// EdgeButterfliesParallelContext is EdgeButterfliesParallel on the shared
-// exec engine, with pooled marker scratch and cooperative cancellation
-// (ctx.Err() within countPollStride vertices).
-func EdgeButterfliesParallelContext(ctx context.Context, g *graph.Graph, workers int) (map[graph.Edge]int64, error) {
-	if g.NumSelfLoops() > 0 {
-		return nil, fmt.Errorf("count: graph has self loops; remove them first")
-	}
-	n := g.N()
-	if workers == 1 || n <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return EdgeButterflies(g)
-	}
-	// Resolve the worker count up front so parts indexing matches stripes.
-	workers = exec.Workers(workers, n)
-	instr := obs.Enabled()
-	ctx, spanDone := obs.Span(ctx, "count.edge_butterflies")
-	defer spanDone()
-	parts := make([]map[graph.Edge]int64, workers)
-	err := exec.Ranges(ctx, n, workers, func(ctx context.Context, w, lo, hi int) error {
-		if instr {
-			defer mEdgeSources.Add(int64(hi - lo))
-		}
-		poll := exec.NewPoller(ctx, countPollStride)
-		mark := exec.GetBools(n)
-		defer exec.PutBools(mark)
-		out := make(map[graph.Edge]int64)
-		for u := lo; u < hi; u++ {
-			if poll.Cancelled() {
-				return poll.Err()
-			}
-			for _, x := range g.Neighbors(u) {
-				mark[x] = true
-			}
-			for _, v := range g.Neighbors(u) {
-				if v < u {
-					continue
-				}
-				var cnt int64
-				for _, y := range g.Neighbors(v) {
-					if y == u {
-						continue
-					}
-					var common int64
-					for _, x := range g.Neighbors(y) {
-						if mark[x] {
-							common++
-						}
-					}
-					cnt += common - 1
-				}
-				out[graph.Edge{U: u, V: v}] = cnt
-			}
-			for _, x := range g.Neighbors(u) {
-				mark[x] = false
-			}
-		}
-		parts[w] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged := make(map[graph.Edge]int64, g.NumEdges())
-	for _, part := range parts {
-		for e, c := range part {
-			merged[e] = c
-		}
-	}
-	return merged, nil
 }
 
 // EdgeButterfliesAt counts 4-cycles through a single edge; returns an error

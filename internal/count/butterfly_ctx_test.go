@@ -24,15 +24,6 @@ func TestVertexButterfliesParallelContextCancelled(t *testing.T) {
 	}
 }
 
-func TestEdgeButterfliesParallelContextCancelled(t *testing.T) {
-	g := gen.CompleteBipartite(20, 20).Graph
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := EdgeButterfliesParallelContext(ctx, g, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 func TestParallelContextMatchesSerialUnderLiveContext(t *testing.T) {
 	g := gen.CompleteBipartite(9, 13).Graph
 	want, err := VertexButterflies(g)
@@ -46,22 +37,6 @@ func TestParallelContextMatchesSerialUnderLiveContext(t *testing.T) {
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: ctx-parallel %d, serial %d", v, got[v], want[v])
-		}
-	}
-	wantE, err := EdgeButterflies(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotE, err := EdgeButterfliesParallelContext(context.Background(), g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotE) != len(wantE) {
-		t.Fatalf("edge map sizes: %d vs %d", len(gotE), len(wantE))
-	}
-	for e, c := range wantE {
-		if gotE[e] != c {
-			t.Fatalf("edge %v: ctx-parallel %d, serial %d", e, gotE[e], c)
 		}
 	}
 }

@@ -250,73 +250,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestGlobalButterfliesBestSide(t *testing.T) {
-	// Known values on asymmetric bicliques where side choice matters.
-	for _, ab := range [][2]int{{2, 7}, {7, 2}, {3, 4}} {
-		b := gen.CompleteBipartite(ab[0], ab[1])
-		want, _ := GlobalButterflies(b.Graph)
-		got, err := GlobalButterfliesBestSide(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("K_{%d,%d}: best-side %d, want %d", ab[0], ab[1], got, want)
-		}
-	}
-	// Random bipartite graphs.
-	rng := rand.New(rand.NewSource(54))
-	for trial := 0; trial < 25; trial++ {
-		nu, nw := 3+rng.Intn(6), 3+rng.Intn(6)
-		var pairs [][2]int
-		for u := 0; u < nu; u++ {
-			for w := 0; w < nw; w++ {
-				if rng.Float64() < 0.5 {
-					pairs = append(pairs, [2]int{u, w})
-				}
-			}
-		}
-		b, err := graph.NewBipartite(nu, nw, pairs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := GlobalButterflies(b.Graph)
-		got, err := GlobalButterfliesBestSide(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("trial %d: best-side %d, want %d", trial, got, want)
-		}
-	}
-}
-
-func TestEdgeParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	g := randomGraph(rng, 50, 0.2)
-	serial, err := EdgeButterflies(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 5, 0, 100} {
-		par, err := EdgeButterfliesParallel(g, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d edges, want %d", workers, len(par), len(serial))
-		}
-		for e, c := range serial {
-			if par[e] != c {
-				t.Fatalf("workers=%d: edge %v = %d, want %d", workers, e, par[e], c)
-			}
-		}
-	}
-	loopy := gen.Path(4).WithFullSelfLoops()
-	if _, err := EdgeButterfliesParallel(loopy, 2); err == nil {
-		t.Fatal("EdgeButterfliesParallel accepted self loops")
-	}
-}
-
 func TestPointQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	g := randomGraph(rng, 14, 0.3)

@@ -59,7 +59,6 @@ type blockState struct {
 	buf      []byte  // accepted block in the output rendering, held until merged in order
 	bp       *[]byte // buf's pooled block buffer (bin output), released once merged
 	done     bool
-	merged   bool
 	inflight int       // outstanding leases (1 normally, 2 with a speculative duplicate)
 	attempts int       // failed leases so far, judged against MaxAttempts
 	issued   time.Time // earliest outstanding issue time (straggler clock)
@@ -113,8 +112,9 @@ type coordinator struct {
 	stop context.CancelFunc
 
 	auditor *audit.Auditor
-	// auditStream is materialized once here: Auditor.Stream()'s lazy init
-	// is not safe under the concurrent worker loops.
+	// auditStream is the auditor's shared stream, created with the
+	// coordinator so that Finalize always runs its stream checks; each
+	// lease feeds its own ForShard child.
 	auditStream *audit.StreamAuditor
 
 	mu        sync.Mutex
@@ -721,7 +721,6 @@ func (c *coordinator) flushLocked() {
 		mEdgesMerged.Add(b.want)
 		releaseBlock(b.bp)
 		b.buf, b.bp = nil, nil
-		b.merged = true
 		c.nextWrite++
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"kronbip/internal/audit"
 	"kronbip/internal/core"
 	"kronbip/internal/exec"
+	"kronbip/internal/obs"
 	"kronbip/internal/serve"
 	"kronbip/internal/spec"
 	"kronbip/internal/wire"
@@ -152,12 +153,10 @@ func TestRunHappyPath(t *testing.T) {
 
 // killerHandler simulates a replica dying mid-lease: the first lease
 // response is cut off after a few bytes reach the wire, and every
-// request after that has its connection dropped immediately.  fired is
-// closed once it has died.
+// request after that has its connection dropped immediately.
 type killerHandler struct {
 	h      http.Handler
 	killed atomic.Bool
-	fired  chan struct{}
 }
 
 func (k *killerHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -200,9 +199,7 @@ func (kw *killWriter) Write(b []byte) (int, error) {
 			f.Flush()
 		}
 	}
-	if !kw.k.killed.Swap(true) {
-		close(kw.k.fired)
-	}
+	kw.k.killed.Store(true)
 	hijackClose(kw.ResponseWriter)
 	return 0, net.ErrClosed
 }
@@ -216,6 +213,23 @@ func (kw *killWriter) Flush() {
 	}
 }
 
+// holdLeases serves h, but answers no lease until counter c has moved
+// past its value at the call (or 5 s have passed).  The tests of this
+// package do not run in parallel, so the process-wide counter moves
+// only for the calling test's own run.
+func holdLeases(h http.Handler, c *obs.Counter) http.Handler {
+	before := c.Value()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/leases" {
+			deadline := time.Now().Add(5 * time.Second)
+			for c.Value() <= before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
 // TestRunWorkerKilledMidLease is the fault-injection acceptance test:
 // one of three workers dies mid-lease (partial payload on the wire, then
 // connection drops forever).  The coordinator re-issues its leases to
@@ -223,25 +237,17 @@ func (kw *killWriter) Flush() {
 // equals the closed-form |E_C|, and the online audit (degree sums + dual
 // 4-cycle routes + membership) reports clean on the merged stream.
 func TestRunWorkerKilledMidLease(t *testing.T) {
-	killer := &killerHandler{fired: make(chan struct{})}
+	killer := &killerHandler{}
 	urls := newFleet(t, 3, func(i int, h http.Handler) http.Handler {
 		if i == 1 {
 			killer.h = h
 			return killer
 		}
-		// The healthy replicas answer no lease until the doomed one has
-		// died (or 5 s have passed), so its failure is booked before a
-		// speculative twin can deliver its block: a failed lease of a
-		// delivered block counts as no failure.
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/leases" {
-				select {
-				case <-killer.fired:
-				case <-time.After(5 * time.Second):
-				}
-			}
-			h.ServeHTTP(w, r)
-		})
+		// The healthy replicas answer no lease until the doomed worker's
+		// failure is booked, so a speculative twin cannot deliver its
+		// block first: a failed lease of a delivered block counts as no
+		// failure.
+		return holdLeases(h, mLeasesFailed)
 	})
 	want, total := localEdgeSet(t, testSpec)
 
@@ -440,7 +446,10 @@ func TestRunReturnsDespiteEndless429(t *testing.T) {
 	release := make(chan struct{})
 	urls := newFleet(t, 2, func(i int, h http.Handler) http.Handler {
 		if i != 0 {
-			return h
+			// The healthy replica answers no lease until the saturated
+			// one's 429 is booked, so it can neither deliver every block
+			// nor a speculative twin of the saturated lease first.
+			return holdLeases(h, mLeasesBackoff)
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path != "/v1/leases" {

@@ -33,7 +33,6 @@ func (sp *slicePool[T]) put(s []T) {
 var (
 	int64Pool slicePool[int64]
 	intPool   slicePool[int]
-	boolPool  slicePool[bool]
 )
 
 // GetInt64s returns a zeroed []int64 of length n from the pool.
@@ -47,9 +46,3 @@ func GetInts(n int) []int { return intPool.get(n) }
 
 // PutInts recycles a slice obtained from GetInts.
 func PutInts(s []int) { intPool.put(s) }
-
-// GetBools returns a zeroed []bool of length n from the pool.
-func GetBools(n int) []bool { return boolPool.get(n) }
-
-// PutBools recycles a slice obtained from GetBools.
-func PutBools(s []bool) { boolPool.put(s) }

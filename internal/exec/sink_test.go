@@ -107,17 +107,6 @@ func TestScratchPools(t *testing.T) {
 	}
 	PutInt64s(b)
 
-	m := GetBools(10)
-	m[3] = true
-	PutBools(m)
-	m2 := GetBools(10)
-	for i, v := range m2 {
-		if v {
-			t.Fatalf("recycled bool slice not cleared at %d", i)
-		}
-	}
-	PutBools(m2)
-
 	is := GetInts(7)
 	is[0] = 9
 	PutInts(is)

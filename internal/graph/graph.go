@@ -184,37 +184,6 @@ func (g *Graph) WithoutSelfLoops() *Graph {
 	return &Graph{adj: grb.OffDiagonal(g.adj)}
 }
 
-// InducedSubgraph returns the subgraph induced by the given vertex set,
-// along with the mapping from new vertex ids to original ids.
-func (g *Graph) InducedSubgraph(vertices []int) (*Graph, []int, error) {
-	idx := make(map[int]int, len(vertices))
-	orig := make([]int, len(vertices))
-	for newID, v := range vertices {
-		if v < 0 || v >= g.N() {
-			return nil, nil, fmt.Errorf("graph: vertex %d out of range", v)
-		}
-		if _, dup := idx[v]; dup {
-			return nil, nil, fmt.Errorf("graph: duplicate vertex %d in induced set", v)
-		}
-		idx[v] = newID
-		orig[newID] = v
-	}
-	b := grb.NewBuilder[int64](len(vertices), len(vertices))
-	for _, v := range vertices {
-		for _, w := range g.Neighbors(v) {
-			if nw, ok := idx[w]; ok {
-				b.Add(idx[v], nw, 1)
-			}
-		}
-	}
-	m, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	m, _ = grb.Apply(m, func(int64) int64 { return 1 })
-	return &Graph{adj: m}, orig, nil
-}
-
 // String summarizes the graph.
 func (g *Graph) String() string {
 	return fmt.Sprintf("Graph(n=%d, m=%d)", g.N(), g.NumEdges())

@@ -201,30 +201,6 @@ func TestDegreeHistogramAndMaxDegree(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := cycle(6)
-	sub, orig, err := g.InducedSubgraph([]int{0, 1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 4 {
-		t.Fatalf("sub.N = %d", sub.N())
-	}
-	// Edges 0-1, 1-2 survive; 4 is isolated in the induced set.
-	if sub.NumEdges() != 2 {
-		t.Fatalf("sub edges = %d, want 2", sub.NumEdges())
-	}
-	if orig[3] != 4 {
-		t.Fatalf("orig mapping = %v", orig)
-	}
-	if _, _, err := g.InducedSubgraph([]int{0, 0}); err == nil {
-		t.Fatal("InducedSubgraph accepted duplicate vertex")
-	}
-	if _, _, err := g.InducedSubgraph([]int{99}); err == nil {
-		t.Fatal("InducedSubgraph accepted out-of-range vertex")
-	}
-}
-
 func TestBipartitionEvenCycle(t *testing.T) {
 	bp, _, ok := cycle(8).Bipartition()
 	if !ok {

@@ -94,21 +94,6 @@ func BenchmarkMxV(b *testing.B) {
 	}
 }
 
-func BenchmarkMxMMasked(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	sym := randomSymmetric(rng, 256, 0.05)
-	sq, err := MxM(sym, sym)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MxMMasked(sq, sym, sym); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkKronVec(b *testing.B) {
 	x := make([]int64, 1024)
 	for i := range x {

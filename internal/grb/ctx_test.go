@@ -41,19 +41,6 @@ func TestKronParallelContextCancelled(t *testing.T) {
 	}
 }
 
-func TestMxVParallelContextCancelled(t *testing.T) {
-	m := denseRandomish(64, 64)
-	x := make([]int64, 64)
-	for i := range x {
-		x[i] = int64(i)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := MxVParallelContext(ctx, m, x, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 func TestParallelContextMatchesSerial(t *testing.T) {
 	a := denseRandomish(40, 30)
 	b := denseRandomish(30, 50)

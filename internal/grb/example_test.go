@@ -27,22 +27,6 @@ func ExampleKron() {
 	// [0 2 0 0]
 }
 
-// ExampleMxMSemiring runs one tropical (min,+) relaxation step.
-func ExampleMxMSemiring() {
-	const inf = int64(1) << 60
-	w, _ := grb.FromDense([][]int64{
-		{0, 3, 0},
-		{3, 0, 4},
-		{0, 4, 0},
-	})
-	// Remove the explicit zeros that FromDense dropped already; distances
-	// via one squaring over (min,+).
-	d, _ := grb.MxMSemiring(grb.MinPlus(inf), w, w)
-	fmt.Println(d.At(0, 2)) // 0→1→2 costs 3+4
-	// Output:
-	// 7
-}
-
 // ExampleKronExpr shows the fused sublinear reduction Σ(x⊗y) = Σx·Σy.
 func ExampleKronExpr() {
 	x := grb.LeafExpr([]int64{1, 2, 3})

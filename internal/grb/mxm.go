@@ -196,51 +196,6 @@ func MxMParallelContext[T Number](ctx context.Context, a, b *Matrix[T], workers 
 	return &Matrix[T]{nr: a.nr, nc: b.nc, rowPtr: rowPtr, colIdx: colIdx, val: val}, nil
 }
 
-// MxVParallel computes y = A·x over (+,*) with rows partitioned across
-// workers.  workers <= 0 selects GOMAXPROCS.
-func MxVParallel[T Number](a *Matrix[T], x []T, workers int) ([]T, error) {
-	return MxVParallelContext(context.Background(), a, x, workers)
-}
-
-// MxVParallelContext is MxVParallel on the shared exec engine.
-func MxVParallelContext[T Number](ctx context.Context, a *Matrix[T], x []T, workers int) ([]T, error) {
-	if len(x) != a.nc {
-		return nil, fmt.Errorf("grb: MxV dimension mismatch: matrix %dx%d, vector %d", a.nr, a.nc, len(x))
-	}
-	if obs.Enabled() {
-		var done func()
-		ctx, done = obs.Span(ctx, "grb.mxv")
-		defer done()
-		mMxVCalls.Inc()
-		mMxVFlops.Add(int64(a.NNZ()))
-	}
-	if timeline.Enabled() {
-		defer timeline.Begin(timeline.CatKernel, "grb.mxv", 0)(nil)
-	}
-	y := make([]T, a.nr)
-	if a.nr == 0 {
-		return y, ctx.Err()
-	}
-	err := exec.Ranges(ctx, a.nr, workers, func(ctx context.Context, _, lo, hi int) error {
-		poll := exec.NewPoller(ctx, kernelPollStride)
-		for i := lo; i < hi; i++ {
-			if poll.Cancelled() {
-				return poll.Err()
-			}
-			var acc T
-			for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-				acc += a.val[k] * x[a.colIdx[k]]
-			}
-			y[i] = acc
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return y, nil
-}
-
 // sortInts is an insertion sort for the short "touched columns" lists that
 // arise in Gustavson accumulation; it beats sort.Ints below ~100 elements
 // and avoids the interface overhead in the hot loop.

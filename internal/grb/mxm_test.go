@@ -73,47 +73,6 @@ func TestMxMParallelDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestMxVParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	a := randomMatrix(rng, 64, 48, 0.2)
-	x := make([]int64, 48)
-	for i := range x {
-		x[i] = int64(rng.Intn(10) - 5)
-	}
-	serial, _ := MxV(a, x)
-	for _, workers := range []int{1, 2, 7, 0} {
-		par, err := MxVParallel(a, x, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !EqualVec(serial, par) {
-			t.Fatalf("workers=%d: parallel MxV differs from serial", workers)
-		}
-	}
-	if _, err := MxVParallel(a, x[:3], 2); err == nil {
-		t.Fatal("MxVParallel accepted mismatched vector")
-	}
-}
-
-func TestMxMSemiringMinPlusAPSPStep(t *testing.T) {
-	// Distances on a 4-cycle via (min,+) matrix powers.
-	const inf = int64(1) << 60
-	b := NewBuilder[int64](4, 4)
-	for i := 0; i < 4; i++ {
-		b.AddSym(i, (i+1)%4, 1)
-		b.Add(i, i, 0) // zero-length self distances keep closure monotone
-	}
-	w := b.MustBuild()
-	d, err := MxMSemiring(MinPlus(inf), w, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// After one squaring, opposite corners are at distance 2.
-	if d.At(0, 2) != 2 || d.At(1, 3) != 2 || d.At(0, 1) != 1 || d.At(0, 0) != 0 {
-		t.Fatalf("MinPlus square wrong: %v", d.Dense())
-	}
-}
-
 func TestMxMAssociativity(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	a := randomMatrix(rng, 5, 6, 0.4)

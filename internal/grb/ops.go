@@ -190,15 +190,6 @@ func PlusDiag[T Number](a *Matrix[T], c T) (*Matrix[T], error) {
 	return Add(a, DiagonalMatrix(d))
 }
 
-// Reduce folds all stored values of a with the monoid.
-func Reduce[T Number](m Monoid[T], a *Matrix[T]) T {
-	acc := m.Identity
-	for _, v := range a.val {
-		acc = m.Op(acc, v)
-	}
-	return acc
-}
-
 // ReduceRows folds each row with the monoid, returning a dense vector;
 // with PlusMonoid on an adjacency matrix this is the degree vector A·1.
 func ReduceRows[T Number](m Monoid[T], a *Matrix[T]) []T {
@@ -231,24 +222,6 @@ func MxVSemiring[T Number](sr Semiring[T], a *Matrix[T], x []T) ([]T, error) {
 			acc = sr.Add.Op(acc, sr.Mul(a.val[k], x[a.colIdx[k]]))
 		}
 		y[i] = acc
-	}
-	return y, nil
-}
-
-// VxM computes yᵗ = xᵗ·A over the conventional semiring.
-func VxM[T Number](x []T, a *Matrix[T]) ([]T, error) {
-	if len(x) != a.nr {
-		return nil, fmt.Errorf("grb: VxM dimension mismatch: vector %d, matrix %dx%d", len(x), a.nr, a.nc)
-	}
-	y := make([]T, a.nc)
-	for i := 0; i < a.nr; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			y[a.colIdx[k]] += xi * a.val[k]
-		}
 	}
 	return y, nil
 }

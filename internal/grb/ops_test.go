@@ -87,9 +87,6 @@ func TestShapeMismatchErrors(t *testing.T) {
 	if _, err := MxV(a, []int64{1, 2}); err == nil {
 		t.Fatal("MxV accepted mismatched vector")
 	}
-	if _, err := VxM([]int64{1}, a); err == nil {
-		t.Fatal("VxM accepted mismatched vector")
-	}
 }
 
 func TestScalarMulAndApply(t *testing.T) {
@@ -193,15 +190,9 @@ func TestPlusDiag(t *testing.T) {
 
 func TestReduceAndReduceRows(t *testing.T) {
 	a, _ := FromDense([][]int64{{1, 2, 0}, {0, 0, 4}})
-	if got := Reduce(PlusMonoid[int64](), a); got != 7 {
-		t.Fatalf("Reduce = %d, want 7", got)
-	}
 	rows := ReduceRows(PlusMonoid[int64](), a)
 	if !EqualVec(rows, []int64{3, 4}) {
 		t.Fatalf("ReduceRows = %v", rows)
-	}
-	if got := Reduce(MaxMonoid(int64(-1)), a); got != 4 {
-		t.Fatalf("Reduce max = %d, want 4", got)
 	}
 }
 
@@ -227,61 +218,5 @@ func TestMxVAgainstDense(t *testing.T) {
 				t.Fatalf("MxV[%d] = %d, want %d", i, y[i], want)
 			}
 		}
-	}
-}
-
-func TestVxMMatchesTransposeMxV(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	a := randomMatrix(rng, 7, 5, 0.4)
-	x := make([]int64, 7)
-	for i := range x {
-		x[i] = int64(rng.Intn(5))
-	}
-	got, err := VxM(x, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := MxV(Transpose(a), x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualVec(got, want) {
-		t.Fatalf("VxM = %v, want %v", got, want)
-	}
-}
-
-func TestMxVSemiringMinPlus(t *testing.T) {
-	// One step of tropical relaxation on a 3-path 0-1-2 with unit weights.
-	const inf = int64(1) << 60
-	b := NewBuilder[int64](3, 3)
-	b.AddSym(0, 1, 1)
-	b.AddSym(1, 2, 1)
-	a := b.MustBuild()
-	x := []int64{0, inf, inf}
-	y, err := MxVSemiring(MinPlus(inf), a, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[1] != 1 || y[2] != inf {
-		t.Fatalf("MinPlus step = %v", y)
-	}
-	y2, _ := MxVSemiring(MinPlus(inf), a, y)
-	if y2[2] != 2 {
-		t.Fatalf("two MinPlus steps: dist to 2 = %d, want 2", y2[2])
-	}
-}
-
-func TestOrAndReachability(t *testing.T) {
-	b := NewBuilder[int64](3, 3)
-	b.Add(0, 1, 1)
-	b.Add(1, 2, 1)
-	a := b.MustBuild()
-	x := []int64{1, 0, 0}
-	y, err := MxVSemiring(OrAnd[int64](), Transpose(a), x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !EqualVec(y, []int64{0, 1, 0}) {
-		t.Fatalf("OrAnd frontier = %v", y)
 	}
 }

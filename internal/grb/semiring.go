@@ -25,60 +25,8 @@ func PlusMonoid[T Number]() Monoid[T] {
 	return Monoid[T]{Identity: 0, Op: func(a, b T) T { return a + b }}
 }
 
-// MinMonoid is minimum with identity +inf (the maximum representable value
-// is used for integer instantiations; callers treat it as "unreached").
-func MinMonoid[T Number](inf T) Monoid[T] {
-	return Monoid[T]{Identity: inf, Op: func(a, b T) T {
-		if a < b {
-			return a
-		}
-		return b
-	}}
-}
-
-// MaxMonoid is maximum with the supplied identity (typically the minimum
-// representable value or 0 for non-negative data).
-func MaxMonoid[T Number](neginf T) Monoid[T] {
-	return Monoid[T]{Identity: neginf, Op: func(a, b T) T {
-		if a > b {
-			return a
-		}
-		return b
-	}}
-}
-
-// OrMonoid is logical OR over {0,1}-valued scalars, with identity 0.
-func OrMonoid[T Number]() Monoid[T] {
-	return Monoid[T]{Identity: 0, Op: func(a, b T) T {
-		if a != 0 || b != 0 {
-			return 1
-		}
-		return 0
-	}}
-}
-
 // PlusTimes is the conventional arithmetic semiring (+, *); walk counting
 // over adjacency matrices uses this.
 func PlusTimes[T Number]() Semiring[T] {
 	return Semiring[T]{Add: PlusMonoid[T](), Mul: func(a, b T) T { return a * b }}
-}
-
-// MinPlus is the tropical shortest-path semiring with the supplied +inf.
-func MinPlus[T Number](inf T) Semiring[T] {
-	return Semiring[T]{Add: MinMonoid(inf), Mul: func(a, b T) T {
-		if a == inf || b == inf {
-			return inf
-		}
-		return a + b
-	}}
-}
-
-// OrAnd is the boolean reachability semiring over {0,1}-valued scalars.
-func OrAnd[T Number]() Semiring[T] {
-	return Semiring[T]{Add: OrMonoid[T](), Mul: func(a, b T) T {
-		if a != 0 && b != 0 {
-			return 1
-		}
-		return 0
-	}}
 }

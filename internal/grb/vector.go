@@ -7,24 +7,6 @@ import "fmt"
 // (degree d, two-walk counts w², squares s); these helpers keep that algebra
 // readable at the call site.
 
-// Ones returns the length-n all-ones vector (the paper's 1_A).
-func Ones[T Number](n int) []T {
-	v := make([]T, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
-}
-
-// Fill returns a length-n vector with every slot set to c.
-func Fill[T Number](n int, c T) []T {
-	v := make([]T, n)
-	for i := range v {
-		v[i] = c
-	}
-	return v
-}
-
 // AddVec returns x + y element-wise.
 func AddVec[T Number](x, y []T) []T {
 	mustSameLen("AddVec", len(x), len(y))
@@ -80,38 +62,6 @@ func SumVec[T Number](x []T) T {
 		s += v
 	}
 	return s
-}
-
-// DotVec returns xᵗy.
-func DotVec[T Number](x, y []T) T {
-	mustSameLen("DotVec", len(x), len(y))
-	var s T
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s
-}
-
-// MinVec returns the minimum entry of a non-empty vector.
-func MinVec[T Number](x []T) T {
-	m := x[0]
-	for _, v := range x[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MaxVec returns the maximum entry of a non-empty vector.
-func MaxVec[T Number](x []T) T {
-	m := x[0]
-	for _, v := range x[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // EqualVec reports element-wise equality.

@@ -2,18 +2,6 @@ package grb
 
 import "testing"
 
-func TestVectorConstructors(t *testing.T) {
-	if !EqualVec(Ones[int64](3), []int64{1, 1, 1}) {
-		t.Fatal("Ones wrong")
-	}
-	if !EqualVec(Fill(2, int64(7)), []int64{7, 7}) {
-		t.Fatal("Fill wrong")
-	}
-	if len(Ones[int64](0)) != 0 {
-		t.Fatal("Ones(0) not empty")
-	}
-}
-
 func TestVectorArithmetic(t *testing.T) {
 	x := []int64{1, 2, 3}
 	y := []int64{4, 5, 6}
@@ -32,11 +20,8 @@ func TestVectorArithmetic(t *testing.T) {
 	if !EqualVec(ShiftVec(x, int64(10)), []int64{11, 12, 13}) {
 		t.Fatal("ShiftVec wrong")
 	}
-	if SumVec(x) != 6 || DotVec(x, y) != 32 {
-		t.Fatal("SumVec/DotVec wrong")
-	}
-	if MinVec(y) != 4 || MaxVec(y) != 6 {
-		t.Fatal("MinVec/MaxVec wrong")
+	if SumVec(x) != 6 {
+		t.Fatal("SumVec wrong")
 	}
 }
 
@@ -45,7 +30,6 @@ func TestVectorLengthMismatchPanics(t *testing.T) {
 		"AddVec":      func() { AddVec([]int64{1}, []int64{1, 2}) },
 		"SubVec":      func() { SubVec([]int64{1}, []int64{1, 2}) },
 		"HadamardVec": func() { HadamardVec([]int64{1}, []int64{1, 2}) },
-		"DotVec":      func() { DotVec([]int64{1}, []int64{1, 2}) },
 	} {
 		func() {
 			defer func() {
@@ -68,11 +52,6 @@ func TestEqualVecLengths(t *testing.T) {
 }
 
 func TestFloatInstantiation(t *testing.T) {
-	x := []float64{0.5, 1.5}
-	y := []float64{2, 4}
-	if got := DotVec(x, y); got != 7 {
-		t.Fatalf("float DotVec = %v, want 7", got)
-	}
 	m, _ := FromDense([][]float64{{0.5, 0}, {0, 0.25}})
 	if m.At(1, 1) != 0.25 {
 		t.Fatal("float matrix At wrong")

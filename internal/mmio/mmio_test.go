@@ -4,140 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"kronbip/internal/gen"
-	"kronbip/internal/graph"
-	"kronbip/internal/grb"
 )
-
-func TestMatrixMarketRoundTripInteger(t *testing.T) {
-	m, _ := grb.FromDense([][]int64{{0, 3, 0}, {1, 0, 2}, {0, 0, 7}})
-	var buf bytes.Buffer
-	if err := WriteMatrixMarket(&buf, m, false); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadMatrixMarket(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !grb.Equal(m, back) {
-		t.Fatal("integer round trip mismatch")
-	}
-}
-
-func TestMatrixMarketRoundTripPattern(t *testing.T) {
-	g := gen.Petersen()
-	var buf bytes.Buffer
-	if err := WriteMatrixMarket(&buf, g.Adjacency(), true); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadMatrixMarket(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !grb.Equal(g.Adjacency(), back) {
-		t.Fatal("pattern round trip mismatch")
-	}
-}
-
-func TestMatrixMarketSymmetric(t *testing.T) {
-	in := `%%MatrixMarket matrix coordinate integer symmetric
-% lower triangle only
-3 3 2
-2 1 5
-3 2 4
-`
-	m, err := ReadMatrixMarket(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 1) != 5 || m.At(1, 0) != 5 || m.At(2, 1) != 4 || m.At(1, 2) != 4 {
-		t.Fatalf("symmetric mirror failed: %v", m.Dense())
-	}
-}
-
-func TestMatrixMarketRealTruncates(t *testing.T) {
-	in := "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.9\n"
-	m, err := ReadMatrixMarket(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(0, 0) != 2 {
-		t.Fatalf("real truncation: got %d, want 2", m.At(0, 0))
-	}
-}
-
-func TestMatrixMarketMalformed(t *testing.T) {
-	cases := []struct {
-		name, in string
-	}{
-		{"empty", ""},
-		{"bad header", "%%NotMatrixMarket\n1 1 0\n"},
-		{"array format", "%%MatrixMarket matrix array integer general\n1 1\n"},
-		{"bad field", "%%MatrixMarket matrix coordinate complex general\n1 1 0\n"},
-		{"bad symmetry", "%%MatrixMarket matrix coordinate integer hermitian\n1 1 0\n"},
-		{"missing size", "%%MatrixMarket matrix coordinate integer general\n"},
-		{"short size", "%%MatrixMarket matrix coordinate integer general\n2 2\n"},
-		{"bad size token", "%%MatrixMarket matrix coordinate integer general\nx 2 0\n"},
-		{"negative size", "%%MatrixMarket matrix coordinate integer general\n-1 2 0\n"},
-		{"short entry", "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1\n"},
-		{"bad row", "%%MatrixMarket matrix coordinate integer general\n2 2 1\nx 1 1\n"},
-		{"bad col", "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 x 1\n"},
-		{"bad value", "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 x\n"},
-		{"row out of range", "%%MatrixMarket matrix coordinate integer general\n2 2 1\n3 1 1\n"},
-		{"zero index", "%%MatrixMarket matrix coordinate integer general\n2 2 1\n0 1 1\n"},
-		{"nnz mismatch", "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 1\n"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadMatrixMarket(strings.NewReader(tc.in)); err == nil {
-				t.Fatalf("accepted malformed input %q", tc.in)
-			}
-		})
-	}
-}
-
-func TestEdgeListRoundTrip(t *testing.T) {
-	// K_{40,40}'s 1,600 edges span more than one of WriteEdgeList's
-	// batches.
-	for _, g := range []*graph.Graph{gen.Cycle(8), gen.CompleteBipartite(40, 40).Graph} {
-		var buf bytes.Buffer
-		if err := WriteEdgeList(&buf, g); err != nil {
-			t.Fatal(err)
-		}
-		if lines := strings.Count(buf.String(), "\n"); lines != g.NumEdges() {
-			t.Fatalf("%d lines, want one per edge (%d)", lines, g.NumEdges())
-		}
-		back, err := ReadEdgeList(&buf, g.N())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.NumEdges() != g.NumEdges() {
-			t.Fatalf("edge count %d, want %d", back.NumEdges(), g.NumEdges())
-		}
-		for _, e := range g.Edges() {
-			if !back.HasEdge(e.U, e.V) {
-				t.Fatalf("edge %v lost in round trip", e)
-			}
-		}
-	}
-}
-
-func TestEdgeListCommentsAndErrors(t *testing.T) {
-	in := "# comment\n% other comment\n0 1\n\n1 2\n"
-	g, err := ReadEdgeList(strings.NewReader(in), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("edges = %d, want 2", g.NumEdges())
-	}
-	for _, bad := range []string{"0\n", "x 1\n", "0 y\n", "0 99\n"} {
-		if _, err := ReadEdgeList(strings.NewReader(bad), 3); err == nil {
-			t.Fatalf("accepted malformed edge list %q", bad)
-		}
-	}
-}
 
 func TestReadKonectBipartite(t *testing.T) {
 	in := `% bip unweighted

@@ -92,9 +92,6 @@ const (
 	rmSchedLat    = "/sched/latencies:seconds"
 	rmGCCPU       = "/cpu/classes/gc/total:cpu-seconds"
 	rmTotalCPU    = "/cpu/classes/total:cpu-seconds"
-
-	rmAllocBytes   = "/gc/heap/allocs:bytes"
-	rmAllocObjects = "/gc/heap/allocs:objects"
 )
 
 var runtimeSampleNames = []string{
@@ -353,20 +350,4 @@ func (c *RuntimeCollector) Start(interval time.Duration) (stop func()) {
 			wg.Wait()
 		})
 	}
-}
-
-// AllocSnapshot returns the process's cumulative heap allocation totals
-// (bytes, objects) from runtime/metrics.  Two snapshots bracket a job
-// to yield its allocation delta — process-wide, so concurrent jobs
-// bleed into each other's numbers; callers flag the result approximate.
-func AllocSnapshot() (bytes, objects int64) {
-	s := []metrics.Sample{{Name: rmAllocBytes}, {Name: rmAllocObjects}}
-	metrics.Read(s)
-	if v, ok := sampleUint(&s[0]); ok {
-		bytes = v
-	}
-	if v, ok := sampleUint(&s[1]); ok {
-		objects = v
-	}
-	return bytes, objects
 }
