@@ -13,7 +13,8 @@
 #   make fuzz       - bounded fuzzing of the edge-range walkers, the factor
 #                     statistics pass, the bin run writer, the bin decoder,
 #                     the text renderers, the edges endpoint's query string,
-#                     the lease body and the job body (30 s each)
+#                     the lease body, the job body and dist-gen's lease
+#                     compare (30 s each)
 #   make check      - everything (what CI should run)
 
 GO ?= go
@@ -64,10 +65,14 @@ race:
 # offset, limit and audit strings against the canonical walk —,
 # FuzzLeaseBody — POST /v1/leases with arbitrary block coordinates,
 # offset and format, or raw body bytes, against the block walk and its
-# Σ◊ — and FuzzSubmitBody — raw POST /v1/jobs bodies and idempotency
+# Σ◊ —, FuzzSubmitBody — raw POST /v1/jobs bodies and idempotency
 # keys, GET /v1/truth factor, mode, seed, vertex and edge strings and
 # GET /v1/stats with the same spec, against the locally built spec's
-# edge count and point queries.
+# edge count and point queries — and FuzzLeaseCompare — dist-gen's check
+# of a lease body against its own encoding of the block, on a clean
+# body with one edit (a byte flipped, inserted or deleted, the body cut
+# short or extended), resumed at any frame boundary and read in reads
+# of any size, against bytes.Equal and the frame boundaries.
 # Minimizing a new input reruns the fuzz body for every candidate, so
 # the targets with costly bodies cap it at 100 calls instead of the
 # default minute, which would eat the whole budget.
@@ -80,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEdgesQuery$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzLeaseBody$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzLeaseCompare$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/distgen
 
 bench:
 	$(GO) test -run XXX -bench 'BenchmarkStream_' -benchtime 10x -benchmem .

@@ -50,9 +50,6 @@ func NewSet(b *graph.Bipartite, members []int) (*Set, error) {
 	return s, nil
 }
 
-// Contains reports membership of v.
-func (s *Set) Contains(v int) bool { return s.inSet[v] }
-
 // Size returns |S|.
 func (s *Set) Size() int { return len(s.Members) }
 

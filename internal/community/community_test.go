@@ -66,9 +66,6 @@ func TestNewSetValidation(t *testing.T) {
 	if len(s.R) != 2 || len(s.T) != 2 {
 		t.Fatalf("split R/T sizes %d/%d, want 2/2", len(s.R), len(s.T))
 	}
-	if !s.Contains(3) || s.Contains(5) {
-		t.Fatal("Contains wrong")
-	}
 	if s.Size() != 4 {
 		t.Fatal("Size wrong")
 	}

@@ -32,10 +32,7 @@ const countPollStride = 64
 // Counter metrics: source vertices processed, flushed once per worker
 // stripe (never per vertex), so the enabled overhead is a handful of
 // atomic adds per parallel call.
-var (
-	mVertexSources = obs.Default.Counter("count.vertex_butterflies.vertices")
-	mEdgeSources   = obs.Default.Counter("count.edge_butterflies.vertices")
-)
+var mVertexSources = obs.Default.Counter("count.vertex_butterflies.vertices")
 
 // VertexButterflies returns, for every vertex v, the number of 4-cycles
 // that contain v (the paper's s_A, Def. 8).  The graph must be simple

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"kronbip/internal/core"
-	"kronbip/internal/exec"
 	"kronbip/internal/serve"
 	"kronbip/internal/spec"
 )
@@ -57,10 +56,11 @@ func leasePayloads(tb testing.TB, sp spec.Spec, rows, cols int) (*core.Product, 
 }
 
 // benchMerge runs the coordinator's side of a run over pre-leased
-// payloads: each block received from a bytes.Reader by
-// coordinator.receive, which decodes it into its audit child when
-// opts.Audit and renders it when the output is text, then accepted and
-// merged.  No network inside the loop.
+// payloads: each block encoded by coordinator.expect (feeding the
+// audit's stream checks when opts.Audit, rendering the block when the
+// output is text), its payload checked from a bytes.Reader against that
+// encoding by coordinator.check, then accepted and merged.  No network
+// inside the loop.
 func benchMerge(b *testing.B, sp spec.Spec, opts Options) {
 	const rows, cols = 4, 2
 	p, payloads, total := leasePayloads(b, sp, rows, cols)
@@ -69,6 +69,7 @@ func benchMerge(b *testing.B, sp spec.Spec, opts Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	trailer := completeTrailer()
 	b.SetBytes(total)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -78,23 +79,16 @@ func benchMerge(b *testing.B, sp spec.Spec, opts Options) {
 		}
 		w := c.workers[0]
 		for bi, payload := range payloads {
-			var auditCh exec.Sink
-			if c.auditStream != nil {
-				auditCh = c.auditStream.ForShard()
-			}
-			want := c.blocks[bi].want
-			rx, err := c.receive(bytes.NewReader(payload), nil, leaseBytesPerEdge*want, want, auditCh)
-			if err == nil {
-				err = rx.bad
-			}
+			blk := c.blocks[bi]
+			blk.inflight++ // issued, as next issues it
+			x, err := c.expect(context.Background(), blk)
 			if err != nil {
-				b.Fatal(err)
+				b.Fatalf("block %d: %v", bi, err)
 			}
-			if rx.edges != want {
-				b.Fatalf("block %d parsed %d edges, want %d", bi, rx.edges, want)
+			res, err := c.check(x, 0, bytes.NewReader(payload), trailer)
+			if err != nil {
+				b.Fatalf("block %d: %v", bi, err)
 			}
-			res := c.result(rx)
-			res.auditCh = auditCh
 			c.complete(w, bi, false, res, nil)
 		}
 		if c.merged != p.NumEdges() {
@@ -106,16 +100,18 @@ func benchMerge(b *testing.B, sp spec.Spec, opts Options) {
 
 // BenchmarkDistGenMerge is the coordinator's per-byte cost on top of
 // worker generation for the default tsv output: the bin lease payloads
-// of a 4×2 grid of crown4⊗path3 decoded and rendered as TSV, then
-// verified and merged in order.
+// of a 4×2 grid of crown4⊗path3 compared with the coordinator's own
+// encoding, each block rendered as TSV by the walk that encoded it,
+// then merged in order.
 func BenchmarkDistGenMerge(b *testing.B) {
 	benchMerge(b, spec.Spec{Factors: []string{"crown4", "path3"}, Mode: "selfloop"}, Options{Format: "tsv"})
 }
 
 // BenchmarkDistGenMergeBin is the coordinator's side of an audited bin
 // run, the path perfbench's distgen-audit workload takes: the same 4×2
-// grid over Table I's spec, each block decoded into its audit child and
-// merged as leased.
+// grid over Table I's spec, each block encoded (feeding the audit's
+// stream checks), its payload compared with that encoding and merged
+// as leased.
 func BenchmarkDistGenMergeBin(b *testing.B) {
 	benchMerge(b, spec.Spec{Factors: []string{"unicode"}, Mode: "selfloop"}, Options{Format: "bin", Audit: true})
 }
@@ -123,7 +119,7 @@ func BenchmarkDistGenMergeBin(b *testing.B) {
 // BenchmarkDistGenRun is one whole dist-gen run the way perfbench's
 // distgen-audit workload makes it: an audited bin Run of Table I's spec
 // over two in-process serve replicas on the default 2×3 plan — lease
-// transfer, receive, decode, audit and ordered merge — after one untimed
+// transfer, encode, compare, audit and ordered merge — after one untimed
 // run that warms the replicas' spec caches.  It calls the package's
 // public API only, so the same function times any commit.
 func BenchmarkDistGenRun(b *testing.B) {

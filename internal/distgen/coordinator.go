@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,19 +56,22 @@ func failureBackoff(consec int) time.Duration {
 // blockState tracks one grid cell through the lease lifecycle.
 type blockState struct {
 	row, col int
-	want     int64   // closed-form edge count
-	buf      []byte  // accepted block in the output rendering, held until merged in order
-	bp       *[]byte // buf's pooled block buffer (bin output), released once merged
+	want     int64  // closed-form edge count
+	buf      []byte // accepted block in the output rendering, held until merged in order
 	done     bool
 	inflight int       // outstanding leases (1 normally, 2 with a speculative duplicate)
 	attempts int       // failed leases so far, judged against MaxAttempts
 	issued   time.Time // earliest outstanding issue time (straggler clock)
-	// Banked resume state: the complete-frame bytes salvaged from failed
-	// leases of this block.  The next lease resumes at partEdges instead
-	// of regenerating the whole block, and the accepted payload is the
-	// bank plus the resumed tail.
-	part      []byte
-	partEdges int64
+	// bank is the block-local edge offset the next lease resumes at: the
+	// furthest frame boundary up to which a failed lease's body matched
+	// the block's expected bytes.
+	bank int64
+	// encode makes exp, the block's expected bytes, before its first
+	// lease.  Once the block is merged with no lease of it out, exp.body
+	// goes back to bodyPool and exp is dropped.
+	encode sync.Once
+	exp    *expected
+	encErr error
 }
 
 // workerState is one replica's scheduling view.
@@ -81,19 +85,10 @@ type workerState struct {
 
 // leaseResult is one finished lease attempt before acceptance.
 type leaseResult struct {
-	buf     []byte  // the block in the output rendering
-	bp      *[]byte // buf's pooled block buffer for a bin output; nil for text
-	edges   int64
-	four    int64 // the block's Σ◊, from the worker's TrailerFourSum
-	dur     time.Duration
-	auditCh exec.Sink // unflushed per-block audit child; flushed only on acceptance
-	// Partial-lease salvage: a failed lease may still carry the complete
-	// frames that reached the coordinator.  complete() banks them —
-	// guarded by base matching the block's banked offset — so the next
-	// attempt resumes from the frame boundary.
-	base         int64  // block-local offset this lease was issued at
-	partial      []byte // complete-frame bytes salvaged from a failed lease
-	partialEdges int64  // edges carried by partial
+	buf  []byte // the block in the output rendering
+	four int64  // the block's Σ◊, from the worker's TrailerFourSum
+	dur  time.Duration
+	bank int64 // a failed lease's resume offset (see blockState.bank)
 }
 
 type coordinator struct {
@@ -114,7 +109,7 @@ type coordinator struct {
 	auditor *audit.Auditor
 	// auditStream is the auditor's shared stream, created with the
 	// coordinator so that Finalize always runs its stream checks; each
-	// lease feeds its own ForShard child.
+	// block's encoding walk feeds it once.
 	auditStream *audit.StreamAuditor
 
 	mu        sync.Mutex
@@ -233,7 +228,7 @@ func (c *coordinator) run(ctx context.Context) (*Result, error) {
 	}
 	if c.auditor != nil {
 		// The fleet already priced every edge: the audit's edge route is
-		// the leases' Σ◊, so the coordinator never walks the product.
+		// the leases' Σ◊, so the coordinator never prices an edge.
 		c.auditor.SetEdgeFourSum(fourSum)
 		report := c.auditor.Finalize()
 		res.AuditChecks = report.Checks
@@ -261,17 +256,22 @@ func (c *coordinator) workerLoop(ctx context.Context, w *workerState) {
 			return
 		}
 		b := c.blocks[bi]
-		// Snapshot the banked resume state at issue time: the lease asks
-		// the worker for the block's tail from `base`, and acceptance
-		// re-checks the bank against the same snapshot.
+		// The block's expected bytes come before its lease, so neither the
+		// lease's clock nor its timeout counts the coordinator's walk.
+		x, err := c.expect(ctx, b)
+		if err != nil {
+			c.complete(w, bi, speculative, nil, fmt.Errorf("distgen: encode block (%d,%d): %w", b.row, b.col, err))
+			continue
+		}
+		// The lease asks the worker for the block's tail from its bank.
 		c.mu.Lock()
-		base, banked := b.partEdges, b.part
+		base := b.bank
 		c.mu.Unlock()
 		if base > 0 {
 			mLeasesResumed.Inc()
 		}
 		gWorkersBusy.Add(1)
-		res, err := c.lease(ctx, w, b, base, banked)
+		res, err := c.lease(ctx, w, b, x, base)
 		gWorkersBusy.Add(-1)
 		c.complete(w, bi, speculative, res, err)
 	}
@@ -374,45 +374,18 @@ func parseRetryAfter(h string, now time.Time) time.Duration {
 	return d
 }
 
-// leaseBytesPerEdge bounds an honest lease body per edge.  A frame of
-// c ≤ wire.FrameEdges edges encodes to at most 12 + 20c bytes (a
-// two-byte count, a ten-byte start, two ten-byte varints per edge), so
-// at most 32 bytes an edge; 40 is that worst case plus slack.
-const leaseBytesPerEdge = 40
-
-// decodeStep is how many body bytes the receive loop lets arrive between
-// two decodes: enough to amortize a wire.Decode call, few enough that
-// decoding overlaps the transfer.
-const decodeStep = 64 << 10
-
-// blockPool recycles block buffers across leases and runs.  A lease body
-// is received into one, which goes back once its block is merged (bin)
-// or rendered (text), so a warm run allocates no body bytes.
-var blockPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// releaseBlock returns a block buffer to blockPool; nil is a no-op.
-func releaseBlock(bp *[]byte) {
-	if bp != nil {
-		*bp = (*bp)[:0]
-		blockPool.Put(bp)
-	}
-}
-
 // lease executes one POST /v1/leases round trip for block b against w:
-// issue with the run's correlation identity, receive the payload (at
-// most its closed-form ceiling) while decoding its frames — feeding the
-// un-merged audit child when auditing and rendering the output when it
-// is text — then verify the trailer, check the closed-form count, and
-// read the block's Σ◊ trailer.  Any discrepancy is an error — the
-// worker is not trusted, the closed forms are; a missing or malformed
+// issue with the run's correlation identity, then check the response
+// (check) against the block's expected bytes x.  Any discrepancy is an
+// error — the worker is not trusted, the closed forms and the
+// coordinator's own encoding of the block are; a missing or malformed
 // Σ◊ fails the lease, and a wrong one fails the run's final 4·□ check.
 //
-// base/banked are the block's resume snapshot: the worker is asked for
-// the tail from block-local offset base, and the accepted payload is
-// banked + tail — which the offset-deterministic framing makes
-// byte-identical to an uninterrupted lease.  A failed lease returns its
-// salvageable complete-frame prefix alongside the error.
-func (c *coordinator) lease(ctx context.Context, w *workerState, b *blockState, base int64, banked []byte) (*leaseResult, error) {
+// base is the block's bank: the worker is asked for the tail from
+// block-local offset base, which the offset-deterministic framing makes
+// byte-identical to the same bytes of an uninterrupted lease.  A failed
+// lease returns its own bank alongside the error.
+func (c *coordinator) lease(ctx context.Context, w *workerState, b *blockState, x *expected, base int64) (*leaseResult, error) {
 	mLeasesIssued.Inc()
 	lctx, cancel := context.WithTimeout(ctx, c.opts.LeaseTimeout)
 	defer cancel()
@@ -454,41 +427,11 @@ func (c *coordinator) lease(ctx context.Context, w *workerState, b *blockState, 
 		return nil, fmt.Errorf("distgen: worker %s: lease (%d,%d): status %d: %s",
 			w.url, b.row, b.col, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	n := b.want - base
-	var auditCh exec.Sink
-	if c.auditStream != nil {
-		auditCh = c.auditStream.ForShard()
-	}
-	rx, err := c.receive(resp.Body, banked, leaseBytesPerEdge*n, b.want, auditCh)
-	st := resp.Trailer.Get(wire.TrailerStatus)
-	switch {
-	case rx.bad != nil:
-		err = rx.bad // a malformed frame banks nothing
-	case err != nil:
-		return rx.salvage(len(banked), base, n),
-			fmt.Errorf("distgen: worker %s: lease (%d,%d): read: %w", w.url, b.row, b.col, err)
-	case st != "complete":
-		return rx.salvage(len(banked), base, n),
-			fmt.Errorf("distgen: worker %s: lease (%d,%d): trailer status %q", w.url, b.row, b.col, st)
-	case rx.done != len(*rx.bp):
-		// A complete lease frames its whole block from offset 0; the
-		// truncated tail a dropped lease may leave is an error here.
-		err = fmt.Errorf("truncated payload: %d trailing bytes after the last complete frame", len(*rx.bp)-rx.done)
-	case rx.edges != b.want:
-		err = fmt.Errorf("streamed %d edges, closed form says %d", rx.edges, b.want)
-	}
-	var four int64
-	if err == nil {
-		if four, err = strconv.ParseInt(resp.Trailer.Get(wire.TrailerFourSum), 10, 64); err != nil {
-			err = fmt.Errorf("trailer %s: %w", wire.TrailerFourSum, err)
-		}
-	}
+	res, err := c.check(x, base, resp.Body, resp.Trailer)
 	if err != nil {
-		releaseBlock(rx.bp)
-		return nil, fmt.Errorf("distgen: worker %s: lease (%d,%d): %w", w.url, b.row, b.col, err)
+		return res, fmt.Errorf("distgen: worker %s: lease (%d,%d): %w", w.url, b.row, b.col, err)
 	}
-	res := c.result(rx)
-	res.four, res.dur, res.base, res.auditCh = four, time.Since(start), base, auditCh
+	res.dur = time.Since(start)
 	return res, nil
 }
 
@@ -507,108 +450,189 @@ func factorsJSON(fs []string) string {
 	return sb.String()
 }
 
-// received is one lease body as the receive loop left it.
-type received struct {
-	bp    *[]byte // pooled block buffer: the banked frames, then the body
-	done  int     // length of its complete-frame prefix
-	edges int64   // edges in that prefix, from block offset 0
-	text  []byte  // their rendering, for a text output
-	bad   error   // malformed framing, which stopped the read
+// check verifies a lease body issued at block-local edge offset base:
+// the body must be exactly the expected bytes x from base on (compare),
+// its status trailer "complete" and its Σ◊ trailer an integer.  trailer
+// is the response's trailer map, which the body's EOF fills in.  A
+// verified block is handed over in the output rendering, which the
+// coordinator made itself: the expected bytes for a bin output, else
+// the text the same walk rendered.  A failed lease still returns its
+// bank.
+func (c *coordinator) check(x *expected, base int64, body io.Reader, trailer http.Header) (*leaseResult, error) {
+	res := &leaseResult{}
+	var err error
+	if res.bank, err = x.compare(body, base); err != nil {
+		return res, err
+	}
+	if st := trailer.Get(wire.TrailerStatus); st != "complete" {
+		return res, fmt.Errorf("trailer status %q", st)
+	}
+	if res.four, err = strconv.ParseInt(trailer.Get(wire.TrailerFourSum), 10, 64); err != nil {
+		return res, fmt.Errorf("trailer %s: %w", wire.TrailerFourSum, err)
+	}
+	res.buf = x.body
+	if c.render != nil {
+		res.buf = x.text
+	}
+	return res, nil
 }
 
-// receive reads a lease body into a pooled block buffer headed by the
-// banked frames, and decodes the buffer's complete frames with
-// wire.Decode as it fills — once decodeStep bytes have arrived since the
-// last decode, and at the end — into auditCh when non-nil and, for a
-// text output, into a rendering presized for want edges.  Decoding
-// starts at block offset 0, so the same pass re-verifies the bank and
-// enforces frame contiguity.  The buffer grows by doubling, never past
-// the bank plus ceiling+1 bytes.  err is the read's error, or the
-// ceiling's once the body passes it (the byte past the ceiling is
-// dropped); a malformed frame stops the read and lands in rx.bad.
-func (c *coordinator) receive(body io.Reader, banked []byte, ceiling, want int64, auditCh exec.Sink) (rx received, err error) {
-	rx.bp = blockPool.Get().(*[]byte)
-	buf := append((*rx.bp)[:0], banked...)
-	limit := len(banked) + int(ceiling) + 1
+// expect returns block b's expected bytes, encoding them off the
+// coordinator's mutex before the block's first lease; a twin waits for
+// them.
+func (c *coordinator) expect(ctx context.Context, b *blockState) (*expected, error) {
+	b.encode.Do(func() { b.exp, b.encErr = c.encode(ctx, b) })
+	return b.exp, b.encErr
+}
+
+// expected is one block's lease body as a correct replica sends it from
+// offset 0.  bounds lists its frame boundaries in order: the block's
+// start, then the end of every frame, the last being the block's end.
+// text is the block's edges rendered for a text output.
+type expected struct {
+	body   []byte
+	bounds []bound
+	text   []byte
+}
+
+// bound is a frame boundary: a byte offset into the body and the
+// block-local edge offset there.
+type bound struct {
+	at   int
+	edge int64
+}
+
+// encode frames block b as a replica frames it — its run walk into a
+// wire.Writer over the block's hard cuts — which fixes every byte of a
+// correct lease body.  With every = 1 the Writer hands each frame over
+// as it closes, which notes the frame's boundary.  The same walk feeds
+// each run to the audit's stream checks, so they see every block once,
+// and renders a text output's lines into a buffer presized for the
+// widest line, which never regrows.
+func (c *coordinator) encode(ctx context.Context, b *blockState) (*expected, error) {
+	cuts, err := c.p.BlockTermEdgeStarts(b.row, c.rows, b.col, c.cols)
+	if err != nil {
+		return nil, err
+	}
+	x := &expected{bounds: []bound{{}}}
+	buf := bytes.NewBuffer(getBody())
+	w := wire.NewWriter(buf, cuts, 0, b.want, 1, func(edges int64) {
+		x.bounds = append(x.bounds, bound{at: buf.Len(), edge: x.bounds[len(x.bounds)-1].edge + edges})
+	})
+	defer w.Release()
+	var batch *[]exec.Edge
 	if c.render != nil {
-		rx.text = make([]byte, 0, want*c.lineMax)
+		x.text = make([]byte, 0, b.want*c.lineMax)
+		batch = exec.GetEdgeBuf()
+		defer exec.PutEdgeBuf(batch)
 	}
-	var yield func(frame []exec.Edge)
-	if auditCh != nil || c.render != nil {
-		fed := int64(0)
-		yield = func(frame []exec.Edge) {
-			// Frames past the closed form fail the lease anyway: audit
-			// and render none of them, so the rendering never regrows.
-			if fed += int64(len(frame)); fed > want {
-				return
-			}
-			if auditCh != nil {
-				_ = auditCh.EdgeBatch(frame) // an audit finding never aborts
-			}
-			if c.render != nil {
-				rx.text = c.render(rx.text, frame)
+	var werr error
+	err = c.p.EachEdgeBlockRangeRunContext(ctx, b.row, c.rows, b.col, c.cols, 0, b.want, nil, func(r core.Run) bool {
+		if werr = w.Run(r); werr != nil {
+			return false
+		}
+		if c.auditStream != nil {
+			c.auditStream.EdgeRun(r)
+		}
+		if batch != nil {
+			for d := r.Lo; d < r.Hi; d++ {
+				if len(*batch) == cap(*batch) {
+					x.text, *batch = c.render(x.text, *batch), (*batch)[:0]
+				}
+				v, u := r.Stripe.Edge(d)
+				*batch = append(*batch, exec.Edge{V: r.V + v, W: r.W + u})
 			}
 		}
+		return true
+	})
+	if err == nil {
+		err = werr
 	}
-	next, fresh := int64(0), len(buf)
-	for rx.bad == nil {
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), min(max(2*cap(buf), decodeStep), limit))
-			copy(grown, buf)
-			buf = grown
-		}
-		n, rerr := body.Read(buf[len(buf):min(cap(buf), limit)])
-		buf, fresh = buf[:len(buf)+n], fresh+n
-		if len(buf) == limit {
-			buf = buf[:limit-1]
-			rerr = fmt.Errorf("body exceeds the %d-byte ceiling of %d edges", ceiling, ceiling/leaseBytesPerEdge)
-		}
-		if rerr == nil && fresh < decodeStep {
-			continue
-		}
-		var edges int64
-		var trailing int
-		edges, next, trailing, rx.bad = wire.Decode(buf[rx.done:], next, yield)
-		rx.edges += edges
-		rx.done, fresh = len(buf)-trailing, 0
-		if rerr != nil {
-			if rerr != io.EOF {
-				err = rerr
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if batch != nil {
+		x.text = c.render(x.text, *batch)
+	}
+	x.body = buf.Bytes()
+	return x, nil
+}
+
+// bodyPool recycles expected bodies across blocks and runs.  A body
+// grows to the block it holds and goes back at that size, so blocks
+// allocate body bytes only while the pool is cold.
+var bodyPool sync.Pool
+
+// getBody returns an empty pooled buffer, or nil.
+func getBody() []byte {
+	if bp, ok := bodyPool.Get().(*[]byte); ok {
+		return (*bp)[:0]
+	}
+	return nil
+}
+
+// putBody returns a body to bodyPool; nothing may read it after.
+func putBody(b []byte) { bodyPool.Put(&b) }
+
+// readChunk is the size of the reads a lease body arrives in, each
+// compared with the expected bytes before the next.
+const readChunk = 64 << 10
+
+// chunkPool recycles the read buffers of compare.
+var chunkPool = sync.Pool{New: func() any { return new([readChunk]byte) }}
+
+// compare reads a lease body issued at block-local edge offset base, a
+// frame boundary, into a pooled buffer one read at a time, and compares
+// each read with the expected bytes from base on.  It reads at most one
+// byte past them, and stops at the first byte that differs.  It returns
+// nil only when the body is exactly those bytes, and in every case the
+// bank: the edge offset of the last frame boundary up to which the body
+// matched, or base.
+func (x *expected) compare(body io.Reader, base int64) (bank int64, err error) {
+	i := sort.Search(len(x.bounds), func(i int) bool { return x.bounds[i].edge >= base })
+	if i == len(x.bounds) || x.bounds[i].edge != base {
+		return base, fmt.Errorf("offset %d is not a frame boundary of the block", base)
+	}
+	from := x.bounds[i].at
+	want := x.body[from:]
+	chunk := chunkPool.Get().(*[readChunk]byte)
+	defer chunkPool.Put(chunk)
+	n := 0 // bytes of want the body has matched
+	for err == nil {
+		// One byte past want tells an over-long body.
+		m, rerr := body.Read(chunk[:min(len(chunk), len(want)-n+1)])
+		k := min(m, len(want)-n)
+		if !bytes.Equal(chunk[:k], want[n:n+k]) {
+			d := 0
+			for chunk[d] == want[n+d] {
+				d++
 			}
+			n += d
+			err = fmt.Errorf("byte %d of the block differs from its encoding", from+n)
 			break
 		}
+		n += k
+		switch {
+		case m > k:
+			err = fmt.Errorf("body runs past the block's %d bytes", len(x.body))
+		case rerr == io.EOF && n < len(want):
+			err = fmt.Errorf("body ends after %d of the block's %d bytes", from+n, len(x.body))
+		case rerr == io.EOF:
+			return x.bounds[len(x.bounds)-1].edge, nil
+		case rerr != nil:
+			err = fmt.Errorf("read: %w", rerr)
+		}
 	}
-	*rx.bp = buf
-	return rx, err
-}
-
-// salvage releases a failed lease's block buffer and returns a copy of
-// the complete frames its body added after the bank's head bytes, which
-// the lease was issued for at block offset base.  Frames carrying more
-// than the lease's n edges are dropped wholesale — resume only trusts
-// bytes the wire format and the closed form can vouch for.
-func (rx received) salvage(head int, base, n int64) *leaseResult {
-	defer releaseBlock(rx.bp)
-	edges := rx.edges - base
-	if edges <= 0 || edges > n {
-		return nil
-	}
-	return &leaseResult{base: base, partial: append([]byte(nil), (*rx.bp)[head:rx.done]...), partialEdges: edges}
-}
-
-// result hands a verified block over as a lease result.  A bin output
-// is the block buffer itself, which goes back to the pool once merged;
-// a text output is the rendering, and the buffer goes back now.
-func (c *coordinator) result(rx received) *leaseResult {
-	if c.render == nil {
-		return &leaseResult{buf: *rx.bp, bp: rx.bp, edges: rx.edges}
-	}
-	releaseBlock(rx.bp)
-	return &leaseResult{buf: rx.text, edges: rx.edges}
+	// The last boundary inside the matched prefix.
+	j := sort.Search(len(x.bounds), func(j int) bool { return x.bounds[j].at > from+n }) - 1
+	return x.bounds[j].edge, err
 }
 
 // complete books one lease outcome: accept the first result for a block
-// (dedup — later duplicates are dropped before output, audit or the Σ◊
+// (dedup — later duplicates are dropped before output or the Σ◊
 // tally), merge accepted blocks in (row, col)-major order, re-queue
 // failed blocks, and park 429'd workers.  Once the merge is decided it
 // stops the run, cancelling every outstanding lease.
@@ -620,9 +644,8 @@ func (c *coordinator) complete(w *workerState, bi int, speculative bool, res *le
 	switch {
 	case err == nil && !b.done:
 		b.done = true
-		b.buf, b.bp = res.buf, res.bp
+		b.buf = res.buf
 		c.fourSum += res.four
-		b.part, b.partEdges = nil, 0 // the bank is folded into buf
 		c.doneCount++
 		w.stats.Leases++
 		w.consecFails = 0
@@ -633,17 +656,11 @@ func (c *coordinator) complete(w *workerState, bi int, speculative bool, res *le
 			w.ewma = 0.7*w.ewma + 0.3*d
 		}
 		mBlocksDone.Inc()
-		// Audit merge happens only on acceptance: the child sink carries
-		// this attempt's tallies and a Flush folds them in exactly once.
-		if res.auditCh != nil {
-			_ = exec.Finish(res.auditCh)
-		}
 		c.flushLocked()
 	case err == nil && b.done:
 		// A duplicate (speculative or post-timeout) finishing second:
 		// verified fine, but its twin already delivered the block.
 		w.consecFails = 0
-		releaseBlock(res.bp)
 		mDuplicatesDrop.Inc()
 	default:
 		var be *backoffError
@@ -660,13 +677,11 @@ func (c *coordinator) complete(w *workerState, bi int, speculative bool, res *le
 			// duplicate, charging neither the block nor the worker.
 			mDuplicatesDrop.Inc()
 		} else {
-			if res != nil && res.partialEdges > 0 && b.partEdges == res.base {
-				// Bank the failed lease's complete frames.  The base guard
-				// keeps the bank contiguous: a speculative twin that banked
-				// first makes this salvage stale, and stale partials are
-				// simply dropped.
-				b.part = append(b.part, res.partial...)
-				b.partEdges += res.partialEdges
+			if res != nil && res.bank > b.bank {
+				// Every byte before a bank matched the expected bytes,
+				// whichever lease of the block sent it, so the furthest
+				// bank is a sound resume offset.
+				b.bank = res.bank
 			}
 			w.stats.Failures++
 			w.consecFails++
@@ -704,7 +719,7 @@ func (c *coordinator) requeueLocked(bi int) {
 }
 
 // flushLocked advances the ordered merge: every done-but-unmerged block
-// at the write frontier streams to out and releases its buffer.  Caller
+// at the write frontier streams to out and gives up its buffer.  Caller
 // holds c.mu.
 func (c *coordinator) flushLocked() {
 	for c.nextWrite < len(c.blocks) {
@@ -719,8 +734,13 @@ func (c *coordinator) flushLocked() {
 		}
 		c.merged += b.want
 		mEdgesMerged.Add(b.want)
-		releaseBlock(b.bp)
-		b.buf, b.bp = nil, nil
+		if b.exp != nil && b.inflight == 0 {
+			// No lease of the block is out, and none will be: nothing
+			// reads its expected bytes again.
+			putBody(b.exp.body)
+			b.exp = nil
+		}
+		b.buf = nil
 		c.nextWrite++
 	}
 }

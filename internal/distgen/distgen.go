@@ -11,32 +11,34 @@
 // properties of the paper's construction make the distribution trivial
 // to verify and safe to retry:
 //
-//   - determinism: any replica produces byte-identical output for a
-//     given block, so a lease lost to a crash or deadline is simply
+//   - determinism: the factor state fixes every byte of every block, so
+//     the coordinator encodes each block itself, the way a replica does,
+//     and accepts a lease only if its body is exactly those bytes; a
+//     lease lost to a crash, a deadline or a wrong byte is simply
 //     re-issued elsewhere — at-least-once delivery with exact replays,
-//     resumed from the last complete wire frame the dying replica
-//     managed to deliver, not from scratch;
+//     resumed from the last frame boundary up to which the failed body
+//     matched, not from scratch;
 //   - closed-form counts: core.BlockEdgeCount prices every block in
 //     O(K) before any generation, so the coordinator sizes a balanced
-//     grid up front and verifies every returned stream (and the
-//     reassembled total against |E_C|) without trusting any worker;
+//     grid up front and checks the reassembled total against |E_C|
+//     without trusting any worker;
 //   - ground truth during generation (the paper's §V): every lease
 //     prices its edges with their 4-cycle counts as it walks (Thm. 5)
 //     and reports its block's Σ◊ in a trailer.  The accepted blocks'
 //     sums must add up to exactly 4·□(C), the factor-only closed form,
-//     so every run checks the fleet's 4-cycle count without walking the
-//     product;
+//     so every run checks the fleet's 4-cycle count without pricing an
+//     edge itself;
 //   - order independence of the audit invariants: degree sums, the dual
 //     4-cycle routes (the edge route fed the fleet's Σ◊) and sampled
 //     membership do not care which replica produced which edge, so the
-//     online auditor runs on the merged stream exactly as it would on a
-//     local run.
+//     online auditor's stream checks run on the walk that encodes each
+//     block, once per block, as they would on a local run.
 //
 // Delivery is at-least-once with first-completion-wins dedup: duplicate
 // results for a block (speculative re-issue, a slow worker finishing
-// after its replacement) are discarded before they reach the output or
-// the auditor, so the merged stream carries each block exactly once, in
-// deterministic (row, col)-major block order.  A run ends as soon as its
+// after its replacement) are discarded before they reach the output, so
+// the merged stream carries each block exactly once, in deterministic
+// (row, col)-major block order.  A run ends as soon as its
 // merge is decided, cancelling any lease still outstanding.
 //
 // Scheduling is pull-based: each replica's loop takes the next pending
@@ -118,8 +120,8 @@ type Options struct {
 	// Format selects the merged output rendering: "tsv" (default),
 	// "ndjson" or "bin" (each block's wire frames as leased).  Leases are
 	// bin whatever the output, so every run resumes a dropped lease from
-	// its last complete frame; a text output is rendered from the
-	// decoded frames.
+	// a frame boundary; a text output is rendered by the coordinator's
+	// own walk of each block, the walk that encodes its expected bytes.
 	Format string
 	// RequestID correlates the run across every replica's access log,
 	// timeline and flight recorder; generated when empty.  Propagated as
@@ -235,9 +237,9 @@ func plan(p *core.Product, o Options) (rows, cols int) {
 // merged edge stream to out in (row, col)-major block order — a
 // deterministic permutation of the canonical order (identical to it
 // when the grid is 1×1), one Write per non-empty block; out must not
-// keep the slice a Write is given.  The spec is built locally too: the
-// coordinator needs only the O(|E_C|^(1/2)) factor state to price,
-// verify and audit everything the fleet produces.  Run returns once
+// keep the slice a Write is given.  The spec is built locally too: from
+// the O(|E_C|^(1/2)) factor state the coordinator prices every block,
+// encodes the bytes every lease must carry, and audits.  Run returns once
 // every block is merged or the run has failed, without waiting for
 // outstanding speculative twins.
 func Run(ctx context.Context, sp spec.Spec, out io.Writer, opts Options) (*Result, error) {

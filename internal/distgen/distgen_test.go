@@ -394,7 +394,15 @@ func TestRunReturnsOnceTwinDelivers(t *testing.T) {
 	release := make(chan struct{})
 	urls := newFleet(t, 2, func(i int, h http.Handler) http.Handler {
 		if i != 0 {
-			return h
+			// The healthy replica answers nothing until the stalling one
+			// has taken a block (or 5 s have passed), so it cannot lease
+			// the whole grid first.
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				for deadline := time.Now().Add(5 * time.Second); !stalled.Load() && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				h.ServeHTTP(w, r)
+			})
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path != "/v1/leases" || !stalled.CompareAndSwap(false, true) {
@@ -701,36 +709,63 @@ func TestRunCountMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestRunLeaseBodyCeiling: a worker that streams well-formed frames
-// past a block's closed-form byte ceiling (40 bytes per edge) fails the
-// lease once the coordinator has read the ceiling plus one byte, with an
-// error naming the ceiling; with one worker and one attempt the run
-// ends in ErrExhausted and merges nothing.
+// countingTransport counts the response body bytes its client reads.
+type countingTransport struct{ n *atomic.Int64 }
+
+func (t countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil {
+		resp.Body = &countingBody{ReadCloser: resp.Body, n: t.n}
+	}
+	return resp, err
+}
+
+type countingBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+// TestRunLeaseBodyCeiling: a worker that streams the block's bytes and
+// then keeps streaming fails its lease once the coordinator has read
+// the block's expected length plus one byte, with an error naming that
+// length; with one worker and one attempt the run ends in ErrExhausted
+// and merges nothing.
 func TestRunLeaseBodyCeiling(t *testing.T) {
-	want := testProduct(t).NumEdges()
-	ceiling := leaseBytesPerEdge * want
-	var sent atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		frame := make([]byte, wire.MaxFrameLen)
-		for i := int64(0); sent.Load() < 100*ceiling; i++ {
-			n := wire.PutFrame(frame, i, []exec.Edge{{V: 0, W: 1}})
-			if _, err := w.Write(frame[:n]); err != nil {
-				return // the coordinator hung up
+	_, payloads, _ := leasePayloads(t, testSpec, 1, 1)
+	size := int64(len(payloads[0]))
+	urls := newFleet(t, 1, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/leases" {
+				h.ServeHTTP(w, r)
+				return
 			}
-			sent.Add(int64(n))
-		}
-	}))
-	t.Cleanup(ts.Close)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			w.WriteHeader(http.StatusOK)
+			for i := 0; i < 100; i++ { // the block, then replays of it
+				if _, err := w.Write(rec.Body.Bytes()); err != nil {
+					return // the coordinator hung up
+				}
+			}
+		})
+	})
+	var read atomic.Int64
 	var out bytes.Buffer
 	_, err := Run(context.Background(), testSpec, &out, Options{
-		Workers: []string{ts.URL}, Rows: 1, Cols: 1, MaxAttempts: 1,
+		Workers: urls, Rows: 1, Cols: 1, MaxAttempts: 1,
+		Client: &http.Client{Transport: countingTransport{n: &read}},
 	})
-	if !errors.Is(err, ErrExhausted) || !strings.Contains(err.Error(), fmt.Sprintf("%d-byte ceiling", ceiling)) {
-		t.Fatalf("err = %v, want ErrExhausted naming the %d-byte ceiling", err, ceiling)
+	if !errors.Is(err, ErrExhausted) || !strings.Contains(err.Error(), fmt.Sprintf("past the block's %d bytes", size)) {
+		t.Fatalf("err = %v, want ErrExhausted naming the block's %d bytes", err, size)
 	}
-	if sent.Load() <= ceiling {
-		t.Fatalf("worker sent %d bytes, not past the %d-byte ceiling", sent.Load(), ceiling)
+	if n := read.Load(); n != size+1 {
+		t.Fatalf("the coordinator read %d bytes of the lease body, want the block's %d and one more", n, size)
 	}
 	if out.Len() != 0 {
 		t.Fatalf("an over-long lease reached the merged output: %d bytes", out.Len())

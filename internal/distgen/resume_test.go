@@ -18,6 +18,7 @@ import (
 	"testing/iotest"
 	"time"
 
+	"kronbip/internal/core"
 	"kronbip/internal/exec"
 	"kronbip/internal/serve"
 	"kronbip/internal/spec"
@@ -81,7 +82,7 @@ func TestBackoffFloorVsHeader(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := time.Now()
-			_, err = c.lease(context.Background(), c.workers[0], c.blocks[0], 0, nil)
+			_, err = c.lease(context.Background(), c.workers[0], c.blocks[0], nil, 0)
 			var be *backoffError
 			if !asBackoff(err, &be) {
 				t.Fatalf("lease err = %v, want backoffError", err)
@@ -228,11 +229,13 @@ func TestRunTextRendersBin(t *testing.T) {
 	}
 }
 
-// TestParseEdgesTextNeverRegrows: a block's text rendering is allocated
-// once, at its closed-form count times the widest line, and never
-// regrows while the receive loop decodes the block into it; the widest
-// line is the rendering of the largest vertex ids.
-func TestParseEdgesTextNeverRegrows(t *testing.T) {
+// TestRenderTextNeverRegrows: a verified text block is the rendering
+// the coordinator's own walk of the block made, into a buffer allocated
+// once, at its closed-form count times the widest line, which never
+// regrows; the widest line is the rendering of the largest vertex ids,
+// and the rendering is that of the edges the lease body carries.  Once
+// merged, a block holds neither its rendering nor its expected bytes.
+func TestRenderTextNeverRegrows(t *testing.T) {
 	const rows, cols = 3, 2
 	p, payloads, _ := leasePayloads(t, testSpec, rows, cols)
 	for _, format := range []string{"tsv", "ndjson"} {
@@ -250,20 +253,45 @@ func TestParseEdgesTextNeverRegrows(t *testing.T) {
 		}
 		for bi, payload := range payloads {
 			b := c.blocks[bi]
-			rx, err := c.receive(bytes.NewReader(payload), nil, leaseBytesPerEdge*b.want, b.want, nil)
-			if err == nil {
-				err = rx.bad
+			b.inflight++ // issued, as next issues it
+			x, err := c.expect(context.Background(), b)
+			if err != nil {
+				t.Fatal(err)
 			}
-			n, text := rx.edges, rx.text
-			releaseBlock(rx.bp)
-			if err != nil || n != b.want {
-				t.Fatalf("%s block (%d,%d): parsed %d of %d edges: %v", format, b.row, b.col, n, b.want, err)
+			res, err := c.check(x, 0, bytes.NewReader(payload), completeTrailer())
+			if err != nil {
+				t.Fatalf("%s block (%d,%d): %v", format, b.row, b.col, err)
 			}
-			if got, want := int64(cap(text)), b.want*c.lineMax; got != want {
+			if got, want := int64(cap(res.buf)), b.want*c.lineMax; got != want {
 				t.Errorf("%s block (%d,%d): text capacity %d, presized %d: the rendering regrew", format, b.row, b.col, got, want)
+			}
+			var leased []byte
+			if _, _, _, err := wire.Decode(payload, 0, func(frame []exec.Edge) { leased = c.render(leased, frame) }); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res.buf, leased) {
+				t.Errorf("%s block (%d,%d): rendered %d bytes, the lease body's edges render to %d", format, b.row, b.col, len(res.buf), len(leased))
+			}
+			c.complete(c.workers[0], bi, false, res, nil)
+		}
+		if c.merged != p.NumEdges() {
+			t.Fatalf("%s: merged %d edges, want %d", format, c.merged, p.NumEdges())
+		}
+		for _, b := range c.blocks {
+			if b.buf != nil || b.exp != nil {
+				t.Errorf("%s block (%d,%d): merged, yet holds its rendering (%d bytes) or expected bytes (%v)", format, b.row, b.col, len(b.buf), b.exp != nil)
 			}
 		}
 	}
+}
+
+// completeTrailer is the trailer of a complete lease, with a Σ◊ that
+// nothing outside Run's final check reads.
+func completeTrailer() http.Header {
+	h := http.Header{}
+	h.Set(wire.TrailerStatus, "complete")
+	h.Set(wire.TrailerFourSum, "0")
+	return h
 }
 
 // --- Resume from banked frames (tentpole: distgen side) ---------------
@@ -439,7 +467,7 @@ func TestRunBinResumeAfterTruncation(t *testing.T) {
 
 // cutSpec is the cut matrix's product: its one-block lease spans 15
 // frames and 112,281 bytes, so every cut below is a distinct place in
-// the body and the receive loop decodes it in more than one step.
+// the body and compare reads it in more than one 64 KiB read.
 var cutSpec = spec.Spec{Factors: []string{"biclique8x8", "path4"}, Mode: "selfloop"}
 
 // frameEnds lists, for every complete frame at the head of a block
@@ -542,52 +570,105 @@ func TestRunResumeCutMatrix(t *testing.T) {
 	}
 }
 
-// edgeLog is an audit child that keeps every edge it is fed.
-type edgeLog struct{ edges []exec.Edge }
-
-func (l *edgeLog) EdgeBatch(edges []exec.Edge) error {
-	l.edges = append(l.edges, edges...)
-	return nil
+// encodeBlock encodes the one block of sp's 1×1 grid as the coordinator
+// does, and checks its frame boundaries against frameEnds of its bytes.
+func encodeBlock(tb testing.TB, p *core.Product, sp spec.Spec) *expected {
+	tb.Helper()
+	opts, err := Options{Workers: []string{"test"}}.withDefaults()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := newCoordinator(p, sp.WithDefaults(), io.Discard, 1, 1, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	x, err := c.encode(context.Background(), c.blocks[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	at, next := frameEnds(x.body)
+	if len(x.bounds) != len(at)+1 || x.bounds[0] != (bound{}) {
+		tb.Fatalf("%d frame boundaries, frameEnds finds %d frames", len(x.bounds), len(at))
+	}
+	for i := range at {
+		if x.bounds[i+1] != (bound{at: at[i], edge: next[i]}) {
+			tb.Fatalf("frame %d ends at %+v, frameEnds says byte %d, edge %d", i, x.bounds[i+1], at[i], next[i])
+		}
+	}
+	return x
 }
 
-// TestReceiveMatchesWholeRead: the receive loop yields the same edges,
-// keeps the same bytes and complete-frame prefix, and reports the same
-// error as one whole read — io.ReadAll of the body capped at ceiling+1
-// bytes, then one wire.Decode of bank + body — whatever sizes its reads
-// come in.  A malformed frame stops the read early, so there only the
-// prefix before it is compared.
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// wantBank is the bank of a lease resumed at frame boundary (head,
+// base) whose body shares its first m bytes with the expected bytes:
+// the last frame boundary inside them, or base.
+func wantBank(at []int, next []int64, head int, base int64, m int) int64 {
+	for i := range at {
+		if at[i] > head && at[i] <= head+m {
+			base = next[i]
+		}
+	}
+	return base
+}
+
+// sharedPrefix is the length of the longest common prefix of a and b.
+func sharedPrefix(a, b []byte) int {
+	m := 0
+	for m < len(a) && m < len(b) && a[m] == b[m] {
+		m++
+	}
+	return m
+}
+
+// TestReceiveMatchesWholeRead: a lease body received through compare
+// gets the verdict, bank and error of one whole read — io.ReadAll of
+// the body capped one byte past the expected bytes, then bytes.Equal
+// against them — whatever sizes its reads come in, and compare never
+// reads past that cap.  The bank is the last frame boundary inside the
+// prefix the body shares with the expected bytes.
 func TestReceiveMatchesWholeRead(t *testing.T) {
 	p, payloads, _ := leasePayloads(t, cutSpec, 1, 1)
-	payload, want := payloads[0], p.NumEdges()
+	payload := payloads[0]
 	at, next := frameEnds(payload)
-	opts, err := Options{Workers: []string{"test"}, Format: "tsv"}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := newCoordinator(p, cutSpec.WithDefaults(), io.Discard, 1, 1, opts)
-	if err != nil {
-		t.Fatal(err)
+	x := encodeBlock(t, p, cutSpec)
+	if !bytes.Equal(x.body, payload) {
+		t.Fatalf("encoded %d bytes that differ from the replica's %d-byte lease body", len(x.body), len(payload))
 	}
 	errBoom := errors.New("connection reset")
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	flipped := bytes.Clone(payload)
+	flipped[at[2]+7] ^= 0x10
 	bodies := []struct {
-		name    string
-		banked  []byte
-		body    func() io.Reader
-		ceiling int64
+		name string
+		from int // resume after this many frames
+		body []byte
+		err  error // read after body, if any
 	}{
-		{"whole", nil, func() io.Reader { return bytes.NewReader(payload) }, leaseBytesPerEdge * want},
-		{"bank and tail", payload[:at[1]], func() io.Reader { return bytes.NewReader(payload[at[1]:]) }, leaseBytesPerEdge * (want - next[1])},
-		{"ceiling bytes", nil, func() io.Reader { return bytes.NewReader(payload) }, int64(len(payload))},
-		{"ceiling+1 bytes", nil, func() io.Reader { return bytes.NewReader(payload) }, int64(len(payload)) - 1},
-		{"bank and ceiling+1 bytes", payload[:at[1]], func() io.Reader { return bytes.NewReader(payload[at[1]:]) }, int64(len(payload)-at[1]) - 1},
-		{"truncated", nil, func() io.Reader { return bytes.NewReader(payload[:len(payload)-3]) }, leaseBytesPerEdge * want},
-		{"read error", nil, func() io.Reader {
-			return io.MultiReader(bytes.NewReader(payload[:at[8]+100]), iotest.ErrReader(errBoom))
-		}, leaseBytesPerEdge * want},
-		{"malformed", nil, func() io.Reader {
-			// Frame 2 dropped: frame 3 breaks contiguity.
-			return io.MultiReader(bytes.NewReader(payload[:at[0]]), bytes.NewReader(payload[at[1]:]))
-		}, leaseBytesPerEdge * want},
+		{"whole", 0, payload, nil},
+		{"tail from frame 2", 2, payload[at[1]:], nil},
+		{"one byte past", 0, cat(payload, []byte{0}), nil},
+		{"tail one frame past", 2, cat(payload[at[1]:], payload[at[0]:at[1]]), nil},
+		{"empty tail", len(at), nil, nil},
+		{"empty tail one byte past", len(at), []byte{1}, nil},
+		{"truncated", 0, payload[:len(payload)-3], nil},
+		{"at a frame boundary", 0, payload[:at[3]], nil},
+		{"empty", 0, nil, nil},
+		{"read error", 0, payload[:at[8]+100], errBoom},
+		{"read error after the whole body", 0, payload, errBoom},
+		{"frame dropped", 0, cat(payload[:at[0]], payload[at[1]:]), nil},
+		{"byte flipped", 0, flipped, nil},
+		{"byte flipped, then a read error", 0, flipped[:at[5]], errBoom},
 	}
 	readers := []struct {
 		name string
@@ -600,42 +681,115 @@ func TestReceiveMatchesWholeRead(t *testing.T) {
 		{"OneByteReader over DataErrReader", func(r io.Reader) io.Reader { return iotest.OneByteReader(iotest.DataErrReader(r)) }},
 	}
 	for _, bd := range bodies {
-		// One whole read, the way the coordinator read a lease body
-		// before it decoded on arrival.
-		whole, rerr := io.ReadAll(io.LimitReader(bd.body(), bd.ceiling+1))
-		if rerr == nil && int64(len(whole)) > bd.ceiling {
-			whole = whole[:bd.ceiling]
-			rerr = fmt.Errorf("body exceeds the %d-byte ceiling of %d edges", bd.ceiling, bd.ceiling/leaseBytesPerEdge)
+		head, base := 0, int64(0)
+		if bd.from > 0 {
+			head, base = at[bd.from-1], next[bd.from-1]
 		}
-		whole = append(append([]byte(nil), bd.banked...), whole...)
-		var ref edgeLog
-		n, _, trailing, bad := wire.Decode(whole, 0, func(frame []exec.Edge) { ref.edges = append(ref.edges, frame...) })
-		done := len(whole) - trailing
-		text := c.render(nil, ref.edges)
-
+		want := payload[head:]
+		open := func() io.Reader {
+			if bd.err != nil {
+				return io.MultiReader(bytes.NewReader(bd.body), iotest.ErrReader(bd.err))
+			}
+			return bytes.NewReader(bd.body)
+		}
+		// One whole read, capped one byte past the expected bytes.
+		whole, rerr := io.ReadAll(io.LimitReader(open(), int64(len(want))+1))
+		m := sharedPrefix(whole, want)
+		ok := rerr == nil && bytes.Equal(whole, want)
+		bank := wantBank(at, next, head, base, m)
+		readErr := rerr != nil && m == len(whole) // the body matched until it failed
 		for _, rd := range readers {
-			var log edgeLog
-			rx, err := c.receive(rd.wrap(bd.body()), bd.banked, bd.ceiling, want, &log)
-			got := *rx.bp
 			name := bd.name + " via " + rd.name
-			if fmt.Sprint(rx.bad) != fmt.Sprint(bad) {
-				t.Errorf("%s: malformed %v, whole read %v", name, rx.bad, bad)
+			cr := &countingReader{r: rd.wrap(open())}
+			got, err := x.compare(cr, base)
+			if (err == nil) != ok || got != bank {
+				t.Errorf("%s: bank %d, err %v; whole read: bank %d, accepted %v", name, got, err, bank, ok)
 			}
-			if bad == nil && fmt.Sprint(err) != fmt.Sprint(rerr) {
-				t.Errorf("%s: error %v, whole read %v", name, err, rerr)
+			if bd.err != nil && errors.Is(err, bd.err) != readErr {
+				t.Errorf("%s: err %v, want the read error %v: %v", name, err, bd.err, readErr)
 			}
-			if rx.edges != n || rx.done != done || !bytes.Equal(got[:rx.done], whole[:done]) {
-				t.Errorf("%s: %d edges in a %d-byte prefix, whole read %d in %d", name, rx.edges, rx.done, n, done)
+			if cr.n > len(want)+1 {
+				t.Errorf("%s: read %d bytes, past the %d expected and one more", name, cr.n, len(want))
 			}
-			if bad == nil && !bytes.Equal(got, whole) {
-				t.Errorf("%s: kept %d bytes, whole read %d", name, len(got), len(whole))
-			}
-			if !slices.Equal(log.edges, ref.edges) || !bytes.Equal(rx.text, text) {
-				t.Errorf("%s: yielded %d edges (%d text bytes), whole read %d (%d)", name, len(log.edges), len(rx.text), len(ref.edges), len(text))
-			}
-			releaseBlock(rx.bp)
 		}
 	}
+}
+
+// stepReader reads b in reads of at most step bytes.
+type stepReader struct {
+	b    []byte
+	step int
+}
+
+func (r *stepReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), r.step)], r.b)
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// FuzzLeaseCompare edits a clean lease body at an offset the fuzzer
+// picks — one byte flipped, inserted or deleted, the body cut short, or
+// bytes appended — and has compare read it, as a lease resumed at a
+// frame boundary and in reads of a size the fuzzer also picks.  compare
+// must accept the body if and only if it is the clean body, read at most
+// one byte past the clean body's length, and bank exactly the last frame
+// boundary inside the prefix the two share (the oracle: frameEnds and
+// bytes.Equal).
+func FuzzLeaseCompare(f *testing.F) {
+	p, payloads, _ := leasePayloads(f, cutSpec, 1, 1)
+	clean := payloads[0]
+	at, next := frameEnds(clean)
+	x := encodeBlock(f, p, cutSpec)
+	if !bytes.Equal(x.body, clean) {
+		f.Fatalf("encoded %d bytes that differ from the replica's %d-byte lease body", len(x.body), len(clean))
+	}
+	// op: 0 flip, 1 insert, 2 delete, 3 truncate, 4 extend.
+	f.Add(uint8(0), uint32(0), byte(0), uint8(0), uint32(1<<20))           // the clean body
+	f.Add(uint8(0), uint32(at[0]+9), byte(0x40), uint8(0), uint32(1<<20))  // a flipped delta bit
+	f.Add(uint8(1), uint32(at[1]), byte(1), uint8(1), uint32(4096))        // a byte inserted at a boundary
+	f.Add(uint8(2), uint32(3), byte(0), uint8(2), uint32(1))               // a header byte deleted
+	f.Add(uint8(3), uint32(at[2]), byte(0), uint8(0), uint32(65536))       // cut at a boundary
+	f.Add(uint8(4), uint32(len(clean)), byte(7), uint8(15), uint32(1<<20)) // bytes past the block's end
+	f.Fuzz(func(t *testing.T, op uint8, off uint32, val byte, from uint8, step uint32) {
+		k := int(from) % (len(at) + 1) // resume after k frames
+		head, base := 0, int64(0)
+		if k > 0 {
+			head, base = at[k-1], next[k-1]
+		}
+		want := clean[head:]
+		o := int(off % uint32(len(want)+1))
+		body := bytes.Clone(want)
+		switch op % 5 {
+		case 0:
+			if o < len(body) {
+				body[o] ^= val
+			}
+		case 1:
+			body = slices.Insert(body, o, val)
+		case 2:
+			if o < len(body) {
+				body = slices.Delete(body, o, o+1)
+			}
+		case 3:
+			body = body[:o]
+		case 4:
+			body = append(append(body, val), want[o:]...)
+		}
+		r := &countingReader{r: &stepReader{b: body, step: 1 + int(step%(2*readChunk))}}
+		bank, err := x.compare(r, base)
+		if ok := bytes.Equal(body, want); (err == nil) != ok {
+			t.Fatalf("body of %d bytes (clean %d): accepted %v, err %v", len(body), len(want), ok, err)
+		}
+		if wb := wantBank(at, next, head, base, sharedPrefix(body, want)); bank != wb {
+			t.Fatalf("banked edge %d, want %d (err %v)", bank, wb, err)
+		}
+		if r.n > len(want)+1 {
+			t.Fatalf("read %d bytes, past the %d expected and one more", r.n, len(want))
+		}
+	})
 }
 
 // faultyLeases wraps a replica so that its lease responses are replayed
@@ -663,17 +817,35 @@ func faultyLeases(h http.Handler, once bool, edit func(body []byte, trailer http
 	})
 }
 
+// reframe re-encodes the first frame of a lease body with wire.PutFrame
+// after edit has altered its edges, so the body still decodes.
+func reframe(b []byte, edit func(edges []exec.Edge)) []byte {
+	n := frameLen(b)
+	_, k := binary.Uvarint(b)
+	start, _ := binary.Uvarint(b[k:])
+	var edges []exec.Edge
+	if _, _, _, err := wire.Decode(b[:n], int64(start), func(frame []exec.Edge) { edges = slices.Clone(frame) }); err != nil {
+		panic(err)
+	}
+	edit(edges)
+	frame := make([]byte, wire.MaxFrameLen)
+	return append(frame[:wire.PutFrame(frame, int64(start), edges)], b[n:]...)
+}
+
 // TestRunFaultMatrix is distgen's fault matrix beyond truncation and
 // stalls: a lease body with a frame replayed, with two frames swapped,
 // a complete lease whose status trailer says aborted, an aborted one
-// (whole frames, short of the block) whose status says complete, and an
-// edge-count trailer one too high or too low.  Each fault hits either
-// the first lease only or every lease of the one replica, and every run
-// must end in the clean run's bytes or a typed error: a one-off fault is
-// retried into the clean bytes, and a fault on every lease exhausts the
-// block, except a lying edge count, which the coordinator never reads
-// (it counts the decoded frames against the closed form), so every
-// such run merges the clean bytes.
+// (whole frames, short of the block) whose status says complete, an
+// edge-count trailer one too high or too low, and two faults that
+// still decode: a corrupt delta in the first frame, which shifts every
+// later edge of the frame, and two of its edges swapped.  Each fault
+// hits either the first lease only or every lease of the one replica,
+// and every run, unaudited and audited, must end in the clean run's
+// bytes or a typed error: a one-off fault is retried into the clean
+// bytes after the faulty lease fails, and a fault on every lease
+// exhausts the block, except a lying edge count, which the coordinator
+// never reads (it compares the body with its own encoding of the
+// block), so every such run merges the clean bytes and fails no lease.
 func TestRunFaultMatrix(t *testing.T) {
 	want := func() int64 {
 		p, err := cutSpec.WithDefaults().Build()
@@ -728,23 +900,48 @@ func TestRunFaultMatrix(t *testing.T) {
 			tr.Set(wire.TrailerEdges, strconv.FormatInt(want-1, 10))
 			return b
 		}, nil},
+		{"corrupt delta", func(b []byte, _ http.Header) []byte {
+			return reframe(b, func(e []exec.Edge) {
+				for i := 5; i < len(e); i++ {
+					e[i].W++
+				}
+			})
+		}, ErrExhausted},
+		{"swapped edges", func(b []byte, _ http.Header) []byte {
+			return reframe(b, func(e []exec.Edge) { e[3], e[4] = e[4], e[3] })
+		}, ErrExhausted},
 	}
 	for _, c := range cells {
 		for _, once := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/once=%v", c.name, once), func(t *testing.T) {
-				urls := newFleet(t, 1, func(_ int, h http.Handler) http.Handler { return faultyLeases(h, once, c.edit) })
-				var out bytes.Buffer
-				_, err := Run(context.Background(), cutSpec, &out, Options{
-					Workers: urls, Rows: 1, Cols: 1, Audit: true, MaxAttempts: 2,
-				})
-				if wantErr := c.every; !once && wantErr != nil {
-					if !errors.Is(err, wantErr) || out.Len() != 0 {
-						t.Fatalf("err %v with %d bytes merged; want %v and nothing merged", err, out.Len(), wantErr)
+				for _, audited := range []bool{false, true} {
+					urls := newFleet(t, 1, func(_ int, h http.Handler) http.Handler { return faultyLeases(h, once, c.edit) })
+					var out bytes.Buffer
+					res, err := Run(context.Background(), cutSpec, &out, Options{
+						Workers: urls, Rows: 1, Cols: 1, Audit: audited, MaxAttempts: 2,
+					})
+					if wantErr := c.every; !once && wantErr != nil {
+						if !errors.Is(err, wantErr) || out.Len() != 0 {
+							t.Fatalf("audit=%v: err %v with %d bytes merged; want %v and nothing merged", audited, err, out.Len(), wantErr)
+						}
+						continue
 					}
-					return
-				}
-				if err != nil || !bytes.Equal(out.Bytes(), clean.Bytes()) {
-					t.Fatalf("err %v, merged %d bytes; want the clean run's %d", err, out.Len(), clean.Len())
+					if err != nil || !bytes.Equal(out.Bytes(), clean.Bytes()) {
+						t.Fatalf("audit=%v: err %v, merged %d bytes; want the clean run's %d", audited, err, out.Len(), clean.Len())
+					}
+					if audited && (res.AuditChecks == 0 || res.AuditViolations != 0) {
+						t.Fatalf("audit checks=%d violations=%d", res.AuditChecks, res.AuditViolations)
+					}
+					// The merged bytes are the coordinator's own whatever a
+					// lease carried, so what shows a one-off fault was seen
+					// is the failed lease before the retry.
+					fails := 0
+					if once && c.every != nil {
+						fails = 1
+					}
+					if got := res.Workers[0].Failures; got != fails {
+						t.Fatalf("audit=%v: %d failed leases, want %d", audited, got, fails)
+					}
 				}
 			})
 		}

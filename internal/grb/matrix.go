@@ -189,18 +189,6 @@ func (m *Matrix[T]) Iterate(fn func(i, j int, v T) bool) {
 	}
 }
 
-// Clone returns a deep copy of m.
-func (m *Matrix[T]) Clone() *Matrix[T] {
-	c := &Matrix[T]{
-		nr:     m.nr,
-		nc:     m.nc,
-		rowPtr: append([]int(nil), m.rowPtr...),
-		colIdx: append([]int(nil), m.colIdx...),
-		val:    append([]T(nil), m.val...),
-	}
-	return c
-}
-
 // Equal reports whether a and b have identical dimensions and identical
 // stored values at every coordinate.  Entries stored as explicit zeros
 // compare equal to absent entries.

@@ -184,18 +184,6 @@ func TestIterateOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	a := randomMatrix(rand.New(rand.NewSource(2)), 5, 5, 0.5)
-	c := a.Clone()
-	if !Equal(a, c) {
-		t.Fatal("clone not equal to original")
-	}
-	c.val[0]++
-	if Equal(a, c) {
-		t.Fatal("mutating clone affected original comparison")
-	}
-}
-
 func TestEqualTreatsExplicitZeros(t *testing.T) {
 	// a stores an explicit zero at (0,1); b does not store it.
 	a, err := NewCSR(1, 2, []int{0, 2}, []int{0, 1}, []int64{3, 0})

@@ -19,10 +19,8 @@ const kernelPollStride = 256
 // the Gustavson hot loops carry no instrumentation at all.
 var (
 	mMxMFlops  = obs.Default.Counter("grb.mxm.flops")
-	mMxVFlops  = obs.Default.Counter("grb.mxv.flops")
 	mKronNNZ   = obs.Default.Counter("grb.kron.entries")
 	mMxMCalls  = obs.Default.Counter("grb.mxm.calls")
-	mMxVCalls  = obs.Default.Counter("grb.mxv.calls")
 	mKronCalls = obs.Default.Counter("grb.kron.calls")
 )
 

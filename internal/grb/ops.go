@@ -8,15 +8,6 @@ func Add[T Number](a, b *Matrix[T]) (*Matrix[T], error) {
 	return EWiseAdd(PlusMonoid[T]().Op, a, b)
 }
 
-// Sub returns the element-wise difference a - b (pattern union).
-func Sub[T Number](a, b *Matrix[T]) (*Matrix[T], error) {
-	nb, err := Apply(b, func(v T) T { return -v })
-	if err != nil {
-		return nil, err
-	}
-	return Add(a, nb)
-}
-
 // EWiseAdd merges a and b with op applied where both are present; where only
 // one operand is present its value passes through unchanged, matching
 // GraphBLAS eWiseAdd semantics.

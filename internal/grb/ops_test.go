@@ -25,24 +25,6 @@ func TestAddAgainstDense(t *testing.T) {
 	}
 }
 
-func TestSubAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randomMatrix(rng, 6, 6, 0.4)
-	b := randomMatrix(rng, 6, 6, 0.4)
-	c, err := Sub(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	da, db, dc := a.Dense(), b.Dense(), c.Dense()
-	for i := range dc {
-		for j := range dc[i] {
-			if dc[i][j] != da[i][j]-db[i][j] {
-				t.Fatalf("Sub(%d,%d) = %d, want %d", i, j, dc[i][j], da[i][j]-db[i][j])
-			}
-		}
-	}
-}
-
 func TestHadamardAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 50; trial++ {
