@@ -20,6 +20,7 @@ func spotCheckVertices(p *core.Product, count int, budget int64, r *Report) {
 		count = n
 	}
 	checked, skipped := 0, 0
+	bf := newBruteForce(p)
 	var firstBad string
 	ok := true
 	for j := 0; j < count; j++ {
@@ -28,7 +29,7 @@ func spotCheckVertices(p *core.Product, count int, budget int64, r *Report) {
 		// walks i and k together).
 		v := int(int64(j) * int64(n) / int64(count))
 		want := p.VertexFourCyclesAt(v)
-		got, inBudget := bruteForceFourCyclesAt(p, v, budget)
+		got, inBudget := bf.fourCyclesAt(v, budget)
 		if !inBudget {
 			skipped++
 			continue
@@ -55,57 +56,79 @@ func spotCheckVertices(p *core.Product, count int, budget int64, r *Report) {
 // the TwoWalksAt closed form prices the call before it runs; vertices
 // over budget report inBudget = false.
 func bruteForceFourCyclesAt(p *core.Product, v int, budget int64) (count int64, inBudget bool) {
-	if p.TwoWalksAt(v) > budget {
+	return newBruteForce(p).fourCyclesAt(v, budget)
+}
+
+// bruteForce is bruteForceFourCyclesAt's state, reused across vertices:
+// the factor list, one path counter, and one neighbour buffer per chain
+// level for v's neighbourhood and another for each neighbour's, so a
+// warm count allocates nothing.
+type bruteForce struct {
+	p     *core.Product
+	fs    []*core.Factor
+	paths map[int]int64
+	near  [][]int // near[t]: the last N_{C_t} asked for v's neighbourhood
+	far   [][]int // the same for a neighbour's
+}
+
+func newBruteForce(p *core.Product) *bruteForce {
+	fs := p.Factors()
+	return &bruteForce{p: p, fs: fs, paths: map[int]int64{}, near: make([][]int, len(fs)), far: make([][]int, len(fs))}
+}
+
+// fourCyclesAt is bruteForceFourCyclesAt on b's buffers.
+func (b *bruteForce) fourCyclesAt(v int, budget int64) (count int64, inBudget bool) {
+	if b.p.TwoWalksAt(v) > budget {
 		return 0, false
 	}
-	paths := map[int]int64{}
-	for _, a := range productNeighbors(p, v) {
-		for _, w := range productNeighbors(p, a) {
+	clear(b.paths)
+	k := len(b.fs) - 1
+	for _, a := range b.neighbors(b.near, k, v) {
+		for _, w := range b.neighbors(b.far, k, a) {
 			if w != v {
-				paths[w]++
+				b.paths[w]++
 			}
 		}
 	}
-	for _, c := range paths {
+	for _, c := range b.paths {
 		count += c * (c - 1) / 2
 	}
 	return count, true
 }
 
-// productNeighbors enumerates N_{C_K}(v) straight from the factor
-// adjacency lists, one chain level at a time: for v = (p, k) with p a
-// C_{t-1} vertex and k a B_t digit,
+// neighbors enumerates N_{C_t}(v) for the length-t prefix chain
+// C_t = M₀ ⊗ B_1 ⊗ … ⊗ B_t (t ≥ 1), with vertices numbered in that
+// prefix's own mixed radix, straight from the factor adjacency lists,
+// one chain level at a time: for v = (p, k) with p a C_{t-1} vertex
+// and k a B_t digit,
 //
 //	N_{C_t}(p,k) = N_{M_t}(p) × N_{B_t}(k),
 //
 // where M_1 = A (mode i) or A+I (mode ii), and M_t = C_{t-1}+I for
-// t ≥ 2, so the prefix neighborhood is N_{C_{t-1}}(p) ∪ {p}.
-func productNeighbors(p *core.Product, v int) []int {
-	return chainNeighbors(p, len(p.Factors())-1, v)
-}
-
-// chainNeighbors returns N_{C_t}(v) for the length-t prefix chain
-// C_t = M₀ ⊗ B_1 ⊗ … ⊗ B_t (t ≥ 1), with vertices numbered in that
-// prefix's own mixed radix.
-func chainNeighbors(p *core.Product, t, v int) []int {
-	fs := p.Factors()
-	b := fs[t]
-	pv, k := v/b.N(), v%b.N()
+// t ≥ 2, so the prefix neighborhood is N_{C_{t-1}}(p) ∪ {p}.  Level t's
+// list goes into bufs[t], and level t-1's, one longer for p, into
+// bufs[t-1]; the result is valid until the next call on bufs.
+func (b *bruteForce) neighbors(bufs [][]int, t, v int) []int {
+	f := b.fs[t]
+	pv, k := v/f.N(), v%f.N()
 	var jp []int
-	if t == 1 {
-		jp = fs[0].G.Neighbors(pv)
-		if p.Mode() == core.ModeSelfLoopFactor {
-			jp = append(append(make([]int, 0, len(jp)+1), jp...), pv)
-		}
-	} else {
-		jp = append(chainNeighbors(p, t-1, pv), pv)
+	switch {
+	case t > 1:
+		jp = append(b.neighbors(bufs, t-1, pv), pv)
+		bufs[t-1] = jp
+	case b.p.Mode() == core.ModeSelfLoopFactor:
+		jp = append(append(bufs[0][:0], b.fs[0].G.Neighbors(pv)...), pv)
+		bufs[0] = jp
+	default:
+		jp = b.fs[0].G.Neighbors(pv)
 	}
-	lb := b.G.Neighbors(k)
-	out := make([]int, 0, len(jp)*len(lb))
+	lb := f.G.Neighbors(k)
+	out := bufs[t][:0]
 	for _, j := range jp {
 		for _, l := range lb {
-			out = append(out, j*b.N()+l)
+			out = append(out, j*f.N()+l)
 		}
 	}
+	bufs[t] = out
 	return out
 }

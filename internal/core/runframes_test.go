@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -225,7 +226,12 @@ func TestRunWriterRejectsPastEnd(t *testing.T) {
 	p := runFrameProducts(t)[0].P
 	cuts := p.TermEdgeStarts()
 	var runs []core.Run
+	kept := map[*core.Stripe]*core.Stripe{}
 	if err := p.EachEdgeBlockRangeRunContext(context.Background(), 0, 1, 0, 1, 0, p.NumEdges(), nil, func(r core.Run) bool {
+		if kept[r.Stripe] == nil { // a stripe dies with its walk
+			kept[r.Stripe] = &core.Stripe{Edges: slices.Clone(r.Stripe.Edges)}
+		}
+		r.Stripe = kept[r.Stripe]
 		runs = append(runs, r)
 		return true
 	}); err != nil {
@@ -257,6 +263,11 @@ func FuzzRunFrames(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(3), uint8(1), uint8(2), uint32(17), uint32(300), uint32(100), uint16(7), uint8(3))
 	f.Add(uint8(10), uint8(0), uint8(0), uint8(0), uint8(0), uint32(5000), uint32(90000), uint32(12000), uint16(1000), uint8(1))
 	f.Add(uint8(10), uint8(1), uint8(1), uint8(1), uint8(0), uint32(4096), uint32(20000), uint32(4097), uint16(0), uint8(2))
+	// Windows across term boundaries of the K = 3 and K = 4 oracle
+	// chains, whose terms fuse different tails.
+	f.Add(uint8(4), uint8(0), uint8(0), uint8(0), uint8(0), uint32(180), uint32(230), uint32(230), uint16(0), uint8(0))
+	f.Add(uint8(7), uint8(0), uint8(0), uint8(0), uint8(0), uint32(75), uint32(100), uint32(60), uint16(7), uint8(3))
+	f.Add(uint8(6), uint8(1), uint8(1), uint8(1), uint8(0), uint32(10), uint32(40), uint32(40), uint16(0), uint8(1))
 	f.Fuzz(func(t *testing.T, pick, rows, cols, brow, bcol uint8, offset, limit, stop uint32, every uint16, flags uint8) {
 		ps := runFrameProducts(t)
 		np := ps[int(pick)%len(ps)]

@@ -49,13 +49,18 @@ func (p *Product) EachEdgeBlockRangeBatchContext(ctx context.Context, row, nrows
 // (row, col)'s canonical-restricted order (block-local offsets, as
 // EachEdgeBlockRangeBatchContext takes them) as runs: each prefix pair's
 // stretch of the window, in order, as one Run of its stripe's digits,
-// so nothing is materialized per edge.  A window expands at most two
-// stripes, the last factor's edges in its column stripe in one
-// orientation or in both, and every Run of one walk points at one of
-// those two; a consumer can resolve what it needs of a stripe once per
-// walk.  Runs are cut where a cut first or last prefix pair ends and,
-// under a cancellable context, wherever the walk has delivered another
-// exec.BatchLen edges.  Iteration stops early if yield returns false.
+// so nothing is materialized per edge.  A walk resolves one stripe per
+// term it enters, and every Run of that term points at it; a consumer
+// can resolve what it needs of a stripe once per walk.  Unpriced, a
+// term's stripe fuses the term's tail levels, or in the last term
+// consecutive rows, into runs up to exec.BatchLen digits long or longer
+// (see walk.go); priced, it is the last factor's edges in the window's
+// column stripe, in one orientation or both.  Runs are cut where a cut
+// first or last prefix pair ends and, under a cancellable context,
+// wherever the walk has delivered another exec.BatchLen edges.
+// Iteration stops early if yield returns false.  A stripe lives in
+// scratch the walk reuses once it returns: a consumer must not keep a
+// stripe, or key a cache by one, past the walk that delivered it.
 //
 // With a non-nil fourSum the same pass prices the window as
 // PriceBlockRangeContext does and adds its Σ◊ to *fourSum; a walk that
@@ -88,40 +93,29 @@ func (p *Product) EachEdgeBlockRangeRunContext(ctx context.Context, row, nrows, 
 // Run is one prefix pair's stretch of a run walk: the edges
 // (V+x, W+y) for the oriented stripe edges (x, y) of digits [Lo, Hi),
 // in order.  V and W are the prefix pair's vertex offsets in the
-// product.
+// product.  Run and its Stripe are valid only during the yield that
+// delivers them and the rest of that walk.
 type Run struct {
 	V, W   int
 	Stripe *Stripe
 	Lo, Hi int
 }
 
-// Stripe is what a run walk expands under each prefix pair: the last
-// factor's edges in the window's column stripe, in one orientation or,
-// with Both, in two.  Its digits are the stripe's edges in order, or
-// with Both each edge (U, V) followed by its flip (V, U).
+// Stripe is what a run walk expands under each prefix pair of a term: a
+// list of oriented edges (x, y), digit d being Edges[d] with x in U and
+// y in V.  A walk resolves each term's stripe into scratch it reuses
+// after it returns, so a consumer must not keep a stripe, or key a
+// cache by one, past the walk that delivered it.
 type Stripe struct {
 	Edges []graph.Edge
-	Both  bool
 }
 
 // Len is the stripe's digit count.
-func (s *Stripe) Len() int {
-	if s.Both {
-		return 2 * len(s.Edges)
-	}
-	return len(s.Edges)
-}
+func (s *Stripe) Len() int { return len(s.Edges) }
 
 // Edge is digit d's oriented edge (x, y).
 func (s *Stripe) Edge(d int) (x, y int) {
-	if !s.Both {
-		e := s.Edges[d]
-		return e.U, e.V
-	}
-	e := s.Edges[d>>1]
-	if d&1 == 1 {
-		return e.V, e.U
-	}
+	e := s.Edges[d]
 	return e.U, e.V
 }
 

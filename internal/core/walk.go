@@ -5,23 +5,36 @@
 // one kernel answers them all, and the public walkers differ only in
 // how they build the window and deliver its edges.
 //
-// A walk resolves its factor state once: each level's edge slice (the
-// last one cut to the stripe) and digit radix, and the window's term
-// layout.  Nothing is cached on the Product between walks.  The kernel
-// then seeks to lo in O(K) — every row of term t emits the same number
-// of window edges — decodes the within-row offset into per-level
-// digits, and runs an odometer over the inner levels.  Each odometer
-// position is one prefix pair (pv, pw) whose last-factor expansion is
-// the closure-free append loop; for K = 1 there are no inner levels and
-// that loop is the historical two-factor row loop.  Only the walk's
+// A walk resolves its factor state once, into scratch pooled across
+// walks: each level's edge list (the last one cut to the column
+// stripe) and digit radix, and the window's term layout.  Nothing is
+// cached on the Product between walks.  The kernel then seeks to lo in
+// O(K) — every row of term t emits the same number of window edges —
+// decodes the within-row offset into per-level digits, and runs an
+// odometer over the inner levels.  Each odometer position is one prefix pair (pv, pw)
+// whose expansion is one stripe of oriented edges (x, y), emitted as
+// (pv·span + x, pw·span + y) by a closure-free loop; only the walk's
 // first and last prefix pair can be partial.
 //
-// A ◊ walk runs the same odometer and also prices every edge with its
-// 4-cycle count (Thm. 5).  Within one prefix pair the anchor terms of
-// EdgeFourCyclesAt are constant, so the walk folds them once per prefix
-// pair, level by level as the odometer descends, and resolves the last
-// factor's stripe once per walk; each edge's ◊ is then three multiplies
-// in its own leaf loop.
+// A plain walk (batch, per-edge or run) fuses each term's tail into its
+// stripe, resolved once per term on entering it.  Above the last term it
+// fuses trailing levels: the fused digit of levels u and u+1 is
+// d_u·r_{u+1} + d_{u+1}, level u's digit major, so the odometer runs one
+// level shorter and the order does not change.  In the last term, whose
+// rows each expand the last level once under prefix pair (x, x), it
+// fuses consecutive rows, which differ by (n_K, n_K).  Fusing stops once
+// the stripe holds exec.BatchLen digits, and a fusion is skipped that
+// would take the stripe past stripeBudget digits or past the window's
+// own edges in that term, so resolving a stripe never costs more than
+// walking it.  For K = 1 there are no inner levels, and only the last
+// term's rows fuse.
+//
+// A ◊ walk runs the same odometer, unfused, and also prices every edge
+// with its 4-cycle count (Thm. 5).  Within one prefix pair the anchor
+// terms of EdgeFourCyclesAt are constant, so the walk folds them once
+// per prefix pair, level by level as the odometer descends, and
+// resolves the last factor's stripe once per walk; each edge's ◊ is
+// then three multiplies in its own leaf loop.
 //
 // A run walk hands each prefix pair's stretch of the window to its
 // consumer whole, as a Run: the pair, the stripe it expands and the
@@ -29,16 +42,18 @@
 // can treat a stripe once per walk (the bin frame writer copies its
 // delta bytes) pays per prefix pair, not per edge.
 //
-// A priced walk folds the same anchor terms but adds each prefix pair's
-// whole Σ◊ in closed form from stripe sums resolved once per walk, so
-// its sum costs O(prefix pairs), not O(edges); only a cut first or last
-// prefix pair is priced edge by edge.  In the same pass it delivers the
-// window's runs, or nothing when only the sum is wanted.
+// A priced walk folds the same anchor terms, unfused, but adds each
+// prefix pair's whole Σ◊ in closed form from stripe sums resolved once
+// per walk, so its sum costs O(prefix pairs), not O(edges); only a cut
+// first or last prefix pair is priced edge by edge.  In the same pass it
+// delivers the window's runs, or nothing when only the sum is wanted.
 package core
 
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"kronbip/internal/exec"
 	"kronbip/internal/graph"
@@ -140,24 +155,48 @@ func (p *Product) termStarts(win window) []int64 {
 // is nil too.
 type walker struct {
 	p      *Product
+	scr    *walkScratch
 	ea     []graph.Edge   // A's edges, the prefix pairs of term-0 rows
-	eb     [][]graph.Edge // B_u's edges; the last level holds only the stripe
+	eb     [][]graph.Edge // B_u's edges; the last level's cut to the window's columns
 	dig    []int          // odometer digit of each level
 	pv, pw []int          // prefix pair through each level
 	emit   func(batch []exec.Edge) bool
 	yield  func(v, w int) bool
 	runs   func(r Run) bool
 	four   *fourWalk
-	// A run walk's two stripes, one orientation and both, resolved once
-	// per walk, and the edges it may still deliver before it next looks
-	// at its context.
-	stripes *[2]Stripe
-	left    int
+	// The current term's tail: levels [leaf, K] expand as one stripe of
+	// per digits under each prefix pair through level leaf-1, whose
+	// vertices are span apart, or in the last term rows consecutive rows
+	// expand as one stripe of rows·per digits.  st is that stripe, nil
+	// for a ◊ walk and a sum-only pricing, which read the last level's
+	// edges themselves.
+	leaf, rows, per, span int
+	st                    *Stripe
+	// The edges a run walk may still deliver before it next looks at its
+	// context.
+	left int
 	// A run or priced walk's context's done channel (nil: never
 	// cancelled), with the walk's flag to raise once it is closed.
 	done      <-chan struct{}
 	cancelled *bool
 }
+
+// stripeBudget caps the digits of a fused stripe: 1 MiB of oriented
+// edges.  A tail whose fusion would pass it stays unfused.
+const stripeBudget = 1 << 16
+
+// walkScratch is one walk's memory, pooled across walks: the factor
+// edge lists, the odometer's digits and prefix pairs, and one stripe per
+// term, whose edges share one buffer that each term's stripe reuses.
+type walkScratch struct {
+	edges    []graph.Edge
+	lists    [][]graph.Edge
+	ints     []int
+	stripes  []Stripe
+	oriented []graph.Edge
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(walkScratch) }}
 
 // fourWalk is a ◊ or priced walk's state.  at[u] holds the Thm. 5
 // anchor terms entering level u for the odometer's current prefix pair.
@@ -220,8 +259,13 @@ func (w *walker) radix(u, t int) int {
 // digit is level u's digit as an edge index and orientation: edge d/2
 // in orientation d%2 (flip: (V, U)) where both are emitted, else edge d.
 func (w *walker) digit(u, t int) (i int, flip bool) {
-	d := w.dig[u]
-	if t == 0 || u > t {
+	return orient(w.dig[u], t == 0 || u > t)
+}
+
+// orient splits digit d into an edge index and orientation, as digit
+// does, for a level that emits both orientations or only one.
+func orient(d int, both bool) (i int, flip bool) {
+	if both {
 		return d >> 1, d&1 == 1
 	}
 	return d, false
@@ -253,35 +297,30 @@ func (p *Product) run(win window, buf []exec.Edge, w walker) {
 	if remaining <= 0 {
 		return
 	}
-	k := len(p.bs)
 	t, row, off := p.seek(win, win.lo)
-	ints := make([]int, 3*(k+1))
-	w.p, w.eb = p, make([][]graph.Edge, k+1)
-	w.dig, w.pv, w.pw = ints[:k+1], ints[k+1:2*(k+1)], ints[2*(k+1):]
-	if t == 0 {
-		w.ea = p.a.G.Edges()
-	}
-	for u := max(t, 1); u <= k; u++ {
-		w.eb[u] = p.bs[u-1].G.Edges()
-	}
-	w.eb[k] = w.eb[k][win.clo:win.chi]
-	if w.runs != nil {
-		w.stripes = &[2]Stripe{{Edges: w.eb[k]}, {Edges: w.eb[k], Both: true}}
-	}
+	w.p = p
+	w.resolve(t, win)
+	defer scratchPool.Put(w.scr)
 	if w.four != nil {
 		w.four.resolve(p, w.eb[max(t, 1):], cap(buf))
 	}
-	for u := k; u >= max(t, 1); u-- {
-		r := int64(w.radix(u, t))
-		w.dig[u], off = int(off%r), off/r
-	}
 	for ; remaining > 0; t++ {
 		if p.rowEdges(win, t) > 0 {
-			for end := min(win.rhi, p.termOff[t+1]); row < end && remaining > 0; row++ {
+			// The first row's offset decodes into its digits; every later
+			// row starts from zero digits and a zero offset.
+			w.enter(t, win)
+			w.dig[w.leaf], off = int(off%int64(w.per)), off/int64(w.per)
+			for u := w.leaf - 1; u >= max(t, 1); u-- {
+				r := int64(w.radix(u, t))
+				w.dig[u], off = int(off%r), off/r
+			}
+			for end := min(win.rhi, p.termOff[t+1]); row < end && remaining > 0; {
+				g := min(w.rows, end-row)
 				var ok bool
-				if buf, remaining, ok = w.row(t, row, buf, remaining); !ok {
+				if buf, remaining, ok = w.row(t, row, g, buf, remaining); !ok {
 					return
 				}
+				row += g
 			}
 		}
 		row = p.termOff[t+1]
@@ -293,6 +332,122 @@ func (p *Product) run(win window, buf []exec.Edge, w walker) {
 	default:
 		w.emit(buf)
 	}
+}
+
+// resolve takes the walk's scratch from the pool and resolves into it
+// the odometer's state and the edge lists of every level a walk from
+// term t on expands, A's too from term 0, the last one cut to the
+// window's column stripe.
+func (w *walker) resolve(t int, win window) {
+	p, k := w.p, len(w.p.bs)
+	scr := scratchPool.Get().(*walkScratch)
+	w.scr = scr
+	scr.ints = slices.Grow(scr.ints[:0], 3*(k+1))[:3*(k+1)]
+	clear(scr.ints)
+	w.dig, w.pv, w.pw = scr.ints[:k+1], scr.ints[k+1:2*(k+1)], scr.ints[2*(k+1):]
+	scr.lists = slices.Grow(scr.lists[:0], k+1)[:k+1]
+	clear(scr.lists)
+	w.eb = scr.lists
+	need := 0
+	for u := min(t, 1); u <= k; u++ {
+		need += p.mEdges[u]
+	}
+	scr.edges = slices.Grow(scr.edges[:0], need)
+	list := func(g *graph.Graph) []graph.Edge {
+		at := len(scr.edges)
+		scr.edges = g.AppendEdges(scr.edges)
+		return scr.edges[at:len(scr.edges):len(scr.edges)]
+	}
+	if t == 0 {
+		w.ea = list(p.a.G)
+	}
+	for u := max(t, 1); u <= k; u++ {
+		w.eb[u] = list(p.bs[u-1].G)
+	}
+	w.eb[k] = w.eb[k][win.clo:win.chi]
+	scr.stripes = slices.Grow(scr.stripes[:0], k+1)[:k+1]
+}
+
+// enter sets up term t's tail for the walk: the levels it fuses, or in
+// the last term the rows, and the stripe they expand to, which it
+// resolves unless the walk reads the last level's edges itself.  A ◊
+// or priced walk fuses nothing.
+func (w *walker) enter(t int, win window) {
+	p, k := w.p, len(w.p.bs)
+	w.leaf, w.rows, w.per, w.span = k, 1, w.radix(k, t), p.rad.sizes[k]
+	if w.four == nil {
+		budget := min(stripeBudget, p.termEdges(win, t))
+		for a := max(t, 1); w.leaf > a && w.per < exec.BatchLen; w.leaf-- {
+			n := int64(w.per) * int64(w.radix(w.leaf-1, t))
+			if n > budget {
+				break
+			}
+			w.per, w.span = int(n), w.span*p.rad.sizes[w.leaf-1]
+		}
+		if t == k && w.per > 0 && w.per < exec.BatchLen {
+			w.rows = max(1, min((exec.BatchLen+w.per-1)/w.per, int(budget)/w.per))
+		}
+	}
+	w.st = nil
+	if w.four == nil || w.runs != nil {
+		w.st = w.stripe(t)
+	}
+}
+
+// stripe resolves term t's stripe: the oriented edges of levels
+// [leaf, K] in odometer order, level leaf's digit major, each fused
+// digit's edge the levels' edges placed by the mixed radix below the
+// prefix pair; then, in the last term, the same digits under each of
+// rows consecutive rows, each row n_K further along both sides.
+func (w *walker) stripe(t int) *Stripe {
+	p, k, scr := w.p, len(w.p.bs), w.scr
+	n := w.per * w.rows
+	es := slices.Grow(scr.oriented[:0], n)[:1]
+	es[0] = graph.Edge{}
+	for u := w.leaf; u <= k; u++ {
+		// Expand every fused prefix by level u's digits, in place from
+		// the back: prefix i's digits land at [i·r, (i+1)·r), past every
+		// prefix still to be read.
+		r, size, both := w.radix(u, t), p.rad.sizes[u], t == 0 || u > t
+		m := len(es)
+		es = es[:m*r]
+		for i := m - 1; i >= 0; i-- {
+			bx, by := es[i].U*size, es[i].V*size
+			for d := r - 1; d >= 0; d-- {
+				j, flip := orient(d, both)
+				e := w.eb[u][j]
+				if flip {
+					e.U, e.V = e.V, e.U
+				}
+				es[i*r+d] = graph.Edge{U: bx + e.U, V: by + e.V}
+			}
+		}
+	}
+	for i := 1; i < w.rows; i++ {
+		off := i * w.span
+		for _, e := range es[:w.per] {
+			es = append(es, graph.Edge{U: e.U + off, V: e.V + off})
+		}
+	}
+	scr.oriented = es
+	st := &scr.stripes[t]
+	st.Edges = es
+	return st
+}
+
+// termEdges is how many of the window's edges lie in term t.
+func (p *Product) termEdges(win window, t int) int64 {
+	var start int64
+	for u := 0; u < t; u++ {
+		if rows := p.termRows(win, u); rows > 0 {
+			start += int64(rows) * p.rowEdges(win, u)
+		}
+	}
+	end := start
+	if rows := p.termRows(win, t); rows > 0 {
+		end += int64(rows) * p.rowEdges(win, t)
+	}
+	return max(0, min(end, win.hi)-max(start, win.lo))
 }
 
 // resolve sets up a ◊ or priced walk whose rows expand levels
@@ -362,13 +517,14 @@ func (w *walker) price(s, e, per int64, both bool) bool {
 	return true
 }
 
-// row emits row r of term t from the odometer's current digits, at most
+// row emits g rows of term t from row r on, g > 1 only where the term's
+// stripe fuses rows, from the odometer's current digits, at most
 // remaining edges, leaving every digit zero for the next row.  It
 // returns the buffer, the edges still owed, and false once the consumer
 // stopped the walk.
-func (w *walker) row(t, r int, buf []exec.Edge, remaining int64) ([]exec.Edge, int64, bool) {
+func (w *walker) row(t, r, g int, buf []exec.Edge, remaining int64) ([]exec.Edge, int64, bool) {
 	p := w.p
-	k := len(p.bs)
+	k, j := len(p.bs), w.leaf
 	a := max(t, 1) // anchor level
 	if t == 0 {
 		w.pv[0], w.pw[0] = w.ea[r].U, w.ea[r].V
@@ -376,16 +532,15 @@ func (w *walker) row(t, r int, buf []exec.Edge, remaining int64) ([]exec.Edge, i
 		idx := r - p.termOff[t]
 		w.pv[a-1], w.pw[a-1] = idx, idx
 	}
-	for u := a; u < k; u++ {
+	for u := a; u < j; u++ {
 		w.descend(u, t)
 	}
 	from := a - 1 // shallowest level whose ◊ anchor terms are stale; below a, the seed too
-	n := p.rad.sizes[k]
 	both := t == 0 || k > t
-	per := int64(w.radix(k, t))
+	per := int64(g * w.per)
 	for {
-		av, aw := w.pv[k-1]*n, w.pw[k-1]*n
-		s := int64(w.dig[k])
+		av, aw := w.pv[j-1]*w.span, w.pw[j-1]*w.span
+		s := int64(w.dig[j])
 		c := min(per-s, remaining)
 		remaining -= c
 		ok := true
@@ -394,22 +549,20 @@ func (w *walker) row(t, r int, buf []exec.Edge, remaining int64) ([]exec.Edge, i
 			w.fold(t, r, from)
 			buf, ok = w.fourPair(buf, av, aw, s, s+c, per, both)
 		case w.runs != nil:
-			ok = w.deliver(av, aw, s, s+c, both)
-		case c < per: // the walk's first or last prefix pair
-			buf, ok = w.partial(buf, av, aw, s, s+c, both)
+			ok = w.deliver(av, aw, s, s+c)
 		case w.yield != nil:
-			ok = w.yieldRun(av, aw, both)
+			ok = w.yieldRun(av, aw, s, s+c)
 		default:
-			buf, ok = w.appendRun(buf, av, aw, both)
+			buf, ok = w.appendRun(buf, av, aw, s, s+c)
 		}
 		if !ok {
 			return nil, 0, false
 		}
-		w.dig[k] = 0
+		w.dig[j] = 0
 		if remaining == 0 {
 			return buf, 0, true
 		}
-		u := k - 1
+		u := j - 1
 		for ; u >= a; u-- {
 			if w.dig[u]++; w.dig[u] < w.radix(u, t) {
 				break
@@ -419,7 +572,7 @@ func (w *walker) row(t, r int, buf []exec.Edge, remaining int64) ([]exec.Edge, i
 		if u < a {
 			return buf, remaining, true
 		}
-		for from = u; u < k; u++ {
+		for from = u; u < j; u++ {
 			w.descend(u, t)
 		}
 	}
@@ -439,20 +592,17 @@ func (w *walker) fourPair(buf []exec.Edge, av, aw int, s, e, per int64, both boo
 	case w.runs == nil:
 		return buf, true
 	}
-	return buf, w.deliver(av, aw, s, e, both)
+	return buf, w.deliver(av, aw, s, e)
 }
 
-// deliver hands last-level digits [s, e) of prefix pair (av, aw) to a
+// deliver hands stripe digits [s, e) under prefix pair (av, aw) to a
 // run walk's consumer.  Under a cancellable context it cuts the run
 // wherever the walk has delivered another exec.BatchLen edges and looks
 // at the context there, so a run walk stops where a batch walk would:
 // nothing is delivered once a cancellation is seen, and at most
 // exec.BatchLen edges are delivered past it.
-func (w *walker) deliver(av, aw int, s, e int64, both bool) bool {
-	r := Run{V: av, W: aw, Stripe: &w.stripes[0], Lo: int(s), Hi: int(e)}
-	if both {
-		r.Stripe = &w.stripes[1]
-	}
+func (w *walker) deliver(av, aw int, s, e int64) bool {
+	r := Run{V: av, W: aw, Stripe: w.st, Lo: int(s), Hi: int(e)}
 	if w.done == nil {
 		return w.runs(r)
 	}
@@ -529,25 +679,18 @@ func (w *walker) seed(t, r int) anchor {
 	return s
 }
 
-// appendRun is the batch hot loop: the whole last-level expansion of
-// prefix pair (av, aw) appended to buf, full batches flushed to emit.
-func (w *walker) appendRun(buf []exec.Edge, av, aw int, both bool) ([]exec.Edge, bool) {
-	last := w.eb[len(w.eb)-1]
-	if both {
-		for _, e := range last {
-			buf = append(buf, exec.Edge{V: av + e.U, W: aw + e.V}, exec.Edge{V: av + e.V, W: aw + e.U})
-			if cap(buf)-len(buf) < 2 {
-				if !w.emit(buf) {
-					return nil, false
-				}
-				buf = buf[:0]
-			}
+// appendRun is the batch hot loop: stripe digits [s, e) under prefix
+// pair (av, aw) appended to buf, full batches flushed to emit.
+func (w *walker) appendRun(buf []exec.Edge, av, aw int, s, e int64) ([]exec.Edge, bool) {
+	for es := w.st.Edges[s:e]; len(es) > 0; {
+		src := es[:min(len(es), cap(buf)-len(buf))]
+		dst := buf[len(buf) : len(buf)+len(src)]
+		dst = dst[:len(src)] // proves dst[i] in bounds
+		for i, e := range src {
+			dst[i] = exec.Edge{V: av + e.U, W: aw + e.V}
 		}
-		return buf, true
-	}
-	for _, e := range last {
-		buf = append(buf, exec.Edge{V: av + e.U, W: aw + e.V})
-		if cap(buf)-len(buf) < 2 {
+		buf, es = buf[:len(buf)+len(src)], es[len(src):]
+		if len(buf) == cap(buf) {
 			if !w.emit(buf) {
 				return nil, false
 			}
@@ -558,48 +701,14 @@ func (w *walker) appendRun(buf []exec.Edge, av, aw int, both bool) ([]exec.Edge,
 }
 
 // yieldRun is appendRun for a per-edge walk.
-func (w *walker) yieldRun(av, aw int, both bool) bool {
-	last, yield := w.eb[len(w.eb)-1], w.yield
-	if both {
-		for _, e := range last {
-			if !yield(av+e.U, aw+e.V) || !yield(av+e.V, aw+e.U) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, e := range last {
+func (w *walker) yieldRun(av, aw int, s, e int64) bool {
+	yield := w.yield
+	for _, e := range w.st.Edges[s:e] {
 		if !yield(av+e.U, aw+e.V) {
 			return false
 		}
 	}
 	return true
-}
-
-// partial emits last-level digits [s, e) of prefix pair (av, aw): the
-// part of a prefix pair a walk's seek or limit cuts.  Only batch walks
-// are cut: the per-edge walk (EachEdge) and the ◊ walk always cover
-// whole prefix pairs.
-func (w *walker) partial(buf []exec.Edge, av, aw int, s, e int64, both bool) ([]exec.Edge, bool) {
-	last := w.eb[len(w.eb)-1]
-	for d := s; d < e; d++ {
-		i, flip := int(d), false
-		if both {
-			i, flip = int(d>>1), d&1 == 1
-		}
-		x, y := last[i].U, last[i].V
-		if flip {
-			x, y = y, x
-		}
-		buf = append(buf, exec.Edge{V: av + x, W: aw + y})
-		if cap(buf)-len(buf) < 2 {
-			if !w.emit(buf) {
-				return nil, false
-			}
-			buf = buf[:0]
-		}
-	}
-	return buf, true
 }
 
 // appendFour is appendRun for a ◊ walk: each edge's ◊ goes into sq at

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc64"
 	"math/rand"
 	"reflect"
@@ -176,8 +177,7 @@ func fourWalkOf(t *testing.T, what string, p *Product, r, R, c, C int, lo, hi in
 
 // checkRun fails unless run is a legal run: a non-empty digit range of
 // its stripe, at most exec.BatchLen digits long under a cancellable
-// context, whose stripe is the last factor's edges in one of the two
-// orientations.
+// context.  TestFusedRunWalks bounds the stripes themselves.
 func checkRun(t *testing.T, what string, run Run, cancellable bool) {
 	t.Helper()
 	if run.Stripe == nil || run.Lo < 0 || run.Lo >= run.Hi || run.Hi > run.Stripe.Len() {
@@ -590,6 +590,12 @@ func FuzzEdgeRange(f *testing.F) {
 	f.Add(uint8(3), uint32(17), uint32(40), uint8(1), uint8(2), uint8(1), uint8(1))
 	f.Add(uint8(11), uint32(5), uint32(9), uint8(2), uint8(2), uint8(3), uint8(4))
 	f.Add(uint8(6), uint32(63), uint32(2), uint8(4), uint8(3), uint8(13), uint8(2))
+	// Windows across term boundaries of the K = 3 and K = 4 oracle
+	// chains, whose terms fuse different tails.
+	f.Add(uint8(4), uint32(180), uint32(230), uint8(0), uint8(1), uint8(0), uint8(1))
+	f.Add(uint8(5), uint32(40), uint32(45), uint8(1), uint8(0), uint8(1), uint8(0))
+	f.Add(uint8(6), uint32(50), uint32(60), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(7), uint32(75), uint32(100), uint8(2), uint8(1), uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, pick uint8, offset, limit uint32, rows, cols, brow, bcol uint8) {
 		pool := fuzzPool()
 		fc := pool[int(pick)%len(pool)]
@@ -643,6 +649,113 @@ func FuzzEdgeRange(f *testing.F) {
 		fourWalkOf(t, "◊ block", p, r, R, c, C, 0, bn, block)
 		fourWalkOf(t, "◊ block range", p, r, R, c, C, blo, bhi, block[blo:bhi])
 	})
+}
+
+// TestFusedRunWalks: on random block × range windows of every
+// chainOracleCases product, the plain run walk, whose stripes fuse each
+// term's tail, the batch walk and the priced run walk, which fuses
+// nothing, deliver the definition's edges.  A priced stripe is the last
+// level's, and a plain one longer than that holds at most stripeBudget
+// digits and at most the window's edges in its term.  On each whole
+// product, fewer plain runs than priced ones show that fusing happened,
+// except on k1_mode1, a K = 1 mode (i) chain, which has neither an
+// inner level nor a self-loop term to fuse.
+func TestFusedRunWalks(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, c := range chainOracleCases() {
+		p := buildChainCase(t, c)
+		order := canonicalOrder(p)
+		k := len(p.bs)
+		for i := range 60 {
+			R, C := 1+rng.Intn(4), 1+rng.Intn(5)
+			r, col := rng.Intn(R), rng.Intn(C)
+			if i == 0 {
+				R, C, r, col = 1, 1, 0, 0
+			}
+			block := blockOf(order, p.numRows(), p.lastEdges(), r, R, col, C)
+			lo := rng.Int63n(int64(len(block)) + 1)
+			hi := lo + rng.Int63n(int64(len(block))-lo+1)
+			if i == 0 {
+				lo, hi = 0, int64(len(block))
+			}
+			what := fmt.Sprintf("%s block (%d,%d) of %d×%d [%d,%d)", c.name, r, col, R, C, lo, hi)
+			win, err := p.blockWindow(r, R, col, C)
+			if err == nil {
+				win, err = win.sub(lo, hi)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// unfused is term t's level-K stripe length.
+			unfused := func(t int) int {
+				if t == 0 || k > t {
+					return 2 * (win.chi - win.clo)
+				}
+				return win.chi - win.clo
+			}
+			want := block[lo:hi]
+			runCount := map[bool]int{}
+			for _, priced := range []bool{false, true} {
+				var sum int64
+				var fourSum *int64
+				if priced {
+					fourSum = &sum
+				}
+				at := win.lo
+				walk := runEdges(t, what, false, func(y func(Run) bool) error {
+					return p.EachEdgeBlockRangeRunContext(context.Background(), r, R, col, C, lo, hi, fourSum, func(run Run) bool {
+						term, _, _ := p.seek(win, at)
+						n, u := run.Stripe.Len(), unfused(term)
+						switch {
+						case priced && n != u:
+							t.Fatalf("%s: priced stripe of %d digits in term %d, last level's %d", what, n, term, u)
+						case n > u && (n > stripeBudget || int64(n) > p.termEdges(win, term)):
+							t.Fatalf("%s: fused stripe of %d digits in term %d, which holds %d window edges", what, n, term, p.termEdges(win, term))
+						}
+						at += int64(run.Hi - run.Lo)
+						runCount[priced]++
+						return y(run)
+					})
+				})
+				checkWalks(t, what+fmt.Sprintf(" priced=%v", priced), want, map[string]func(yield func(v, w int) bool) error{"runs": walk})
+			}
+			checkWalks(t, what, want, map[string]func(yield func(v, w int) bool) error{
+				"batch": func(yield func(v, w int) bool) error { return blockRangeEdges(p, r, R, col, C, lo, hi, yield) },
+			})
+			if i == 0 && c.name != "k1_mode1" && runCount[false] >= runCount[true] {
+				t.Fatalf("%s: %d plain runs, %d priced: nothing fused", what, runCount[false], runCount[true])
+			}
+		}
+	}
+}
+
+// TestOverBudgetTailWalksUnfused: K3 ⊗ K130,130 ⊗ P2, whose term-0 tail
+// would fuse 2 × 33,800 digits, past stripeBudget, walks that term in
+// P2's 2-digit runs, and its run and batch walks of a window across the
+// term boundary match the definition's order.  Its last term's rows
+// still fuse.
+func TestOverBudgetTailWalksUnfused(t *testing.T) {
+	p, err := NewChain(gen.Complete(3), ModeNonBipartiteFactor, gen.CompleteBipartite(130, 130).Graph, gen.Path(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := canonicalOrder(p)
+	starts := p.TermEdgeStarts()
+	lo, hi := starts[1]-5000, starts[1]+300
+	lens := map[int]int{}
+	runs := runEdges(t, "over budget", false, func(y func(Run) bool) error {
+		return p.EachEdgeBlockRangeRunContext(context.Background(), 0, 1, 0, 1, lo, hi, nil, func(run Run) bool {
+			lens[run.Stripe.Len()]++
+			return y(run)
+		})
+	})
+	checkWalks(t, "over budget", order[lo:hi], map[string]func(yield func(v, w int) bool) error{
+		"runs":  runs,
+		"batch": func(yield func(v, w int) bool) error { return rangeEdges(p, lo, hi, yield) },
+	})
+	if len(lens) != 2 || lens[2] != 2500 || lens[300] != 1 {
+		t.Fatalf("stripe lengths %v, want 2,500 runs of 2 digits and one of 300 fused rows", lens)
+	}
 }
 
 // walkAllocBound caps the allocations of one walk of each shape.  A walk

@@ -146,14 +146,19 @@ func (g *Graph) TwoWalks() []int64 {
 // It builds a new, exactly sized slice on every call — O(nnz) time and
 // one allocation — so callers must hoist it out of loops.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.NumEdges())
+	return g.AppendEdges(make([]Edge, 0, g.NumEdges()))
+}
+
+// AppendEdges appends the edges Edges lists, in its order, to dst and
+// returns the extended slice.
+func (g *Graph) AppendEdges(dst []Edge) []Edge {
 	g.adj.Iterate(func(i, j int, _ int64) bool {
 		if i <= j {
-			out = append(out, Edge{i, j})
+			dst = append(dst, Edge{i, j})
 		}
 		return true
 	})
-	return out
+	return dst
 }
 
 // EachEdge calls fn once per undirected edge (u <= v); stops early if fn

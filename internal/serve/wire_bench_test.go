@@ -70,7 +70,24 @@ func benchEncode(b *testing.B, edges []exec.Edge, newSink func() *streamSink) {
 // the product's prefix pairs, whose stripes the writer copies as delta
 // bytes.  Hold it against BenchmarkStream_ShardedBatch.
 func BenchmarkStreamWire_BinEncode(b *testing.B) {
-	p := benchWireProduct(b)
+	benchBinEncode(b, benchWireProduct(b))
+}
+
+// BenchmarkStreamWire_BinEncodeChain is BenchmarkStreamWire_BinEncode
+// on perfbench's chain-bin spec (sf48x96x240 ⊗ crown4, selfloop, the
+// default seed), a K = 2 chain: a 1×1 job stream of it through
+// walkWindow into a no-op writer.  Its runs are the fused stripes of
+// each term (walk.go), not crown4's 12- and 24-digit stripes.
+func BenchmarkStreamWire_BinEncodeChain(b *testing.B) {
+	p, err := spec.Spec{Factors: []string{"sf48x96x240", "crown4"}, Mode: "selfloop"}.WithDefaults().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchBinEncode(b, p)
+}
+
+// benchBinEncode times p's whole canonical order as a bin job stream.
+func benchBinEncode(b *testing.B, p *core.Product) {
 	cuts := p.TermEdgeStarts()
 	n := p.NumEdges()
 	b.ReportAllocs()

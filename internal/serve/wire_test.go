@@ -113,7 +113,12 @@ func TestWireBatchMatchesPerEdge(t *testing.T) {
 	p := wireTestProduct(t)
 	const n = 10000
 	var runs []core.Run
+	kept := map[*core.Stripe]*core.Stripe{}
 	if err := p.EachEdgeBlockRangeRunContext(context.Background(), 0, 1, 0, 1, 0, n, nil, func(r core.Run) bool {
+		if kept[r.Stripe] == nil { // a stripe dies with its walk
+			kept[r.Stripe] = &core.Stripe{Edges: slices.Clone(r.Stripe.Edges)}
+		}
+		r.Stripe = kept[r.Stripe]
 		runs = append(runs, r)
 		return true
 	}); err != nil {

@@ -16,9 +16,13 @@ import (
 // Under one prefix pair every edge is (V+x, W+y) over the stripe's
 // oriented edges (x, y), so the delta pair between two neighbouring
 // edges of a run is the stripe's own delta pair, whatever the prefix
-// pair.  A Writer therefore encodes each stripe's delta pairs once per
-// walk, with the byte offset of each digit's pair, and writes a run's
-// interior by copying a slice of those bytes.  It computes varints only
+// pair.  A Writer therefore encodes a stripe's delta pairs once, with
+// the byte offset of each digit's pair, when a run of a stripe other
+// than the last run's arrives, and writes a run's interior by copying a
+// slice of those bytes.  A walk delivers each term's runs in a row, all
+// of one stripe, so it resolves one table per term.  A Writer frames
+// one walk: the walk's stripes do not outlive it, so neither does the
+// key.  It computes varints only
 // for each frame's header and first edge and for each run's first
 // delta, from the edge before it.
 //
@@ -30,8 +34,8 @@ import (
 // the Writer's buffer and reach the destination only whole, in writes of
 // about 128 KiB and at the flush cadence.
 //
-// A Writer comes from a pool (NewWriter) with its buffer and stripe
-// tables, and goes back with Release.
+// A Writer comes from a pool (NewWriter) with its buffer and delta
+// table, and goes back with Release.
 type Writer struct {
 	dst        io.Writer
 	buf        []byte // writeTarget+MaxFrameLen bytes: closed frames, then the open one
@@ -48,7 +52,7 @@ type Writer struct {
 	every   int64
 	since   int64
 	flushed func(edges int64)
-	tabs    [2]stripeDeltas // one orientation, both
+	tab     stripeDeltas // the last run's stripe's
 }
 
 // stripeDeltas is one stripe's delta pairs: bytes holds, for every
@@ -66,7 +70,7 @@ type stripeDeltas struct {
 // destination in one Write.
 const writeTarget = 1 << 17
 
-// writerPool recycles Writers with their buffers and stripe tables.
+// writerPool recycles Writers with their buffers and delta tables.
 var writerPool = sync.Pool{New: func() any {
 	// Headroom past the high-water mark for one worst-case frame, so an
 	// open frame always fits.
@@ -85,18 +89,14 @@ func NewWriter(dst io.Writer, cuts []int64, start, end, every int64, flushed fun
 		dst: dst, buf: w.buf, cuts: cuts,
 		start: start, end: end, pos: start, fstart: start, fend: start,
 		every: every, flushed: flushed,
-		tabs: [2]stripeDeltas{
-			{bytes: w.tabs[0].bytes[:0], at: w.tabs[0].at[:0]},
-			{bytes: w.tabs[1].bytes[:0], at: w.tabs[1].at[:0]},
-		},
+		tab: stripeDeltas{bytes: w.tab.bytes[:0], at: w.tab.at[:0]},
 	}
 	return w
 }
 
 // Release returns w to the pool; w must not be used after.
 func (w *Writer) Release() {
-	w.dst, w.cuts, w.flushed = nil, nil, nil
-	w.tabs[0].key, w.tabs[1].key = nil, nil
+	w.dst, w.cuts, w.flushed, w.tab.key = nil, nil, nil, nil
 	writerPool.Put(w)
 }
 
@@ -142,17 +142,13 @@ func (w *Writer) Run(r core.Run) error {
 	return nil
 }
 
-// deltas returns s's delta table, resolving it on the walk's first run
-// of s.
+// deltas returns s's delta table, resolving it when the last run was
+// of another stripe.
 func (w *Writer) deltas(s *core.Stripe) *stripeDeltas {
-	t := &w.tabs[0]
-	if s.Both {
-		t = &w.tabs[1]
+	if w.tab.key != s {
+		w.tab.resolve(s)
 	}
-	if t.key != s {
-		t.resolve(s)
-	}
-	return t
+	return &w.tab
 }
 
 // resolve encodes s's delta pairs into t.
